@@ -1,91 +1,133 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FromEdges builds a Graph with n vertices from a directed edge list.
 // Duplicate edges are kept (the CSR/CSC arrays simply contain them twice);
 // use FromEdgesDedup to drop duplicates. Edges referencing vertices >= n
 // cause a panic — the caller owns ID assignment.
 //
-// Construction is two counting sorts (one per direction), O(|V|+|E|) time.
+// Construction is three counting scatters, O(|V|+|E|) time with no
+// comparison sort: the edges go into CSC buckets in input order, and two
+// transposes then yield the sorted CSR and the sorted CSC.
 func FromEdges(n uint32, edges []Edge) *Graph {
-	g := &Graph{n: n}
-	g.outOff, g.outAdj = bucketize(n, edges, func(e Edge) (uint32, uint32) { return e.Src, e.Dst })
-	g.inOff, g.inAdj = bucketize(n, edges, func(e Edge) (uint32, uint32) { return e.Dst, e.Src })
-	return g
+	inOff, inAdj := scatterByDst(n, edges)
+	return fromUnsortedCSC(n, inOff, inAdj, false)
 }
 
 // FromEdgesDedup builds a Graph with n vertices, removing duplicate edges
 // (parallel edges collapse to one).
 func FromEdgesDedup(n uint32, edges []Edge) *Graph {
-	g := FromEdges(n, edges)
-	return g.dedup()
+	inOff, inAdj := scatterByDst(n, edges)
+	return fromUnsortedCSC(n, inOff, inAdj, true)
 }
 
-// bucketize performs a counting sort of edges keyed by key(e) and returns
-// offsets plus the adjacent value() entries, each bucket sorted ascending.
-func bucketize(n uint32, edges []Edge, key func(Edge) (uint32, uint32)) ([]uint64, []uint32) {
-	off := make([]uint64, n+1)
+// scatterByDst places every edge's source in the CSC bucket of its
+// destination, in input order, so the buckets are not yet sorted.
+func scatterByDst(n uint32, edges []Edge) ([]uint64, []uint32) {
+	inOff := make([]uint64, n+1)
 	for _, e := range edges {
-		k, v := key(e)
-		if k >= n || v >= n {
+		if e.Src >= n || e.Dst >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.Src, e.Dst, n))
 		}
-		off[k+1]++
+		inOff[e.Dst+1]++
 	}
-	for i := uint32(0); i < n; i++ {
-		off[i+1] += off[i]
-	}
-	adj := make([]uint32, len(edges))
-	cur := make([]uint64, n)
-	copy(cur, off[:n])
+	prefixSum(inOff)
+	inAdj := make([]uint32, len(edges))
 	for _, e := range edges {
-		k, v := key(e)
-		adj[cur[k]] = v
-		cur[k]++
+		inAdj[inOff[e.Dst]] = e.Src
+		inOff[e.Dst]++
 	}
-	// Sort each bucket ascending.
-	for v := uint32(0); v < n; v++ {
-		b := adj[off[v]:off[v+1]]
-		if len(b) > 1 {
-			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		}
-	}
-	return off, adj
+	restoreOffsets(inOff)
+	return inOff, inAdj
 }
 
-// dedup removes duplicate entries from every adjacency list of both the CSR
-// and CSC representations, returning a new Graph.
-func (g *Graph) dedup() *Graph {
-	outOff, outAdj := dedupAdj(g.n, g.outOff, g.outAdj)
-	inOff, inAdj := dedupAdj(g.n, g.inOff, g.inAdj)
-	return &Graph{n: g.n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
+// fromUnsortedCSC builds the graph whose CSC buckets are (inOff, inAdj),
+// in any order within each bucket: one transpose gives the sorted CSR,
+// which is optionally deduplicated in place, and a second transpose gives
+// the sorted CSC, written back over the input arrays.
+func fromUnsortedCSC(n uint32, inOff []uint64, inAdj []uint32, dedup bool) *Graph {
+	outOff, outAdj := transpose(n, inOff, inAdj)
+	if dedup {
+		outAdj = dedupRows(n, outOff, outAdj)
+		inAdj = inAdj[:len(outAdj)]
+	}
+	transposeInto(n, outOff, outAdj, inOff, inAdj)
+	return &Graph{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}
 }
 
-func dedupAdj(n uint32, off []uint64, adj []uint32) ([]uint64, []uint32) {
-	nOff := make([]uint64, n+1)
-	nAdj := make([]uint32, 0, len(adj))
+// dedupRows drops repeated entries from every sorted row of (off, adj) in
+// place, rewriting off, and returns the shortened adjacency.
+func dedupRows(n uint32, off []uint64, adj []uint32) []uint32 {
+	var w, lo uint64
 	for v := uint32(0); v < n; v++ {
-		b := adj[off[v]:off[v+1]]
-		for i, u := range b {
-			if i == 0 || b[i-1] != u {
-				nAdj = append(nAdj, u)
+		hi, start := off[v+1], w
+		for _, u := range adj[lo:hi] {
+			if w == start || adj[w-1] != u {
+				adj[w] = u
+				w++
 			}
 		}
-		nOff[v+1] = uint64(len(nAdj))
+		lo, off[v+1] = hi, w
 	}
-	return nOff, nAdj
+	return adj[:w]
 }
 
-// FromCSR builds a Graph directly from CSR arrays. The adjacency within each
-// vertex's bucket is sorted by the constructor; the CSC side is derived.
-// offsets must have n+1 entries with offsets[n] == len(adj).
+// transpose derives the transposed arrays of the rows (off, adj); see
+// transposeInto.
+func transpose(n uint32, off []uint64, adj []uint32) ([]uint64, []uint32) {
+	tOff := make([]uint64, n+1)
+	tAdj := make([]uint32, len(adj))
+	transposeInto(n, off, adj, tOff, tAdj)
+	return tOff, tAdj
+}
+
+// transposeInto is the counting-scatter kernel behind every builder in
+// this package. It writes the transpose of the rows (off, adj) into tOff
+// (n+1 entries) and tAdj (len(adj) entries): entry u of row v becomes
+// entry v of bucket u. Rows are visited in ascending order, so every
+// bucket fills in ascending order — sorted, duplicates kept — whatever
+// the order within the input rows.
+func transposeInto(n uint32, off []uint64, adj []uint32, tOff []uint64, tAdj []uint32) {
+	clear(tOff)
+	for _, u := range adj {
+		tOff[u+1]++
+	}
+	prefixSum(tOff)
+	for v := uint32(0); v < n; v++ {
+		for _, u := range adj[off[v]:off[v+1]] {
+			tAdj[tOff[u]] = v
+			tOff[u]++
+		}
+	}
+	restoreOffsets(tOff)
+}
+
+// prefixSum turns bucket sizes stored at off[v+1] into bucket offsets.
+func prefixSum(off []uint64) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+}
+
+// restoreOffsets undoes a scatter that used off[v] as bucket v's write
+// cursor: afterwards off[v] holds the end of bucket v, which is the start
+// of bucket v+1.
+func restoreOffsets(off []uint64) {
+	copy(off[1:], off)
+	off[0] = 0
+}
+
+// FromCSR builds a Graph from CSR arrays whose buckets may be in any
+// order; the arrays are copied, not retained. Two transposes give the
+// sorted CSC and then the sorted CSR. offsets must have n+1 entries,
+// start at 0 and end at len(adj).
 func FromCSR(n uint32, offsets []uint64, adj []uint32) (*Graph, error) {
 	if len(offsets) != int(n)+1 {
 		return nil, fmt.Errorf("graph: FromCSR: offsets length %d != n+1 (%d)", len(offsets), n+1)
+	}
+	if offsets[0] != 0 {
+		return nil, fmt.Errorf("graph: FromCSR: head offset %d != 0", offsets[0])
 	}
 	if offsets[n] != uint64(len(adj)) {
 		return nil, fmt.Errorf("graph: FromCSR: tail offset %d != |adj| %d", offsets[n], len(adj))
@@ -95,16 +137,17 @@ func FromCSR(n uint32, offsets []uint64, adj []uint32) (*Graph, error) {
 			return nil, fmt.Errorf("graph: FromCSR: offsets not monotone at %d", v)
 		}
 	}
-	edges := make([]Edge, 0, len(adj))
 	for v := uint32(0); v < n; v++ {
 		for _, u := range adj[offsets[v]:offsets[v+1]] {
 			if u >= n {
 				return nil, fmt.Errorf("graph: FromCSR: neighbour %d of %d out of range", u, v)
 			}
-			edges = append(edges, Edge{v, u})
 		}
 	}
-	return FromEdges(n, edges), nil
+	g := &Graph{n: n}
+	g.inOff, g.inAdj = transpose(n, offsets, adj)
+	g.outOff, g.outAdj = transpose(n, g.inOff, g.inAdj)
+	return g, nil
 }
 
 // RemoveZeroDegree drops vertices with in-degree and out-degree both zero,
@@ -113,29 +156,16 @@ func FromCSR(n uint32, offsets []uint64, adj []uint32) (*Graph, error) {
 // §III-A). It returns the compacted graph and a mapping old→new where
 // removed vertices map to NoVertex.
 func (g *Graph) RemoveZeroDegree() (*Graph, []uint32) {
-	mapping := make([]uint32, g.n)
-	var next uint32
+	keep := make([]bool, g.n)
+	all := true
 	for v := uint32(0); v < g.n; v++ {
-		if g.OutDegree(v) == 0 && g.InDegree(v) == 0 {
-			mapping[v] = NoVertex
-			continue
-		}
-		mapping[v] = next
-		next++
+		keep[v] = g.OutDegree(v) != 0 || g.InDegree(v) != 0
+		all = all && keep[v]
 	}
-	if next == g.n {
-		return g, mapping // nothing removed
+	if all {
+		return g, Identity(g.n) // nothing removed
 	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := uint32(0); v < g.n; v++ {
-		if mapping[v] == NoVertex {
-			continue
-		}
-		for _, u := range g.OutNeighbors(v) {
-			edges = append(edges, Edge{mapping[v], mapping[u]})
-		}
-	}
-	return FromEdges(next, edges), mapping
+	return g.InducedSubgraph(keep)
 }
 
 // NoVertex is a sentinel vertex ID meaning "no vertex" / removed.

@@ -163,14 +163,30 @@ func (g *Graph) Reverse() *Graph {
 // Undirected returns the symmetrized graph: for every edge (u,v) both
 // (u,v) and (v,u) exist, with duplicates removed. Self-loops are kept as a
 // single directed self-edge in each direction's list (i.e. deduplicated).
+//
+// Each vertex's neighbour list is the deduplicating merge of its sorted
+// out- and in-lists. The result is symmetric, so, as in Reverse, the CSC
+// shares the CSR arrays.
 func (g *Graph) Undirected() *Graph {
-	es := make([]Edge, 0, 2*g.NumEdges())
+	off := make([]uint64, g.n+1)
+	adj := make([]uint32, 0, len(g.outAdj)+len(g.inAdj))
 	for v := uint32(0); v < g.n; v++ {
-		for _, u := range g.OutNeighbors(v) {
-			es = append(es, Edge{v, u}, Edge{u, v})
+		a, b := g.OutNeighbors(v), g.InNeighbors(v)
+		start, i, j := len(adj), 0, 0
+		for i < len(a) || j < len(b) {
+			var u uint32
+			if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+				u, i = a[i], i+1
+			} else {
+				u, j = b[j], j+1
+			}
+			if len(adj) == start || adj[len(adj)-1] != u {
+				adj = append(adj, u)
+			}
 		}
+		off[v+1] = uint64(len(adj))
 	}
-	return FromEdgesDedup(g.n, es)
+	return &Graph{n: g.n, outOff: off, outAdj: adj, inOff: off, inAdj: adj}
 }
 
 // Validate checks internal invariants: offset monotonicity, neighbour-ID

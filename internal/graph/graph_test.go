@@ -211,6 +211,14 @@ func TestFromCSRErrors(t *testing.T) {
 	if _, err := FromCSR(2, []uint64{0, 2, 1}, []uint32{0}); err == nil {
 		t.Error("non-monotone offsets accepted")
 	}
+	// A non-zero head offset would leave adj[:offsets[0]] outside every
+	// bucket; both shapes must be rejected, not built into a graph.
+	if _, err := FromCSR(2, []uint64{1, 1, 1}, []uint32{0}); err == nil {
+		t.Error("non-zero head offset accepted")
+	}
+	if _, err := FromCSR(2, []uint64{1, 1, 2}, []uint32{1, 0}); err == nil {
+		t.Error("non-zero head offset with edges accepted")
+	}
 }
 
 func TestRemoveZeroDegree(t *testing.T) {

@@ -134,6 +134,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err := binary.Read(hr, binary.LittleEndian, buf); err != nil {
 			return nil, fmt.Errorf("graph: reading offsets (%d of %d): %w", read, n+1, err)
 		}
+		if read == 0 && buf[0] != 0 {
+			return nil, fmt.Errorf("graph: head offset %d != 0", buf[0])
+		}
 		for i, x := range buf {
 			if x < prev {
 				return nil, fmt.Errorf("graph: offsets not monotone at vertex %d (%d after %d)", read+uint64(i), x, prev)

@@ -86,6 +86,10 @@ func TestReadBinaryCorrupt(t *testing.T) {
 			putU64(b, offsetsOff+16, 0)     // ...then off[2] drops back
 			return b
 		}, "not monotone"},
+		{"non-zero head offset", func(b []byte) []byte {
+			putU64(b, offsetsOff, 1)
+			return b
+		}, "head offset"},
 		{"offset exceeds edge count", func(b []byte) []byte {
 			putU64(b, offsetsOff+8, nEdges+5)
 			return b

@@ -184,56 +184,30 @@ func (s *Subgraph) Materialize() *Graph {
 	return g
 }
 
-// transpose derives CSC arrays from CSR arrays (buckets come out sorted
-// because sources are visited in ascending order).
-func transpose(n uint32, off []uint64, adj []uint32) ([]uint64, []uint32) {
-	inOff := make([]uint64, n+1)
-	for _, u := range adj {
-		inOff[u+1]++
-	}
-	for v := uint32(0); v < n; v++ {
-		inOff[v+1] += inOff[v]
-	}
-	inAdj := make([]uint32, len(adj))
-	cur := make([]uint64, n)
-	copy(cur, inOff[:n])
-	for v := uint32(0); v < n; v++ {
-		for _, u := range adj[off[v]:off[v+1]] {
-			inAdj[cur[u]] = v
-			cur[u]++
-		}
-	}
-	return inOff, inAdj
-}
-
 // InducedSubgraph returns the subgraph induced by the vertices where
 // keep[v] is true, with vertices renumbered contiguously in ascending
 // original-ID order, plus the mapping old→new (removed vertices map to
-// NoVertex). Edges survive iff both endpoints are kept.
+// NoVertex). Edges survive iff both endpoints are kept. The kept vertices
+// are block 1 of a two-block partition, materialized directly.
 func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []uint32) {
 	if len(keep) != int(g.n) {
 		panic("graph: InducedSubgraph keep mask length mismatch")
 	}
-	mapping := make([]uint32, g.n)
-	var next uint32
-	for v := uint32(0); v < g.n; v++ {
-		if keep[v] {
-			mapping[v] = next
-			next++
-		} else {
+	membership := make([]uint32, g.n)
+	for v, k := range keep {
+		if k {
+			membership[v] = 1
+		}
+	}
+	view := g.PartitionByMembership(membership, 2)[1]
+	h := view.Materialize()
+	// The view is done with, so its global→local array becomes the
+	// mapping once the dropped block's local IDs are blanked out.
+	mapping := view.local
+	for v, k := range keep {
+		if !k {
 			mapping[v] = NoVertex
 		}
 	}
-	edges := make([]Edge, 0)
-	for v := uint32(0); v < g.n; v++ {
-		if !keep[v] {
-			continue
-		}
-		for _, u := range g.OutNeighbors(v) {
-			if keep[u] {
-				edges = append(edges, Edge{mapping[v], mapping[u]})
-			}
-		}
-	}
-	return FromEdges(next, edges), mapping
+	return h, mapping
 }

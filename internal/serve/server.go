@@ -96,7 +96,7 @@ type job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	admitted time.Time
-	done     chan struct{} // closed on terminal state
+	done     chan struct{} // closed by execute once the job is terminal and retired
 
 	mu       sync.Mutex
 	state    JobState
@@ -138,7 +138,6 @@ func (j *job) finish(state JobState, cache string, res *JobResult, errMsg string
 	j.finished = time.Now()
 	j.mu.Unlock()
 	j.cancel()
-	close(j.done)
 	return true
 }
 
@@ -288,7 +287,10 @@ func (s *Server) execute(j *job) {
 	s.gInflight.Set(float64(s.inflight.Add(1)))
 	defer func() {
 		s.gInflight.Set(float64(s.inflight.Add(-1)))
+		// Retire before waking waiters on j.done, so a client that has
+		// seen this job's terminal state also sees the eviction it causes.
 		s.retire(j)
+		close(j.done)
 	}()
 	// A job whose deadline expired (or whose client vanished) while it
 	// was queued terminates typed without burning a worker on it.
