@@ -71,11 +71,11 @@ func BenchmarkAblationCacheAwareRAs(b *testing.B) {
 		cache := s.CacheFor(d)
 		cacheBytes := uint64(cache.SizeBytes())
 		algs := []reorder.Algorithm{
-			reorder.NewSlashBurn(),
-			reorder.NewSlashBurnCacheAware(cacheBytes),
-			reorder.NewRabbitOrder(),
-			reorder.NewRabbitOrderCacheAware(cacheBytes),
-			reorder.NewHybrid(),
+			reorder.MustNew("sb"),
+			reorder.MustNew("sb", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew("ro"),
+			reorder.MustNew("ro", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew("hybrid"),
 		}
 		for _, alg := range algs {
 			b.Run(d.Name+"/"+alg.Name(), func(b *testing.B) {
@@ -108,7 +108,9 @@ func BenchmarkIHTL(b *testing.B) {
 		b.Run(d.Name, func(b *testing.B) {
 			var plain, flipped uint64
 			for i := 0; i < b.N; i++ {
-				plain = count(func(sk trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, sk) })
+				plain = count(func(sk trace.Sink) {
+					trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
+				})
 				flipped = count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
 			}
 			b.ReportMetric(float64(plain)/1e3, "plainKmiss")
@@ -171,7 +173,9 @@ func BenchmarkHilbertCOO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hm = count(func(sk trace.Sink) { sfc.Trace(hilbert, l, sk) })
 		rm = count(func(sk trace.Sink) { sfc.Trace(row, l, sk) })
-		pm = count(func(sk trace.Sink) { trace.Run(g, l, trace.Pull, sk) })
+		pm = count(func(sk trace.Sink) {
+			trace.Run(g, l, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
+		})
 	}
 	b.ReportMetric(float64(hm)/1e3, "hilbertKmiss")
 	b.ReportMetric(float64(rm)/1e3, "rowKmiss")
@@ -201,10 +205,11 @@ func BenchmarkAblationHierarchy(b *testing.B) {
 	var filter float64
 	for i := 0; i < b.N; i++ {
 		h := cachesim.NewHierarchy(mk("L1", 704), mk("L2", 22), l3)
-		trace.Run(g, l, trace.Pull, func(a trace.Access) {
+		trace.Run(g, l, trace.Whole(g, trace.Pull), func(a trace.Access) bool {
 			if a.Kind == trace.KindVertexRead {
 				h.Access(a.Addr, a.Write)
 			}
+			return true
 		})
 		l1 := h.LevelStats(0)
 		l2 := h.LevelStats(1)
@@ -274,7 +279,7 @@ func BenchmarkAblationCacheFraction(b *testing.B) {
 		}
 	}
 	g := s.Graph(web)
-	ro := s.Relabeled(web, reorder.NewRabbitOrder())
+	ro := s.Relabeled(web, reorder.MustNew("ro"))
 	for _, frac := range []float64{0.01, 0.02, 0.04, 0.08, 0.16} {
 		cfg := cachesim.ScaledL3(g.NumVertices(), frac)
 		b.Run(fmt.Sprintf("frac%.2f", frac), func(b *testing.B) {

@@ -195,7 +195,7 @@ func BenchmarkReorderAlgorithms(b *testing.B) {
 	for _, alg := range []reorder.Algorithm{
 		reorder.Wrap(reorder.DegreeSort{}), reorder.Wrap(reorder.HubSort{}),
 		reorder.Wrap(reorder.DBG{}),
-		reorder.NewSlashBurnPP(), reorder.NewRabbitOrder(),
+		reorder.MustNew("sb++"), reorder.MustNew("ro"),
 	} {
 		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -106,7 +106,9 @@ func cmdIHTL(args []string) error {
 		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 		return c.Stats().Misses
 	}
-	plain := count(func(s trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, s) })
+	plain := count(func(s trace.Sink) {
+		trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { s(a); return true })
+	})
 	blocked := count(func(s trace.Sink) { ihtl.Trace(b, ihtl.NewLayout(b), s) })
 	fmt.Printf("simulated L3 misses: plain pull %d, iHTL %d (%.1f%% fewer)\n",
 		plain, blocked, 100*(1-float64(blocked)/float64(plain)))

@@ -84,7 +84,7 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	c := cachesim.New(cfg)
-	trace.Replay(logs, *interval, func(a trace.Access) { c.Access(a.Addr, a.Write) })
+	trace.Replay(logs, *interval, func(_ int, b *trace.Block) { c.AccessBatch(b.Addrs, b.Writes, nil) })
 	st := c.Stats()
 	fmt.Printf("%s %d sets x %d ways (%d KiB), prefetch=%v\n",
 		policy, cfg.Sets, cfg.Ways, cfg.SizeBytes()/1024, *prefetch)

@@ -65,9 +65,13 @@ func main() {
 		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 		return c.Stats().Misses
 	}
-	plain := count(func(s trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, s) })
+	plain := count(func(s trace.Sink) {
+		trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { s(a); return true })
+	})
 	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
-	roMiss := count(func(s trace.Sink) { trace.Run(ro, trace.NewLayout(ro), trace.Pull, s) })
+	roMiss := count(func(s trace.Sink) {
+		trace.Run(ro, trace.NewLayout(ro), trace.Whole(ro, trace.Pull), func(a trace.Access) bool { s(a); return true })
+	})
 	blocked := ihtl.Build(g, ihtl.Config{CacheBytes: uint64(cfg.SizeBytes() / 2)})
 	ihtlMiss := count(func(s trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), s) })
 	fmt.Printf("  plain pull:    %8d\n", plain)

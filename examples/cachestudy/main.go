@@ -20,8 +20,8 @@ func main() {
 
 	algs := []reorder.Algorithm{
 		reorder.Identity{},
-		reorder.NewSlashBurn(),
-		reorder.NewRabbitOrder(),
+		reorder.MustNew("sb"),
+		reorder.MustNew("ro"),
 	}
 
 	for _, alg := range algs {

@@ -22,7 +22,7 @@ func main() {
 	g = g.Relabel(reorder.Random{Seed: 7}.Relabel(g))
 
 	// 3. Reorder with Rabbit-Order.
-	res := reorder.Run(reorder.NewRabbitOrder(), g)
+	res := reorder.Run(reorder.MustNew("ro"), g)
 	ro := g.Relabel(res.Perm)
 	fmt.Printf("Rabbit-Order preprocessing: %.3fs\n", res.Elapsed.Seconds())
 

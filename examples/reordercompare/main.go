@@ -28,11 +28,11 @@ func main() {
 		reorder.Wrap(reorder.HubCluster{}),
 		reorder.Wrap(reorder.DBG{}),
 		reorder.Wrap(reorder.RCM{}),
-		reorder.NewSlashBurn(),
-		reorder.NewSlashBurnPP(),
-		reorder.NewGOrder(),
-		reorder.NewRabbitOrder(),
-		reorder.NewRabbitOrderEDR(1, uint32(g.HubThreshold())),
+		reorder.MustNew("sb"),
+		reorder.MustNew("sb++"),
+		reorder.MustNew("go"),
+		reorder.MustNew("ro"),
+		reorder.MustNew("ro", reorder.WithEDR(1, uint32(g.HubThreshold()))),
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -51,7 +51,7 @@ func TestAIDByDegreeRabbitOrderReducesLDV(t *testing.T) {
 	// The paper's Fig. 3: Rabbit-Order reduces AID of low-degree vertices.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 6, 2))
 	g := base.Relabel(reorder.Random{Seed: 8}.Relabel(base))
-	ro := g.Relabel(reorder.Perm(reorder.NewRabbitOrder(), g))
+	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
 
 	before := AIDByDegree(g)
 	after := AIDByDegree(ro)

@@ -14,7 +14,7 @@ func TestSimulateSpMVCancellation(t *testing.T) {
 	g := gen.ErdosRenyi(2000, 10000, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := SimulateSpMV(g, SimOptions{Cache: smallCache(), Ctx: ctx, PollEvery: 8})
+	res := SimulateSpMV(g, SimOptions{Cache: smallCache(), Ctx: ctx})
 	if !res.Canceled {
 		t.Fatal("simulation under a dead context not marked Canceled")
 	}
@@ -29,7 +29,7 @@ func TestSimulateSpMVCancellation(t *testing.T) {
 func TestSimulateSpMVContextCompletes(t *testing.T) {
 	g := gen.ErdosRenyi(500, 3000, 2)
 	plain := SimulateSpMV(g, SimOptions{Cache: smallCache()})
-	withCtx := SimulateSpMV(g, SimOptions{Cache: smallCache(), Ctx: context.Background(), PollEvery: 64})
+	withCtx := SimulateSpMV(g, SimOptions{Cache: smallCache(), Ctx: context.Background()})
 	if withCtx.Canceled {
 		t.Fatal("uncancelled run marked Canceled")
 	}

@@ -42,7 +42,7 @@ type TypeProfile struct {
 func ClassifyLocalityTypes(g *graph.Graph, lineSize int) TypeProfile {
 	layout := trace.NewLayout(g)
 	classifier := newTypeClassifier(g.NumVertices(), lineSize, nil)
-	trace.Run(g, layout, trace.Pull, classifier.observe)
+	trace.Run(g, layout, trace.Whole(g, trace.Pull), classifier.observe)
 	return classifier.profile
 }
 
@@ -61,7 +61,9 @@ func ClassifyLocalityTypesParallel(g *graph.Graph, lineSize, threads, interval i
 		}
 	}
 	classifier := newTypeClassifier(g.NumVertices(), lineSize, threadOf)
-	trace.RunParallel(g, layout, trace.Pull, threads, interval, classifier.observe)
+	s := trace.Whole(g, trace.Pull)
+	s.Threads, s.Interval = threads, interval
+	trace.Run(g, layout, s, classifier.observe)
 	return classifier.profile
 }
 
@@ -89,9 +91,11 @@ func newTypeClassifier(n uint32, lineSize int, threadOf []uint8) *typeClassifier
 	}
 }
 
-func (c *typeClassifier) observe(a trace.Access) {
+// observe classifies one access. It never stops the stream, so it serves
+// directly as a trace.BoundedSink.
+func (c *typeClassifier) observe(a trace.Access) bool {
 	if a.Kind != trace.KindVertexRead {
-		return
+		return true
 	}
 	curDest := a.Dest
 	var curThread uint8
@@ -124,4 +128,5 @@ func (c *typeClassifier) observe(a trace.Access) {
 	}
 	c.last[line] = lastUse{dest: curDest, thread: curThread}
 	c.seenVertex[a.Vertex] = true
+	return true
 }

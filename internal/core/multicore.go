@@ -7,7 +7,6 @@ import (
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/graph"
-	"graphlocality/internal/runctl"
 	"graphlocality/internal/trace"
 )
 
@@ -16,15 +15,15 @@ import (
 // accesses, and DRRIP/BRRIP carry global policy state — so the pipeline
 // never splits the cache. Instead it splits everything around the cache:
 //
-//	producers (parallel)      chunked trace generation + transpose
+//	producers (parallel)      chunked trace generation
 //	cache consumer (serial)   AccessBatch in exact stream order, ECS, bytes
 //	TLB stage (concurrent)    independent state, fed the same ordered stream
 //	attribution (parallel)    per-worker private count arrays, exact merge
 //
 // Producers cut [0, |V|) into contiguous chunks and stream each chunk's
 // blocks over a per-chunk channel; the consumer drains chunks in index
-// order, so by the concatenation property of RunRangeBatched /
-// RunRangeColumns the cache sees exactly the serial stream — bit-exact for
+// order, so by the concatenation property of trace.Generate over vertex
+// ranges the cache sees exactly the serial stream — bit-exact for
 // every policy, direction, prefetch and snapshot setting. The TLB has no
 // state in common with the cache, so it can run a block behind on its own
 // goroutine; per-vertex attribution sums uint32 counters, so per-worker
@@ -41,24 +40,22 @@ import (
 // spmv.ChunksPerThread).
 const mcChunksPerWorker = 4
 
-// mcBlock is one block in flight through the pipeline.
+// mcBlock is one block in flight through the pipeline: a copy of a
+// generator block plus the per-access hit flags the cache stage fills
+// when per-vertex attribution runs.
 type mcBlock struct {
-	addrs  []uint64
-	writes []bool
-	// recs/hits are populated only when per-vertex attribution runs: the
-	// producer keeps the Access records (for Vertex/Dest/Kind) and the
-	// cache stage fills the per-access hit results.
-	recs      []trace.Access
-	hits      []bool
-	n         int
-	edgeReads int
+	trace.Block
+	hits []bool
 }
 
-// attrPart is one attribution worker's private counters; summing the parts
-// in worker order reproduces the serial attribution arrays exactly
-// (integer addition is order-independent).
-type attrPart struct {
-	va, vm, da, dm []uint32
+// copyFrom makes b a copy of src, reusing b's columns.
+func (b *mcBlock) copyFrom(src *trace.Block) {
+	b.Addrs = append(b.Addrs[:0], src.Addrs...)
+	b.Writes = append(b.Writes[:0], src.Writes...)
+	b.EdgeReads = src.EdgeReads
+	b.Kinds = append(b.Kinds[:0], src.Kinds...)
+	b.Vertices = append(b.Vertices[:0], src.Vertices...)
+	b.Dests = append(b.Dests[:0], src.Dests...)
 }
 
 // simulateMulticore is the Workers > 1 fast path behind SimulateSpMV. It
@@ -67,66 +64,33 @@ type attrPart struct {
 // model above. Cancellation granularity is one block at the cache stage,
 // like the batched path.
 func simulateMulticore(g graph.Topology, opts SimOptions) SimResult {
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
-	workers := opts.Workers
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
+	workers := min(opts.Workers, runtime.GOMAXPROCS(0))
 	if workers < 2 {
 		// Serial fall-through for direct callers; SimulateSpMV already
 		// routes 1-core runs to the batched path.
 		return simulateBatched(g, opts)
 	}
-
-	cache := cachesim.New(opts.Cache)
-	var tlb *cachesim.TLB
-	if opts.TLB != nil {
-		tlb = cachesim.NewTLB(*opts.TLB)
-	}
-	layout := trace.NewLayout(g)
-	nv := g.NumVertices()
+	opts = opts.normalize(g)
 	perVertex := opts.PerVertex
-
-	res := SimResult{}
-	if perVertex {
-		res.VertexAccesses = make([]uint32, nv)
-		res.VertexMisses = make([]uint32, nv)
-		res.DestAccesses = make([]uint32, nv)
-		res.DestMisses = make([]uint32, nv)
-	}
-
-	randKind := trace.KindVertexRead
-	if opts.Direction == trace.Push {
-		randKind = trace.KindVertexWrite
-	}
 
 	// Chunk plan: the sequential stream is a concatenation of per-range
 	// sub-streams, so edge-balanced contiguous ranges drained in order
 	// reproduce it exactly. The emulated-parallel stream interleaves
 	// partitions and cannot be chunked; it runs as one producer.
-	var ranges []graph.Range
+	var streams []trace.Stream
 	if opts.Threads == 1 {
-		ranges = g.PartitionEdgeBalanced(opts.Direction == trace.Pull, workers*mcChunksPerWorker)
+		for _, r := range g.PartitionEdgeBalanced(opts.Direction == trace.Pull, workers*mcChunksPerWorker) {
+			streams = append(streams, trace.Stream{Dir: opts.Direction, Range: r})
+		}
 	} else {
-		ranges = []graph.Range{{Lo: 0, Hi: nv}}
+		streams = []trace.Stream{opts.stream(g)}
 	}
-	nChunks := len(ranges)
+	nChunks := len(streams)
+	c := newBlockConsumer(g, opts)
 
 	pool := sync.Pool{New: func() any {
-		b := &mcBlock{
-			addrs:  make([]uint64, simBatchSize),
-			writes: make([]bool, simBatchSize),
-		}
+		b := new(mcBlock)
 		if perVertex {
-			b.recs = make([]trace.Access, simBatchSize)
 			b.hits = make([]bool, simBatchSize)
 		}
 		return b
@@ -139,65 +103,31 @@ func simulateMulticore(g graph.Topology, opts SimOptions) SimResult {
 	// stop aborts producers on cancellation; closed at most once, by the
 	// consumer.
 	stop := make(chan struct{})
-	send := func(ch chan *mcBlock, b *mcBlock) bool {
-		select {
-		case ch <- b:
-			return true
-		case <-stop:
-			return false
-		}
-	}
 
-	// produceChunk streams ranges[i]'s sub-stream into chans[i], copying
-	// each generator block into a pooled mcBlock and doing the transpose /
-	// edge-read counting off the consumer's critical path. The channel is
-	// closed even on early stop so the consumer's drain always terminates
-	// for chunks that started.
-	needRecs := perVertex || opts.Threads > 1
+	// produceChunk streams chunk i's sub-stream into chans[i], copying
+	// each generator block into a pooled mcBlock. The channel is closed
+	// even on early stop so the consumer's drain always terminates for
+	// chunks that started.
 	produceChunk := func(i int) bool {
 		ch := chans[i]
 		defer close(ch)
-		if needRecs {
-			sink := func(block []trace.Access) bool {
-				b := pool.Get().(*mcBlock)
-				b.n = len(block)
-				if perVertex {
-					copy(b.recs, block)
-				}
-				edgeReads := 0
-				for j, a := range block {
-					b.addrs[j] = a.Addr
-					b.writes[j] = a.Write
-					if a.Kind == trace.KindEdges {
-						edgeReads++
-					}
-				}
-				b.edgeReads = edgeReads
-				return send(ch, b)
+		return trace.Generate(g, c.layout, streams[i], simBatchSize, perVertex, func(blk *trace.Block) bool {
+			b := pool.Get().(*mcBlock)
+			b.copyFrom(blk)
+			select {
+			case ch <- b:
+				return true
+			case <-stop:
+				return false
 			}
-			if opts.Threads > 1 {
-				return trace.RunParallelBatched(g, layout, opts.Direction, opts.Threads, opts.Interval, simBatchSize, sink)
-			}
-			return trace.RunRangeBatched(g, layout, opts.Direction, ranges[i], simBatchSize, sink)
-		}
-		return trace.RunRangeColumns(g, layout, opts.Direction, ranges[i], simBatchSize,
-			func(addrs []uint64, writes []bool, edgeReads int) bool {
-				b := pool.Get().(*mcBlock)
-				b.n = copy(b.addrs, addrs)
-				copy(b.writes, writes)
-				b.edgeReads = edgeReads
-				return send(ch, b)
-			})
+		})
 	}
 
 	// Producers claim chunk indices from an atomic cursor; a chunk is
 	// always claimed before any later chunk, so the producer of the chunk
 	// the consumer is draining can only be blocked on that same chunk's
 	// channel — the pipeline cannot deadlock.
-	prodWorkers := workers
-	if prodWorkers > nChunks {
-		prodWorkers = nChunks
-	}
+	prodWorkers := min(workers, nChunks)
 	var nextChunk atomic.Int64
 	var prodWG sync.WaitGroup
 	prodWG.Add(prodWorkers)
@@ -216,121 +146,39 @@ func simulateMulticore(g graph.Topology, opts SimOptions) SimResult {
 		}()
 	}
 
-	// Downstream stages. Routing after the cache stage is exclusive:
-	// consumer → TLB → attribution → pool, skipping absent stages.
-	var tlbCh, attrCh chan *mcBlock
-	if tlb != nil {
-		tlbCh = make(chan *mcBlock, workers)
-	}
+	// Downstream stages, built back to front. Routing after the cache
+	// stage is exclusive: consumer → TLB → attribution → pool, skipping
+	// absent stages.
+	forward := func(b *mcBlock) { pool.Put(b) }
+	var tlb *cachesim.TLB
+	var tlbStage, attrStage *mcStage
+	var attrParts []*attribution
 	if perVertex {
-		attrCh = make(chan *mcBlock, workers)
-	}
-	forward := func(b *mcBlock) {
-		switch {
-		case tlbCh != nil:
-			tlbCh <- b
-		case attrCh != nil:
-			attrCh <- b
-		default:
-			pool.Put(b)
-		}
-	}
-
-	var tlbWG sync.WaitGroup
-	if tlbCh != nil {
-		tlbWG.Add(1)
-		go func() {
-			defer tlbWG.Done()
-			for b := range tlbCh {
-				// The TLB's AccessBatch is cut-invariant, so one call per
-				// block yields the same final Stats as the batched path's
-				// snapshot-split calls.
-				tlb.AccessBatch(b.addrs[:b.n], nil)
-				if attrCh != nil {
-					attrCh <- b
-				} else {
-					pool.Put(b)
-				}
-			}
-		}()
-	}
-
-	var attrWG sync.WaitGroup
-	var attrParts []attrPart
-	if attrCh != nil {
-		attrParts = make([]attrPart, workers)
+		attrParts = make([]*attribution, workers)
 		for w := range attrParts {
-			attrParts[w] = attrPart{
-				va: make([]uint32, nv), vm: make([]uint32, nv),
-				da: make([]uint32, nv), dm: make([]uint32, nv),
-			}
-			attrWG.Add(1)
-			go func(p *attrPart) {
-				defer attrWG.Done()
-				for b := range attrCh {
-					recs := b.recs[:b.n]
-					for j := range recs {
-						a := &recs[j]
-						if a.Kind == randKind {
-							p.va[a.Vertex]++
-							p.da[a.Dest]++
-							if !b.hits[j] {
-								p.vm[a.Vertex]++
-								p.dm[a.Dest]++
-							}
-						}
-					}
-					pool.Put(b)
-				}
-			}(&attrParts[w])
+			attrParts[w] = newAttribution(g.NumVertices(), opts.Direction)
 		}
+		attrStage = startStage(workers, workers, func(w int, b *mcBlock) { attrParts[w].add(&b.Block, b.hits) }, forward)
+		forward = attrStage.send
+	}
+	if opts.TLB != nil {
+		tlb = cachesim.NewTLB(*opts.TLB)
+		// The TLB's AccessBatch is cut-invariant, so one call per block
+		// yields the same final Stats as the batched path's
+		// snapshot-split calls.
+		tlbStage = startStage(1, workers, func(_ int, b *mcBlock) { tlb.AccessBatch(b.Addrs, nil) }, forward)
+		forward = tlbStage.send
 	}
 
-	// Cache consumer — this goroutine. Identical arithmetic to
-	// simulateBatched: blocks split at exact ECS snapshot points, one
-	// context check per block.
-	totalLines := float64(opts.Cache.Sets * opts.Cache.Ways)
-	var ecsSum float64
-	var accesses, bytesTouched uint64
-	poll := runctl.NewPoller(opts.Ctx, 1)
-	snapshot := func() {
-		var dataLines int
-		cache.Snapshot(func(line uint64) {
-			if layout.InOldData(line) {
-				dataLines++
-			}
-		})
-		ecsSum += 100 * float64(dataLines) / totalLines
-		res.Snapshots++
-	}
-
+	// Cache consumer — this goroutine, running the same blockConsumer as
+	// simulateBatched over the blocks in exact stream order.
 	canceled := false
 consume:
 	for i := 0; i < nChunks; i++ {
 		for b := range chans[i] {
-			off := 0
-			for off < b.n {
-				sub := b.n - off
-				if opts.SnapshotEvery > 0 {
-					every := uint64(opts.SnapshotEvery)
-					if untilSnap := (accesses/every+1)*every - accesses; untilSnap < uint64(sub) {
-						sub = int(untilSnap)
-					}
-				}
-				var hs []bool
-				if perVertex {
-					hs = b.hits[off : off+sub]
-				}
-				cache.AccessBatch(b.addrs[off:off+sub], b.writes[off:off+sub], hs)
-				accesses += uint64(sub)
-				if opts.SnapshotEvery > 0 && accesses%uint64(opts.SnapshotEvery) == 0 {
-					snapshot()
-				}
-				off += sub
-			}
-			bytesTouched += uint64(trace.VertexDataBytes*b.n - (trace.VertexDataBytes-trace.EdgeBytes)*b.edgeReads)
+			ok := c.consume(&b.Block, b.hits)
 			forward(b)
-			if poll.Check() != nil {
+			if !ok {
 				canceled = true
 				break consume
 			}
@@ -340,32 +188,53 @@ consume:
 		close(stop)
 	}
 	prodWG.Wait()
-	if tlbCh != nil {
-		close(tlbCh)
-		tlbWG.Wait()
-	}
-	if attrCh != nil {
-		close(attrCh)
-		attrWG.Wait()
-		for w := range attrParts {
-			p := &attrParts[w]
-			for v := range res.VertexAccesses {
-				res.VertexAccesses[v] += p.va[v]
-				res.VertexMisses[v] += p.vm[v]
-				res.DestAccesses[v] += p.da[v]
-				res.DestMisses[v] += p.dm[v]
-			}
-		}
-	}
-
-	res.Cache = cache.Stats()
-	res.BytesTouched = bytesTouched
-	if tlb != nil {
+	var res SimResult
+	c.result(&res)
+	if tlbStage != nil {
+		tlbStage.close()
 		res.TLB = tlb.Stats()
 	}
-	if res.Snapshots > 0 {
-		res.ECS = ecsSum / float64(res.Snapshots)
+	if attrStage != nil {
+		attrStage.close()
+		for _, p := range attrParts[1:] {
+			attrParts[0].merge(p)
+		}
+		attrParts[0].result(&res)
 	}
 	res.Canceled = canceled
 	return res
+}
+
+// mcStage is a downstream pipeline stage: goroutines that apply a function
+// to every block sent to the stage and hand the block on.
+type mcStage struct {
+	ch chan *mcBlock
+	wg sync.WaitGroup
+}
+
+// startStage starts n goroutines that apply f (with the goroutine's index)
+// to each block sent to the stage, then pass it to next. The stage buffers
+// up to buf blocks; the callers give it one per pipeline worker, so the
+// cache stage rarely waits on a downstream stage.
+func startStage(n, buf int, f func(w int, b *mcBlock), next func(*mcBlock)) *mcStage {
+	st := &mcStage{ch: make(chan *mcBlock, buf)}
+	st.wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func(w int) {
+			defer st.wg.Done()
+			for b := range st.ch {
+				f(w, b)
+				next(b)
+			}
+		}(w)
+	}
+	return st
+}
+
+func (st *mcStage) send(b *mcBlock) { st.ch <- b }
+
+// close waits until the stage has passed on every block sent to it.
+func (st *mcStage) close() {
+	close(st.ch)
+	st.wg.Wait()
 }

@@ -25,38 +25,20 @@ type NUMAResult struct {
 // Direction (default Pull), Threads (raised to at least `sockets`),
 // Interval (replay slice granularity, default 1024) and Cache.
 func SimulateSpMVNUMA(g graph.Topology, opts SimOptions, sockets int) NUMAResult {
-	if sockets < 1 {
-		sockets = 1
-	}
-	if opts.Threads < sockets {
-		opts.Threads = sockets
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
+	sockets = max(sockets, 1)
+	opts = opts.normalize(g)
+	opts.Threads = max(opts.Threads, sockets)
 	caches := make([]*cachesim.Cache, sockets)
 	for i := range caches {
 		caches[i] = cachesim.New(opts.Cache)
 	}
-	layout := trace.NewLayout(g)
-	logs := trace.CollectLogs(g, layout, opts.Direction, opts.Threads)
+	logs := trace.CollectLogs(g, trace.NewLayout(g), opts.Direction, opts.Threads)
 	perSocket := (opts.Threads + sockets - 1) / sockets
 	// Each replayed interval slice belongs to one thread — and therefore to
 	// one socket — so the whole slice feeds that socket's cache in a single
-	// batched call. Scratch buffers are reused across slices.
-	addrs := make([]uint64, 0, opts.Interval)
-	writes := make([]bool, 0, opts.Interval)
-	trace.ReplayBatched(logs, opts.Interval, func(thread int, block []trace.Access) {
-		addrs = addrs[:0]
-		writes = writes[:0]
-		for _, a := range block {
-			addrs = append(addrs, a.Addr)
-			writes = append(writes, a.Write)
-		}
-		caches[thread/perSocket].AccessBatch(addrs, writes, nil)
+	// batched call.
+	trace.Replay(logs, opts.Interval, func(thread int, b *trace.Block) {
+		caches[thread/perSocket].AccessBatch(b.Addrs, b.Writes, nil)
 	})
 	var res NUMAResult
 	for _, c := range caches {
@@ -65,12 +47,4 @@ func SimulateSpMVNUMA(g graph.Topology, opts SimOptions, sockets int) NUMAResult
 		res.TotalMisses += st.Misses
 	}
 	return res
-}
-
-// SimulateSpMVNUMACfg is the positional-argument form kept for older
-// callers.
-//
-// Deprecated: use SimulateSpMVNUMA with SimOptions.
-func SimulateSpMVNUMACfg(g *graph.Graph, cfg cachesim.Config, sockets, threads, interval int) NUMAResult {
-	return SimulateSpMVNUMA(g, SimOptions{Cache: cfg, Threads: threads, Interval: interval}, sockets)
 }

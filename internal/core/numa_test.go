@@ -64,20 +64,3 @@ func TestSimulateSpMVNUMADegenerateArgs(t *testing.T) {
 		t.Error("default-config NUMA run produced no misses")
 	}
 }
-
-// TestSimulateSpMVNUMACfgShim pins the deprecated positional form to the
-// SimOptions form: same arguments, identical result.
-func TestSimulateSpMVNUMACfgShim(t *testing.T) {
-	g := gen.SocialNetwork(10, 11, 3)
-	cfg := smallCache()
-	want := SimulateSpMVNUMA(g, SimOptions{Cache: cfg, Threads: 4, Interval: 128}, 2)
-	got := SimulateSpMVNUMACfg(g, cfg, 2, 4, 128)
-	if got.TotalMisses != want.TotalMisses || len(got.Sockets) != len(want.Sockets) {
-		t.Fatalf("shim diverged: %+v vs %+v", got, want)
-	}
-	for i := range got.Sockets {
-		if got.Sockets[i] != want.Sockets[i] {
-			t.Fatalf("socket %d diverged: %+v vs %+v", i, got.Sockets[i], want.Sockets[i])
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/graph"
-	"graphlocality/internal/trace"
 )
 
 // Sharded variants of the heavy per-graph analytics. Each splits the vertex
@@ -147,7 +146,6 @@ func LineUtilizationParallel(g *graph.Graph, cfg cachesim.Config, shards int) ca
 	if cfg == (cachesim.Config{}) {
 		cfg = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
 	}
-	layout := trace.NewLayout(g)
 	ranges := ShardRanges(g.NumVertices(), shards)
 	parts := make([]cachesim.UtilizationStats, len(ranges))
 	var wg sync.WaitGroup
@@ -155,16 +153,7 @@ func LineUtilizationParallel(g *graph.Graph, cfg cachesim.Config, shards int) ca
 		wg.Add(1)
 		go func(i int, r graph.Range) {
 			defer wg.Done()
-			tr := cachesim.NewUtilizationTracker(cfg)
-			trace.RunRangeBatched(g, layout, trace.Pull, r, 0, func(block []trace.Access) bool {
-				for _, a := range block {
-					if a.Kind == trace.KindVertexRead {
-						tr.Access(a.Addr, a.Write)
-					}
-				}
-				return true
-			})
-			parts[i] = tr.Stats()
+			parts[i] = lineUtilization(g, cfg, r)
 		}(i, r)
 	}
 	wg.Wait()

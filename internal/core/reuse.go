@@ -31,9 +31,9 @@ func ReuseDistances(g *graph.Graph, dir trace.Direction, lineSize int) ReuseProf
 	bit := newFenwick(n + 1)
 	pos := 0
 
-	trace.Run(g, layout, dir, func(a trace.Access) {
+	trace.Run(g, layout, trace.Whole(g, dir), func(a trace.Access) bool {
 		if a.Kind != trace.KindVertexRead && a.Kind != trace.KindVertexWrite {
-			return
+			return true
 		}
 		line := a.Addr / uint64(lineSize)
 		p.Total++
@@ -49,6 +49,7 @@ func ReuseDistances(g *graph.Graph, dir trace.Direction, lineSize int) ReuseProf
 		pos++
 		lastPos[line] = pos - 1
 		bit.add(pos, +1)
+		return true
 	})
 	return p
 }

@@ -14,7 +14,9 @@ type SegmentedResult struct {
 	Misses uint64
 	// Accesses is the total access count (exact).
 	Accesses uint64
-	// Segments is the number of independently simulated stream segments.
+	// Segments is the number of independently simulated stream segments:
+	// at most the number requested, fewer when the stream is too short to
+	// give every requested segment an access.
 	Segments int
 }
 
@@ -43,41 +45,27 @@ func (r SegmentedResult) MissRate() float64 {
 // segment). The replayed stream is materialized once, so the result is
 // identical for every Workers value.
 func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) SegmentedResult {
-	if segments < 1 {
-		segments = 1
-	}
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.Interval < 1 {
-		opts.Interval = 1024
-	}
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
-	layout := trace.NewLayout(g)
+	opts = opts.normalize(g)
+	segments = max(segments, 1)
 
 	// Materialize the interleaved stream once (phase 1 + interleaving) as
 	// parallel address/write arrays — the only access fields the segment
-	// replay needs, at 9 bytes per access instead of 24 for full records.
+	// replay needs.
 	total := int(trace.CountAccesses(g))
 	addrs := make([]uint64, 0, total)
 	writes := make([]bool, 0, total)
-	sink := func(block []trace.Access) bool {
-		for _, a := range block {
-			addrs = append(addrs, a.Addr)
-			writes = append(writes, a.Write)
-		}
+	trace.Generate(g, trace.NewLayout(g), opts.stream(g), 0, false, func(b *trace.Block) bool {
+		addrs = append(addrs, b.Addrs...)
+		writes = append(writes, b.Writes...)
 		return true
-	}
-	if opts.Threads <= 1 {
-		trace.RunBatched(g, layout, opts.Direction, 0, sink)
-	} else {
-		trace.RunParallelBatched(g, layout, opts.Direction, opts.Threads, opts.Interval, 0, sink)
-	}
+	})
 
+	// Cut the stream into slices of `per` accesses. Rounding `per` up can
+	// leave fewer than `segments` slices; Segments reports the slices
+	// actually simulated.
+	per := max((len(addrs)+segments-1)/segments, 1)
+	segments = (len(addrs) + per - 1) / per
 	res := SegmentedResult{Accesses: uint64(len(addrs)), Segments: segments}
-	per := (len(addrs) + segments - 1) / segments
 	misses := make([]uint64, segments)
 	var sem chan struct{}
 	if opts.Workers > 0 {
@@ -85,14 +73,7 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < segments; s++ {
-		lo := s * per
-		if lo >= len(addrs) {
-			break
-		}
-		hi := lo + per
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
+		lo, hi := s*per, min((s+1)*per, len(addrs))
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
@@ -110,12 +91,4 @@ func SimulateSpMVSegmented(g graph.Topology, opts SimOptions, segments int) Segm
 		res.Misses += m
 	}
 	return res
-}
-
-// SimulateSpMVSegmentedCfg is the positional-argument form kept for
-// older callers.
-//
-// Deprecated: use SimulateSpMVSegmented with SimOptions.
-func SimulateSpMVSegmentedCfg(g *graph.Graph, cfg cachesim.Config, threads, interval, segments int) SegmentedResult {
-	return SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: threads, Interval: interval}, segments)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphlocality/internal/gen"
+	"graphlocality/internal/graph"
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/trace"
 )
@@ -48,8 +49,8 @@ func TestSegmentedPreservesRelativeOrdering(t *testing.T) {
 	// The paper's key validation: the *relative* comparison between two
 	// reorderings survives the approximation (1.4% relative error there).
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 7))
-	ro := g.Relabel(reorder.Perm(reorder.NewRabbitOrder(), g))
-	sb := g.Relabel(reorder.Perm(reorder.NewSlashBurn(), g))
+	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
+	sb := g.Relabel(reorder.Perm(reorder.MustNew("sb"), g))
 	cfg := smallCache()
 
 	exactRO := SimulateSpMV(ro, SimOptions{Cache: cfg, Threads: 4}).Cache.Misses
@@ -81,15 +82,23 @@ func TestSegmentedDegenerateArgs(t *testing.T) {
 	}
 }
 
-// TestSimulateSpMVSegmentedCfgShim pins the deprecated positional form
-// to the SimOptions form: same arguments, identical result.
-func TestSimulateSpMVSegmentedCfgShim(t *testing.T) {
-	g := gen.SocialNetwork(10, 11, 4)
-	cfg := smallCache()
-	want := SimulateSpMVSegmented(g, SimOptions{Cache: cfg, Threads: 4, Interval: 128}, 4)
-	got := SimulateSpMVSegmentedCfg(g, cfg, 4, 128, 4)
-	if got != want {
-		t.Fatalf("shim diverged: %+v vs %+v", got, want)
+// TestSegmentedReportsSimulatedSegments: Segments counts the slices that
+// were simulated, not the count requested. The 2-vertex graph with one
+// edge 0→1 has 8 accesses; 6 requested segments round to slices of 2, so
+// only 4 segments exist.
+func TestSegmentedReportsSimulatedSegments(t *testing.T) {
+	g := graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
+	if n := trace.CountAccesses(g); n != 8 {
+		t.Fatalf("CountAccesses = %d, want 8", n)
+	}
+	for _, tc := range []struct{ asked, want int }{{1, 1}, {4, 4}, {6, 4}, {8, 8}, {100, 8}} {
+		res := SimulateSpMVSegmented(g, SimOptions{Cache: smallCache()}, tc.asked)
+		if res.Segments != tc.want || res.Accesses != 8 {
+			t.Errorf("%d segments asked: got %+v, want Segments %d over 8 accesses", tc.asked, res, tc.want)
+		}
+	}
+	if res := SimulateSpMVSegmented(graph.FromEdges(0, nil), SimOptions{Cache: smallCache()}, 3); res.Segments != 0 {
+		t.Errorf("empty graph: %d segments simulated, want 0", res.Segments)
 	}
 }
 

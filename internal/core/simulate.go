@@ -12,13 +12,10 @@ import (
 
 // SimOptions configures an SpMV cache simulation.
 type SimOptions struct {
-	// Ctx, when non-nil, is polled every PollEvery accesses; when it dies
-	// the simulation stops early and the result carries the counters
-	// accumulated so far with Canceled set.
+	// Ctx, when non-nil, is polled as the simulation runs (once per block
+	// on the fast paths); when it dies the simulation stops early and the
+	// result carries the counters accumulated so far with Canceled set.
 	Ctx context.Context
-	// PollEvery is the cancellation-poll granularity in accesses
-	// (0 = runctl.DefaultPollInterval).
-	PollEvery int
 	// Direction of the traversal (default Pull).
 	Direction trace.Direction
 	// Threads emulated by the paper's two-phase parallel simulation; 1
@@ -106,13 +103,10 @@ func SimulateSpMV(g graph.Topology, opts SimOptions) SimResult {
 	return simulateBatched(g, opts)
 }
 
-// SimulateSpMVReference is the scalar reference implementation of
-// SimulateSpMV: every access flows through a per-access sink into
-// cachesim.Cache.Access. It is the semantic source of truth the batched
-// path is differential-tested against (bit-identical SimResult for every
-// policy, direction and prefetch setting); keep it boring and obviously
-// correct, and optimize simulateBatched instead.
-func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
+// normalize returns opts with every default applied for graph g: one
+// emulated thread, a 1024-access interleave interval and the scaled L3.
+// It is the only place SimOptions defaults live.
+func (opts SimOptions) normalize(g graph.Dims) SimOptions {
 	if opts.Threads < 1 {
 		opts.Threads = 1
 	}
@@ -122,6 +116,25 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 	if opts.Cache == (cachesim.Config{}) {
 		opts.Cache = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
 	}
+	return opts
+}
+
+// stream returns the access stream the (normalized) options simulate.
+func (opts SimOptions) stream(g graph.Dims) trace.Stream {
+	s := trace.Whole(g, opts.Direction)
+	s.Threads, s.Interval = opts.Threads, opts.Interval
+	return s
+}
+
+// SimulateSpMVReference is the scalar reference implementation of
+// SimulateSpMV: every access flows through a per-access sink into
+// cachesim.Cache.Access. It is the semantic source of truth the batched
+// path is differential-tested against (bit-identical SimResult for every
+// policy, direction and prefetch setting); keep it boring and obviously
+// correct, and optimize simulateBatched instead. It polls opts.Ctx every
+// runctl.DefaultPollInterval accesses.
+func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
+	opts = opts.normalize(g)
 	cache := cachesim.New(opts.Cache)
 	var tlb *cachesim.TLB
 	if opts.TLB != nil {
@@ -140,7 +153,7 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 	totalLines := float64(opts.Cache.Sets * opts.Cache.Ways)
 	var ecsSum float64
 	var accesses, bytesTouched uint64
-	poll := runctl.NewPoller(opts.Ctx, opts.PollEvery)
+	poll := runctl.NewPoller(opts.Ctx, runctl.DefaultPollInterval)
 
 	sink := func(a trace.Access) bool {
 		hit := cache.Access(a.Addr, a.Write)
@@ -174,12 +187,7 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 		}
 		return poll.Check() == nil
 	}
-
-	if opts.Threads == 1 {
-		res.Canceled = !trace.RunUntil(g, layout, opts.Direction, sink)
-	} else {
-		res.Canceled = !trace.RunParallelUntil(g, layout, opts.Direction, opts.Threads, opts.Interval, sink)
-	}
+	res.Canceled = !trace.Run(g, layout, opts.stream(g), sink)
 
 	res.Cache = cache.Stats()
 	res.BytesTouched = bytesTouched
@@ -200,12 +208,17 @@ func LineUtilization(g graph.Topology, cfg cachesim.Config) cachesim.Utilization
 	if cfg == (cachesim.Config{}) {
 		cfg = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
 	}
+	return lineUtilization(g, cfg, graph.Range{Hi: g.NumVertices()})
+}
+
+// lineUtilization feeds the random vertex-data reads a pull traversal
+// issues while processing the vertices of r to a cold shadow cache.
+func lineUtilization(g graph.Topology, cfg cachesim.Config, r graph.Range) cachesim.UtilizationStats {
 	tr := cachesim.NewUtilizationTracker(cfg)
-	layout := trace.NewLayout(g)
-	trace.RunBatched(g, layout, trace.Pull, 0, func(block []trace.Access) bool {
-		for _, a := range block {
-			if a.Kind == trace.KindVertexRead {
-				tr.Access(a.Addr, a.Write)
+	trace.Generate(g, trace.NewLayout(g), trace.Stream{Dir: trace.Pull, Range: r}, 0, true, func(b *trace.Block) bool {
+		for i, k := range b.Kinds {
+			if k == trace.KindVertexRead {
+				tr.Access(b.Addrs[i], b.Writes[i])
 			}
 		}
 		return true

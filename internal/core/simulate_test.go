@@ -181,7 +181,7 @@ func TestLineUtilizationOrderingsDiffer(t *testing.T) {
 	// per-line utilization.
 	base := gen.WebGraph(gen.DefaultWebGraph(1<<12, 8, 3))
 	scrambled := base.Relabel(reorder.Random{Seed: 6}.Relabel(base))
-	ro := scrambled.Relabel(reorder.Perm(reorder.NewRabbitOrder(), scrambled))
+	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	cfg := cachesim.Config{Name: "L3", LineSize: 64, Sets: 8, Ways: 4, Policy: cachesim.DRRIP}
 	sc := LineUtilization(scrambled, cfg)
 	cl := LineUtilization(ro, cfg)

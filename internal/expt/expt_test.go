@@ -87,7 +87,7 @@ func TestTableI(t *testing.T) {
 
 func TestTableII(t *testing.T) {
 	s, ds := tinySession()
-	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.DegreeSort{}), reorder.NewSlashBurnPP()}
+	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.DegreeSort{}), reorder.MustNew("sb++")}
 	rows := TableII(s, ds[:1], algs)
 	// Identity skipped.
 	if len(rows) != 2 {
@@ -161,7 +161,7 @@ func TestTableIVShapes(t *testing.T) {
 
 func TestTableVShapes(t *testing.T) {
 	s, ds := tinySession()
-	algs := []reorder.Algorithm{reorder.Identity{}, reorder.NewSlashBurnPP()}
+	algs := []reorder.Algorithm{reorder.Identity{}, reorder.MustNew("sb++")}
 	rows := TableV(s, ds[:1], algs)
 	for _, r := range rows {
 		if r.ECSPct <= 0 || r.ECSPct > 100 {

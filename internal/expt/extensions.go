@@ -40,9 +40,13 @@ func IHTLExperiment(s *Session, datasets []Dataset) []IHTLRow {
 			run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
 			return c.Stats().Misses
 		}
-		plain := count(func(sk trace.Sink) { trace.Run(g, trace.NewLayout(g), trace.Pull, sk) })
+		plain := count(func(sk trace.Sink) {
+			trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
+		})
 		ro := s.Relabeled(ds, reorder.MustNew("ro"))
-		roMiss := count(func(sk trace.Sink) { trace.Run(ro, trace.NewLayout(ro), trace.Pull, sk) })
+		roMiss := count(func(sk trace.Sink) {
+			trace.Run(ro, trace.NewLayout(ro), trace.Whole(ro, trace.Pull), func(a trace.Access) bool { sk(a); return true })
+		})
 		ihtlMiss := count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
 		return IHTLRow{
 			Dataset: ds.Name, Kind: ds.Kind,
@@ -188,7 +192,9 @@ func HilbertExperiment(s *Session, datasets []Dataset) []HilbertRow {
 			Dataset:       ds.Name,
 			HilbertMisses: count(func(sk trace.Sink) { sfc.Trace(hil, l, sk) }),
 			RowMisses:     count(func(sk trace.Sink) { sfc.Trace(row, l, sk) }),
-			PullMisses:    count(func(sk trace.Sink) { trace.Run(g, l, trace.Pull, sk) }),
+			PullMisses: count(func(sk trace.Sink) {
+				trace.Run(g, l, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
+			}),
 		}
 	})
 }

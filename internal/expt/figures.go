@@ -115,7 +115,7 @@ func Fig2(s *Session, ds Dataset) []Fig2Snapshot {
 	und := g.Undirected()
 	want := map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true}
 	snaps := []Fig2Snapshot{degreeSnapshot(0, allDegrees(und))}
-	sb := reorder.NewSlashBurn()
+	sb := reorder.MustNew("sb").(*reorder.SlashBurn)
 	sb.OnIteration = func(iter int, gccDegrees []uint32) {
 		if want[iter] {
 			snaps = append(snaps, degreeSnapshot(iter, gccDegrees))

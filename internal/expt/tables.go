@@ -394,8 +394,8 @@ func TableVII(s *Session, datasets []Dataset) []TableVIIRow {
 		// Run fresh instances directly (not via the session memo) so the
 		// iteration counters belong to these runs, then seed the memo so
 		// the relabeling is not recomputed.
-		sb := reorder.NewSlashBurn()
-		sbpp := reorder.NewSlashBurnPP()
+		sb := reorder.MustNew("sb").(*reorder.SlashBurn)
+		sbpp := reorder.MustNew("sb++").(*reorder.SlashBurn)
 		g := s.Graph(ds)
 		rSB := reorder.Run(sb, g)
 		itSB := sb.Iterations()

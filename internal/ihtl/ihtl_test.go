@@ -134,7 +134,7 @@ func TestIHTLBeatsPlainPullOnWebGraph(t *testing.T) {
 
 	plain := cachesim.New(cfg)
 	tl := trace.NewLayout(g)
-	trace.Run(g, tl, trace.Pull, func(a trace.Access) { plain.Access(a.Addr, a.Write) })
+	trace.Run(g, tl, trace.Whole(g, trace.Pull), func(a trace.Access) bool { plain.Access(a.Addr, a.Write); return true })
 
 	blocked := cachesim.New(cfg)
 	il := NewLayout(b)

@@ -141,7 +141,7 @@ func Micro(r *Report, opts Options) {
 	var sinkAddr uint64
 
 	tScalar := timeIt(rep, func() {
-		trace.Run(g, layout, trace.Pull, func(a trace.Access) { sinkAddr += a.Addr })
+		trace.Run(g, layout, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sinkAddr += a.Addr; return true })
 	})
 	name = "trace/run/scalar"
 	ns = float64(tScalar.Nanoseconds()) / total
@@ -149,9 +149,9 @@ func Micro(r *Report, opts Options) {
 	opts.progress(name, ns)
 
 	tBatched := timeIt(rep, func() {
-		trace.RunBatched(g, layout, trace.Pull, 0, func(block []trace.Access) bool {
-			for _, a := range block {
-				sinkAddr += a.Addr
+		trace.Generate(g, layout, trace.Whole(g, trace.Pull), 0, true, func(b *trace.Block) bool {
+			for _, a := range b.Addrs {
+				sinkAddr += a
 			}
 			return true
 		})

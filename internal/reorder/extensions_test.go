@@ -12,7 +12,7 @@ import (
 
 func TestHybridValidOnAllShapes(t *testing.T) {
 	for name, g := range testGraphs() {
-		perm := Perm(NewHybrid(), g)
+		perm := Perm(MustNew("hybrid"), g)
 		if uint32(len(perm)) != g.NumVertices() {
 			t.Errorf("%s: perm length %d", name, len(perm))
 			continue
@@ -27,7 +27,7 @@ func TestHybridPlacesLDVBeforeHubs(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 8, 3))
 	und := g.Undirected()
 	thr := g.HubThreshold()
-	perm := Perm(NewHybrid(), g)
+	perm := Perm(MustNew("hybrid"), g)
 	var maxLDV, minHub uint32
 	minHub = ^uint32(0)
 	sawHub := false
@@ -50,8 +50,8 @@ func TestHybridPlacesLDVBeforeHubs(t *testing.T) {
 }
 
 func TestHybridName(t *testing.T) {
-	if NewHybrid().Name() != "RO+GO" {
-		t.Errorf("Name = %q", NewHybrid().Name())
+	if MustNew("hybrid").Name() != "RO+GO" {
+		t.Errorf("Name = %q", MustNew("hybrid").Name())
 	}
 	if alg, err := NewFromSpec("hybrid"); err != nil || alg.Name() != "RO+GO" {
 		t.Errorf("NewFromSpec(hybrid) = %v, %v", alg, err)
@@ -62,7 +62,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(12, 8, 19))
 	// A tiny cache budget: only ~64 hub entries fit -> at most a couple
 	// of iterations with k = 0.02*4096 ≈ 81.
-	ca := NewSlashBurnCacheAware(64 * 8)
+	ca := MustNew("sb", WithCacheBytes(64*8)).(*SlashBurn)
 	perm := Perm(ca, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 	if ca.Name() != "SB-CA" {
 		t.Errorf("Name = %q", ca.Name())
 	}
-	full := NewSlashBurn()
+	full := MustNew("sb").(*SlashBurn)
 	Perm(full, g)
 	if ca.Iterations() > full.Iterations() {
 		t.Errorf("cache-aware SB ran %d iterations, full SB %d", ca.Iterations(), full.Iterations())
@@ -82,7 +82,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 
 func TestRabbitOrderCommunityCap(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 11))
-	capped := NewRabbitOrderCacheAware(32 * 8) // communities of at most 32 vertices
+	capped := MustNew("ro", WithCacheBytes(32*8)) // communities of at most 32 vertices
 	perm := Perm(capped, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRabbitOrderCapLimitsCommunities(t *testing.T) {
 		t.Fatalf("community sizes sum to %d, want %d", total, g.NumVertices())
 	}
 	// Sanity: uncapped RO does form larger communities here.
-	un := NewRabbitOrder()
+	un := MustNew("ro").(*RabbitOrder)
 	Perm(un, g)
 	maxUn := uint32(0)
 	for _, s := range un.CommunitySizes() {

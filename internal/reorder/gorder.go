@@ -44,11 +44,6 @@ func init() {
 	})
 }
 
-// NewGOrder returns GOrder with the paper's default window of 5.
-//
-// Deprecated: use New("go") or New("go", WithWindow(w)).
-func NewGOrder() *GOrder { return &GOrder{Window: 5} }
-
 // Name implements Algorithm.
 func (o *GOrder) Name() string { return "GO" }
 

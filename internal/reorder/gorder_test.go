@@ -49,7 +49,7 @@ func TestUnitHeapBasics(t *testing.T) {
 
 func TestGOrderStartsAtMaxDegree(t *testing.T) {
 	g := gen.Star(100)
-	perm := Perm(NewGOrder(), g)
+	perm := Perm(MustNew("go"), g)
 	if perm[0] != 0 {
 		t.Errorf("max-degree vertex got ID %d, want 0", perm[0])
 	}
@@ -63,7 +63,7 @@ func TestGOrderGroupsSiblings(t *testing.T) {
 		{Src: 1, Dst: 5}, {Src: 1, Dst: 6}, {Src: 1, Dst: 7},
 	}
 	g := graph.FromEdges(8, edges)
-	perm := Perm(NewGOrder(), g)
+	perm := Perm(MustNew("go"), g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func spread(perm graph.Permutation, vs []uint32) uint32 {
 
 func TestGOrderHandlesDisconnected(t *testing.T) {
 	g := graph.FromEdges(6, []graph.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}})
-	perm := Perm(NewGOrder(), g)
+	perm := Perm(MustNew("go"), g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestGOrderImprovesTemporalProximity(t *testing.T) {
 		}
 		return total
 	}
-	gorder := score(Perm(NewGOrder(), g))
+	gorder := score(Perm(MustNew("go"), g))
 	random := score(Random{Seed: 4}.Relabel(g))
 	if gorder <= random {
 		t.Errorf("GOrder adjacency sharing %d not above random %d", gorder, random)

@@ -33,11 +33,6 @@ func init() {
 	})
 }
 
-// NewHybrid returns the Hybrid RA with GOrder's default window.
-//
-// Deprecated: use New("hybrid") or New("hybrid", WithWindow(w)).
-func NewHybrid() *Hybrid { return &Hybrid{Window: 5} }
-
 // Name implements Algorithm.
 func (h *Hybrid) Name() string { return "RO+GO" }
 

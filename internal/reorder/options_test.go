@@ -129,25 +129,3 @@ func TestMustNewPanicsOnUnknown(t *testing.T) {
 	}()
 	MustNew("definitely-not-registered")
 }
-
-func TestDeprecatedConstructorsMatchRegistry(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(7, 8, 5))
-	pairs := []struct {
-		name string
-		old  Algorithm
-		new  Algorithm
-	}{
-		{"sb", NewSlashBurn(), MustNew("sb")},
-		{"sb++", NewSlashBurnPP(), MustNew("sb++")},
-		{"go", NewGOrder(), MustNew("go")},
-		{"ro", NewRabbitOrder(), MustNew("ro")},
-		{"ro-edr", NewRabbitOrderEDR(1, 64), MustNew("ro", WithEDR(1, 64))},
-		{"sb-ca", NewSlashBurnCacheAware(1024), MustNew("sb", WithCacheBytes(1024))},
-		{"hybrid", NewHybrid(), MustNew("hybrid")},
-	}
-	for _, p := range pairs {
-		if !equalPerm(Perm(p.old, g), Perm(p.new, g)) {
-			t.Errorf("%s: deprecated constructor and registry disagree", p.name)
-		}
-	}
-}

@@ -72,30 +72,6 @@ func (r *RabbitOrder) CommunitySizes() []uint32 {
 	return r.lastCommunitySizes
 }
 
-// NewRabbitOrder returns the unrestricted Rabbit-Order.
-//
-// Deprecated: use New("ro").
-func NewRabbitOrder() *RabbitOrder { return &RabbitOrder{} }
-
-// NewRabbitOrderEDR returns Rabbit-Order restricted to the efficacy degree
-// range [minDeg, maxDeg]: only edges of vertices within the range are
-// passed to the community-growth phase; all other vertices keep their
-// relative order at the tail of the ID space, the same way zero-degree
-// vertices are treated (§VIII-B2).
-//
-// Deprecated: use New("ro", WithEDR(minDeg, maxDeg)).
-func NewRabbitOrderEDR(minDeg, maxDeg uint32) *RabbitOrder {
-	return &RabbitOrder{MinDegree: minDeg, MaxDegree: maxDeg}
-}
-
-// NewRabbitOrderCacheAware returns Rabbit-Order whose communities are
-// capped at the number of vertex-data entries the cache holds (§VIII-C).
-//
-// Deprecated: use New("ro", WithCacheBytes(cacheBytes)).
-func NewRabbitOrderCacheAware(cacheBytes uint64) *RabbitOrder {
-	return &RabbitOrder{MaxCommunitySize: uint32(cacheBytes / 8)}
-}
-
 // Name implements Algorithm.
 func (r *RabbitOrder) Name() string {
 	if r.MinDegree != 0 || r.MaxDegree != 0 {

@@ -27,7 +27,7 @@ func communityGraph() *graph.Graph {
 
 func TestRabbitOrderClustersCommunities(t *testing.T) {
 	g := communityGraph()
-	perm := Perm(NewRabbitOrder(), g)
+	perm := Perm(MustNew("ro"), g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRabbitOrderReducesGapOnHostGraph(t *testing.T) {
 	// scrambled order.
 	base := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 12))
 	g := base.Relabel(Random{Seed: 3}.Relabel(base))
-	perm := Perm(NewRabbitOrder(), g)
+	perm := Perm(MustNew("ro"), g)
 	h := g.Relabel(perm)
 	if gap(h) >= gap(g) {
 		t.Errorf("Rabbit-Order gap %.1f not below scrambled %.1f", gap(h), gap(g))
@@ -70,7 +70,7 @@ func gap(g *graph.Graph) float64 {
 
 func TestRabbitOrderEDRRestriction(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(1024, 6, 9))
-	edr := NewRabbitOrderEDR(1, 32)
+	edr := MustNew("ro", WithEDR(1, 32))
 	perm := Perm(edr, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestRabbitOrderEDRRestriction(t *testing.T) {
 func TestRabbitOrderEDRFasterThanFull(t *testing.T) {
 	// §VIII-B2: restricting to the EDR reduces preprocessing time.
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 15))
-	full := Run(NewRabbitOrder(), g)
-	edr := Run(NewRabbitOrderEDR(1, 64), g)
+	full := Run(MustNew("ro"), g)
+	edr := Run(MustNew("ro", WithEDR(1, 64)), g)
 	if err := edr.Perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRabbitOrderEDRFasterThanFull(t *testing.T) {
 func TestRabbitOrderSingletonAndEmpty(t *testing.T) {
 	for _, n := range []uint32{0, 1, 2} {
 		g := graph.FromEdges(n, nil)
-		perm := Perm(NewRabbitOrder(), g)
+		perm := Perm(MustNew("ro"), g)
 		if uint32(len(perm)) != n {
 			t.Fatalf("n=%d: perm length %d", n, len(perm))
 		}
@@ -142,7 +142,7 @@ func TestRabbitOrderSingletonAndEmpty(t *testing.T) {
 
 func TestRabbitOrderSelfLoopGraph(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 2}})
-	perm := Perm(NewRabbitOrder(), g)
+	perm := Perm(MustNew("ro"), g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,6 @@ type Algorithm interface {
 	Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error)
 }
 
-// ContextAlgorithm is the pre-redesign name for a cancelable algorithm.
-//
-// Deprecated: the Algorithm/ContextAlgorithm split is gone — every
-// Algorithm is context-first now. Use Algorithm.
-type ContextAlgorithm = Algorithm
-
 // ContextFree is a relabeling algorithm with no long-running loops and
 // therefore no cancellation points. Adapt one to Algorithm with Wrap.
 type ContextFree interface {

@@ -71,26 +71,6 @@ func init() {
 	})
 }
 
-// NewSlashBurn returns SlashBurn with the paper's parameters.
-//
-// Deprecated: use New("sb").
-func NewSlashBurn() *SlashBurn { return &SlashBurn{KFraction: 0.02} }
-
-// NewSlashBurnPP returns SlashBurn++ (early stopping at √|V| max degree).
-//
-// Deprecated: use New("sb++").
-func NewSlashBurnPP() *SlashBurn {
-	return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}
-}
-
-// NewSlashBurnCacheAware returns SlashBurn that stops once the assigned
-// hubs exceed the given cache capacity (§VIII-C).
-//
-// Deprecated: use New("sb", WithCacheBytes(cacheBytes)).
-func NewSlashBurnCacheAware(cacheBytes uint64) *SlashBurn {
-	return &SlashBurn{KFraction: 0.02, CacheBytes: cacheBytes}
-}
-
 // Name implements Algorithm.
 func (s *SlashBurn) Name() string {
 	if s.StopAtSqrtDegree {

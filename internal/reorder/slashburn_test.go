@@ -12,7 +12,7 @@ func TestSlashBurnHubsGetLowIDs(t *testing.T) {
 	// Star + tail: the centre is the unique strongest hub and must get
 	// ID 0 after the first slash.
 	g := gen.Star(200)
-	perm := Perm(NewSlashBurn(), g)
+	perm := Perm(MustNew("sb"), g)
 	if perm[0] != 0 {
 		t.Errorf("star centre got ID %d, want 0", perm[0])
 	}
@@ -57,7 +57,7 @@ func TestSlashBurnIterationTrace(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	var iters []int
 	var sizes []int
-	sb := NewSlashBurn()
+	sb := MustNew("sb").(*SlashBurn)
 	sb.OnIteration = func(iter int, gccDegrees []uint32) {
 		iters = append(iters, iter)
 		sizes = append(sizes, len(gccDegrees))
@@ -89,7 +89,7 @@ func TestSlashBurnGCCLosesPowerLaw(t *testing.T) {
 	und := g.Undirected()
 	origMax := und.MaxOutDegree()
 	var lastMax uint32
-	sb := NewSlashBurn()
+	sb := MustNew("sb").(*SlashBurn)
 	sb.OnIteration = func(iter int, gccDegrees []uint32) {
 		if iter > 4 {
 			return
@@ -112,9 +112,9 @@ func TestSlashBurnGCCLosesPowerLaw(t *testing.T) {
 
 func TestSlashBurnPPStopsEarlier(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(11, 8, 13))
-	sb := NewSlashBurn()
+	sb := MustNew("sb").(*SlashBurn)
 	Perm(sb, g)
-	sbpp := NewSlashBurnPP()
+	sbpp := MustNew("sb++").(*SlashBurn)
 	Perm(sbpp, g)
 	if sbpp.Iterations() > sb.Iterations() {
 		t.Errorf("SB++ ran %d iterations, SB ran %d — SB++ must not run longer",
@@ -129,7 +129,7 @@ func TestSlashBurnPPStopRule(t *testing.T) {
 	// On a hub-free graph (ring), SB++ must stop immediately: max degree 2
 	// < sqrt(1000).
 	g := gen.Ring(1000)
-	sbpp := NewSlashBurnPP()
+	sbpp := MustNew("sb++").(*SlashBurn)
 	perm := Perm(sbpp, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSlashBurnMaxIterations(t *testing.T) {
 func TestSlashBurnTinyGraphs(t *testing.T) {
 	for _, n := range []uint32{0, 1, 2, 3} {
 		g := gen.Ring(n)
-		perm := Perm(NewSlashBurn(), g)
+		perm := Perm(MustNew("sb"), g)
 		if uint32(len(perm)) != n {
 			t.Fatalf("n=%d: perm length %d", n, len(perm))
 		}

@@ -1,204 +1,174 @@
 package trace
 
-import "graphlocality/internal/graph"
+import (
+	"math"
 
-// Batched stream generation. Run/RunRange pay one state-machine call per
-// access (vertexIter.next) plus one sink call per access; for SpMV traces
-// that is 3|V|+2|E| calls per iteration and dominates simulation cost.
-// The batched variants amortize both: a bulk generator fills fixed-size
-// []Access blocks with tight loops over the CSR/CSC arrays and the sink is
-// invoked once per block.
+	"graphlocality/internal/graph"
+)
+
+// The block generator. Run pays one state-machine call and one sink call
+// per access — 3|V|+2|E| of each per SpMV iteration, which would dominate
+// simulation cost. Generate amortizes both: a bulk generator fills
+// fixed-size columnar blocks with tight loops over the CSR/CSC rows, and
+// the sink is invoked once per block.
 //
-// Bit-exactness contract: concatenating the blocks a batched variant
-// delivers yields exactly the access stream its scalar counterpart emits —
-// same addresses, kinds, write flags, vertex/dest attribution, same order.
-// The differential tests in core and the stream-equality tests here hold
-// the two generators together.
+// Bit-exactness contract: concatenating the blocks Generate delivers for a
+// Stream yields exactly the access stream Run emits for it — same
+// addresses, write flags, kinds, vertex/dest attribution, same order. The
+// stream-equality tests here compare every column against Run, and the
+// differential suite in core compares whole simulations.
 
-// DefaultBatchSize is the block granularity of the batched access-stream
-// generators: large enough to amortize one sink call over thousands of
-// accesses, small enough that a block of 24-byte Access records stays
-// cache-resident.
+// DefaultBatchSize is the block granularity of the generator: large enough
+// to amortize one sink call over thousands of accesses, small enough that
+// a block's columns stay cache-resident.
 const DefaultBatchSize = 4096
 
-// BatchSink receives consecutive blocks of simulated accesses in program
-// order and reports whether the traversal should continue; returning false
-// stops the stream (cooperative cancellation at block granularity).
-type BatchSink func(block []Access) bool
+// Block is a run of consecutive accesses in columnar form. Addrs, Writes
+// and EdgeReads are always filled: they are all a plain cache simulation
+// consumes, and EdgeReads fixes the block's bytes-touched sum (edges
+// elements are 4 bytes, everything else 8). Kinds, Vertices and Dests —
+// the per-access attribution fields of Access — are filled only when the
+// caller asks for records, and are nil otherwise.
+type Block struct {
+	Addrs     []uint64
+	Writes    []bool
+	EdgeReads int
 
-// RunBatched generates the same access stream as Run, delivered in blocks
-// of up to blockSize accesses (0 = DefaultBatchSize). It reports whether
+	Kinds    []Kind
+	Vertices []uint32
+	Dests    []uint32
+}
+
+// Access returns access i as a record. The block must carry records.
+func (b *Block) Access(i int) Access {
+	return Access{Addr: b.Addrs[i], Kind: b.Kinds[i], Write: b.Writes[i], Vertex: b.Vertices[i], Dest: b.Dests[i]}
+}
+
+// newBlock allocates a block with room for n accesses, with the record
+// columns when records is set.
+func newBlock(n int, records bool) *Block {
+	b := &Block{Addrs: make([]uint64, n), Writes: make([]bool, n)}
+	if records {
+		b.Kinds = make([]Kind, n)
+		b.Vertices = make([]uint32, n)
+		b.Dests = make([]uint32, n)
+	}
+	return b
+}
+
+// setRecord stores the record columns of access i.
+func (b *Block) setRecord(i int, k Kind, vertex, dest uint32) {
+	b.Kinds[i] = k
+	b.Vertices[i] = vertex
+	b.Dests[i] = dest
+}
+
+// BlockSink receives consecutive blocks of the stream and reports whether
+// the traversal should continue; returning false stops it (cooperative
+// cancellation at block granularity). The block and its columns are reused
+// for the next block once the sink returns.
+type BlockSink func(b *Block) bool
+
+// Generate delivers s's access stream over g in blocks of up to blockSize
+// accesses (0 = DefaultBatchSize), with the record columns filled when
+// records is set. Every block is full except the last. It reports whether
 // the traversal ran to completion.
-func RunBatched(g graph.Topology, l Layout, dir Direction, blockSize int, sink BatchSink) bool {
-	return RunRangeBatched(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()}, blockSize, sink)
-}
-
-// RunRangeBatched generates exactly the sub-stream RunRange emits for the
-// vertices in [r.Lo, r.Hi), in blocks. Concatenating the blocks of a
-// partition of [0, |V|) reproduces Run's stream exactly. It reports
-// whether the traversal ran to completion.
-func RunRangeBatched(g graph.Topology, l Layout, dir Direction, r graph.Range, blockSize int, sink BatchSink) bool {
+func Generate(g graph.Topology, l Layout, s Stream, blockSize int, records bool, sink BlockSink) bool {
 	if blockSize < 1 {
 		blockSize = DefaultBatchSize
 	}
-	it := newBulkIter(g, l, dir, r)
-	buf := make([]Access, blockSize)
-	for !it.done {
-		n := it.fill(buf)
-		if n == 0 {
-			break
-		}
-		if !sink(buf[:n]) {
-			return false
-		}
+	parts := s.partitions(g)
+	iters := make([]*bulkIter, len(parts))
+	for i, r := range parts {
+		iters[i] = newBulkIter(g, l, s.Dir, r)
 	}
-	return true
-}
-
-// RunParallelBatched generates RunParallel's interleaved stream (the
-// paper's two-phase §V-B interleaving: per-partition program order, cut
-// into `interval`-access slices delivered round-robin) in blocks of up to
-// blockSize accesses. Block boundaries are independent of interval
-// boundaries; concatenating the blocks reproduces RunParallel's stream
-// exactly. It reports whether the traversal ran to completion.
-func RunParallelBatched(g graph.Topology, l Layout, dir Direction, threads, interval, blockSize int, sink BatchSink) bool {
-	if threads < 1 {
-		threads = 1
-	}
-	if interval < 1 {
-		interval = 1
-	}
-	if blockSize < 1 {
-		blockSize = DefaultBatchSize
-	}
-	ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
-	iters := make([]*bulkIter, len(ranges))
-	for i, r := range ranges {
-		iters[i] = newBulkIter(g, l, dir, r)
+	quota := s.Interval
+	if len(iters) == 1 {
+		quota = math.MaxInt // one source: nothing to interleave
 	}
 
-	buf := make([]Access, 0, blockSize)
+	buf := newBlock(blockSize, records)
+	var view Block
+	n := 0
 	flush := func() bool {
-		if len(buf) == 0 {
+		if n == 0 {
 			return true
 		}
-		ok := sink(buf)
-		buf = buf[:0]
+		view = Block{Addrs: buf.Addrs[:n], Writes: buf.Writes[:n], EdgeReads: buf.EdgeReads}
+		if records {
+			view.Kinds, view.Vertices, view.Dests = buf.Kinds[:n], buf.Vertices[:n], buf.Dests[:n]
+		}
+		ok := sink(&view)
+		// fill stores only the (rare) true write flags; one vectorized
+		// clear per block replaces a byte store per access.
+		clear(buf.Writes[:n])
+		buf.EdgeReads = 0
+		n = 0
 		return ok
 	}
-	live := len(iters)
-	for live > 0 {
-		live = 0
-		for _, it := range iters {
-			if it.done {
-				continue
+	// Block boundaries are independent of slice boundaries: a slice may
+	// span blocks and a block may hold slices of several threads.
+	done := interleave(len(iters), quota, func(i, quota int) (bool, bool) {
+		it := iters[i]
+		for quota > 0 && !it.done {
+			if n == blockSize && !flush() {
+				return false, false
 			}
-			rem := interval
-			for rem > 0 && !it.done {
-				if len(buf) == blockSize {
-					if !flush() {
-						return false
-					}
-				}
-				space := blockSize - len(buf)
-				k := rem
-				if k > space {
-					k = space
-				}
-				n := it.fill(buf[len(buf) : len(buf)+k])
-				buf = buf[:len(buf)+n]
-				rem -= n
-			}
-			if !it.done {
-				live++
-			}
+			m := it.fill(buf, n, n+min(quota, blockSize-n), records)
+			quota -= m - n
+			n = m
 		}
-	}
-	return flush()
+		return !it.done, true
+	})
+	return done && flush()
 }
 
-// ColumnSink receives a block of simulated accesses in columnar form:
-// parallel addrs/writes arrays (the only per-access fields a plain cache
-// simulation consumes) plus the number of edges-array reads in the block,
-// which fixes the block's bytes-touched sum (edges elements are 4 bytes,
-// everything else 8). Returning false stops the stream.
+// ColumnSink receives a block's Addrs, Writes and EdgeReads; returning
+// false stops the stream.
 type ColumnSink func(addrs []uint64, writes []bool, edgeReads int) bool
 
-// RunColumns generates Run's access stream in columnar blocks of up to
-// blockSize accesses (0 = DefaultBatchSize): the same addresses and write
-// flags in the same order, without materializing Access records. It is the
-// lowest-overhead stream shape, used by the plain (no per-vertex
-// attribution) simulation fast path. It reports whether the traversal ran
-// to completion.
+// BatchSink receives a block as Access records; returning false stops the
+// stream.
+type BatchSink func(block []Access) bool
+
+// RunColumns is Generate over Whole(g, dir) without records, with the
+// block's columns passed as arguments. It is a thin adapter kept with this
+// exact signature only because bench/localitybench calls it.
 func RunColumns(g graph.Topology, l Layout, dir Direction, blockSize int, sink ColumnSink) bool {
-	return RunRangeColumns(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()}, blockSize, sink)
+	return Generate(g, l, Whole(g, dir), blockSize, false, func(b *Block) bool {
+		return sink(b.Addrs, b.Writes, b.EdgeReads)
+	})
 }
 
-// RunRangeColumns generates RunRange's sub-stream for the vertices in
-// [r.Lo, r.Hi) in columnar blocks, mirroring RunColumns. Like
-// RunRangeBatched, concatenating the blocks of a partition of [0, |V|)
-// reproduces the full columnar stream exactly — the multicore simulation
-// pipeline's chunk producers rely on that property. It reports whether the
-// traversal ran to completion.
-func RunRangeColumns(g graph.Topology, l Layout, dir Direction, r graph.Range, blockSize int, sink ColumnSink) bool {
-	if blockSize < 1 {
-		blockSize = DefaultBatchSize
-	}
-	it := newBulkIter(g, l, dir, r)
-	addrs := make([]uint64, blockSize)
-	writes := make([]bool, blockSize)
-	for !it.done {
-		// fillColumns only stores the (rare) true flags; one vectorized
-		// clear per block replaces a byte store per access.
-		clear(writes)
-		n, edgeReads := it.fillColumns(addrs, writes)
-		if n == 0 {
-			break
-		}
-		if !sink(addrs[:n], writes[:n], edgeReads) {
-			return false
-		}
-	}
-	return true
+// RunBatched is RunParallelBatched with one thread. It is a thin adapter
+// kept with this exact signature only because bench/localitybench calls
+// it.
+func RunBatched(g graph.Topology, l Layout, dir Direction, blockSize int, sink BatchSink) bool {
+	return RunParallelBatched(g, l, dir, 1, 1, blockSize, sink)
 }
 
-// ReplayBatched interleaves pre-collected per-thread logs exactly like
-// ReplayWithThread — round-robin slices of `interval` accesses — but hands
-// each slice to the sink as a block (zero-copy: the blocks are views into
-// the logs). Concatenating the blocks reproduces ReplayWithThread's
-// per-access stream, with each block attributed to its emitting thread.
-func ReplayBatched(logs []ThreadLog, interval int, sink func(thread int, block []Access)) {
-	if interval < 1 {
-		interval = 1
-	}
-	pos := make([]int, len(logs))
-	live := len(logs)
-	for live > 0 {
-		live = 0
-		for i := range logs {
-			n := len(logs[i].Accesses)
-			if pos[i] >= n {
-				continue
-			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			sink(logs[i].Thread, logs[i].Accesses[pos[i]:end])
-			pos[i] = end
-			if pos[i] < n {
-				live++
-			}
+// RunParallelBatched is Generate over Whole(g, dir) with the given threads
+// and interval, with each block handed over as Access records. It is a
+// thin adapter kept with this exact signature only because
+// bench/localitybench calls it.
+func RunParallelBatched(g graph.Topology, l Layout, dir Direction, threads, interval, blockSize int, sink BatchSink) bool {
+	s := Whole(g, dir)
+	s.Threads, s.Interval = threads, interval
+	var recs []Access
+	return Generate(g, l, s, blockSize, true, func(b *Block) bool {
+		recs = recs[:0]
+		for i := range b.Addrs {
+			recs = append(recs, b.Access(i))
 		}
-	}
+		return sink(recs)
+	})
 }
 
-// bulkIter is the resumable bulk generator behind the batched variants: a
-// cursor over one partition's program order whose fill method emits many
-// accesses per call. It produces, access for access, the stream vertexIter
-// produces — the stage encoding below mirrors vertexIter's states, but the
-// edges loop runs as a tight pair-emitting loop instead of one next() call
-// per access.
+// bulkIter is the resumable bulk generator behind Generate: a cursor over
+// one partition's program order whose fill method emits many accesses per
+// call. It produces, access for access, the stream vertexIter produces,
+// from a staged state machine of its own whose edges loop runs as a tight
+// pair-emitting loop instead of one next() call per access.
 //
 // Rows arrive through the topology's RowCursor as contiguous spans (a
 // single zero-copy span for the in-RAM graph, one decoded span per
@@ -277,115 +247,30 @@ func (it *bulkIter) loadVertex() bool {
 	return true
 }
 
-// fillColumns is fill in columnar form: it writes the addresses and write
-// flags of up to len(addrs) accesses into the parallel arrays (same
-// program order, same resumability) and returns the count written plus how
-// many of them were edges-array reads. writes[:len(addrs)] must be all
-// false on entry — only the true flags are stored. Kept in lockstep with
-// fill — the stream-equality tests compare the two shapes access for
-// access.
-func (it *bulkIter) fillColumns(addrs []uint64, writes []bool) (int, int) {
+// fill writes the partition's next accesses into b at positions [n, end),
+// resuming exactly where the previous call stopped, and returns the
+// position after the last access written: end, unless the partition's
+// stream ends first. It adds the edges-array reads it writes to
+// b.EdgeReads. It stores only the true write flags, so b.Writes[n:end]
+// must be all false on entry. The record columns are written only when
+// records is set; that test is hoisted out of the edge-pair loop, like the
+// direction test, so the column-only loop carries no per-access branch.
+func (it *bulkIter) fill(b *Block, n, end int, records bool) int {
 	if it.done {
-		return 0, 0
+		return n
 	}
 	l := it.l
 	adj := it.adj
 	adjBase := it.adjBase
 	push := it.dir == Push
-	n := 0
-	edgeReads := 0
+	addrs, writes := b.Addrs[:end], b.Writes[:end]
+	// randKind/ownKind are the kinds of the neighbour-data access in the
+	// edges loop and of the own-data access that ends each vertex.
+	randKind, ownKind := KindVertexRead, KindVertexWrite
+	if push {
+		randKind, ownKind = KindVertexWrite, KindVertexRead
+	}
 	for n < len(addrs) {
-		switch it.st {
-		case stOffsets0:
-			if !it.loadVertex() {
-				return n, edgeReads
-			}
-			adj = it.adj
-			adjBase = it.adjBase
-			addrs[n] = l.OffsetsAddr(it.v)
-			n++
-			it.st = stOffsets1
-		case stOffsets1:
-			addrs[n] = l.OffsetsAddr(it.v + 1)
-			n++
-			it.st = stEdges
-		case stEdges:
-			pairs := uint64(len(addrs)-n) / 2
-			if left := it.hi - it.ei; left < pairs {
-				pairs = left
-			}
-			if push {
-				for k := uint64(0); k < pairs; k++ {
-					addrs[n] = l.EdgeAddr(it.ei)
-					addrs[n+1] = l.NewDataAddr(adj[it.ei-adjBase])
-					writes[n+1] = true
-					n += 2
-					it.ei++
-				}
-			} else {
-				for k := uint64(0); k < pairs; k++ {
-					addrs[n] = l.EdgeAddr(it.ei)
-					addrs[n+1] = l.OldDataAddr(adj[it.ei-adjBase])
-					n += 2
-					it.ei++
-				}
-			}
-			edgeReads += int(pairs)
-			if it.ei == it.hi {
-				it.st = stOwn
-			} else if n == len(addrs)-1 {
-				addrs[n] = l.EdgeAddr(it.ei)
-				n++
-				edgeReads++
-				it.st = stEdgeData
-			}
-		case stEdgeData:
-			if push {
-				addrs[n] = l.NewDataAddr(adj[it.ei-adjBase])
-				writes[n] = true
-			} else {
-				addrs[n] = l.OldDataAddr(adj[it.ei-adjBase])
-			}
-			n++
-			it.ei++
-			if it.ei == it.hi {
-				it.st = stOwn
-			} else {
-				it.st = stEdges
-			}
-		case stOwn:
-			if push {
-				addrs[n] = l.OldDataAddr(it.v)
-			} else {
-				addrs[n] = l.NewDataAddr(it.v)
-				writes[n] = true
-			}
-			n++
-			it.v++
-			it.st = stOffsets0
-			if it.v >= it.r.Hi {
-				it.done = true
-				return n, edgeReads
-			}
-		}
-	}
-	return n, edgeReads
-}
-
-// fill writes up to len(dst) accesses of the partition's program order into
-// dst, resuming exactly where the previous call stopped, and returns the
-// number written. It writes fewer than len(dst) only when the partition's
-// stream ends.
-func (it *bulkIter) fill(dst []Access) int {
-	if it.done {
-		return 0
-	}
-	l := it.l
-	adj := it.adj
-	adjBase := it.adjBase
-	push := it.dir == Push
-	n := 0
-	for n < len(dst) {
 		switch it.st {
 		case stOffsets0:
 			if !it.loadVertex() {
@@ -393,53 +278,74 @@ func (it *bulkIter) fill(dst []Access) int {
 			}
 			adj = it.adj
 			adjBase = it.adjBase
-			dst[n] = Access{Addr: l.OffsetsAddr(it.v), Kind: KindOffsets, Vertex: it.v, Dest: it.v}
+			addrs[n] = l.OffsetsAddr(it.v)
+			if records {
+				b.setRecord(n, KindOffsets, it.v, it.v)
+			}
 			n++
 			it.st = stOffsets1
 		case stOffsets1:
-			dst[n] = Access{Addr: l.OffsetsAddr(it.v + 1), Kind: KindOffsets, Vertex: it.v, Dest: it.v}
+			addrs[n] = l.OffsetsAddr(it.v + 1)
+			if records {
+				b.setRecord(n, KindOffsets, it.v, it.v)
+			}
 			n++
 			it.st = stEdges
 		case stEdges:
 			// Emit full (edges read, vertex-data access) pairs while both
 			// edges and room remain.
-			pairs := uint64(len(dst)-n) / 2
+			pairs := uint64(len(addrs)-n) / 2
 			if left := it.hi - it.ei; left < pairs {
 				pairs = left
 			}
+			n0, ei0, eiEnd := n, it.ei, it.ei+pairs
 			if push {
-				for k := uint64(0); k < pairs; k++ {
-					u := adj[it.ei-adjBase]
-					dst[n] = Access{Addr: l.EdgeAddr(it.ei), Kind: KindEdges, Vertex: it.v, Dest: it.v}
-					dst[n+1] = Access{Addr: l.NewDataAddr(u), Kind: KindVertexWrite, Write: true, Vertex: u, Dest: it.v}
+				for ei := ei0; ei < eiEnd; ei++ {
+					addrs[n] = l.EdgeAddr(ei)
+					addrs[n+1] = l.NewDataAddr(adj[ei-adjBase])
+					writes[n+1] = true
 					n += 2
-					it.ei++
 				}
 			} else {
-				for k := uint64(0); k < pairs; k++ {
-					u := adj[it.ei-adjBase]
-					dst[n] = Access{Addr: l.EdgeAddr(it.ei), Kind: KindEdges, Vertex: it.v, Dest: it.v}
-					dst[n+1] = Access{Addr: l.OldDataAddr(u), Kind: KindVertexRead, Vertex: u, Dest: it.v}
+				for ei := ei0; ei < eiEnd; ei++ {
+					addrs[n] = l.EdgeAddr(ei)
+					addrs[n+1] = l.OldDataAddr(adj[ei-adjBase])
 					n += 2
-					it.ei++
 				}
 			}
+			it.ei = eiEnd
+			if records {
+				v := it.v
+				for j, ei := n0, ei0; j < n; j, ei = j+2, ei+1 {
+					b.setRecord(j, KindEdges, v, v)
+					b.setRecord(j+1, randKind, adj[ei-adjBase], v)
+				}
+			}
+			b.EdgeReads += int(pairs)
 			if it.ei == it.hi {
 				it.st = stOwn
-			} else if n == len(dst)-1 {
+			} else if n == len(addrs)-1 {
 				// One slot left: emit the edges read alone and resume with
 				// its paired data access next call.
-				dst[n] = Access{Addr: l.EdgeAddr(it.ei), Kind: KindEdges, Vertex: it.v, Dest: it.v}
+				addrs[n] = l.EdgeAddr(it.ei)
+				if records {
+					b.setRecord(n, KindEdges, it.v, it.v)
+				}
 				n++
+				b.EdgeReads++
 				it.st = stEdgeData
 			}
-			// n == len(dst): block full, resume at stEdges.
+			// n == end: block full, resume at stEdges.
 		case stEdgeData:
 			u := adj[it.ei-adjBase]
 			if push {
-				dst[n] = Access{Addr: l.NewDataAddr(u), Kind: KindVertexWrite, Write: true, Vertex: u, Dest: it.v}
+				addrs[n] = l.NewDataAddr(u)
+				writes[n] = true
 			} else {
-				dst[n] = Access{Addr: l.OldDataAddr(u), Kind: KindVertexRead, Vertex: u, Dest: it.v}
+				addrs[n] = l.OldDataAddr(u)
+			}
+			if records {
+				b.setRecord(n, randKind, u, it.v)
 			}
 			n++
 			it.ei++
@@ -452,9 +358,13 @@ func (it *bulkIter) fill(dst []Access) int {
 			// End of vertex: pull/push-read write their own Di+1[v]; push
 			// reads its own Di[v].
 			if push {
-				dst[n] = Access{Addr: l.OldDataAddr(it.v), Kind: KindVertexRead, Vertex: it.v, Dest: it.v}
+				addrs[n] = l.OldDataAddr(it.v)
 			} else {
-				dst[n] = Access{Addr: l.NewDataAddr(it.v), Kind: KindVertexWrite, Write: true, Vertex: it.v, Dest: it.v}
+				addrs[n] = l.NewDataAddr(it.v)
+				writes[n] = true
+			}
+			if records {
+				b.setRecord(n, ownKind, it.v, it.v)
 			}
 			n++
 			it.v++

@@ -2,25 +2,283 @@ package trace
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"graphlocality/internal/gen"
 	"graphlocality/internal/graph"
 )
 
-// Stream-equality tests: concatenating the blocks of every batched variant
-// must reproduce, access for access, the stream of its scalar counterpart.
-// These are the other half of the bit-exactness contract — the differential
-// suite in core compares end-to-end SimResults, these compare the raw
-// streams so a generator bug is pinned to the generator.
+// Stream-equality tests: concatenating the blocks Generate delivers must
+// reproduce, access for access and column for column, the stream the
+// scalar driver Run emits for the same Stream. These are the other half of
+// the bit-exactness contract — the differential suite in core compares
+// end-to-end SimResults, these compare the raw streams so a generator bug
+// is pinned to the generator.
 
 func testGraph() *graph.Graph { return gen.SocialNetwork(8, 8, 5) }
 
-func collectScalar(g *graph.Graph, dir Direction) []Access {
-	l := NewLayout(g)
+// blockSizes cuts blocks tiny, odd, misaligned with the per-vertex
+// pattern, and at the default — block cuts must never change content.
+var blockSizes = []int{1, 2, 3, 7, 17, 100, 101, 0}
+
+func collectRun(g *graph.Graph, s Stream) []Access {
 	var out []Access
-	Run(g, l, dir, func(a Access) { out = append(out, a) })
+	Run(g, NewLayout(g), s, func(a Access) bool { out = append(out, a); return true })
 	return out
+}
+
+func withThreads(s Stream, threads, interval int) Stream {
+	s.Threads, s.Interval = threads, interval
+	return s
+}
+
+// checkStream generates s over topo with and without records and compares
+// every column of every block against want, the scalar stream of a graph
+// with topo's dimensions.
+// Only the last block may be short, and each block's EdgeReads must count
+// its own edges-array reads.
+func checkStream(t *testing.T, name string, topo graph.Topology, s Stream, bs int, want []Access) {
+	t.Helper()
+	l := NewLayout(topo)
+	size := bs
+	if size < 1 {
+		size = DefaultBatchSize
+	}
+	for _, records := range []bool{false, true} {
+		name := fmt.Sprintf("%s/bs=%d/records=%v", name, bs, records)
+		pos, short := 0, false
+		done := Generate(topo, l, s, bs, records, func(b *Block) bool {
+			n := len(b.Addrs)
+			if short || n == 0 || n > size {
+				t.Fatalf("%s: block of %d accesses after a short block=%v (size %d)", name, n, short, size)
+			}
+			short = n < size
+			if len(b.Writes) != n {
+				t.Fatalf("%s: %d write flags for %d addresses", name, len(b.Writes), n)
+			}
+			if records && (len(b.Kinds) != n || len(b.Vertices) != n || len(b.Dests) != n) {
+				t.Fatalf("%s: record columns of %d/%d/%d for %d accesses", name, len(b.Kinds), len(b.Vertices), len(b.Dests), n)
+			}
+			if !records && (b.Kinds != nil || b.Vertices != nil || b.Dests != nil) {
+				t.Fatalf("%s: record columns filled without records", name)
+			}
+			if pos+n > len(want) {
+				t.Fatalf("%s: stream longer than %d accesses", name, len(want))
+			}
+			edgeReads := 0
+			for i := 0; i < n; i++ {
+				w := want[pos+i]
+				if b.Addrs[i] != w.Addr || b.Writes[i] != w.Write {
+					t.Fatalf("%s: access %d = {%#x %v}, want %+v", name, pos+i, b.Addrs[i], b.Writes[i], w)
+				}
+				if records && b.Access(i) != w {
+					t.Fatalf("%s: access %d = %+v, want %+v", name, pos+i, b.Access(i), w)
+				}
+				if w.Kind == KindEdges {
+					edgeReads++
+				}
+			}
+			if b.EdgeReads != edgeReads {
+				t.Fatalf("%s: block at %d has EdgeReads %d, want %d", name, pos, b.EdgeReads, edgeReads)
+			}
+			pos += n
+			return true
+		})
+		if !done {
+			t.Fatalf("%s: Generate reported an early stop", name)
+		}
+		if pos != len(want) {
+			t.Fatalf("%s: %d accesses, want %d", name, pos, len(want))
+		}
+	}
+}
+
+func TestStreamMatchesScalar(t *testing.T) {
+	g := testGraph()
+	for _, dir := range []Direction{Pull, Push, PushRead} {
+		s := Whole(g, dir)
+		want := collectRun(g, s)
+		if uint64(len(want)) != CountAccesses(g) {
+			t.Fatalf("%s: scalar stream has %d accesses, want %d", dir, len(want), CountAccesses(g))
+		}
+		for _, bs := range blockSizes {
+			checkStream(t, dir.String(), g, s, bs, want)
+		}
+	}
+}
+
+// TestStreamSubRanges checks that a vertex range yields exactly the
+// scalar sub-stream, and that the streams of a partition of [0, |V|)
+// concatenate to the whole stream.
+func TestStreamSubRanges(t *testing.T) {
+	g := testGraph()
+	n := g.NumVertices()
+	for _, dir := range []Direction{Pull, Push, PushRead} {
+		for _, r := range []graph.Range{{Lo: 10, Hi: 200}, {Lo: 0, Hi: 1}, {Lo: n - 1, Hi: n}, {Lo: 5, Hi: 5}, {Lo: 9, Hi: 3}} {
+			s := Stream{Dir: dir, Range: r}
+			want := collectRun(g, s)
+			for _, bs := range []int{1, 3, 64, 0} {
+				checkStream(t, fmt.Sprintf("%s/%v", dir, r), g, s, bs, want)
+			}
+			// A sub-range interleaved across threads clips each thread's
+			// partition to the range.
+			for _, threads := range []int{2, 5} {
+				ts := withThreads(s, threads, 13)
+				checkStream(t, fmt.Sprintf("%s/%v/t=%d", dir, r, threads), g, ts, 50, collectRun(g, ts))
+			}
+		}
+		var cat []Access
+		for _, r := range g.PartitionEdgeBalanced(dir == Pull, 7) {
+			cat = append(cat, collectRun(g, Stream{Dir: dir, Range: r})...)
+		}
+		whole := collectRun(g, Whole(g, dir))
+		if len(cat) != len(whole) {
+			t.Fatalf("%s: partition streams hold %d accesses, want %d", dir, len(cat), len(whole))
+		}
+		for i := range whole {
+			if cat[i] != whole[i] {
+				t.Fatalf("%s: concatenated partition streams differ at %d: %+v, want %+v", dir, i, cat[i], whole[i])
+			}
+		}
+	}
+}
+
+// naiveInterleave builds the §V-B interleaved stream the long way, apart
+// from the shared interleaver: each thread's partition stream in full,
+// then slices of interval accesses taken round-robin.
+func naiveInterleave(g *graph.Graph, dir Direction, threads, interval int) []Access {
+	var logs [][]Access
+	for _, r := range g.PartitionEdgeBalanced(dir == Pull, max(threads, 1)) {
+		logs = append(logs, collectRun(g, Stream{Dir: dir, Range: r}))
+	}
+	interval = max(interval, 1)
+	var out []Access
+	for left := true; left; {
+		left = false
+		for i, lg := range logs {
+			k := min(interval, len(lg))
+			out = append(out, lg[:k]...)
+			logs[i] = lg[k:]
+			left = left || len(logs[i]) > 0
+		}
+	}
+	return out
+}
+
+func TestStreamThreadsInterval(t *testing.T) {
+	g := testGraph()
+	for _, dir := range []Direction{Pull, Push, PushRead} {
+		for _, threads := range []int{0, 1, 3, 4} {
+			for _, interval := range []int{0, 1, 37, 1024} {
+				s := withThreads(Whole(g, dir), threads, interval)
+				want := collectRun(g, s)
+				assertSameStream(t, fmt.Sprintf("%s/t=%d/iv=%d/naive", dir, threads, interval),
+					naiveInterleave(g, dir, threads, interval), want)
+				for _, bs := range []int{1, 17, 0} {
+					checkStream(t, fmt.Sprintf("%s/t=%d/iv=%d", dir, threads, interval), g, s, bs, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayBatchedMatchesReplayWithThread checks that the block Replay,
+// flattened, is the thread-tagged access-by-access round-robin over the
+// logs: each live log gives interval accesses per turn, tagged with the
+// thread that logged them.
+func TestReplayBatchedMatchesReplayWithThread(t *testing.T) {
+	g := testGraph()
+	l := NewLayout(g)
+	logs := CollectLogs(g, l, Pull, 3)
+	type step struct {
+		thread int
+		a      Access
+	}
+	for _, interval := range []int{1, 100, 1 << 20} {
+		var want []step
+		pos := make([]int, len(logs))
+		for live := true; live; {
+			live = false
+			for i, lg := range logs {
+				end := min(pos[i]+interval, len(lg.Accesses))
+				for _, a := range lg.Accesses[pos[i]:end] {
+					want = append(want, step{lg.Thread, a})
+				}
+				pos[i] = end
+				live = live || end < len(lg.Accesses)
+			}
+		}
+		var got []step
+		Replay(logs, interval, func(th int, b *Block) {
+			for i := range b.Addrs {
+				got = append(got, step{th, b.Access(i)})
+			}
+		})
+		if len(want) != len(got) {
+			t.Fatalf("iv=%d: %d steps, want %d", interval, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("iv=%d: step %d = %+v, want %+v", interval, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestStreamSegmentedTopology checks that a segment-backed Topology
+// generates the in-RAM scalar stream exactly, at segment sizes from one
+// vertex to the whole graph.
+func TestStreamSegmentedTopology(t *testing.T) {
+	g := testGraph()
+	for _, segVerts := range []int{1, 37, int(g.NumVertices()) + 1} {
+		path := filepath.Join(t.TempDir(), "g.segcsr")
+		if _, err := graph.WriteSegmented(g, path, graph.SegmentedOptions{SegmentVertices: segVerts}); err != nil {
+			t.Fatal(err)
+		}
+		sg, err := graph.OpenSegmentedOpts(path, graph.SegmentedOptions{CacheBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []Direction{Pull, Push, PushRead} {
+			for _, s := range []Stream{Whole(g, dir), {Dir: dir, Range: graph.Range{Lo: 10, Hi: 200}}, withThreads(Whole(g, dir), 3, 37)} {
+				want := collectRun(g, s)
+				for _, bs := range []int{7, 0} {
+					checkStream(t, fmt.Sprintf("seg=%d/%s/%+v", segVerts, dir, s), sg, s, bs, want)
+				}
+			}
+		}
+		if err := sg.Err(); err != nil {
+			t.Fatalf("seg=%d: SegGraph latched error: %v", segVerts, err)
+		}
+		sg.Close()
+	}
+}
+
+// FuzzStreamVsScalar fuzzes the graph, direction, threads, interval,
+// block size and vertex range, and checks Generate against Run.
+func FuzzStreamVsScalar(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(1), uint16(1024), uint16(0), uint16(0), uint16(0xffff))
+	f.Add(uint64(7), uint8(1), uint8(3), uint16(1), uint16(1), uint16(2), uint16(40))
+	f.Add(uint64(42), uint8(2), uint8(4), uint16(37), uint16(17), uint16(0), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, seed uint64, dir, threads uint8, interval, blockSize, lo, hi uint16) {
+		n := uint32(seed%97) + 1
+		g := gen.ErdosRenyi(n, int(seed/97%400), seed)
+		s := Stream{
+			Dir:      Direction(dir % 3),
+			Range:    graph.Range{Lo: min(uint32(lo), n), Hi: min(uint32(hi), n)},
+			Threads:  int(threads % 9),
+			Interval: int(interval % 2000),
+		}
+		checkStream(t, fmt.Sprintf("%+v", s), g, s, int(blockSize%300), collectRun(g, s))
+	})
+}
+
+// The bench-facing adapters must hand over the same stream in their own
+// shapes.
+
+func collectScalar(g *graph.Graph, dir Direction) []Access {
+	return collectRun(g, Whole(g, dir))
 }
 
 func assertSameStream(t *testing.T, name string, want, got []Access) {
@@ -54,20 +312,6 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 			assertSameStream(t, fmt.Sprintf("%s/bs=%d", dir, bs), want, got)
 		}
 	}
-}
-
-func TestRunRangeBatchedMatchesRunRange(t *testing.T) {
-	g := testGraph()
-	l := NewLayout(g)
-	r := graph.Range{Lo: 10, Hi: 200}
-	var want []Access
-	RunRange(g, l, Pull, r, func(a Access) { want = append(want, a) })
-	var got []Access
-	RunRangeBatched(g, l, Pull, r, 64, func(block []Access) bool {
-		got = append(got, block...)
-		return true
-	})
-	assertSameStream(t, "range", want, got)
 }
 
 func TestRunBatchedEarlyStop(t *testing.T) {
@@ -143,8 +387,7 @@ func TestRunParallelBatchedMatchesRunParallel(t *testing.T) {
 	for _, dir := range []Direction{Pull, Push} {
 		for _, threads := range []int{1, 3, 4} {
 			for _, interval := range []int{1, 37, 1024} {
-				var want []Access
-				RunParallel(g, l, dir, threads, interval, func(a Access) { want = append(want, a) })
+				want := collectRun(g, withThreads(Whole(g, dir), threads, interval))
 				for _, bs := range []int{17, 0} {
 					var got []Access
 					RunParallelBatched(g, l, dir, threads, interval, bs, func(block []Access) bool {
@@ -154,36 +397,6 @@ func TestRunParallelBatchedMatchesRunParallel(t *testing.T) {
 					name := fmt.Sprintf("%s/t=%d/iv=%d/bs=%d", dir, threads, interval, bs)
 					assertSameStream(t, name, want, got)
 				}
-			}
-		}
-	}
-}
-
-func TestReplayBatchedMatchesReplayWithThread(t *testing.T) {
-	g := testGraph()
-	l := NewLayout(g)
-	logs := CollectLogs(g, l, Pull, 3)
-	for _, interval := range []int{1, 100, 1 << 20} {
-		type step struct {
-			thread int
-			a      Access
-		}
-		var want []step
-		ReplayWithThread(logs, interval, func(th int, a Access) {
-			want = append(want, step{th, a})
-		})
-		var got []step
-		ReplayBatched(logs, interval, func(th int, block []Access) {
-			for _, a := range block {
-				got = append(got, step{th, a})
-			}
-		})
-		if len(want) != len(got) {
-			t.Fatalf("iv=%d: %d steps, want %d", interval, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("iv=%d: step %d = %+v, want %+v", interval, i, got[i], want[i])
 			}
 		}
 	}

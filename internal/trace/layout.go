@@ -8,7 +8,7 @@
 //
 // The paper's two-phase parallel simulation (per-thread access logging,
 // then round-robin interval interleaving across threads) is implemented by
-// RunParallel via per-partition access generators.
+// Run and Generate via per-partition access generators (see Stream).
 package trace
 
 import "graphlocality/internal/graph"

@@ -9,10 +9,10 @@ import (
 // This file implements the paper's two-phase parallel simulation (§V-B)
 // literally: phase 1 materializes each thread's memory accesses into a
 // log; phase 2 divides execution into intervals and replays the logs
-// round-robin. RunParallel produces the identical interleaving without
+// round-robin. Generate and Run produce the identical interleaving without
 // materializing the logs; the explicit form exists for tooling that needs
-// to store, inspect or re-replay traces (and as executable documentation
-// of the paper's method).
+// to store, inspect or re-replay traces, and for the per-socket NUMA
+// simulation, which needs each access's thread.
 
 // ThreadLog is the materialized access log of one emulated thread.
 type ThreadLog struct {
@@ -24,10 +24,7 @@ type ThreadLog struct {
 // `threads` edge-balanced partitions and records each partition's full
 // program-order access stream.
 func CollectLogs(g graph.Topology, l Layout, dir Direction, threads int) []ThreadLog {
-	if threads < 1 {
-		threads = 1
-	}
-	ranges := g.PartitionEdgeBalanced(dir == Pull, threads)
+	ranges := g.PartitionEdgeBalanced(dir == Pull, max(threads, 1))
 	logs := make([]ThreadLog, len(ranges))
 	var wg sync.WaitGroup
 	for i, r := range ranges {
@@ -35,11 +32,10 @@ func CollectLogs(g graph.Topology, l Layout, dir Direction, threads int) []Threa
 		go func(i int, r graph.Range) {
 			defer wg.Done()
 			logs[i].Thread = i
-			// The batched generator emits the identical per-partition
-			// stream (the stream-equality tests hold the two generators
-			// together) and works for any Topology.
-			RunRangeBatched(g, l, dir, r, 0, func(block []Access) bool {
-				logs[i].Accesses = append(logs[i].Accesses, block...)
+			Generate(g, l, Stream{Dir: dir, Range: r}, 0, true, func(b *Block) bool {
+				for j := range b.Addrs {
+					logs[i].Accesses = append(logs[i].Accesses, b.Access(j))
+				}
 				return true
 			})
 		}(i, r)
@@ -50,64 +46,34 @@ func CollectLogs(g graph.Topology, l Layout, dir Direction, threads int) []Threa
 
 // Replay performs phase 2: execution duration is divided between threads;
 // for each interval every live thread contributes `interval` accesses in
-// round-robin order. The resulting stream equals RunParallel's.
-func Replay(logs []ThreadLog, interval int, sink Sink) {
-	if interval < 1 {
-		interval = 1
-	}
+// round-robin order. Each slice reaches sink as one block, with the record
+// columns filled, tagged with the thread that logged it. Concatenating the
+// blocks gives the stream Generate and Run emit for the same threads and
+// interval. The block is reused once sink returns.
+func Replay(logs []ThreadLog, interval int, sink func(thread int, b *Block)) {
 	pos := make([]int, len(logs))
-	live := len(logs)
-	for live > 0 {
-		live = 0
-		for i := range logs {
-			n := len(logs[i].Accesses)
-			if pos[i] >= n {
-				continue
-			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			for _, a := range logs[i].Accesses[pos[i]:end] {
-				sink(a)
-			}
-			pos[i] = end
-			if pos[i] < n {
-				live++
+	var buf *Block
+	var view Block
+	interleave(len(logs), interval, func(i, quota int) (bool, bool) {
+		lg := logs[i].Accesses
+		k := min(quota, len(lg)-pos[i])
+		if buf == nil || len(buf.Addrs) < k {
+			buf = newBlock(k, true)
+		}
+		view = Block{Addrs: buf.Addrs[:k], Writes: buf.Writes[:k], Kinds: buf.Kinds[:k], Vertices: buf.Vertices[:k], Dests: buf.Dests[:k]}
+		for j, a := range lg[pos[i] : pos[i]+k] {
+			view.Addrs[j], view.Writes[j] = a.Addr, a.Write
+			view.setRecord(j, a.Kind, a.Vertex, a.Dest)
+			if a.Kind == KindEdges {
+				view.EdgeReads++
 			}
 		}
-	}
-}
-
-// ReplayWithThread is Replay with the emitting thread's index passed to
-// the sink — needed by consumers that model per-socket resources (e.g. a
-// NUMA pair of shared L3s).
-func ReplayWithThread(logs []ThreadLog, interval int, sink func(thread int, a Access)) {
-	if interval < 1 {
-		interval = 1
-	}
-	pos := make([]int, len(logs))
-	live := len(logs)
-	for live > 0 {
-		live = 0
-		for i := range logs {
-			n := len(logs[i].Accesses)
-			if pos[i] >= n {
-				continue
-			}
-			end := pos[i] + interval
-			if end > n {
-				end = n
-			}
-			for _, a := range logs[i].Accesses[pos[i]:end] {
-				sink(logs[i].Thread, a)
-			}
-			pos[i] = end
-			if pos[i] < n {
-				live++
-			}
+		pos[i] += k
+		if k > 0 {
+			sink(logs[i].Thread, &view)
 		}
-	}
+		return pos[i] < len(lg), true
+	})
 }
 
 // TotalAccesses sums the log lengths.

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"graphlocality/internal/gen"
+	"graphlocality/internal/graph"
 )
 
 func TestCollectLogsCoverAllAccesses(t *testing.T) {
@@ -21,6 +23,17 @@ func TestCollectLogsCoverAllAccesses(t *testing.T) {
 	}
 }
 
+// replayAll flattens Replay's blocks into records.
+func replayAll(logs []ThreadLog, interval int) []Access {
+	var out []Access
+	Replay(logs, interval, func(_ int, b *Block) {
+		for i := range b.Addrs {
+			out = append(out, b.Access(i))
+		}
+	})
+	return out
+}
+
 func TestReplayEqualsRunParallel(t *testing.T) {
 	// The paper's materialized two-phase method and the streaming
 	// interleaver must produce the identical access sequence.
@@ -29,15 +42,12 @@ func TestReplayEqualsRunParallel(t *testing.T) {
 	const threads, interval = 3, 17
 
 	var streamed []Access
-	RunParallel(g, l, Pull, threads, interval, func(a Access) {
+	runThreads(g, l, Pull, threads, interval, func(a Access) {
 		streamed = append(streamed, a)
 	})
 
-	var replayed []Access
 	logs := CollectLogs(g, l, Pull, threads)
-	Replay(logs, interval, func(a Access) {
-		replayed = append(replayed, a)
-	})
+	replayed := replayAll(logs, interval)
 
 	if len(streamed) != len(replayed) {
 		t.Fatalf("lengths differ: %d vs %d", len(streamed), len(replayed))
@@ -53,48 +63,59 @@ func TestReplayDegenerateInterval(t *testing.T) {
 	g := gen.Ring(50)
 	l := NewLayout(g)
 	logs := CollectLogs(g, l, Push, 2)
-	var n uint64
-	Replay(logs, 0, func(Access) { n++ })
-	if n != CountAccesses(g) {
+	if n := uint64(len(replayAll(logs, 0))); n != CountAccesses(g) {
 		t.Errorf("replayed %d accesses, want %d", n, CountAccesses(g))
 	}
 }
 
 func TestReplayWithThread(t *testing.T) {
-	g := gen.WebGraph(gen.DefaultWebGraph(512, 6, 5))
-	l := NewLayout(g)
-	logs := CollectLogs(g, l, Pull, 3)
-	// Threaded replay yields the same sequence as plain replay, with a
-	// valid thread id attached to every access.
-	var plain []Access
-	Replay(logs, 16, func(a Access) { plain = append(plain, a) })
-	var threaded []Access
-	counts := map[int]uint64{}
-	ReplayWithThread(logs, 16, func(thread int, a Access) {
-		if thread < 0 || thread >= len(logs) {
-			t.Fatalf("bad thread id %d", thread)
+	for _, tc := range []struct {
+		g         *graph.Graph
+		intervals []int
+	}{
+		{gen.WebGraph(gen.DefaultWebGraph(512, 6, 5)), []int{0, 16}},
+		{testGraph(), []int{1, 100, 1 << 20}},
+	} {
+		l := NewLayout(tc.g)
+		logs := CollectLogs(tc.g, l, Pull, 3)
+		for _, interval := range tc.intervals {
+			// Every block is one slice of one thread's log: at most
+			// interval accesses, tagged with the thread that logged them,
+			// and taken from that log in order. The blocks concatenate to
+			// the interleaved stream.
+			want := collectRun(tc.g, withThreads(Whole(tc.g, Pull), 3, interval))
+			var got []Access
+			pos := map[int]int{}
+			Replay(logs, interval, func(thread int, b *Block) {
+				if thread < 0 || thread >= len(logs) {
+					t.Fatalf("iv=%d: bad thread id %d", interval, thread)
+				}
+				if n := len(b.Addrs); n == 0 || n > max(interval, 1) {
+					t.Fatalf("iv=%d: block of %d accesses", interval, n)
+				}
+				edgeReads := 0
+				for i := range b.Addrs {
+					a := b.Access(i)
+					if a != logs[thread].Accesses[pos[thread]] {
+						t.Fatalf("iv=%d: thread %d access %d = %+v, want %+v", interval, thread, pos[thread], a, logs[thread].Accesses[pos[thread]])
+					}
+					if a.Kind == KindEdges {
+						edgeReads++
+					}
+					pos[thread]++
+					got = append(got, a)
+				}
+				if b.EdgeReads != edgeReads {
+					t.Fatalf("iv=%d: block EdgeReads %d, want %d", interval, b.EdgeReads, edgeReads)
+				}
+			})
+			assertSameStream(t, fmt.Sprintf("iv=%d", interval), want, got)
+			for i, lg := range logs {
+				if pos[i] != len(lg.Accesses) {
+					t.Errorf("iv=%d: thread %d delivered %d accesses, want %d", interval, i, pos[i], len(lg.Accesses))
+				}
+			}
 		}
-		counts[thread]++
-		threaded = append(threaded, a)
-	})
-	if len(plain) != len(threaded) {
-		t.Fatalf("lengths differ: %d vs %d", len(plain), len(threaded))
-	}
-	for i := range plain {
-		if plain[i] != threaded[i] {
-			t.Fatalf("sequence diverged at %d", i)
-		}
-	}
-	for i, lg := range logs {
-		if counts[i] != uint64(len(lg.Accesses)) {
-			t.Errorf("thread %d delivered %d accesses, want %d", i, counts[i], len(lg.Accesses))
-		}
-	}
-	// Degenerate interval clamps.
-	var n uint64
-	ReplayWithThread(logs, 0, func(int, Access) { n++ })
-	if n != TotalAccesses(logs) {
-		t.Error("interval clamp broken")
 	}
 }
 

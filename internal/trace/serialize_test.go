@@ -162,9 +162,7 @@ func TestLogsRoundTripReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b []Access
-	Replay(logs, 32, func(x Access) { a = append(a, x) })
-	Replay(loaded, 32, func(x Access) { b = append(b, x) })
+	a, b := replayAll(logs, 32), replayAll(loaded, 32)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

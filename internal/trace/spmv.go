@@ -1,6 +1,10 @@
 package trace
 
-import "graphlocality/internal/graph"
+import (
+	"math"
+
+	"graphlocality/internal/graph"
+)
 
 // Direction selects the traversal direction of Algorithm 1.
 type Direction int
@@ -39,185 +43,171 @@ type Sink func(Access)
 // continue; returning false stops the stream (cooperative cancellation).
 type BoundedSink func(Access) bool
 
-// Run generates the full single-threaded access stream of one SpMV
-// iteration over g in the given direction, invoking sink for every load
-// and store. Vertices are visited in ID order within [0, |V|).
-func Run(g *graph.Graph, l Layout, dir Direction, sink Sink) {
-	RunUntil(g, l, dir, func(a Access) bool { sink(a); return true })
+// Stream selects one SpMV access stream: the traversal direction, the
+// vertices whose processing it covers, and the paper's two-phase parallel
+// emulation (§V-B). With Threads > 1 the vertex set [0, |V|) is split into
+// Threads edge-balanced partitions, each partition is clipped to Range and
+// produces its own program-order stream, and the streams are interleaved
+// round-robin in slices of Interval accesses — the order a shared
+// last-level cache would see. With Threads <= 1 the stream is the program
+// order of Range. Run and Generate take the same Stream, so they emit the
+// same accesses in the same order.
+type Stream struct {
+	Dir Direction
+	// Range is the vertices processed; Whole sets it to all of [0, |V|).
+	Range graph.Range
+	// Threads is the number of emulated threads (< 1 means 1).
+	Threads int
+	// Interval is the round-robin slice in accesses (< 1 means 1).
+	Interval int
 }
 
-// RunUntil is Run with early exit: the stream stops as soon as sink
-// returns false. It reports whether the traversal ran to completion.
-func RunUntil(g *graph.Graph, l Layout, dir Direction, sink BoundedSink) bool {
-	gen := newVertexIter(g, l, dir, graph.Range{Lo: 0, Hi: g.NumVertices()})
-	for {
-		a, ok := gen.next()
-		if !ok {
-			return true
+// Whole returns the single-threaded stream of one full SpMV iteration over
+// g in direction dir. Set Threads and Interval on the result for the
+// interleaved parallel stream.
+func Whole(g graph.Dims, dir Direction) Stream {
+	return Stream{Dir: dir, Range: graph.Range{Hi: g.NumVertices()}}
+}
+
+// partitions returns the per-thread vertex ranges of s over g.
+func (s Stream) partitions(g graph.Topology) []graph.Range {
+	if s.Threads <= 1 {
+		return []graph.Range{s.Range}
+	}
+	parts := g.PartitionEdgeBalanced(s.Dir == Pull, s.Threads)
+	for i, p := range parts {
+		p.Lo, p.Hi = max(p.Lo, s.Range.Lo), min(p.Hi, s.Range.Hi)
+		if p.Lo > p.Hi {
+			p.Lo = p.Hi
 		}
-		if !sink(a) {
-			return false
-		}
+		parts[i] = p
 	}
+	return parts
 }
 
-// RunRange generates exactly the sub-stream of accesses Run emits while
-// processing the vertices in [r.Lo, r.Hi), in the same order. Concatenating
-// the streams of a partition of [0, |V|) reproduces Run's stream exactly;
-// sharded analyses use it to split a trace scan across goroutines.
-func RunRange(g *graph.Graph, l Layout, dir Direction, r graph.Range, sink Sink) {
-	gen := newVertexIter(g, l, dir, r)
-	for {
-		a, ok := gen.next()
-		if !ok {
-			return
-		}
-		sink(a)
+// interleave runs the round-robin schedule of §V-B over n per-thread
+// sources: in every round each live source, in index order, contributes up
+// to quota accesses through emit(i, quota), which reports whether source i
+// has accesses left and whether the consumer wants to continue. It is the
+// one interleaver behind Run, Generate and Replay. It reports whether the
+// schedule ran to completion.
+func interleave(n, quota int, emit func(i, quota int) (more, ok bool)) bool {
+	if quota < 1 {
+		quota = 1
 	}
-}
-
-// RunParallel emulates the paper's parallel simulation (§V-B): the vertex
-// set is split into `threads` edge-balanced partitions, each partition
-// produces its own program-order access stream, and execution is divided
-// into intervals of `interval` accesses that are interleaved across
-// threads round-robin. sink observes the interleaved stream, which is what
-// a shared last-level cache would see.
-func RunParallel(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink Sink) {
-	RunParallelUntil(g, l, dir, threads, interval, func(a Access) bool { sink(a); return true })
-}
-
-// RunParallelUntil is RunParallel with early exit: the interleaved stream
-// stops as soon as sink returns false. It reports whether the traversal
-// ran to completion.
-func RunParallelUntil(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink BoundedSink) bool {
-	if threads < 1 {
-		threads = 1
-	}
-	if interval < 1 {
-		interval = 1
-	}
-	var ranges []graph.Range
-	if dir == Pull {
-		ranges = g.PartitionEdgeBalancedIn(threads)
-	} else {
-		ranges = g.PartitionEdgeBalancedOut(threads)
-	}
-	iters := make([]*vertexIter, len(ranges))
-	for i, r := range ranges {
-		iters[i] = newVertexIter(g, l, dir, r)
-	}
-	live := len(iters)
-	for live > 0 {
+	done := make([]bool, n)
+	for live := n; live > 0; {
 		live = 0
-		for _, it := range iters {
-			if it.done {
+		for i := range done {
+			if done[i] {
 				continue
 			}
-			for k := 0; k < interval; k++ {
-				a, ok := it.next()
-				if !ok {
-					break
-				}
-				if !sink(a) {
-					return false
-				}
+			more, ok := emit(i, quota)
+			if !ok {
+				return false
 			}
-			if !it.done {
+			if more {
 				live++
+			} else {
+				done[i] = true
 			}
 		}
 	}
 	return true
 }
 
-// vertexIter lazily generates the access stream of one partition. This is
-// equivalent to the paper's per-thread access logs without materializing
-// them.
+// Run is the scalar driver: it emits s's access stream over g one access
+// at a time, in order, and stops as soon as sink returns false. It reports
+// whether the traversal ran to completion.
+//
+// Run computes each access from its index within the vertex being
+// processed (vertexIter) and shares no generation code with Generate's
+// bulk generator. That independence is what makes it the reference the
+// block generator and the whole fast simulation path are tested against;
+// analysis tools that want one record at a time use it too.
+func Run(g *graph.Graph, l Layout, s Stream, sink BoundedSink) bool {
+	parts := s.partitions(g)
+	iters := make([]*vertexIter, len(parts))
+	for i, r := range parts {
+		iters[i] = newVertexIter(g, l, s.Dir, r)
+	}
+	quota := s.Interval
+	if len(iters) == 1 {
+		quota = math.MaxInt // one source: nothing to interleave
+	}
+	return interleave(len(iters), quota, func(i, quota int) (bool, bool) {
+		it := iters[i]
+		for k := 0; k < quota; k++ {
+			a, ok := it.next()
+			if !ok {
+				break
+			}
+			if !sink(a) {
+				return false, false
+			}
+		}
+		return !it.done(), true
+	})
+}
+
+// vertexIter generates one partition's access stream one access at a
+// time, straight from Algorithm 1: processing vertex v issues 3 + 2·deg(v)
+// accesses, numbered k = 0, 1, ...: the offsets[v] and offsets[v+1] reads,
+// an (edges[e], neighbour-data) pair per edge e, and the own-data access.
+// This is equivalent to the paper's per-thread access logs without
+// materializing them.
 type vertexIter struct {
-	g    *graph.Graph
-	l    Layout
-	dir  Direction
-	r    graph.Range
-	v    uint32 // current vertex
-	ei   uint64 // current edge index within v's adjacency
-	deg  uint64
-	off  uint64 // first edge index of v
-	st   int    // 0 = emit offsets[v], 1 = emit offsets[v+1], 2 = edges loop, 3 = emit Di+1[v] (pull) / advance
-	done bool
+	l     Layout
+	dir   Direction
+	off   []uint64
+	adj   []uint32
+	v, hi uint32 // current vertex, end of the partition
+	k     uint64 // number of v's accesses already emitted
 }
 
 func newVertexIter(g *graph.Graph, l Layout, dir Direction, r graph.Range) *vertexIter {
-	it := &vertexIter{g: g, l: l, dir: dir, r: r, v: r.Lo}
-	if r.Lo >= r.Hi {
-		it.done = true
+	it := &vertexIter{l: l, dir: dir, off: g.OutOffsets(), adj: g.OutEdges(), v: r.Lo, hi: r.Hi}
+	if dir == Pull {
+		it.off, it.adj = g.InOffsets(), g.InEdges()
 	}
 	return it
 }
 
-func (it *vertexIter) offsets() []uint64 {
-	if it.dir == Pull {
-		return it.g.InOffsets()
-	}
-	return it.g.OutOffsets()
-}
-
-func (it *vertexIter) adj() []uint32 {
-	if it.dir == Pull {
-		return it.g.InEdges()
-	}
-	return it.g.OutEdges()
-}
+func (it *vertexIter) done() bool { return it.v >= it.hi }
 
 // next returns the next access of the partition's program order.
 func (it *vertexIter) next() (Access, bool) {
-	for !it.done {
-		switch it.st {
-		case 0: // read offsets[v]
-			off := it.offsets()
-			it.off = off[it.v]
-			it.deg = off[it.v+1] - off[it.v]
-			it.ei = 0
-			it.st = 1
-			return Access{Addr: it.l.OffsetsAddr(it.v), Kind: KindOffsets, Vertex: it.v, Dest: it.v}, true
-		case 1: // read offsets[v+1]
-			it.st = 2
-			return Access{Addr: it.l.OffsetsAddr(it.v + 1), Kind: KindOffsets, Vertex: it.v, Dest: it.v}, true
-		case 2: // edges loop: alternate edges[i] read and vertex-data access
-			if it.ei >= it.deg {
-				it.st = 4
-				continue
-			}
-			it.st = 3
-			return Access{Addr: it.l.EdgeAddr(it.off + it.ei), Kind: KindEdges, Vertex: it.v, Dest: it.v}, true
-		case 3: // the random vertex-data access for the current edge
-			u := it.adj()[it.off+it.ei]
-			it.ei++
-			it.st = 2
-			switch it.dir {
-			case Pull, PushRead:
-				return Access{Addr: it.l.OldDataAddr(u), Kind: KindVertexRead, Vertex: u, Dest: it.v}, true
-			default: // Push: random write of the neighbour's new data
-				return Access{Addr: it.l.NewDataAddr(u), Kind: KindVertexWrite, Write: true, Vertex: u, Dest: it.v}, true
-			}
-		case 4: // end of vertex: pull/push-read write own Di+1[v]; push reads own Di[v]
-			v := it.v
-			it.v++
-			if it.v >= it.r.Hi {
-				it.done = true
-			}
-			it.st = 0
-			switch it.dir {
-			case Pull, PushRead:
-				return Access{Addr: it.l.NewDataAddr(v), Kind: KindVertexWrite, Write: true, Vertex: v, Dest: v}, true
-			default:
-				return Access{Addr: it.l.OldDataAddr(v), Kind: KindVertexRead, Vertex: v, Dest: v}, true
-			}
-		}
+	if it.done() {
+		return Access{}, false
 	}
-	return Access{}, false
+	l, v, k := it.l, it.v, it.k
+	first := it.off[v]
+	n := 3 + 2*(it.off[v+1]-first)
+	if it.k++; it.k == n {
+		it.v, it.k = v+1, 0
+	}
+	push := it.dir == Push
+	switch {
+	case k < 2: // read offsets[v], offsets[v+1]
+		return Access{Addr: l.OffsetsAddr(v + uint32(k)), Kind: KindOffsets, Vertex: v, Dest: v}, true
+	case k == n-1: // end of vertex: pull/push-read write own Di+1[v]; push reads own Di[v]
+		if push {
+			return Access{Addr: l.OldDataAddr(v), Kind: KindVertexRead, Vertex: v, Dest: v}, true
+		}
+		return Access{Addr: l.NewDataAddr(v), Kind: KindVertexWrite, Write: true, Vertex: v, Dest: v}, true
+	case k%2 == 0: // read edges[e]
+		return Access{Addr: l.EdgeAddr(first + (k-2)/2), Kind: KindEdges, Vertex: v, Dest: v}, true
+	}
+	// The random vertex-data access paired with edges[e].
+	u := it.adj[first+(k-3)/2]
+	if push { // random write of the neighbour's new data
+		return Access{Addr: l.NewDataAddr(u), Kind: KindVertexWrite, Write: true, Vertex: u, Dest: v}, true
+	}
+	return Access{Addr: l.OldDataAddr(u), Kind: KindVertexRead, Vertex: u, Dest: v}, true
 }
 
-// CountAccesses returns the exact number of accesses Run will generate:
+// CountAccesses returns the exact number of accesses one full iteration
+// generates (Whole, any Threads and Interval):
 // per vertex two offsets reads and one own-data access, plus two accesses
 // per edge (edges element + neighbour data).
 func CountAccesses(g graph.Dims) uint64 {

@@ -12,6 +12,19 @@ func chain() *graph.Graph {
 	return graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2}})
 }
 
+// runAll feeds one full single-threaded iteration to sink.
+func runAll(g *graph.Graph, l Layout, dir Direction, sink Sink) {
+	Run(g, l, Whole(g, dir), func(a Access) bool { sink(a); return true })
+}
+
+// runThreads feeds the interleaved stream of threads emulated threads to
+// sink.
+func runThreads(g *graph.Graph, l Layout, dir Direction, threads, interval int, sink Sink) {
+	s := Whole(g, dir)
+	s.Threads, s.Interval = threads, interval
+	Run(g, l, s, func(a Access) bool { sink(a); return true })
+}
+
 func TestLayoutDisjointArrays(t *testing.T) {
 	g := gen.Ring(1000)
 	l := NewLayout(g)
@@ -49,7 +62,7 @@ func TestLayoutInOldData(t *testing.T) {
 func TestRunAccessCount(t *testing.T) {
 	g := chain()
 	var got []Access
-	Run(g, NewLayout(g), Pull, func(a Access) { got = append(got, a) })
+	runAll(g, NewLayout(g), Pull, func(a Access) { got = append(got, a) })
 	if want := CountAccesses(g); uint64(len(got)) != want {
 		t.Fatalf("access count = %d, want %d", len(got), want)
 	}
@@ -60,7 +73,7 @@ func TestRunPullSemantics(t *testing.T) {
 	l := NewLayout(g)
 	var reads []uint32
 	var writes []uint32
-	Run(g, l, Pull, func(a Access) {
+	runAll(g, l, Pull, func(a Access) {
 		switch a.Kind {
 		case KindVertexRead:
 			if a.Write {
@@ -100,7 +113,7 @@ func TestRunPushSemantics(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
 	var randomWrites []uint32
-	Run(g, l, Push, func(a Access) {
+	runAll(g, l, Push, func(a Access) {
 		if a.Kind == KindVertexWrite {
 			if a.Addr != l.NewDataAddr(a.Vertex) {
 				t.Errorf("push write at %#x, want Di+1[%d]", a.Addr, a.Vertex)
@@ -124,7 +137,7 @@ func TestRunPushReadSemantics(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
 	var reads []uint32
-	Run(g, l, PushRead, func(a Access) {
+	runAll(g, l, PushRead, func(a Access) {
 		if a.Kind == KindVertexRead {
 			if a.Addr != l.OldDataAddr(a.Vertex) {
 				t.Errorf("push-read at %#x, want Di[%d]", a.Addr, a.Vertex)
@@ -148,7 +161,7 @@ func TestEdgesAccessedOnce(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1000, 3)
 	l := NewLayout(g)
 	seen := map[uint64]int{}
-	Run(g, l, Pull, func(a Access) {
+	runAll(g, l, Pull, func(a Access) {
 		if a.Kind == KindEdges {
 			seen[a.Addr]++
 		}
@@ -172,8 +185,8 @@ func TestRunParallelSameAccessMultiset(t *testing.T) {
 		run(func(a Access) { m[a]++ })
 		return m
 	}
-	seq := count(func(s Sink) { Run(g, l, Pull, s) })
-	par := count(func(s Sink) { RunParallel(g, l, Pull, 4, 64, s) })
+	seq := count(func(s Sink) { runAll(g, l, Pull, s) })
+	par := count(func(s Sink) { runThreads(g, l, Pull, 4, 64, s) })
 	if len(seq) != len(par) {
 		t.Fatalf("distinct accesses differ: %d vs %d", len(seq), len(par))
 	}
@@ -190,7 +203,7 @@ func TestRunParallelInterleaves(t *testing.T) {
 	g := gen.Ring(100)
 	l := NewLayout(g)
 	var vertices []uint32
-	RunParallel(g, l, Pull, 2, 10, func(a Access) {
+	runThreads(g, l, Pull, 2, 10, func(a Access) {
 		if a.Kind == KindOffsets {
 			vertices = append(vertices, a.Vertex)
 		}
@@ -215,7 +228,7 @@ func TestRunParallelDegenerateArgs(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
 	var n uint64
-	RunParallel(g, l, Pull, 0, 0, func(Access) { n++ })
+	runThreads(g, l, Pull, 0, 0, func(Access) { n++ })
 	if n != CountAccesses(g) {
 		t.Errorf("degenerate args: %d accesses, want %d", n, CountAccesses(g))
 	}
@@ -224,7 +237,7 @@ func TestRunParallelDegenerateArgs(t *testing.T) {
 func TestEmptyGraphTrace(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	called := false
-	Run(g, NewLayout(g), Pull, func(Access) { called = true })
+	runAll(g, NewLayout(g), Pull, func(Access) { called = true })
 	if called {
 		t.Error("empty graph generated accesses")
 	}

@@ -45,7 +45,7 @@ func TestSpyClusteringVisible(t *testing.T) {
 	// Rabbit-Order pulls a scrambled web graph's mass toward the diagonal.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 7))
 	scrambled := base.Relabel(reorder.Random{Seed: 5}.Relabel(base))
-	ro := scrambled.Relabel(reorder.Perm(reorder.NewRabbitOrder(), scrambled))
+	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	before := Spy(scrambled, 32).DiagonalMass(2)
 	after := Spy(ro, 32).DiagonalMass(2)
 	if after <= before {
