@@ -51,7 +51,7 @@ func BenchmarkAblationGOrderWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			var miss float64
 			for i := 0; i < b.N; i++ {
-				perm := reorder.Perm(reorder.MustNew("go", reorder.WithWindow(w)), g)
+				perm := reorder.Perm(reorder.MustNew(fmt.Sprintf("go:window=%d", w)), g)
 				h := g.Relabel(perm)
 				res := core.SimulateSpMV(h, core.SimOptions{Cache: cache, Threads: 4})
 				miss = 100 * res.Cache.MissRate()
@@ -72,9 +72,9 @@ func BenchmarkAblationCacheAwareRAs(b *testing.B) {
 		cacheBytes := uint64(cache.SizeBytes())
 		algs := []reorder.Algorithm{
 			reorder.MustNew("sb"),
-			reorder.MustNew("sb", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew(fmt.Sprintf("sb:cachebytes=%d", cacheBytes)),
 			reorder.MustNew("ro"),
-			reorder.MustNew("ro", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew(fmt.Sprintf("ro:cachebytes=%d", cacheBytes)),
 			reorder.MustNew("hybrid"),
 		}
 		for _, alg := range algs {

@@ -193,8 +193,8 @@ func BenchmarkReorderAlgorithms(b *testing.B) {
 	s, ds := session()
 	g := s.Graph(ds[0])
 	for _, alg := range []reorder.Algorithm{
-		reorder.Wrap(reorder.DegreeSort{}), reorder.Wrap(reorder.HubSort{}),
-		reorder.Wrap(reorder.DBG{}),
+		reorder.DegreeSort{}, reorder.HubSort{},
+		reorder.DBG{},
 		reorder.MustNew("sb++"), reorder.MustNew("ro"),
 	} {
 		b.Run(alg.Name(), func(b *testing.B) {

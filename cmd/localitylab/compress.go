@@ -44,7 +44,7 @@ func compressReport(ctx context.Context, g *graph.Graph, specs []string, opts gr
 	}
 	rows := []compressRow{measure("(input)", g)}
 	for _, spec := range specs {
-		alg, err := reorder.NewFromSpec(strings.TrimSpace(spec))
+		alg, err := reorder.New(strings.TrimSpace(spec))
 		if err != nil {
 			return nil, err
 		}

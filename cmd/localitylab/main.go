@@ -269,25 +269,16 @@ func cmdAdvise(args []string) error {
 
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	kind := fs.String("kind", "social", "dataset kind: social, web, er, ba")
+	kind := fs.String("kind", "social", "dataset kind: "+strings.Join(gen.Kinds, ", "))
 	scale := fs.Int("scale", 14, "log2 of the vertex count")
 	edgeFac := fs.Int("edgefac", 12, "edges per vertex")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	out := fs.String("out", "", "output graph file (binary); empty prints a summary")
 	fs.Parse(args)
 
-	var g *graph.Graph
-	switch *kind {
-	case "social":
-		g = gen.SocialNetwork(*scale, *edgeFac, *seed)
-	case "web":
-		g = gen.WebGraph(gen.DefaultWebGraph(1<<*scale, *edgeFac, *seed))
-	case "er":
-		g = gen.ErdosRenyi(1<<*scale, (1<<*scale)*(*edgeFac), *seed)
-	case "ba":
-		g = gen.PreferentialAttachment(1<<*scale, *edgeFac, *seed)
-	default:
-		return usagef("unknown kind %q", *kind)
+	g, err := gen.Generate(*kind, *scale, *edgeFac, *seed)
+	if err != nil {
+		return usagef("%v", err)
 	}
 	fmt.Println(g)
 	if *out == "" {
@@ -299,10 +290,7 @@ func cmdGen(args []string) error {
 func cmdReorder(args []string) error {
 	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
 	in := fs.String("graph", "", "input graph (binary)")
-	algSpec := fs.String("alg", "ro", "algorithm spec: name[:key=value,...], names: "+strings.Join(reorder.List(), ", "))
-	seed := fs.Uint64("seed", 1, "seed for randomized algorithms")
-	window := fs.Int("window", 5, "GOrder/hybrid sliding-window size")
-	cacheBytes := fs.Uint64("cachebytes", 0, "cache capacity for cache-aware variants (sb, ro)")
+	algSpec := fs.String("alg", "ro", "algorithm spec: name[:key=value,...] (e.g. go:window=7), names: "+strings.Join(reorder.List(), ", "))
 	out := fs.String("out", "", "output relabeled graph; empty skips writing")
 	fs.Parse(args)
 	if *in == "" {
@@ -312,37 +300,14 @@ func cmdReorder(args []string) error {
 	if err != nil {
 		return err
 	}
-	// -alg takes a full spec ("ro", "go:window=7", "brew:detect=lp"). The
-	// dedicated flags remain as shorthand: only flags the user set
-	// explicitly are folded into the spec, so the registry can still
-	// reject combinations the algorithm does not accept, and a key given
-	// both ways is a conflict rather than a silent override.
-	spec, err := reorder.ParseSpec(*algSpec)
-	if err != nil {
+	// -alg takes a full spec ("ro", "go:window=7", "brew:detect=lp"). A
+	// malformed spec is a usage error; a spec the registry rejects is a
+	// runtime failure like any other.
+	alg, err := reorder.New(*algSpec)
+	var specErr *reorder.SpecError
+	if errors.As(err, &specErr) {
 		return usagef("%v", err)
 	}
-	var flagErr error
-	addParam := func(key, value string) {
-		if _, dup := spec.Get(key); dup {
-			flagErr = usagef("option %s given both as -%s and inside -alg %q", key, key, *algSpec)
-			return
-		}
-		spec.Params = append(spec.Params, reorder.Param{Key: key, Value: value})
-	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			addParam("seed", fmt.Sprintf("%d", *seed))
-		case "window":
-			addParam("window", fmt.Sprintf("%d", *window))
-		case "cachebytes":
-			addParam("cachebytes", fmt.Sprintf("%d", *cacheBytes))
-		}
-	})
-	if flagErr != nil {
-		return flagErr
-	}
-	alg, err := spec.New()
 	if err != nil {
 		return err
 	}
@@ -368,8 +333,7 @@ func cmdReorder(args []string) error {
 }
 
 // cmdAlgorithms prints the registry's metadata: one row per algorithm
-// with its cost class, aliases, accepted generic options and whether it
-// takes structured spec parameters.
+// with its cost class, aliases and accepted spec keys.
 func cmdAlgorithms(args []string) error {
 	fs := flag.NewFlagSet("algorithms", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of the table")
@@ -384,12 +348,6 @@ func cmdAlgorithms(args []string) error {
 	fmt.Fprintln(w, "NAME\tCLASS\tALIASES\tOPTIONS\tDESCRIPTION")
 	for _, info := range infos {
 		opts := strings.Join(info.Accepts, ",")
-		if info.Composable {
-			if opts != "" {
-				opts += ","
-			}
-			opts += "spec..."
-		}
 		if opts == "" {
 			opts = "-"
 		}

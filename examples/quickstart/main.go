@@ -19,7 +19,7 @@ func main() {
 
 	// 2. Scramble the IDs to destroy the generator's natural locality,
 	// as if the graph had been crawled in an arbitrary order.
-	g = g.Relabel(reorder.Random{Seed: 7}.Relabel(g))
+	g = g.Relabel(reorder.Perm(reorder.MustNew("random:seed=7"), g))
 
 	// 3. Reorder with Rabbit-Order.
 	res := reorder.Run(reorder.MustNew("ro"), g)

@@ -18,21 +18,21 @@ import (
 func main() {
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<15, 10, 21))
 	// Scramble first so every algorithm starts from a locality-free order.
-	g = g.Relabel(reorder.Random{Seed: 99}.Relabel(g))
+	g = g.Relabel(reorder.Perm(reorder.MustNew("random:seed=99"), g))
 	fmt.Println("dataset (scrambled web graph):", g)
 
 	algs := []reorder.Algorithm{
 		reorder.Identity{},
-		reorder.Wrap(reorder.DegreeSort{}),
-		reorder.Wrap(reorder.HubSort{}),
-		reorder.Wrap(reorder.HubCluster{}),
-		reorder.Wrap(reorder.DBG{}),
-		reorder.Wrap(reorder.RCM{}),
+		reorder.MustNew("degsort"),
+		reorder.MustNew("hubsort"),
+		reorder.MustNew("hubcluster"),
+		reorder.MustNew("dbg"),
+		reorder.MustNew("rcm"),
 		reorder.MustNew("sb"),
 		reorder.MustNew("sb++"),
 		reorder.MustNew("go"),
 		reorder.MustNew("ro"),
-		reorder.MustNew("ro", reorder.WithEDR(1, uint32(g.HubThreshold()))),
+		reorder.MustNew(fmt.Sprintf("ro:edr=1-%d", uint32(g.HubThreshold()))),
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -50,7 +50,7 @@ func TestAIDOut(t *testing.T) {
 func TestAIDByDegreeRabbitOrderReducesLDV(t *testing.T) {
 	// The paper's Fig. 3: Rabbit-Order reduces AID of low-degree vertices.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 6, 2))
-	g := base.Relabel(reorder.Random{Seed: 8}.Relabel(base))
+	g := base.Relabel(reorder.Perm(reorder.Random{Seed: 8}, base))
 	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
 
 	before := AIDByDegree(g)

@@ -58,7 +58,7 @@ func TestMRCBetterOrderingSmallerWorkingSet(t *testing.T) {
 	// A clustered ordering reaches a given miss ratio with a smaller
 	// cache than a scrambled one.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 4))
-	scrambled := base.Relabel(reorder.Random{Seed: 5}.Relabel(base))
+	scrambled := base.Relabel(reorder.Perm(reorder.Random{Seed: 5}, base))
 	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 
 	wsScrambled := ReuseDistances(scrambled, trace.Pull, 64).MRC().WorkingSetLines(0.3)
@@ -88,7 +88,7 @@ func TestCompressedAdjacencyBytes(t *testing.T) {
 
 func TestCompressionRatioImprovesWithClustering(t *testing.T) {
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 9))
-	scrambled := base.Relabel(reorder.Random{Seed: 2}.Relabel(base))
+	scrambled := base.Relabel(reorder.Perm(reorder.Random{Seed: 2}, base))
 	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	if CompressionRatio(ro) <= CompressionRatio(scrambled) {
 		t.Errorf("RO compression %.3f not above scrambled %.3f",

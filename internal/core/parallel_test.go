@@ -57,7 +57,7 @@ func TestShardRangesPartition(t *testing.T) {
 
 func TestMissRateSeriesParallelExact(t *testing.T) {
 	base := gen.WebGraph(gen.DefaultWebGraph(2048, 8, 3))
-	g := base.Relabel(reorder.Random{Seed: 9}.Relabel(base))
+	g := base.Relabel(reorder.Perm(reorder.Random{Seed: 9}, base))
 	res := SimulateSpMV(g, SimOptions{})
 	for _, shards := range []int{1, 2, 3, 8, 1000} {
 		for _, pair := range []struct {
@@ -84,7 +84,7 @@ func TestMissRateSeriesParallelExact(t *testing.T) {
 
 func TestAIDByDegreeParallelMatchesSerial(t *testing.T) {
 	base := gen.WebGraph(gen.DefaultWebGraph(2048, 8, 3))
-	g := base.Relabel(reorder.Random{Seed: 11}.Relabel(base))
+	g := base.Relabel(reorder.Perm(reorder.Random{Seed: 11}, base))
 	serial := AIDByDegree(g)
 	for _, shards := range []int{1, 2, 5, 16} {
 		got := AIDByDegreeParallel(g, shards)
@@ -106,7 +106,7 @@ func TestAIDByDegreeParallelMatchesSerial(t *testing.T) {
 
 func TestLineUtilizationParallel(t *testing.T) {
 	base := gen.SocialNetwork(12, 12, 21)
-	g := base.Relabel(reorder.Random{Seed: 13}.Relabel(base))
+	g := base.Relabel(reorder.Perm(reorder.Random{Seed: 13}, base))
 	// A small cache relative to the trace keeps the per-shard cold-boundary
 	// residencies a negligible fraction of the histogram.
 	cfg := cachesim.ScaledL3(g.NumVertices(), 0.02)

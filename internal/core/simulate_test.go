@@ -133,7 +133,7 @@ func TestGoodOrderingMissesFewer(t *testing.T) {
 	// smaller than the vertex-data array for ordering to matter.
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 5))
 	cache := cachesim.Config{Name: "L3", LineSize: 64, Sets: 32, Ways: 8, Policy: cachesim.DRRIP}
-	shuffled := g.Relabel(reorder.Random{Seed: 1}.Relabel(g))
+	shuffled := g.Relabel(reorder.Perm(reorder.Random{Seed: 1}, g))
 	a := SimulateSpMV(g, SimOptions{Cache: cache})
 	b := SimulateSpMV(shuffled, SimOptions{Cache: cache})
 	if a.Cache.Misses >= b.Cache.Misses {
@@ -180,7 +180,7 @@ func TestLineUtilizationOrderingsDiffer(t *testing.T) {
 	// lines are evicted between uses; only then does ordering show up in
 	// per-line utilization.
 	base := gen.WebGraph(gen.DefaultWebGraph(1<<12, 8, 3))
-	scrambled := base.Relabel(reorder.Random{Seed: 6}.Relabel(base))
+	scrambled := base.Relabel(reorder.Perm(reorder.Random{Seed: 6}, base))
 	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	cfg := cachesim.Config{Name: "L3", LineSize: 64, Sets: 8, Ways: 4, Policy: cachesim.DRRIP}
 	sc := LineUtilization(scrambled, cfg)

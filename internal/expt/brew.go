@@ -38,7 +38,7 @@ func GlobalAlgorithms() []reorder.Algorithm {
 func AlgorithmsFromSpecs(specs []string) ([]reorder.Algorithm, error) {
 	algs := make([]reorder.Algorithm, 0, len(specs))
 	for _, spec := range specs {
-		alg, err := reorder.NewFromSpec(strings.TrimSpace(spec))
+		alg, err := reorder.New(strings.TrimSpace(spec))
 		if err != nil {
 			return nil, err
 		}
@@ -87,23 +87,10 @@ const brewDegreeSplit = 8
 // cell; each cell runs a single simulation that collects ECS snapshots and
 // per-vertex miss attribution at once.
 func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
-	type brewAlg struct {
-		alg   reorder.Algorithm
-		class reorder.Class
-	}
-	algs := make([]brewAlg, 0, 16)
-	for _, info := range reorder.Registrations() {
-		if info.Class == reorder.ClassMeta {
-			continue
-		}
-		algs = append(algs, brewAlg{reorder.MustNew(info.Name), info.Class})
-	}
-	sort.Slice(algs, func(i, j int) bool { return algs[i].alg.Name() < algs[j].alg.Name() })
-	algs = append(algs, brewAlg{reorder.MustNewFromSpec("brew"), reorder.ClassMeta})
-
+	algs := append(GlobalAlgorithms(), reorder.MustNew("brew"))
 	type cell struct {
-		ds Dataset
-		brewAlg
+		ds  Dataset
+		alg reorder.Algorithm
 	}
 	var cells []cell
 	for _, ds := range datasets {
@@ -122,10 +109,11 @@ func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
 			PerVertex:     true,
 			SnapshotEvery: every,
 		})
+		info, _ := reorder.Lookup(c.alg.Spec()) // default configurations: spec = name
 		row := BrewRow{
 			Dataset:      c.ds.Name,
 			Algorithm:    c.alg.Name(),
-			Class:        c.class,
+			Class:        info.Class,
 			MeanAID:      core.MeanAID(g),
 			Packing:      core.PackingFactorParallel(g, s.analysisShards()),
 			ECSPct:       sim.ECS,

@@ -17,41 +17,47 @@ import (
 // Permutation checkpoints persist the expensive output of a reordering
 // stage so a crashed or interrupted experiment run can resume without
 // recomputation, and so concurrent runs sharing one -cachedir compute
-// each permutation exactly once. One artifact per dataset/algorithm
-// pair, persisted through internal/store: atomic (temp + fsync + rename
+// each permutation exactly once. One artifact per dataset and algorithm
+// spec (reorder.Algorithm.Spec(), the configuration's identity),
+// persisted through internal/store: atomic (temp + fsync + rename
 // + dir fsync), CRC32C-verified on every read, quarantined to
 // <name>.corrupt when damaged, and guarded by the store's advisory
 // per-artifact locks.
 //
-// Artifact layout: a store container with two sections —
+// Artifact layout: a store container with three sections —
 //
 //	"meta": version u32, |V| u32, elapsed ns u64, alloc bytes u64
+//	"spec": the algorithm spec the permutation was computed for
 //	"perm": [|V|]u32 little-endian (old ID → new ID)
 //
 // Loads validate the container checksums (in the store), then the meta
-// version, the expected vertex count, and that the payload is a proper
+// version, the recorded spec (sanitized file names can collide, specs
+// cannot), the expected vertex count, and that the payload is a proper
 // permutation of [0, |V|).
 
 const (
 	permMetaSection = "meta"
+	permSpecSection = "spec"
 	permDataSection = "perm"
-	// permMetaVersion 2 is the store-container generation; version 1 was
-	// the pre-store "GLPC" flat file, which reads as unverifiable now and
-	// is simply regenerated.
-	permMetaVersion = 2
+	// permMetaVersion 3 records the spec. Version 2 checkpoints were
+	// keyed on display names, which distinct configurations share, and
+	// version 1 was the pre-store "GLPC" flat file; both read as
+	// unsupported now and are simply regenerated.
+	permMetaVersion = 3
 )
 
-// CheckpointName returns the artifact name of a dataset/algorithm pair
-// inside a cache directory. Names are sanitized so algorithm names like
-// "RO+GO" or dataset names derived from file paths cannot escape the
-// directory.
-func CheckpointName(dsName, algName string) string {
-	return sanitize(dsName) + "__" + sanitize(algName) + ".perm"
+// CheckpointName returns the artifact name of a dataset/algorithm-spec
+// pair inside a cache directory. Names are sanitized so specs like
+// "ro+go:window=7" or dataset names derived from file paths cannot escape
+// the directory.
+func CheckpointName(dsName, spec string) string {
+	return sanitize(dsName) + "__" + sanitize(spec) + ".perm"
 }
 
-// CheckpointPath returns the checkpoint file for a dataset/algorithm pair.
-func CheckpointPath(dir, dsName, algName string) string {
-	return filepath.Join(dir, CheckpointName(dsName, algName))
+// CheckpointPath returns the checkpoint file for a dataset/algorithm-spec
+// pair.
+func CheckpointPath(dir, dsName, spec string) string {
+	return filepath.Join(dir, CheckpointName(dsName, spec))
 }
 
 func sanitize(s string) string {
@@ -71,9 +77,9 @@ func sanitize(s string) string {
 	return out
 }
 
-// encodePermSections serializes a reordering result into the checkpoint
-// container sections.
-func encodePermSections(res reorder.Result) []store.Section {
+// encodePermSections serializes a reordering result computed for spec
+// into the checkpoint container sections.
+func encodePermSections(spec string, res reorder.Result) []store.Section {
 	meta := make([]byte, 0, 24)
 	meta = binary.LittleEndian.AppendUint32(meta, permMetaVersion)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(res.Perm)))
@@ -85,14 +91,17 @@ func encodePermSections(res reorder.Result) []store.Section {
 	}
 	return []store.Section{
 		{Name: permMetaSection, Data: meta},
+		{Name: permSpecSection, Data: []byte(spec)},
 		{Name: permDataSection, Data: perm},
 	}
 }
 
-// decodePermSections validates and decodes checkpoint sections. n is the
-// expected vertex count; a checkpoint of any other size (e.g. written
-// for a different -size suite) is rejected. path only labels errors.
-func decodePermSections(sections []store.Section, path, algName string, n uint32) (reorder.Result, error) {
+// decodePermSections validates and decodes checkpoint sections. spec and
+// n are the expected algorithm spec and vertex count; a checkpoint
+// recorded for another configuration or size (e.g. written for a
+// different -size suite) is rejected. path only labels errors. The
+// result's Algorithm field holds spec.
+func decodePermSections(sections []store.Section, path, spec string, n uint32) (reorder.Result, error) {
 	meta, ok := store.FindSection(sections, permMetaSection)
 	if !ok {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: missing %q section", path, permMetaSection)
@@ -110,6 +119,9 @@ func decodePermSections(sections []store.Section, path, algName string, n uint32
 	}
 	if version != permMetaVersion {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: unsupported version %d", path, version)
+	}
+	if got, _ := store.FindSection(sections, permSpecSection); string(got) != spec {
+		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: computed for spec %q, want %q", path, got, spec)
 	}
 	if count != n {
 		return reorder.Result{}, fmt.Errorf("expt: checkpoint %s: %d vertices, want %d", path, count, n)
@@ -134,7 +146,7 @@ func decodePermSections(sections []store.Section, path, algName string, n uint32
 		seen[nw] = true
 	}
 	return reorder.Result{
-		Algorithm:  algName,
+		Algorithm:  spec,
 		Perm:       perm,
 		Elapsed:    time.Duration(elapsedNs),
 		AllocBytes: alloc,
@@ -142,42 +154,43 @@ func decodePermSections(sections []store.Section, path, algName string, n uint32
 }
 
 // SavePermCheckpoint atomically writes the permutation of res for the
-// given dataset/algorithm pair under dir (created if missing). The write
-// goes through the artifact store: it is crash-safe and taken under the
-// artifact's exclusive lock.
-func SavePermCheckpoint(dir, dsName, algName string, res reorder.Result) error {
-	return SavePermCheckpointFS(nil, dir, dsName, algName, res)
+// given dataset and algorithm spec under dir (created if missing). The
+// write goes through the artifact store: it is crash-safe and taken under
+// the artifact's exclusive lock.
+func SavePermCheckpoint(dir, dsName, spec string, res reorder.Result) error {
+	return SavePermCheckpointFS(nil, dir, dsName, spec, res)
 }
 
 // SavePermCheckpointFS is SavePermCheckpoint with the store's disk
 // operations routed through fsys (nil = the real filesystem).
-func SavePermCheckpointFS(fsys vfs.FS, dir, dsName, algName string, res reorder.Result) error {
+func SavePermCheckpointFS(fsys vfs.FS, dir, dsName, spec string, res reorder.Result) error {
 	st, err := store.OpenFS(dir, nil, fsys)
 	if err != nil {
 		return err
 	}
-	return st.WriteArtifact(CheckpointName(dsName, algName), encodePermSections(res))
+	return st.WriteArtifact(CheckpointName(dsName, spec), encodePermSections(spec, res))
 }
 
 // LoadPermCheckpoint reads and fully verifies the checkpoint for the
-// given dataset/algorithm pair. Integrity damage surfaces as a typed
-// *store.IntegrityError after the store has quarantined the file; a
-// missing checkpoint reports os.IsNotExist.
-func LoadPermCheckpoint(dir, dsName, algName string, n uint32) (reorder.Result, error) {
-	return LoadPermCheckpointFS(nil, dir, dsName, algName, n)
+// given dataset and algorithm spec; the result's Algorithm field holds
+// the spec. Integrity damage surfaces as a typed *store.IntegrityError
+// after the store has quarantined the file; a missing checkpoint reports
+// os.IsNotExist.
+func LoadPermCheckpoint(dir, dsName, spec string, n uint32) (reorder.Result, error) {
+	return LoadPermCheckpointFS(nil, dir, dsName, spec, n)
 }
 
 // LoadPermCheckpointFS is LoadPermCheckpoint with the store's disk
 // operations routed through fsys (nil = the real filesystem).
-func LoadPermCheckpointFS(fsys vfs.FS, dir, dsName, algName string, n uint32) (reorder.Result, error) {
+func LoadPermCheckpointFS(fsys vfs.FS, dir, dsName, spec string, n uint32) (reorder.Result, error) {
 	st, err := store.OpenFS(dir, nil, fsys)
 	if err != nil {
 		return reorder.Result{}, err
 	}
-	name := CheckpointName(dsName, algName)
+	name := CheckpointName(dsName, spec)
 	sections, err := st.ReadArtifact(name)
 	if err != nil {
 		return reorder.Result{}, err
 	}
-	return decodePermSections(sections, st.Path(name), algName, n)
+	return decodePermSections(sections, st.Path(name), spec, n)
 }

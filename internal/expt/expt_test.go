@@ -54,7 +54,7 @@ func TestSessionMemoization(t *testing.T) {
 	if g1 != g2 {
 		t.Error("graph not memoized")
 	}
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	r1 := s.Reorder(ds[0], alg)
 	r2 := s.Reorder(ds[0], alg)
 	if &r1.Perm[0] != &r2.Perm[0] {
@@ -87,7 +87,7 @@ func TestTableI(t *testing.T) {
 
 func TestTableII(t *testing.T) {
 	s, ds := tinySession()
-	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.DegreeSort{}), reorder.MustNew("sb++")}
+	algs := []reorder.Algorithm{reorder.Identity{}, reorder.DegreeSort{}, reorder.MustNew("sb++")}
 	rows := TableII(s, ds[:1], algs)
 	// Identity skipped.
 	if len(rows) != 2 {
@@ -106,7 +106,7 @@ func TestTableII(t *testing.T) {
 
 func TestTableIIIShapes(t *testing.T) {
 	s, ds := tinySession()
-	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.DegreeSort{})}
+	algs := []reorder.Algorithm{reorder.Identity{}, reorder.DegreeSort{}}
 	rows := TableIII(s, ds[:2], algs)
 	if len(rows) != 4 { // 2 datasets x 2 thresholds
 		t.Fatalf("rows = %d, want 4", len(rows))
@@ -129,7 +129,7 @@ func TestTableIIIShapes(t *testing.T) {
 
 func TestTableIVShapes(t *testing.T) {
 	s, ds := tinySession()
-	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.Random{Seed: 3})}
+	algs := []reorder.Algorithm{reorder.Identity{}, reorder.Random{Seed: 3}}
 	rows := TableIV(s, ds[:1], algs)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
@@ -207,7 +207,7 @@ func TestTableVIIShapes(t *testing.T) {
 
 func TestFig1Shapes(t *testing.T) {
 	s, ds := tinySession()
-	series := Fig1(s, ds[0], []reorder.Algorithm{reorder.Identity{}, reorder.Wrap(reorder.DegreeSort{})})
+	series := Fig1(s, ds[0], []reorder.Algorithm{reorder.Identity{}, reorder.DegreeSort{}})
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}

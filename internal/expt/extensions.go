@@ -88,9 +88,9 @@ func HybridExperiment(s *Session, datasets []Dataset) []HybridRow {
 		cacheBytes := uint64(s.CacheFor(ds).SizeBytes())
 		algs := []reorder.Algorithm{
 			reorder.MustNew("sb"),
-			reorder.MustNew("sb", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew(fmt.Sprintf("sb:cachebytes=%d", cacheBytes)),
 			reorder.MustNew("ro"),
-			reorder.MustNew("ro", reorder.WithCacheBytes(cacheBytes)),
+			reorder.MustNew(fmt.Sprintf("ro:cachebytes=%d", cacheBytes)),
 			reorder.MustNew("hybrid"),
 		}
 		rows := make([]HybridRow, 0, len(algs))

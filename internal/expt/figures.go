@@ -316,7 +316,7 @@ func EDRExperiment(s *Session, datasets []Dataset) []EDRRow {
 		g := s.Graph(ds)
 		hub := uint32(g.HubThreshold())
 		full := reorder.MustNew("ro")
-		edr := reorder.MustNew("ro", reorder.WithEDR(1, hub))
+		edr := reorder.MustNew(fmt.Sprintf("ro:edr=1-%d", hub))
 		return dsOut{
 			full: full, edr: edr,
 			rFull:   s.Reorder(ds, full),

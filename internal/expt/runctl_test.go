@@ -82,7 +82,7 @@ func TestStageDeadlineDegrades(t *testing.T) {
 	remove := runctl.Inject(victim, runctl.Failpoint{Mode: runctl.FailHang})
 	defer remove()
 
-	alg := reorder.Wrap(hangAlg{})
+	alg := hangAlg{}
 	res := s.Reorder(ds[0], alg)
 	checkIdentity(t, res.Perm)
 	reason, ok := s.Degraded(ds[0], alg)
@@ -98,8 +98,9 @@ func TestStageDeadlineDegrades(t *testing.T) {
 type hangAlg struct{}
 
 func (hangAlg) Name() string { return "hang" }
-func (hangAlg) Relabel(g *graph.Graph) graph.Permutation {
-	return graph.Identity(g.NumVertices())
+func (hangAlg) Spec() string { return "hang" }
+func (hangAlg) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
+	return graph.Identity(g.NumVertices()), nil
 }
 
 func checkIdentity(t *testing.T, p graph.Permutation) {
@@ -262,7 +263,7 @@ func TestResumeRecomputesMissingCheckpoint(t *testing.T) {
 	s, ds := tinySession()
 	s.CacheDir = t.TempDir()
 	s.Resume = true
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	stage := "reorder/" + ds[0].Name + "/" + alg.Name()
 	remove := runctl.Inject(stage, runctl.Failpoint{Mode: runctl.FailError, Times: -1})
 	defer remove()
@@ -276,7 +277,7 @@ func TestResumeRecomputesMissingCheckpoint(t *testing.T) {
 	}
 	// The write-through checkpoint now exists and validates.
 	g := s.Graph(ds[0])
-	if _, err := LoadPermCheckpoint(s.CacheDir, ds[0].Name, alg.Name(), g.NumVertices()); err != nil {
+	if _, err := LoadPermCheckpoint(s.CacheDir, ds[0].Name, alg.Spec(), g.NumVertices()); err != nil {
 		t.Errorf("write-through checkpoint unreadable: %v", err)
 	}
 }

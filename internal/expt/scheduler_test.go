@@ -105,8 +105,9 @@ type cancelAfterPeer struct {
 }
 
 func (cancelAfterPeer) Name() string { return "cancelpeer" }
+func (cancelAfterPeer) Spec() string { return "cancelpeer" }
 
-func (c cancelAfterPeer) Relabel(g *graph.Graph) graph.Permutation {
+func (c cancelAfterPeer) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, err := LoadPermCheckpoint(c.dir, c.peerDS, c.peerAlg, c.vertices); err == nil {
@@ -115,7 +116,7 @@ func (c cancelAfterPeer) Relabel(g *graph.Graph) graph.Permutation {
 		time.Sleep(time.Millisecond)
 	}
 	c.cancel()
-	return graph.Identity(g.NumVertices())
+	return graph.Identity(g.NumVertices()), nil
 }
 
 // waitForCancel is a context-first algorithm that blocks until the run is
@@ -124,6 +125,7 @@ func (c cancelAfterPeer) Relabel(g *graph.Graph) graph.Permutation {
 type waitForCancel struct{}
 
 func (waitForCancel) Name() string { return "waitcancel" }
+func (waitForCancel) Spec() string { return "waitcancel" }
 
 func (waitForCancel) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error) {
 	<-ctx.Done()
@@ -143,14 +145,14 @@ func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
 	s.CacheDir = dir
 	s.Parallel = 4
 
-	peer := reorder.Wrap(reorder.DegreeSort{})
-	trigger := reorder.Wrap(cancelAfterPeer{
+	peer := reorder.DegreeSort{}
+	trigger := cancelAfterPeer{
 		dir:      dir,
 		peerDS:   ds[0].Name,
-		peerAlg:  peer.Name(),
+		peerAlg:  peer.Spec(),
 		vertices: uint32(s.Graph(ds[0]).NumVertices()),
 		cancel:   cancel,
-	})
+	}
 	algs := []reorder.Algorithm{peer, trigger, waitForCancel{}}
 
 	rows := TableII(s, ds, algs)
@@ -171,7 +173,7 @@ func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
 			completed++
 			// Every completed cell left a validating checkpoint.
 			n := s.Graph(d).NumVertices()
-			got, err := LoadPermCheckpoint(dir, d.Name, alg.Name(), n)
+			got, err := LoadPermCheckpoint(dir, d.Name, alg.Spec(), n)
 			if err != nil {
 				t.Errorf("%s/%s completed but checkpoint invalid: %v", d.Name, alg.Name(), err)
 				continue

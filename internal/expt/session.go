@@ -165,12 +165,12 @@ func (s *Session) Canceled() bool {
 func (s *Session) Degraded(ds Dataset, alg reorder.Algorithm) (string, bool) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	reason, ok := s.degraded[ds.Name+"/"+alg.Name()]
+	reason, ok := s.degraded[ds.Name+"/"+alg.Spec()]
 	return reason, ok
 }
 
-// DegradedStages returns all degraded "dataset/algorithm" keys mapped to
-// their failure reasons.
+// DegradedStages returns all degraded "dataset/spec" keys mapped to their
+// failure reasons.
 func (s *Session) DegradedStages() map[string]string {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -202,7 +202,7 @@ func (s *Session) isDegraded(key string) bool {
 func (s *Session) Restored(ds Dataset, alg reorder.Algorithm) bool {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	return s.restored[ds.Name+"/"+alg.Name()]
+	return s.restored[ds.Name+"/"+alg.Spec()]
 }
 
 func (s *Session) setRestored(key string) {
@@ -260,8 +260,10 @@ func (s *Session) Graph(ds Dataset) *graph.Graph {
 	})
 }
 
-// Reorder returns the memoized reordering result of alg on ds. The
-// computation runs as the run-control stage "reorder/<ds>/<alg>": a panic,
+// Reorder returns the memoized reordering result of alg on ds, keyed on
+// alg.Spec() so distinct configurations sharing a display name (go and
+// go:window=1 are both "GO") never share a result. The computation runs
+// as the run-control stage "reorder/<ds>/<alg.Name()>": a panic,
 // deadline overrun or exhausted retry degrades the result to the Initial
 // ordering (recorded; see Degraded) instead of aborting the run.
 //
@@ -276,10 +278,11 @@ func (s *Session) Graph(ds Dataset) *graph.Graph {
 // checkpoint write never fails the experiment, but it is counted
 // (expt.checkpoint_write_failures) and logged once per run.
 func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
-	key := ds.Name + "/" + alg.Name()
+	spec := alg.Spec()
+	key := ds.Name + "/" + spec
 	return s.reorders.Do(key, func() reorder.Result {
 		g := s.Graph(ds)
-		stage := "reorder/" + key
+		stage := "reorder/" + ds.Name + "/" + alg.Name()
 		compute := func() (reorder.Result, error) {
 			var res reorder.Result
 			err := s.controller().Run(stage, func(ctx context.Context) error {
@@ -323,11 +326,12 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 			return res
 		}
 
-		name := CheckpointName(ds.Name, alg.Name())
+		name := CheckpointName(ds.Name, spec)
 		var res reorder.Result
 		check := func(sections []store.Section) error {
-			r, err := decodePermSections(sections, st.Path(name), alg.Name(), g.NumVertices())
+			r, err := decodePermSections(sections, st.Path(name), spec, g.NumVertices())
 			if err == nil {
+				r.Algorithm = alg.Name()
 				res = r
 			}
 			return err
@@ -338,7 +342,7 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 				return nil, err
 			}
 			res = r
-			return encodePermSections(r), nil
+			return encodePermSections(spec, r), nil
 		})
 		if err != nil {
 			return degrade(err)
@@ -361,10 +365,10 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 	})
 }
 
-// seedReorder installs a precomputed result under ds/<name> so later
+// seedReorder installs a precomputed result of alg so later
 // Relabeled/Simulate/TimeTraversal calls reuse it instead of recomputing.
-func (s *Session) seedReorder(ds Dataset, name string, r reorder.Result) {
-	s.reorders.Set(ds.Name+"/"+name, r)
+func (s *Session) seedReorder(ds Dataset, alg reorder.Algorithm, r reorder.Result) {
+	s.reorders.Set(ds.Name+"/"+alg.Spec(), r)
 }
 
 // degradeReason compresses a stage failure into the short reason shown in
@@ -390,7 +394,7 @@ func (s *Session) Relabeled(ds Dataset, alg reorder.Algorithm) *graph.Graph {
 	if _, ok := alg.(reorder.Identity); ok {
 		return s.Graph(ds)
 	}
-	key := ds.Name + "/" + alg.Name()
+	key := ds.Name + "/" + alg.Spec()
 	r := s.Reorder(ds, alg)
 	if s.isDegraded(key) {
 		return s.Graph(ds)
@@ -398,7 +402,7 @@ func (s *Session) Relabeled(ds Dataset, alg reorder.Algorithm) *graph.Graph {
 	return s.relabeled.Do(key, func() *graph.Graph {
 		start := time.Now()
 		rg := s.Graph(ds).Relabel(r.Perm)
-		sp := s.rec().Span("relabel/" + key)
+		sp := s.rec().Span("relabel/" + ds.Name + "/" + alg.Name())
 		sp.AddEvents(uint64(rg.NumVertices()))
 		sp.Done(start)
 		return rg

@@ -99,7 +99,7 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 // rename — or transparently recomputes, and in both cases ends with the
 // same permutation and a validating checkpoint on disk.
 func TestSessionCrashRestartSweep(t *testing.T) {
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	for _, point := range store.CrashPoints() {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
@@ -163,7 +163,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 			}
 			// Whatever the path, the surviving checkpoint verifies.
 			g := s2.Graph(d)
-			if _, err := LoadPermCheckpoint(dir, d.Name, alg.Name(), g.NumVertices()); err != nil {
+			if _, err := LoadPermCheckpoint(dir, d.Name, alg.Spec(), g.NumVertices()); err != nil {
 				t.Errorf("checkpoint after restart does not verify: %v", err)
 			}
 			if len(s2.DegradedStages()) != 0 {
@@ -179,7 +179,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 // the corruption-handling contract.
 func TestSessionQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	alg := reorder.Wrap(reorder.DegreeSort{})
+	alg := reorder.DegreeSort{}
 	s1, ds := tinySession()
 	d := ds[0]
 	s1.CacheDir = dir
@@ -191,7 +191,7 @@ func TestSessionQuarantinesCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := st.Path(CheckpointName(d.Name, alg.Name()))
+	path := st.Path(CheckpointName(d.Name, alg.Spec()))
 	remove := runctl.Inject("expt.test.corrupt", runctl.Failpoint{Mode: runctl.FailBitFlip, Offset: -16, Times: 1})
 	if err := runctl.FireFile(context.Background(), "expt.test.corrupt", path); err != nil {
 		t.Fatal(err)

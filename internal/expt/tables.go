@@ -401,8 +401,8 @@ func TableVII(s *Session, datasets []Dataset) []TableVIIRow {
 		itSB := sb.Iterations()
 		rPP := reorder.Run(sbpp, g)
 		itPP := sbpp.Iterations()
-		s.seedReorder(ds, sb.Name(), rSB)
-		s.seedReorder(ds, sbpp.Name(), rPP)
+		s.seedReorder(ds, sb, rSB)
+		s.seedReorder(ds, sbpp, rPP)
 		return dsOut{
 			sb: sb, sbpp: sbpp, rSB: rSB, rPP: rPP, itSB: itSB, itPP: itPP,
 			simSB: s.Simulate(ds, sb, core.SimOptions{}),

@@ -69,12 +69,12 @@ func Multicore(r *Report, workloads []Workload, workerCounts []int, opts Options
 
 	for _, w := range workloads {
 		runtime.GOMAXPROCS(prev)
-		serial := reorder.Boba{Workers: 1}.Relabel(w.Graph)
+		serial := reorder.Perm(reorder.Boba{Workers: 1}, w.Graph)
 		var base float64
 		for _, wc := range workerCounts {
 			runtime.GOMAXPROCS(wc)
 			var perm graph.Permutation
-			d := timeIt(rep, func() { perm = reorder.Boba{Workers: wc}.Relabel(w.Graph) })
+			d := timeIt(rep, func() { perm = reorder.Perm(reorder.Boba{Workers: wc}, w.Graph) })
 			if !reflect.DeepEqual(serial, perm) {
 				return fmt.Errorf("perf: boba workers=%d diverges from serial on %s", wc, w.Name)
 			}

@@ -1,6 +1,10 @@
 package reorder
 
-import "graphlocality/internal/graph"
+import (
+	"context"
+
+	"graphlocality/internal/graph"
+)
 
 // BFSOrder relabels vertices in breadth-first discovery order from the
 // highest-degree vertex of each component (over the undirected view) — a
@@ -14,15 +18,18 @@ func init() {
 		Name:        "bfs",
 		Description: "breadth-first discovery order from the highest-degree vertex",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(BFSOrder{}) },
+		New:         func(Params) (Algorithm, error) { return BFSOrder{}, nil },
 	})
 }
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (BFSOrder) Name() string { return "BFS" }
 
-// Relabel implements ContextFree.
-func (BFSOrder) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm.
+func (BFSOrder) Spec() string { return "bfs" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (BFSOrder) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	und := g.Undirected()
 	n := und.NumVertices()
 	order := make([]uint32, 0, n)
@@ -50,5 +57,5 @@ func (BFSOrder) Relabel(g *graph.Graph) graph.Permutation {
 			}
 		}
 	}
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }

@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"context"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"sync"
@@ -33,56 +35,35 @@ func init() {
 		Name:        "boba",
 		Description: "parallel sort-free degree bucketing (BOBA): DBG's classes via two counting passes, bit-equal at any worker count",
 		Class:       ClassLight,
-		Accepts:     []string{OptSeed},
-		New:         func(*Options) Algorithm { return Wrap(Boba{}) },
-		Composable:  composeBoba,
+		Accepts:     []string{OptSeed, "workers"},
+		New: func(p Params) (Algorithm, error) {
+			if _, err := p.Seed(); err != nil {
+				return nil, err
+			}
+			w, err := p.Int("workers", 0, 0, "want a non-negative integer (0 = GOMAXPROCS)")
+			return Boba{Workers: w}, err
+		},
 	})
 }
 
-// composeBoba maps the spec's structured parameters onto a Boba with typed
-// value errors, mirroring composeBrew.
-func composeBoba(_ *Options, spec Spec) (Algorithm, error) {
-	b := Boba{}
-	for _, p := range spec.Params {
-		if genericSpecKeys[p.Key] {
-			continue // already validated as generic options
-		}
-		switch p.Key {
-		case "workers":
-			v, err := strconv.Atoi(p.Value)
-			if err != nil || v < 0 {
-				return nil, &OptionError{Alg: "boba", Option: "workers", Value: p.Value,
-					Reason: "want a non-negative integer (0 = GOMAXPROCS)"}
-			}
-			b.Workers = v
-		default:
-			return nil, &OptionError{Alg: "boba", Option: p.Key,
-				Reason: "accepts: seed, workers"}
-		}
-	}
-	return Wrap(b), nil
-}
-
-// bobaGroups bounds the degree-class index: group() of a uint32 degree is
-// 0 (degree 0) through 32.
+// bobaGroups bounds the degree-class index: DBG's class bits.Len32 of a
+// uint32 degree is 0 (degree 0) through 32.
 const bobaGroups = 33
 
-// bobaGroup is DBG's power-of-two degree class, kept in lockstep with
-// DBG.Relabel's group closure: 0 for degree 0, else floor(log2(d))+1.
-func bobaGroup(d uint32) int {
-	gid := 0
-	for d > 0 {
-		d >>= 1
-		gid++
-	}
-	return gid
-}
-
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (Boba) Name() string { return "BOBA" }
 
-// Relabel implements ContextFree.
-func (b Boba) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm. The seed key is accepted but changes
+// nothing, so it is not part of the configuration.
+func (b Boba) Spec() string {
+	if b.Workers < 1 {
+		return "boba"
+	}
+	return "boba:workers=" + strconv.Itoa(b.Workers)
+}
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (b Boba) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	n := int(g.NumVertices())
 	deg := g.TotalDegrees()
 	w := b.Workers
@@ -107,7 +88,7 @@ func (b Boba) Relabel(g *graph.Graph) graph.Permutation {
 			lo, hi := n*wk/w, n*(wk+1)/w
 			c := &counts[wk]
 			for v := lo; v < hi; v++ {
-				c[bobaGroup(deg[v])]++
+				c[bits.Len32(deg[v])]++
 			}
 		}(wk)
 	}
@@ -135,12 +116,12 @@ func (b Boba) Relabel(g *graph.Graph) graph.Permutation {
 			lo, hi := n*wk/w, n*(wk+1)/w
 			off := offsets[wk] // private copy to advance
 			for v := lo; v < hi; v++ {
-				gr := bobaGroup(deg[v])
+				gr := bits.Len32(deg[v])
 				order[off[gr]] = uint32(v)
 				off[gr]++
 			}
 		}(wk)
 	}
 	wg.Wait()
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }

@@ -20,9 +20,9 @@ import (
 // tie-break — so the permutations must be identical, not merely equivalent.
 func TestBobaMatchesDBGBitForBit(t *testing.T) {
 	for gname, g := range propertyGraphs() {
-		want := reorder.DBG{}.Relabel(g)
+		want := reorder.Perm(reorder.DBG{}, g)
 		for _, w := range []int{0, 1, 2, 3, 8} {
-			got := reorder.Boba{Workers: w}.Relabel(g)
+			got := reorder.Perm(reorder.Boba{Workers: w}, g)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s: boba workers=%d diverges from DBG", gname, w)
 			}
@@ -34,8 +34,8 @@ func TestBobaMatchesDBGBitForBit(t *testing.T) {
 // workers=8 equals workers=1 bit for bit, on every structural class.
 func TestBobaParallel8MatchesSerial(t *testing.T) {
 	for gname, g := range propertyGraphs() {
-		serial := reorder.Boba{Workers: 1}.Relabel(g)
-		parallel := reorder.Boba{Workers: 8}.Relabel(g)
+		serial := reorder.Perm(reorder.Boba{Workers: 1}, g)
+		parallel := reorder.Perm(reorder.Boba{Workers: 8}, g)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: parallel-8 boba diverges from serial", gname)
 		}
@@ -47,17 +47,17 @@ func TestBobaParallel8MatchesSerial(t *testing.T) {
 // GOMAXPROCS change is picked up per call, never latched at construction).
 func TestBobaWorkerClamps(t *testing.T) {
 	g := gen.ErdosRenyi(7, 21, 1)
-	want := reorder.DBG{}.Relabel(g)
-	if got := (reorder.Boba{Workers: 1000}).Relabel(g); !reflect.DeepEqual(want, got) {
+	want := reorder.Perm(reorder.DBG{}, g)
+	if got := reorder.Perm(reorder.Boba{Workers: 1000}, g); !reflect.DeepEqual(want, got) {
 		t.Errorf("workers=1000 on 7 vertices diverges from DBG")
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if got := (reorder.Boba{}).Relabel(g); !reflect.DeepEqual(want, got) {
+	if got := reorder.Perm(reorder.Boba{}, g); !reflect.DeepEqual(want, got) {
 		t.Errorf("workers=0 at GOMAXPROCS=1 diverges from DBG")
 	}
 	runtime.GOMAXPROCS(4)
-	if got := (reorder.Boba{}).Relabel(g); !reflect.DeepEqual(want, got) {
+	if got := reorder.Perm(reorder.Boba{}, g); !reflect.DeepEqual(want, got) {
 		t.Errorf("workers=0 at GOMAXPROCS=4 diverges from DBG")
 	}
 }
@@ -67,11 +67,11 @@ func TestBobaWorkerClamps(t *testing.T) {
 // boba selectable everywhere light algorithms are.
 func TestBobaSpecGrammar(t *testing.T) {
 	g := gen.SocialNetwork(8, 8, 7)
-	want := reorder.DBG{}.Relabel(g)
+	want := reorder.Perm(reorder.DBG{}, g)
 	for _, spec := range []string{"boba", "boba:workers=1", "boba:workers=8", "boba:workers=8,seed=3", "boba:seed=9"} {
-		alg, err := reorder.NewFromSpec(spec)
+		alg, err := reorder.New(spec)
 		if err != nil {
-			t.Fatalf("NewFromSpec(%q): %v", spec, err)
+			t.Fatalf("New(%q): %v", spec, err)
 		}
 		if got := reorder.Perm(alg, g); !reflect.DeepEqual(want, got) {
 			t.Errorf("spec %q diverges from DBG", spec)
@@ -79,10 +79,10 @@ func TestBobaSpecGrammar(t *testing.T) {
 	}
 
 	for _, spec := range []string{"boba:workers=-1", "boba:workers=two", "boba:buckets=4"} {
-		_, err := reorder.NewFromSpec(spec)
+		_, err := reorder.New(spec)
 		var optErr *reorder.OptionError
 		if !errors.As(err, &optErr) {
-			t.Errorf("NewFromSpec(%q): err = %v, want *OptionError", spec, err)
+			t.Errorf("New(%q): err = %v, want *OptionError", spec, err)
 		}
 	}
 
@@ -97,7 +97,7 @@ func TestBobaSpecGrammar(t *testing.T) {
 	// Brew's classifier can select boba as a per-community sub-algorithm
 	// (anything non-meta qualifies); with every slot forced to boba, a
 	// single whole-graph community degenerates to plain boba.
-	brew, err := reorder.NewFromSpec("brew:detect=none,hub=boba,dense=boba,else=boba")
+	brew, err := reorder.New("brew:detect=none,hub=boba,dense=boba,else=boba")
 	if err != nil {
 		t.Fatalf("brew with boba sub-alg: %v", err)
 	}
@@ -127,13 +127,13 @@ func TestBobaName(t *testing.T) {
 // permutation.
 func TestBobaWorkerCountSweep(t *testing.T) {
 	g := gen.PreferentialAttachment(1<<10, 8, 3)
-	want := reorder.Boba{Workers: 1}.Relabel(g)
+	want := reorder.Perm(reorder.Boba{Workers: 1}, g)
 	max := 2 * runtime.GOMAXPROCS(0)
 	if max < 6 {
 		max = 6
 	}
 	for w := 2; w <= max; w++ {
-		if got := (reorder.Boba{Workers: w}).Relabel(g); !reflect.DeepEqual(want, got) {
+		if got := reorder.Perm(reorder.Boba{Workers: w}, g); !reflect.DeepEqual(want, got) {
 			t.Errorf("workers=%d diverges from serial", w)
 		}
 	}

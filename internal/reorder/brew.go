@@ -70,78 +70,54 @@ func init() {
 		Aliases:     []string{"graphbrew"},
 		Description: "per-community hybrid: detect communities, classify each, reorder each with the best-suited RA",
 		Class:       ClassMeta,
-		Accepts:     []string{OptSeed},
-		New:         func(o *Options) Algorithm { return &Brew{Seed: o.Seed} },
-		Composable:  composeBrew,
+		Accepts:     []string{OptSeed, "detect", "hub", "dense", "else", "resolution", "minsize"},
+		New:         newBrew,
 	})
 }
 
 // brewDetectors enumerates the valid detect= values.
 var brewDetectors = map[string]bool{"louvain": true, "lp": true, "none": true}
 
-// brewSubAlg validates one sub-algorithm name for a brew slot and returns
-// its canonical name.
-func brewSubAlg(option, value string) (string, error) {
-	info, ok := Lookup(value)
-	if !ok {
-		return "", &OptionError{Alg: "brew", Option: option, Value: value,
-			Reason: "unknown algorithm (known: " + strings.Join(List(), ", ") + ")"}
+// newBrew is brew's factory: it maps the spec's parameters onto a Brew,
+// validating every value with typed errors.
+func newBrew(p Params) (Algorithm, error) {
+	seed, err := p.Seed()
+	if err != nil {
+		return nil, err
 	}
-	if info.Class == ClassMeta {
-		return "", &OptionError{Alg: "brew", Option: option, Value: value,
-			Reason: "meta algorithms cannot be brewed into communities"}
-	}
-	return info.Name, nil
-}
-
-// composeBrew is the Composable factory: it maps the spec's structured
-// parameters onto a Brew, validating every value with typed errors.
-func composeBrew(o *Options, spec Spec) (Algorithm, error) {
-	b := &Brew{Seed: o.Seed}
-	for _, p := range spec.Params {
-		if genericSpecKeys[p.Key] {
-			continue // already resolved into o
+	b := &Brew{Seed: seed}
+	if d, ok := p.Get("detect"); ok {
+		if !brewDetectors[d] {
+			return nil, p.invalid("detect", d, "want louvain, lp or none")
 		}
-		switch p.Key {
-		case "detect":
-			if !brewDetectors[p.Value] {
-				return nil, &OptionError{Alg: "brew", Option: "detect", Value: p.Value,
-					Reason: "want louvain, lp or none"}
-			}
-			b.Detect = p.Value
-		case "hub", "dense", "else":
-			name, err := brewSubAlg(p.Key, p.Value)
-			if err != nil {
-				return nil, err
-			}
-			switch p.Key {
-			case "hub":
-				b.Hub = name
-			case "dense":
-				b.Dense = name
-			default:
-				b.Else = name
-			}
-		case "resolution":
-			r, err := strconv.ParseFloat(p.Value, 64)
-			if err != nil || r <= 0 {
-				return nil, &OptionError{Alg: "brew", Option: "resolution", Value: p.Value,
-					Reason: "want a number > 0"}
-			}
-			b.Resolution = r
-		case "minsize":
-			m, err := strconv.Atoi(p.Value)
-			if err != nil || m < 1 {
-				return nil, &OptionError{Alg: "brew", Option: "minsize", Value: p.Value,
-					Reason: "want an integer >= 1"}
-			}
-			b.MinSize = m
-		default:
-			return nil, &OptionError{Alg: "brew", Option: p.Key,
-				Reason: "accepts: dense, detect, else, hub, minsize, resolution, seed"}
-		}
+		b.Detect = d
 	}
-	return b, nil
+	for _, slot := range []struct {
+		key string
+		dst *string
+	}{{"hub", &b.Hub}, {"dense", &b.Dense}, {"else", &b.Else}} {
+		v, ok := p.Get(slot.key)
+		if !ok {
+			continue
+		}
+		info, known := Lookup(v)
+		if !known {
+			return nil, p.invalid(slot.key, v, "unknown algorithm (known: "+strings.Join(List(), ", ")+")")
+		}
+		if info.Class == ClassMeta {
+			return nil, p.invalid(slot.key, v, "meta algorithms cannot be brewed into communities")
+		}
+		*slot.dst = info.Name
+	}
+	if r, ok := p.Get("resolution"); ok {
+		v, err := strconv.ParseFloat(r, 64)
+		if err != nil || v <= 0 {
+			return nil, p.invalid("resolution", r, "want a number > 0")
+		}
+		b.Resolution = v
+	}
+	b.MinSize, err = p.Int("minsize", 0, 1, "want an integer >= 1")
+	return b, err
 }
 
 // resolved returns the configuration with defaults filled in.
@@ -171,39 +147,50 @@ func (b *Brew) resolved() (detect, hub, dense, els string, resolution float64, s
 	return
 }
 
-// Name implements Algorithm. The default configuration is just "Brew";
-// non-default parameters are appended in a fixed order so that distinct
-// configurations never collide in caches keyed by algorithm name (the
-// expt session memoizes on dataset+Name).
-func (b *Brew) Name() string {
+// params returns the configuration's non-default parameters in display
+// order, sub-algorithm names canonicalized.
+func (b *Brew) params() []Param {
 	detect, hub, dense, els, resolution, seed, minSize := b.resolved()
+	var ps []Param
+	add := func(key, value, def string) {
+		if value != def {
+			ps = append(ps, Param{key, value})
+		}
+	}
+	canonical := func(name string) string {
+		if info, ok := Lookup(name); ok {
+			return info.Name
+		}
+		return name
+	}
+	add("detect", detect, brewDefaultDetect)
+	add("hub", canonical(hub), brewDefaultHub)
+	add("dense", canonical(dense), brewDefaultDense)
+	add("else", canonical(els), brewDefaultElse)
+	add("resolution", strconv.FormatFloat(resolution, 'g', -1, 64), "1")
+	add("minsize", strconv.Itoa(minSize), "16")
+	add(OptSeed, strconv.FormatUint(seed, 10), "1")
+	return ps
+}
+
+// Name implements Algorithm. The default configuration is just "Brew";
+// non-default parameters are appended in a fixed order (seed 0 displays
+// like the default seed).
+func (b *Brew) Name() string {
 	var parts []string
-	if detect != brewDefaultDetect {
-		parts = append(parts, "detect="+detect)
-	}
-	if hub != brewDefaultHub {
-		parts = append(parts, "hub="+hub)
-	}
-	if dense != brewDefaultDense {
-		parts = append(parts, "dense="+dense)
-	}
-	if els != brewDefaultElse {
-		parts = append(parts, "else="+els)
-	}
-	if resolution != 1.0 {
-		parts = append(parts, fmt.Sprintf("resolution=%g", resolution))
-	}
-	if minSize != 16 {
-		parts = append(parts, fmt.Sprintf("minsize=%d", minSize))
-	}
-	if seed != 1 && seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", seed))
+	for _, p := range b.params() {
+		if p.Key != OptSeed || b.Seed != 0 {
+			parts = append(parts, p.Key+"="+p.Value)
+		}
 	}
 	if len(parts) == 0 {
 		return "Brew"
 	}
 	return "Brew[" + strings.Join(parts, ",") + "]"
 }
+
+// Spec implements Algorithm.
+func (b *Brew) Spec() string { return specOf("brew", b.params()...) }
 
 // Reorder implements Algorithm. On cancellation, communities already
 // reordered keep their sub-permutation and the rest fall back to local
@@ -218,7 +205,7 @@ func (b *Brew) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, 
 	detect, hubName, denseName, elseName, resolution, seed, minSize := b.resolved()
 
 	// Sub-algorithm instances, one per slot (names were validated at
-	// construction when built from a spec; direct struct literals surface
+	// construction when built by New; direct struct literals surface
 	// unknown names here).
 	algs := make(map[string]Algorithm, 3)
 	for _, name := range []string{hubName, denseName, elseName} {

@@ -117,7 +117,7 @@ func TestBrewDifferentialSingleCommunity(t *testing.T) {
 		for gname, g := range graphs {
 			g := g
 			t.Run(forced+"/"+gname, func(t *testing.T) {
-				brew, err := NewFromSpec("brew:detect=none,hub=" + forced +
+				brew, err := New("brew:detect=none,hub=" + forced +
 					",dense=" + forced + ",else=" + forced)
 				if err != nil {
 					t.Fatal(err)
@@ -206,9 +206,9 @@ func TestBrewName(t *testing.T) {
 		{"brew:seed=9,minsize=4", "Brew[minsize=4,seed=9]"},
 	}
 	for _, c := range cases {
-		alg, err := NewFromSpec(c.spec)
+		alg, err := New(c.spec)
 		if err != nil {
-			t.Errorf("NewFromSpec(%q): %v", c.spec, err)
+			t.Errorf("New(%q): %v", c.spec, err)
 			continue
 		}
 		if alg.Name() != c.want {
@@ -219,19 +219,19 @@ func TestBrewName(t *testing.T) {
 
 func TestBrewSpecErrors(t *testing.T) {
 	bad := []string{
-		"brew:detect=metis",       // unknown detector
-		"brew:hub=nope",           // unknown sub-algorithm
-		"brew:dense=hybrid",       // meta sub-algorithm
-		"brew:else=brew",          // recursive brew
-		"brew:resolution=-1",      // non-positive resolution
-		"brew:resolution=fine",    // non-numeric resolution
-		"brew:minsize=0",          // minsize below 1
-		"brew:strength=11",        // unknown structured key
-		"brew:window=3",           // generic key brew does not accept
+		"brew:detect=metis",    // unknown detector
+		"brew:hub=nope",        // unknown sub-algorithm
+		"brew:dense=hybrid",    // meta sub-algorithm
+		"brew:else=brew",       // recursive brew
+		"brew:resolution=-1",   // non-positive resolution
+		"brew:resolution=fine", // non-numeric resolution
+		"brew:minsize=0",       // minsize below 1
+		"brew:strength=11",     // unknown structured key
+		"brew:window=3",        // generic key brew does not accept
 	}
 	for _, spec := range bad {
-		if _, err := NewFromSpec(spec); err == nil {
-			t.Errorf("NewFromSpec(%q) accepted, want error", spec)
+		if _, err := New(spec); err == nil {
+			t.Errorf("New(%q) accepted, want error", spec)
 		}
 	}
 }

@@ -12,7 +12,7 @@ func ExampleDegreeSort() {
 	g := graph.FromEdges(3, []graph.Edge{
 		{Src: 2, Dst: 0}, {Src: 2, Dst: 1}, {Src: 0, Dst: 2},
 	})
-	perm := reorder.DegreeSort{}.Relabel(g)
+	perm := reorder.Perm(reorder.DegreeSort{}, g)
 	fmt.Println("new ID of vertex 2:", perm[2])
 	// Output: new ID of vertex 2: 0
 }
@@ -26,15 +26,15 @@ func ExampleRun() {
 	// Output: Initial perm is valid: true
 }
 
-func ExampleNewFromSpec() {
-	alg, err := reorder.NewFromSpec("ro")
-	fmt.Println(alg.Name(), err)
-	alg, err = reorder.NewFromSpec("go:window=7")
-	fmt.Println(alg.Name(), err)
-	_, err = reorder.NewFromSpec("nope")
+func ExampleNew() {
+	alg, err := reorder.New("rabbit")
+	fmt.Println(alg.Name(), alg.Spec(), err)
+	alg, err = reorder.New("gorder:window=7")
+	fmt.Println(alg.Name(), alg.Spec(), err)
+	_, err = reorder.New("nope")
 	fmt.Println(err != nil)
 	// Output:
-	// RO <nil>
-	// GO <nil>
+	// RO ro <nil>
+	// GO go:window=7 <nil>
 	// true
 }

@@ -53,8 +53,8 @@ func TestHybridName(t *testing.T) {
 	if MustNew("hybrid").Name() != "RO+GO" {
 		t.Errorf("Name = %q", MustNew("hybrid").Name())
 	}
-	if alg, err := NewFromSpec("hybrid"); err != nil || alg.Name() != "RO+GO" {
-		t.Errorf("NewFromSpec(hybrid) = %v, %v", alg, err)
+	if alg, err := New("hybrid"); err != nil || alg.Name() != "RO+GO" {
+		t.Errorf("New(hybrid) = %v, %v", alg, err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(12, 8, 19))
 	// A tiny cache budget: only ~64 hub entries fit -> at most a couple
 	// of iterations with k = 0.02*4096 ≈ 81.
-	ca := MustNew("sb", WithCacheBytes(64*8)).(*SlashBurn)
+	ca := MustNew("sb:cachebytes=512").(*SlashBurn)
 	perm := Perm(ca, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 
 func TestRabbitOrderCommunityCap(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 11))
-	capped := MustNew("ro", WithCacheBytes(32*8)) // communities of at most 32 vertices
+	capped := MustNew("ro:cachebytes=256") // communities of at most 32 vertices
 	perm := Perm(capped, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)

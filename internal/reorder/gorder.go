@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"context"
+	"strconv"
 
 	"graphlocality/internal/graph"
 	"graphlocality/internal/runctl"
@@ -40,12 +41,30 @@ func init() {
 		Description: "GOrder: sliding-window sibling/neighbour score maximization (SIGMOD'16)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptWindow},
-		New:         func(o *Options) Algorithm { return &GOrder{Window: o.Window} },
+		New: func(p Params) (Algorithm, error) {
+			w, err := p.Window()
+			return &GOrder{Window: w}, err
+		},
 	})
+}
+
+// defaultWindow is the paper's GOrder window size, used when Window < 1.
+const defaultWindow = 5
+
+// windowSpec is the canonical spec of a windowed algorithm: name alone at
+// the default window (which Window < 1 also selects).
+func windowSpec(name string, w int) string {
+	if w < 1 || w == defaultWindow {
+		return name
+	}
+	return name + ":window=" + strconv.Itoa(w)
 }
 
 // Name implements Algorithm.
 func (o *GOrder) Name() string { return "GO" }
+
+// Spec implements Algorithm.
+func (o *GOrder) Spec() string { return windowSpec("go", o.Window) }
 
 // Reorder implements Algorithm: the placement loop polls ctx every
 // PollEvery placements. On cancellation the not-yet-placed vertices keep
@@ -55,7 +74,7 @@ func (o *GOrder) Name() string { return "GO" }
 func (o *GOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error) {
 	w := o.Window
 	if w < 1 {
-		w = 5
+		w = defaultWindow
 	}
 	n := g.NumVertices()
 	order := make([]uint32, 0, n)

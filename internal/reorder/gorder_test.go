@@ -128,7 +128,7 @@ func TestGOrderImprovesTemporalProximity(t *testing.T) {
 		return total
 	}
 	gorder := score(Perm(MustNew("go"), g))
-	random := score(Random{Seed: 4}.Relabel(g))
+	random := score(Perm(Random{Seed: 4}, g))
 	if gorder <= random {
 		t.Errorf("GOrder adjacency sharing %d not above random %d", gorder, random)
 	}

@@ -29,12 +29,18 @@ func init() {
 		Description: "RO over low-degree vertices, then GOrder over the hub block (paper §VIII-C)",
 		Class:       ClassMeta,
 		Accepts:     []string{OptWindow},
-		New:         func(o *Options) Algorithm { return &Hybrid{Window: o.Window} },
+		New: func(p Params) (Algorithm, error) {
+			w, err := p.Window()
+			return &Hybrid{Window: w}, err
+		},
 	})
 }
 
 // Name implements Algorithm.
 func (h *Hybrid) Name() string { return "RO+GO" }
+
+// Spec implements Algorithm.
+func (h *Hybrid) Spec() string { return windowSpec("hybrid", h.Window) }
 
 // Reorder implements Algorithm: both phases inherit ctx, and cancellation
 // in either still yields a valid (partially optimized) permutation

@@ -19,20 +19,20 @@ func TestNewUnknownAlgorithm(t *testing.T) {
 }
 
 func TestNewRejectsUnknownOption(t *testing.T) {
-	_, err := New("go", WithSeed(3))
+	_, err := New("go:seed=3")
 	if err == nil {
 		t.Fatal("go accepted a seed option it does not consume")
 	}
 	if !strings.Contains(err.Error(), OptSeed) {
 		t.Errorf("error should name the offending option: %v", err)
 	}
-	if _, err := New("identity", WithCacheBytes(1)); err == nil {
+	if _, err := New("identity:cachebytes=1"); err == nil {
 		t.Error("identity accepted cachebytes")
 	}
 }
 
 func TestRegisterDuplicateErrors(t *testing.T) {
-	factory := func(*Options) Algorithm { return Identity{} }
+	factory := func(Params) (Algorithm, error) { return Identity{}, nil }
 	if err := Register(Registration{Name: "identity", New: factory}); err == nil {
 		t.Error("duplicate canonical name accepted")
 	}
@@ -55,7 +55,7 @@ func TestRegisterDuplicateErrors(t *testing.T) {
 func TestListCoversBuiltins(t *testing.T) {
 	names := List()
 	want := []string{"bfs", "dbg", "degsort", "go", "hubcluster", "hubsort",
-		"hybrid", "identity", "random", "rcm", "ro", "sb", "sb++"}
+		"hybrid", "identity", "random", "rcm", "ro", "sb", "sb++", "boba", "brew"}
 	have := make(map[string]bool, len(names))
 	for _, n := range names {
 		have[n] = true
@@ -73,19 +73,19 @@ func TestListCoversBuiltins(t *testing.T) {
 }
 
 func TestOptionsReachFactories(t *testing.T) {
-	gw := MustNew("go", WithWindow(8)).(*GOrder)
+	gw := MustNew("go:window=8").(*GOrder)
 	if gw.Window != 8 {
 		t.Errorf("Window = %d, want 8", gw.Window)
 	}
-	ro := MustNew("ro", WithEDR(2, 50)).(*RabbitOrder)
+	ro := MustNew("ro:edr=2-50").(*RabbitOrder)
 	if ro.MinDegree != 2 || ro.MaxDegree != 50 || ro.Name() != "RO-EDR" {
 		t.Errorf("EDR options not applied: %+v (%s)", ro, ro.Name())
 	}
-	sb := MustNew("sb", WithCacheBytes(512)).(*SlashBurn)
+	sb := MustNew("sb:cachebytes=512").(*SlashBurn)
 	if sb.CacheBytes != 512 || sb.Name() != "SB-CA" {
 		t.Errorf("cachebytes option not applied: %+v (%s)", sb, sb.Name())
 	}
-	roCA := MustNew("ro", WithCacheBytes(256)).(*RabbitOrder)
+	roCA := MustNew("ro:cachebytes=256").(*RabbitOrder)
 	if roCA.MaxCommunitySize != 256/8 {
 		t.Errorf("MaxCommunitySize = %d, want %d", roCA.MaxCommunitySize, 256/8)
 	}
@@ -94,30 +94,30 @@ func TestOptionsReachFactories(t *testing.T) {
 func TestRandomSeedOption(t *testing.T) {
 	g := gen.Ring(128)
 	def := Perm(MustNew("random"), g)
-	one := Random{Seed: 1}.Relabel(g)
+	one := Perm(Random{Seed: 1}, g)
 	if !equalPerm(def, one) {
 		t.Error("default random seed is not 1")
 	}
-	other := Perm(MustNew("random", WithSeed(42)), g)
+	other := Perm(MustNew("random:seed=42"), g)
 	if equalPerm(def, other) {
-		t.Error("WithSeed(42) did not change the shuffle")
+		t.Error("seed=42 did not change the shuffle")
 	}
 }
 
-func TestWrapIgnoresContext(t *testing.T) {
+// TestLightOrderingsIgnoreContext checks the cheap orderings run to
+// completion under a dead context and never fail.
+func TestLightOrderingsIgnoreContext(t *testing.T) {
 	g := gen.Ring(32)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	alg := Wrap(DegreeSort{})
-	if alg.Name() != "DegSort" {
-		t.Errorf("Name = %q", alg.Name())
-	}
-	perm, err := alg.Reorder(ctx, g)
-	if err != nil {
-		t.Fatalf("context-free algorithm returned error: %v", err)
-	}
-	if err := perm.Validate(); err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{"random", "degsort", "hubsort", "hubcluster", "dbg", "rcm", "bfs", "boba"} {
+		perm, err := MustNew(spec).Reorder(ctx, g)
+		if err != nil {
+			t.Fatalf("%s returned error under a dead context: %v", spec, err)
+		}
+		if err := perm.Validate(); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
 	}
 }
 

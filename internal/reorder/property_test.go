@@ -103,9 +103,8 @@ func TestReorderProperties(t *testing.T) {
 	}
 }
 
-// TestReorderDeterminism runs every registered algorithm (constructed
-// through the spec grammar, so Composable factories are covered too) three
-// times concurrently on the same graph and requires bit-identical
+// TestReorderDeterminism runs every registered algorithm three times
+// concurrently on the same graph and requires bit-identical
 // permutations. This is the registry-wide determinism property new
 // algorithms inherit automatically: output must be a function of the graph
 // and options alone — never of scheduling — which under -race also proves
@@ -123,9 +122,9 @@ func TestReorderDeterminism(t *testing.T) {
 				errs := make([]error, instances)
 				var wg sync.WaitGroup
 				for i := 0; i < instances; i++ {
-					alg, err := reorder.NewFromSpec(name)
+					alg, err := reorder.New(name)
 					if err != nil {
-						t.Fatalf("NewFromSpec(%q): %v", name, err)
+						t.Fatalf("New(%q): %v", name, err)
 					}
 					wg.Add(1)
 					go func(i int, alg reorder.Algorithm) {

@@ -2,7 +2,9 @@ package reorder
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -52,12 +54,17 @@ func init() {
 		Description: "Rabbit-Order: modularity-greedy community growth + dendrogram DFS (IPDPS'16)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptEDR, OptCacheBytes},
-		New: func(o *Options) Algorithm {
-			return &RabbitOrder{
-				MinDegree:        o.EDRMin,
-				MaxDegree:        o.EDRMax,
-				MaxCommunitySize: uint32(o.CacheBytes / 8),
+		New: func(p Params) (Algorithm, error) {
+			lo, hi, err := p.EDR()
+			if err != nil {
+				return nil, err
 			}
+			cacheBytes, err := p.CacheBytes()
+			return &RabbitOrder{
+				MinDegree:        lo,
+				MaxDegree:        hi,
+				MaxCommunitySize: uint32(cacheBytes / 8),
+			}, err
 		},
 	})
 }
@@ -81,6 +88,19 @@ func (r *RabbitOrder) Name() string {
 		return "RO-CA"
 	}
 	return "RO"
+}
+
+// Spec implements Algorithm. The cache-aware cap is reported as the
+// cachebytes value that yields it (8 bytes of vertex data per vertex).
+func (r *RabbitOrder) Spec() string {
+	var params []Param
+	if r.MinDegree != 0 || r.MaxDegree != 0 {
+		params = append(params, Param{OptEDR, fmt.Sprintf("%d-%d", r.MinDegree, r.MaxDegree)})
+	}
+	if r.MaxCommunitySize != 0 {
+		params = append(params, Param{OptCacheBytes, strconv.FormatUint(8*uint64(r.MaxCommunitySize), 10)})
+	}
+	return specOf("ro", params...)
 }
 
 // Reorder implements Algorithm: the community-merge loop polls ctx every

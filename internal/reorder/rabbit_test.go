@@ -46,7 +46,7 @@ func TestRabbitOrderReducesGapOnHostGraph(t *testing.T) {
 	// Rabbit-Order must reduce the average neighbour gap versus the
 	// scrambled order.
 	base := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 12))
-	g := base.Relabel(Random{Seed: 3}.Relabel(base))
+	g := base.Relabel(Perm(Random{Seed: 3}, base))
 	perm := Perm(MustNew("ro"), g)
 	h := g.Relabel(perm)
 	if gap(h) >= gap(g) {
@@ -70,7 +70,7 @@ func gap(g *graph.Graph) float64 {
 
 func TestRabbitOrderEDRRestriction(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(1024, 6, 9))
-	edr := MustNew("ro", WithEDR(1, 32))
+	edr := MustNew("ro:edr=1-32")
 	perm := Perm(edr, g)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRabbitOrderEDRFasterThanFull(t *testing.T) {
 	// §VIII-B2: restricting to the EDR reduces preprocessing time.
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<13, 8, 15))
 	full := Run(MustNew("ro"), g)
-	edr := Run(MustNew("ro", WithEDR(1, 64)), g)
+	edr := Run(MustNew("ro:edr=1-64"), g)
 	if err := edr.Perm.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"context"
 	"sort"
 
 	"graphlocality/internal/graph"
@@ -19,15 +20,18 @@ func init() {
 		Name:        "rcm",
 		Description: "Reverse Cuthill-McKee bandwidth reduction (1969 baseline)",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(RCM{}) },
+		New:         func(Params) (Algorithm, error) { return RCM{}, nil },
 	})
 }
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (RCM) Name() string { return "RCM" }
 
-// Relabel implements ContextFree.
-func (RCM) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm.
+func (RCM) Spec() string { return "rcm" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (RCM) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	u := g.Undirected()
 	n := u.NumVertices()
 	deg := make([]uint32, n)
@@ -70,5 +74,5 @@ func (RCM) Relabel(g *graph.Graph) graph.Permutation {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,31 +38,22 @@ type Registration struct {
 	// Class is the cost class (light, heavy, meta). Consumers should
 	// branch on this instead of hard-coding name lists.
 	Class Class
-	// Accepts lists the option names (OptSeed, OptWindow, ...) the
-	// factory consumes; passing any other option to New is an error.
+	// Accepts lists every spec key the factory consumes; New rejects any
+	// other key before the factory runs.
 	Accepts []string
-	// New builds the algorithm from resolved options.
-	New func(o *Options) Algorithm
-	// Composable, when non-nil, builds the algorithm from a full parsed
-	// Spec instead of just the generic options — the hook that lets a
-	// meta-algorithm consume structured parameters (sub-algorithm names,
-	// detector choice, resolution) from the same spec grammar every
-	// construction surface shares. Spec.New prefers it over New; plain
-	// New(name, opts...) still uses the option factory.
-	Composable func(o *Options, spec Spec) (Algorithm, error)
+	// New builds the algorithm from its spec parameters, reading them
+	// through Params' typed getters.
+	New func(p Params) (Algorithm, error)
 }
 
 // Info is the machine-readable metadata of one registered algorithm, in a
-// form safe to hand out (no factories).
+// form safe to hand out (no factory).
 type Info struct {
 	Name        string
 	Aliases     []string
 	Description string
 	Class       Class
 	Accepts     []string
-	// Composable reports whether the algorithm takes structured spec
-	// parameters beyond the generic option keys.
-	Composable bool
 }
 
 var registry = struct {
@@ -121,14 +113,7 @@ func Registrations() []Info {
 	infos := make([]Info, 0, len(registry.names))
 	for _, name := range registry.names {
 		r := registry.byName[name]
-		infos = append(infos, Info{
-			Name:        r.Name,
-			Aliases:     append([]string(nil), r.Aliases...),
-			Description: r.Description,
-			Class:       r.Class,
-			Accepts:     append([]string(nil), r.Accepts...),
-			Composable:  r.Composable != nil,
-		})
+		infos = append(infos, r.info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
@@ -143,14 +128,17 @@ func Lookup(name string) (Info, bool) {
 	if r == nil {
 		return Info{}, false
 	}
+	return r.info(), true
+}
+
+func (r *Registration) info() Info {
 	return Info{
 		Name:        r.Name,
 		Aliases:     append([]string(nil), r.Aliases...),
 		Description: r.Description,
 		Class:       r.Class,
 		Accepts:     append([]string(nil), r.Accepts...),
-		Composable:  r.Composable != nil,
-	}, true
+	}
 }
 
 // UnknownAlgorithmError reports a lookup of a name the registry does not
@@ -165,12 +153,12 @@ func (e *UnknownAlgorithmError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
-// OptionError reports a bad option for an algorithm: either an option the
-// algorithm does not accept (Value empty) or an accepted option carrying
+// OptionError reports a bad spec parameter for an algorithm: either a key
+// the algorithm does not accept (Value empty) or an accepted key carrying
 // an out-of-range value.
 type OptionError struct {
 	Alg    string // algorithm name as given
-	Option string // canonical option name (OptSeed, ...)
+	Option string // parameter key (OptSeed, ...)
 	Value  string // offending value, "" for not-accepted errors
 	Reason string
 }
@@ -184,54 +172,34 @@ func (e *OptionError) Error() string {
 		e.Alg, e.Option, e.Value, e.Reason)
 }
 
-func lookup(name string) (*Registration, error) {
+// New builds the algorithm a spec describes ("ro", "go:window=7",
+// "brew:detect=lp,else=go"; see ParseSpec). It is the only constructor:
+// a malformed spec surfaces as *SpecError, an unknown name as
+// *UnknownAlgorithmError, and a key the algorithm does not accept or an
+// out-of-range value as *OptionError. The result's Spec() is the
+// canonical form of its configuration.
+func New(spec string) (Algorithm, error) {
+	s, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
 	registry.RLock()
-	reg := registry.byName[name]
+	reg := registry.byName[s.Name]
 	registry.RUnlock()
 	if reg == nil {
-		return nil, &UnknownAlgorithmError{Name: name, Known: List()}
+		return nil, &UnknownAlgorithmError{Name: s.Name, Known: List()}
 	}
-	return reg, nil
-}
-
-// resolveOptions applies opts over the defaults and validates them against
-// the registration: every provided option must be accepted by the
-// algorithm AND carry an in-range value.
-func resolveOptions(reg *Registration, name string, opts []Option) (*Options, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(o)
-	}
-	accepts := make(map[string]bool, len(reg.Accepts))
-	for _, a := range reg.Accepts {
-		accepts[a] = true
-	}
-	for provided := range o.provided {
-		if !accepts[provided] {
-			return nil, &OptionError{Alg: name, Option: provided,
+	for _, p := range s.Params {
+		if !slices.Contains(reg.Accepts, p.Key) {
+			return nil, &OptionError{Alg: s.Name, Option: p.Key,
 				Reason: "accepts: " + acceptsList(reg.Accepts)}
 		}
 	}
-	if err := o.validate(name); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// New builds the named algorithm with the given options. Unknown names
-// surface as *UnknownAlgorithmError; options the algorithm does not
-// accept, or accepted options with out-of-range values, surface as
-// *OptionError.
-func New(name string, opts ...Option) (Algorithm, error) {
-	reg, err := lookup(name)
+	alg, err := reg.New(Params{alg: s.Name, params: s.Params})
 	if err != nil {
-		return nil, err
+		return nil, err // factories may return a partial value with their error
 	}
-	o, err := resolveOptions(reg, name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return reg.New(o), nil
+	return alg, nil
 }
 
 func acceptsList(accepts []string) string {
@@ -244,9 +212,9 @@ func acceptsList(accepts []string) string {
 }
 
 // MustNew is New that panics on error; intended for static algorithm sets
-// over built-in names.
-func MustNew(name string, opts ...Option) Algorithm {
-	alg, err := New(name, opts...)
+// over built-in specs.
+func MustNew(spec string) Algorithm {
+	alg, err := New(spec)
 	if err != nil {
 		panic(err)
 	}

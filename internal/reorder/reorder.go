@@ -14,21 +14,23 @@
 //
 //	Reorder(ctx, g) (graph.Permutation, error)
 //
-// The heavy algorithms (SlashBurn, GOrder, Rabbit-Order, Hybrid) poll ctx
-// and return a valid partial permutation wrapping runctl.ErrCanceled when
-// it dies mid-run. Cheap combinatorial orderings implement the ContextFree
-// interface instead and are adapted with Wrap (or the Legacy struct), so
-// callers never type-assert for cancelability.
+// The heavy algorithms (SlashBurn, GOrder, Rabbit-Order, Hybrid, Brew)
+// poll ctx and return a valid partial permutation wrapping
+// runctl.ErrCanceled when it dies mid-run; the cheap combinatorial
+// orderings ignore ctx and never fail.
 //
-// Algorithms are constructed by name through the registry (New, MustNew,
-// List) with functional options (WithSeed, WithWindow, WithEDR,
-// WithCacheBytes); see registry.go and options.go.
+// Algorithms are constructed from a spec string ("ro", "go:window=7")
+// through the registry: New and MustNew are the only constructors, and an
+// algorithm's Spec() — its canonical spec — is its identity. See
+// registry.go, spec.go and params.go.
 package reorder
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"graphlocality/internal/graph"
@@ -37,38 +39,22 @@ import (
 // Algorithm is a vertex reordering (relabeling) algorithm. Reorder
 // computes the relabeling array for g (old ID → new ID) under ctx:
 // cancelable implementations return the valid partial permutation computed
-// so far together with an error wrapping runctl.ErrCanceled; context-free
-// implementations (adapted via Wrap/Legacy) ignore ctx and never fail.
+// so far together with an error wrapping runctl.ErrCanceled; the cheap
+// orderings ignore ctx and never fail.
 type Algorithm interface {
-	// Name returns a short identifier ("SB", "GO", "RO", ...).
+	// Name returns a short display identifier ("SB", "GO", "RO", ...)
+	// used for table rows and stage names. Distinct configurations may
+	// share a name.
 	Name() string
+	// Spec returns the canonical spec of the configuration: the
+	// canonical registry name followed by only the parameters that
+	// differ from their defaults, sorted by key. New(Spec()) rebuilds
+	// the same configuration, and equal specs produce equal
+	// permutations, so caches and checkpoints key on it.
+	Spec() string
 	// Reorder computes the relabeling array for g (old ID → new ID).
 	Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error)
 }
-
-// ContextFree is a relabeling algorithm with no long-running loops and
-// therefore no cancellation points. Adapt one to Algorithm with Wrap.
-type ContextFree interface {
-	// Name returns a short identifier ("DegSort", "DBG", ...).
-	Name() string
-	// Relabel computes the relabeling array for g (old ID → new ID).
-	Relabel(g *graph.Graph) graph.Permutation
-}
-
-// Legacy adapts a context-free relabeling to the context-first Algorithm
-// interface: Reorder ignores ctx and never returns an error. Construct
-// with Wrap or as Legacy{ContextFree: impl}.
-type Legacy struct {
-	ContextFree
-}
-
-// Reorder implements Algorithm by delegating to the wrapped Relabel.
-func (l Legacy) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
-	return l.ContextFree.Relabel(g), nil
-}
-
-// Wrap adapts a context-free relabeling to the Algorithm interface.
-func Wrap(cf ContextFree) Algorithm { return Legacy{ContextFree: cf} }
 
 // Perm runs alg to completion with a background context and returns just
 // the permutation — a convenience for call sites that cannot be canceled.
@@ -120,51 +106,57 @@ func init() {
 		Aliases:     []string{"initial", "bl"},
 		Description: "baseline: keep the initial vertex order",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Identity{} },
+		New:         func(Params) (Algorithm, error) { return Identity{}, nil },
 	})
 	MustRegister(Registration{
 		Name:        "random",
 		Description: "uniform shuffle, the locality-destroying control",
 		Class:       ClassLight,
 		Accepts:     []string{OptSeed},
-		New:         func(o *Options) Algorithm { return Wrap(Random{Seed: o.Seed}) },
+		New: func(p Params) (Algorithm, error) {
+			seed, err := p.Seed()
+			return Random{Seed: seed}, err
+		},
 	})
 	MustRegister(Registration{
 		Name:        "degsort",
 		Aliases:     []string{"degree"},
 		Description: "sort all vertices by descending total degree",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(DegreeSort{}) },
+		New:         func(Params) (Algorithm, error) { return DegreeSort{}, nil },
 	})
 	MustRegister(Registration{
 		Name:        "hubsort",
 		Aliases:     []string{"hs"},
 		Description: "sort hub vertices by degree, keep the rest in place",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(HubSort{}) },
+		New:         func(Params) (Algorithm, error) { return HubSort{}, nil },
 	})
 	MustRegister(Registration{
 		Name:        "hubcluster",
 		Aliases:     []string{"hc"},
 		Description: "pack hubs into low IDs without sorting (sort-free HubSort)",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(HubCluster{}) },
+		New:         func(Params) (Algorithm, error) { return HubCluster{}, nil },
 	})
 	MustRegister(Registration{
 		Name:        "dbg",
 		Description: "degree-based grouping into power-of-two degree classes",
 		Class:       ClassLight,
-		New:         func(*Options) Algorithm { return Wrap(DBG{}) },
+		New:         func(Params) (Algorithm, error) { return DBG{}, nil },
 	})
 }
 
 // Identity leaves the graph in its initial order (the paper's baseline
-// "Bl" / "Initial"). It implements Algorithm directly (rather than via
-// Legacy) so callers can recognise it by type and skip relabeling work.
+// "Bl" / "Initial"). Callers recognise it by type and skip relabeling
+// work.
 type Identity struct{}
 
 // Name implements Algorithm.
 func (Identity) Name() string { return "Initial" }
+
+// Spec implements Algorithm.
+func (Identity) Spec() string { return "identity" }
 
 // Reorder implements Algorithm; it cannot fail.
 func (Identity) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
@@ -177,18 +169,26 @@ type Random struct {
 	Seed uint64
 }
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (Random) Name() string { return "Random" }
 
-// Relabel implements ContextFree.
-func (r Random) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm.
+func (r Random) Spec() string {
+	if r.Seed == 1 {
+		return "random"
+	}
+	return "random:seed=" + strconv.FormatUint(r.Seed, 10)
+}
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (r Random) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	p := graph.Identity(g.NumVertices())
 	rng := splitmix{s: r.Seed}
 	for i := len(p) - 1; i > 0; i-- {
 		j := int(rng.next() % uint64(i+1))
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
+	return p, nil
 }
 
 // splitmix is a tiny local RNG so reorder does not depend on gen.
@@ -206,13 +206,16 @@ func (r *splitmix) next() uint64 {
 // representative "degree-ordering" family SlashBurn generalizes (§IV-A).
 type DegreeSort struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (DegreeSort) Name() string { return "DegSort" }
 
-// Relabel implements ContextFree.
-func (DegreeSort) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm.
+func (DegreeSort) Spec() string { return "degsort" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (DegreeSort) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	order := graph.VerticesByDegreeDesc(g.TotalDegrees())
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }
 
 // HubSort (Faldu et al., IISWC'19) sorts only the hub vertices (total
@@ -220,21 +223,15 @@ func (DegreeSort) Relabel(g *graph.Graph) graph.Permutation {
 // all other vertices in their original relative order.
 type HubSort struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (HubSort) Name() string { return "HubSort" }
 
-// Relabel implements ContextFree.
-func (HubSort) Relabel(g *graph.Graph) graph.Permutation {
-	deg := g.TotalDegrees()
-	avg := g.AverageDegree() * 2 // total degree averages 2|E|/|V|
-	var hubs, rest []uint32
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		if float64(deg[v]) > avg {
-			hubs = append(hubs, v)
-		} else {
-			rest = append(rest, v)
-		}
-	}
+// Spec implements Algorithm.
+func (HubSort) Spec() string { return "hubsort" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (HubSort) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
+	hubs, rest, deg := splitHubs(g)
 	sort.Slice(hubs, func(i, j int) bool {
 		a, b := hubs[i], hubs[j]
 		if deg[a] != deg[b] {
@@ -242,22 +239,15 @@ func (HubSort) Relabel(g *graph.Graph) graph.Permutation {
 		}
 		return a < b
 	})
-	return orderToPerm(append(hubs, rest...))
+	return orderToPerm(append(hubs, rest...)), nil
 }
 
-// HubCluster packs hub vertices (total degree above average) into the
-// lowest IDs while preserving relative order within both hubs and
-// non-hubs — the sort-free lightweight variant.
-type HubCluster struct{}
-
-// Name implements ContextFree.
-func (HubCluster) Name() string { return "HubCluster" }
-
-// Relabel implements ContextFree.
-func (HubCluster) Relabel(g *graph.Graph) graph.Permutation {
-	deg := g.TotalDegrees()
-	avg := g.AverageDegree() * 2
-	var hubs, rest []uint32
+// splitHubs partitions the vertices into hubs (total degree above
+// average) and the rest, both in ascending ID order, and returns the
+// total degrees it judged them by.
+func splitHubs(g *graph.Graph) (hubs, rest, deg []uint32) {
+	deg = g.TotalDegrees()
+	avg := g.AverageDegree() * 2 // total degree averages 2|E|/|V|
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if float64(deg[v]) > avg {
 			hubs = append(hubs, v)
@@ -265,44 +255,57 @@ func (HubCluster) Relabel(g *graph.Graph) graph.Permutation {
 			rest = append(rest, v)
 		}
 	}
-	return orderToPerm(append(hubs, rest...))
+	return hubs, rest, deg
+}
+
+// HubCluster packs hub vertices (total degree above average) into the
+// lowest IDs while preserving relative order within both hubs and
+// non-hubs — the sort-free lightweight variant.
+type HubCluster struct{}
+
+// Name implements Algorithm.
+func (HubCluster) Name() string { return "HubCluster" }
+
+// Spec implements Algorithm.
+func (HubCluster) Spec() string { return "hubcluster" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (HubCluster) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
+	hubs, rest, _ := splitHubs(g)
+	return orderToPerm(append(hubs, rest...)), nil
 }
 
 // DBG is degree-based grouping (Faldu et al.): vertices are binned into
-// power-of-two degree classes; classes are laid out from the highest
+// power-of-two degree classes (bits.Len32 of the total degree: 0 for
+// degree 0, else floor(log2(d))+1); classes are laid out from the highest
 // degree down, preserving original order within each class.
 type DBG struct{}
 
-// Name implements ContextFree.
+// Name implements Algorithm.
 func (DBG) Name() string { return "DBG" }
 
-// Relabel implements ContextFree.
-func (DBG) Relabel(g *graph.Graph) graph.Permutation {
+// Spec implements Algorithm.
+func (DBG) Spec() string { return "dbg" }
+
+// Reorder implements Algorithm; it ignores ctx and cannot fail.
+func (DBG) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deg := g.TotalDegrees()
-	group := func(d uint32) int {
-		gid := 0
-		for d > 0 {
-			d >>= 1
-			gid++
-		}
-		return gid // 0 for degree 0, else floor(log2(d))+1
-	}
 	maxG := 0
 	for _, d := range deg {
-		if gr := group(d); gr > maxG {
+		if gr := bits.Len32(d); gr > maxG {
 			maxG = gr
 		}
 	}
 	buckets := make([][]uint32, maxG+1)
 	for v := uint32(0); v < g.NumVertices(); v++ {
-		gr := group(deg[v])
+		gr := bits.Len32(deg[v])
 		buckets[gr] = append(buckets[gr], v)
 	}
 	order := make([]uint32, 0, g.NumVertices())
 	for gr := maxG; gr >= 0; gr-- {
 		order = append(order, buckets[gr]...)
 	}
-	return orderToPerm(order)
+	return orderToPerm(order), nil
 }
 
 // orderToPerm converts a visiting order (order[i] = old ID of the vertex

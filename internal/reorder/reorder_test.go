@@ -12,18 +12,18 @@ import (
 func allAlgorithms() []Algorithm {
 	return []Algorithm{
 		Identity{},
-		Wrap(Random{Seed: 1}),
-		Wrap(DegreeSort{}),
-		Wrap(HubSort{}),
-		Wrap(HubCluster{}),
-		Wrap(DBG{}),
-		Wrap(RCM{}),
-		Wrap(BFSOrder{}),
+		Random{Seed: 1},
+		DegreeSort{},
+		HubSort{},
+		HubCluster{},
+		DBG{},
+		RCM{},
+		BFSOrder{},
 		MustNew("sb"),
 		MustNew("sb++"),
 		MustNew("go"),
 		MustNew("ro"),
-		MustNew("ro", WithEDR(1, 100)),
+		MustNew("ro:edr=1-100"),
 	}
 }
 
@@ -96,8 +96,8 @@ func TestIdentity(t *testing.T) {
 
 func TestRandomSeedsDiffer(t *testing.T) {
 	g := gen.Ring(100)
-	a := Random{Seed: 1}.Relabel(g)
-	b := Random{Seed: 2}.Relabel(g)
+	a := Perm(Random{Seed: 1}, g)
+	b := Perm(Random{Seed: 2}, g)
 	if equalPerm(a, b) {
 		t.Error("different seeds produced the same shuffle")
 	}
@@ -105,7 +105,7 @@ func TestRandomSeedsDiffer(t *testing.T) {
 
 func TestDegreeSortOrdersByDegree(t *testing.T) {
 	g := gen.Star(50) // vertex 0 has the highest total degree
-	perm := DegreeSort{}.Relabel(g)
+	perm := Perm(DegreeSort{}, g)
 	if perm[0] != 0 {
 		t.Errorf("star centre got new ID %d, want 0", perm[0])
 	}
@@ -121,7 +121,7 @@ func TestDegreeSortOrdersByDegree(t *testing.T) {
 
 func TestHubSortKeepsNonHubOrder(t *testing.T) {
 	g := gen.Star(50)
-	perm := HubSort{}.Relabel(g)
+	perm := Perm(HubSort{}, g)
 	if perm[0] != 0 {
 		t.Errorf("hub got ID %d, want 0", perm[0])
 	}
@@ -145,7 +145,7 @@ func TestHubClusterKeepsRelativeOrders(t *testing.T) {
 		}
 	}
 	g := graph.FromEdges(10, edges)
-	perm := HubCluster{}.Relabel(g)
+	perm := Perm(HubCluster{}, g)
 	if perm[3] != 0 || perm[7] != 1 {
 		t.Errorf("hubs got IDs %d,%d, want 0,1 in relative order", perm[3], perm[7])
 	}
@@ -153,7 +153,7 @@ func TestHubClusterKeepsRelativeOrders(t *testing.T) {
 
 func TestDBGGroupsByDegree(t *testing.T) {
 	g := gen.Star(100)
-	perm := DBG{}.Relabel(g)
+	perm := Perm(DBG{}, g)
 	if perm[0] != 0 {
 		t.Errorf("highest-degree group should come first; centre got %d", perm[0])
 	}
@@ -178,8 +178,8 @@ func TestDBGGroupsByDegree(t *testing.T) {
 func TestRCMReducesBandwidth(t *testing.T) {
 	// A ring with scattered IDs: RCM should give a low-bandwidth chain.
 	g := gen.Ring(64)
-	scattered := g.Relabel(Random{Seed: 9}.Relabel(g))
-	perm := RCM{}.Relabel(scattered)
+	scattered := g.Relabel(Perm(Random{Seed: 9}, g))
+	perm := Perm(RCM{}, scattered)
 	h := scattered.Relabel(perm)
 	bandwidth := func(g *graph.Graph) uint32 {
 		var maxGap uint32
@@ -220,7 +220,7 @@ func TestRegistry(t *testing.T) {
 
 func TestRunMeasures(t *testing.T) {
 	g := gen.ErdosRenyi(500, 2000, 3)
-	res := Run(Wrap(DegreeSort{}), g)
+	res := Run(DegreeSort{}, g)
 	if res.Algorithm != "DegSort" {
 		t.Errorf("Algorithm = %q", res.Algorithm)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"graphlocality/internal/graph"
@@ -56,8 +57,9 @@ func init() {
 		Description: "SlashBurn: iterative hub removal + GCC ordering (paper §IV-A)",
 		Class:       ClassHeavy,
 		Accepts:     []string{OptCacheBytes},
-		New: func(o *Options) Algorithm {
-			return &SlashBurn{KFraction: 0.02, CacheBytes: o.CacheBytes}
+		New: func(p Params) (Algorithm, error) {
+			cacheBytes, err := p.CacheBytes()
+			return &SlashBurn{KFraction: 0.02, CacheBytes: cacheBytes}, err
 		},
 	})
 	MustRegister(Registration{
@@ -65,8 +67,8 @@ func init() {
 		Aliases:     []string{"slashburn++"},
 		Description: "SlashBurn++: SlashBurn with early stopping at max degree sqrt(|V|)",
 		Class:       ClassHeavy,
-		New: func(*Options) Algorithm {
-			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}
+		New: func(Params) (Algorithm, error) {
+			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}, nil
 		},
 	})
 }
@@ -80,6 +82,19 @@ func (s *SlashBurn) Name() string {
 		return "SB-CA"
 	}
 	return "SB"
+}
+
+// Spec implements Algorithm. KFraction and MaxIterations have no spec
+// keys; the registry always builds the paper's k = 0.02·|V|, unbounded.
+func (s *SlashBurn) Spec() string {
+	name := "sb"
+	if s.StopAtSqrtDegree {
+		name = "sb++"
+	}
+	if s.CacheBytes == 0 {
+		return name
+	}
+	return name + ":cachebytes=" + strconv.FormatUint(s.CacheBytes, 10)
 }
 
 // Iterations returns the number of iterations the last completed Reorder

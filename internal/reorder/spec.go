@@ -3,7 +3,6 @@ package reorder
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -16,11 +15,9 @@ import (
 // e.g. "ro", "go:window=7", "ro:edr=2-100,cachebytes=65536",
 // "brew:detect=louvain,hub=hs,dense=ro,else=dbg,resolution=1.0".
 //
-// Generic keys (seed, window, edr, cachebytes) map onto the functional
-// options every algorithm already takes; algorithms registered with a
-// Composable factory additionally consume their own structured keys.
-// Parse with ParseSpec, build with Spec.New (or NewFromSpec for both at
-// once).
+// New parses a spec and builds the algorithm; each registration's Accepts
+// lists the keys it takes. An algorithm's Spec() method renders its
+// configuration back in this grammar, in canonical form.
 type Spec struct {
 	// Name is the algorithm name as written (canonical name or alias).
 	Name string
@@ -32,16 +29,10 @@ type Spec struct {
 // Param is one key=value spec parameter.
 type Param struct{ Key, Value string }
 
-// Generic spec keys, mapped to the registry's functional options. OptEDR
-// values use the form "min-max" ("2-100"; max 0 = unbounded above).
-var genericSpecKeys = map[string]bool{
-	OptSeed: true, OptWindow: true, OptEDR: true, OptCacheBytes: true,
-}
-
 // SpecError reports a malformed spec string (grammar-level: empty name,
 // bad key/value shape, duplicate keys). Errors about what the named
 // algorithm accepts surface as *UnknownAlgorithmError or *OptionError
-// from Spec.New instead.
+// from New instead.
 type SpecError struct {
 	Spec   string
 	Reason string
@@ -51,26 +42,10 @@ func (e *SpecError) Error() string {
 	return fmt.Sprintf("reorder: invalid spec %q: %s", e.Spec, e.Reason)
 }
 
-// validSpecName reports whether s is a plausible algorithm name: the
-// registry's names use letters, digits and "+._-".
-func validSpecName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '+', r == '.', r == '_', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// validSpecToken reports whether s works as a parameter key or value:
-// non-empty, and free of the grammar's structural characters (':', ',',
-// '=') and whitespace.
+// validSpecToken reports whether s works as an algorithm name, parameter
+// key or value: non-empty and drawn from letters, digits and "+._-", so
+// free of the grammar's structural characters (':', ',', '=') and
+// whitespace.
 func validSpecToken(s string) bool {
 	if s == "" {
 		return false
@@ -88,11 +63,11 @@ func validSpecToken(s string) bool {
 
 // ParseSpec parses an algorithm spec string. It validates the grammar
 // only; whether the name exists and the parameters are meaningful is
-// Spec.New's job (so parsing stays total over the registry's lifetime).
+// New's job (so parsing stays total over the registry's lifetime).
 func ParseSpec(s string) (Spec, error) {
 	in := strings.TrimSpace(s)
 	name, rest, hasParams := strings.Cut(in, ":")
-	if !validSpecName(name) {
+	if !validSpecToken(name) {
 		return Spec{}, &SpecError{Spec: s, Reason: "missing or malformed algorithm name"}
 	}
 	spec := Spec{Name: name}
@@ -135,24 +110,30 @@ func (s Spec) Get(key string) (string, bool) {
 
 // Canonical renders the spec in canonical form: the registry's canonical
 // algorithm name (aliases resolved when the name is known) followed by
-// the parameters sorted by key. Two specs describing the same computation
-// canonicalize identically, which is what lets artifact stores and memo
-// caches key on it.
+// the parameters sorted by key. Unlike an algorithm's Spec(), it keeps
+// parameters that restate a default ("go:window=5" stays as written).
 func (s Spec) Canonical() string {
 	name := s.Name
 	if info, ok := Lookup(name); ok {
 		name = info.Name
 	}
-	if len(s.Params) == 0 {
+	return specOf(name, s.Params...)
+}
+
+// specOf renders name and params in the spec grammar with the params
+// sorted by key — the canonical form every Spec() method returns.
+func specOf(name string, params ...Param) string {
+	if len(params) == 0 {
 		return name
 	}
-	params := append([]Param(nil), s.Params...)
+	params = append([]Param(nil), params...)
 	sort.Slice(params, func(i, j int) bool { return params[i].Key < params[j].Key })
 	var b strings.Builder
 	b.WriteString(name)
-	b.WriteByte(':')
 	for i, p := range params {
-		if i > 0 {
+		if i == 0 {
+			b.WriteByte(':')
+		} else {
 			b.WriteByte(',')
 		}
 		b.WriteString(p.Key)
@@ -164,101 +145,3 @@ func (s Spec) Canonical() string {
 
 // String implements fmt.Stringer as the canonical form.
 func (s Spec) String() string { return s.Canonical() }
-
-// genericOptions converts the spec's generic parameters (seed, window,
-// edr, cachebytes) to functional options, with typed value errors.
-func (s Spec) genericOptions() ([]Option, error) {
-	var opts []Option
-	for _, p := range s.Params {
-		switch p.Key {
-		case OptSeed:
-			v, err := strconv.ParseUint(p.Value, 10, 64)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptSeed, Value: p.Value,
-					Reason: "want an unsigned integer"}
-			}
-			opts = append(opts, WithSeed(v))
-		case OptWindow:
-			v, err := strconv.Atoi(p.Value)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptWindow, Value: p.Value,
-					Reason: "want an integer"}
-			}
-			opts = append(opts, WithWindow(v))
-		case OptCacheBytes:
-			v, err := strconv.ParseUint(p.Value, 10, 64)
-			if err != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptCacheBytes, Value: p.Value,
-					Reason: "want an unsigned integer"}
-			}
-			opts = append(opts, WithCacheBytes(v))
-		case OptEDR:
-			lo, hi, ok := strings.Cut(p.Value, "-")
-			if !ok {
-				return nil, &OptionError{Alg: s.Name, Option: OptEDR, Value: p.Value,
-					Reason: `want "min-max" (max 0 = unbounded)`}
-			}
-			min, err1 := strconv.ParseUint(lo, 10, 32)
-			max, err2 := strconv.ParseUint(hi, 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, &OptionError{Alg: s.Name, Option: OptEDR, Value: p.Value,
-					Reason: "degree bounds must be unsigned 32-bit integers"}
-			}
-			opts = append(opts, WithEDR(uint32(min), uint32(max)))
-		}
-	}
-	return opts, nil
-}
-
-// New builds the algorithm the spec describes. Generic parameters are
-// validated exactly like New's functional options (typed *OptionError on
-// unknown or out-of-range); parameters beyond the generic set are an
-// error unless the algorithm is registered Composable, in which case the
-// whole spec is handed to its Composable factory.
-func (s Spec) New() (Algorithm, error) {
-	reg, err := lookup(s.Name)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := s.genericOptions()
-	if err != nil {
-		return nil, err
-	}
-	if reg.Composable != nil {
-		o, err := resolveOptions(reg, s.Name, opts)
-		if err != nil {
-			return nil, err
-		}
-		return reg.Composable(o, s)
-	}
-	for _, p := range s.Params {
-		if !genericSpecKeys[p.Key] {
-			return nil, &OptionError{Alg: s.Name, Option: p.Key,
-				Reason: "accepts: " + acceptsList(reg.Accepts)}
-		}
-	}
-	o, err := resolveOptions(reg, s.Name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return reg.New(o), nil
-}
-
-// NewFromSpec parses and builds an algorithm spec in one step.
-func NewFromSpec(spec string) (Algorithm, error) {
-	s, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.New()
-}
-
-// MustNewFromSpec is NewFromSpec that panics on error; intended for
-// static algorithm sets over built-in specs.
-func MustNewFromSpec(spec string) Algorithm {
-	alg, err := NewFromSpec(spec)
-	if err != nil {
-		panic(err)
-	}
-	return alg
-}

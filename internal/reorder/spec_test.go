@@ -45,20 +45,20 @@ func TestParseSpecValid(t *testing.T) {
 
 func TestParseSpecInvalid(t *testing.T) {
 	cases := []string{
-		"",              // empty
-		"   ",           // whitespace only
-		":window=7",     // missing name
-		"go:",           // trailing colon
-		"go:window",     // not key=value
-		"go:window=",    // empty value
-		"go:=7",         // empty key
-		"go:window=7,",  // trailing comma -> empty param
+		"",                     // empty
+		"   ",                  // whitespace only
+		":window=7",            // missing name
+		"go:",                  // trailing colon
+		"go:window",            // not key=value
+		"go:window=",           // empty value
+		"go:=7",                // empty key
+		"go:window=7,",         // trailing comma -> empty param
 		"go:window=7,window=9", // duplicate key
-		"go:a b=c",      // whitespace in key
-		"go:a=b c",      // whitespace in value
-		"g o",           // whitespace in name
-		"go:k==v",       // '=' in value
-		"ro:edr=2:100",  // ':' in value splits grammar
+		"go:a b=c",             // whitespace in key
+		"go:a=b c",             // whitespace in value
+		"g o",                  // whitespace in name
+		"go:k==v",              // '=' in value
+		"ro:edr=2:100",         // ':' in value splits grammar
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec(c); err == nil {
@@ -101,21 +101,21 @@ func TestSpecCanonical(t *testing.T) {
 }
 
 func TestSpecNewGenericOptions(t *testing.T) {
-	alg, err := NewFromSpec("go:window=9")
+	alg, err := New("go:window=9")
 	if err != nil || alg.Name() != "GO" {
 		t.Fatalf("go:window=9 -> %v, %v", alg, err)
 	}
 	if g, ok := alg.(*GOrder); !ok || g.Window != 9 {
 		t.Fatalf("window not applied: %#v", alg)
 	}
-	alg, err = NewFromSpec("ro:edr=2-100")
+	alg, err = New("ro:edr=2-100")
 	if err != nil {
 		t.Fatalf("ro:edr=2-100: %v", err)
 	}
 	if ro, ok := alg.(*RabbitOrder); !ok || ro.MinDegree != 2 || ro.MaxDegree != 100 {
 		t.Fatalf("edr not applied: %#v", alg)
 	}
-	alg, err = NewFromSpec("random:seed=42")
+	alg, err = New("random:seed=42")
 	if err != nil {
 		t.Fatalf("random:seed=42: %v", err)
 	}
@@ -126,48 +126,50 @@ func TestSpecNewGenericOptions(t *testing.T) {
 
 func TestSpecNewErrors(t *testing.T) {
 	var ua *UnknownAlgorithmError
-	if _, err := NewFromSpec("nope"); !errors.As(err, &ua) {
+	if _, err := New("nope"); !errors.As(err, &ua) {
 		t.Errorf("unknown name error = %v, want *UnknownAlgorithmError", err)
 	}
 
 	var oe *OptionError
 	// Malformed value for a generic key.
-	if _, err := NewFromSpec("go:window=tiny"); !errors.As(err, &oe) {
+	if _, err := New("go:window=tiny"); !errors.As(err, &oe) {
 		t.Errorf("bad window value error = %v, want *OptionError", err)
 	}
 	// Out-of-range value for a generic key.
-	if _, err := NewFromSpec("go:window=0"); !errors.As(err, &oe) {
+	if _, err := New("go:window=0"); !errors.As(err, &oe) {
 		t.Errorf("window=0 error = %v, want *OptionError", err)
 	} else if !strings.Contains(oe.Error(), "window") {
 		t.Errorf("error %q does not name the option", oe.Error())
 	}
 	// Empty degree range.
-	if _, err := NewFromSpec("ro:edr=9-3"); !errors.As(err, &oe) {
+	if _, err := New("ro:edr=9-3"); !errors.As(err, &oe) {
 		t.Errorf("edr=9-3 error = %v, want *OptionError", err)
 	}
 	// Malformed degree range.
-	if _, err := NewFromSpec("ro:edr=wide"); !errors.As(err, &oe) {
+	if _, err := New("ro:edr=wide"); !errors.As(err, &oe) {
 		t.Errorf("edr=wide error = %v, want *OptionError", err)
 	}
 	// Generic option the algorithm does not accept.
-	if _, err := NewFromSpec("identity:window=3"); !errors.As(err, &oe) {
+	if _, err := New("identity:window=3"); !errors.As(err, &oe) {
 		t.Errorf("identity:window error = %v, want *OptionError", err)
 	}
 	// Structured key on a non-composable algorithm.
-	if _, err := NewFromSpec("go:detect=louvain"); !errors.As(err, &oe) {
+	if _, err := New("go:detect=louvain"); !errors.As(err, &oe) {
 		t.Errorf("go:detect error = %v, want *OptionError", err)
 	} else if oe.Option != "detect" {
 		t.Errorf("error names option %q, want detect", oe.Option)
 	}
-	// Parse errors propagate through NewFromSpec.
+	// Parse errors propagate through New.
 	var se *SpecError
-	if _, err := NewFromSpec("go:window=7,"); !errors.As(err, &se) {
+	if _, err := New("go:window=7,"); !errors.As(err, &se) {
 		t.Errorf("trailing comma error = %v, want *SpecError", err)
 	}
 }
 
-// FuzzParseSpec checks that ParseSpec never panics, and that every spec it
-// accepts round-trips: Canonical() re-parses to an equal canonical form.
+// FuzzParseSpec checks that ParseSpec never panics, that every spec it
+// accepts round-trips (Canonical() re-parses to an equal canonical form),
+// and that every spec New accepts round-trips through Spec(): New(Spec())
+// succeeds and reports the same Spec().
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		"ro",
@@ -184,6 +186,9 @@ func FuzzParseSpec(f *testing.F) {
 		"go:window=7,window=9",
 		"go:k==v",
 		"x:a=1,b=2,c=3,d=4,e=5",
+		"boba:workers=4,seed=2",
+		"rabbit:edr=5-0,cachebytes=100",
+		"graphbrew:resolution=0x1p-2,hub=hs,seed=0",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -218,7 +223,18 @@ func FuzzParseSpec(f *testing.F) {
 		if got := s2.Canonical(); got != canon {
 			t.Fatalf("canonicalization not idempotent: %q -> %q -> %q", in, canon, got)
 		}
-		// Spec.New must never panic regardless of what the fuzzer invents.
-		_, _ = s.New()
+		// New must never panic regardless of what the fuzzer invents.
+		alg, err := New(in)
+		if err != nil {
+			return
+		}
+		spec := alg.Spec()
+		again, err := New(spec)
+		if err != nil {
+			t.Fatalf("Spec %q of accepted spec %q is rejected: %v", spec, in, err)
+		}
+		if got := again.Spec(); got != spec {
+			t.Fatalf("Spec not a fixpoint: %q -> %q -> %q", in, spec, got)
+		}
 	})
 }

@@ -51,31 +51,22 @@ type computeError struct{ err error }
 func (e *computeError) Error() string { return e.err.Error() }
 func (e *computeError) Unwrap() error { return e.err }
 
-// buildGraph generates the job's input graph from its spec. Specs are
-// validated, so sizes are bounded; generation is deterministic in the
-// spec, which is what makes results cacheable.
-func buildGraph(spec GraphSpec) *graph.Graph {
-	switch spec.Kind {
-	case "social":
-		return gen.SocialNetwork(spec.Scale, spec.EdgeFactor, spec.Seed)
-	case "web":
-		return gen.WebGraph(gen.DefaultWebGraph(1<<spec.Scale, spec.EdgeFactor, spec.Seed))
-	case "er":
-		return gen.ErdosRenyi(1<<spec.Scale, (1<<spec.Scale)*spec.EdgeFactor, spec.Seed)
-	default: // "ba"; validated upstream
-		return gen.PreferentialAttachment(1<<spec.Scale, spec.EdgeFactor, spec.Seed)
-	}
-}
-
 // compute runs the job's actual work under ctx. Cancellation is polled
 // inside every reorder/simulate loop (runctl.Poller), so a dead context
 // surfaces within one poll interval, never at the end of the job.
 func compute(ctx context.Context, req JobRequest) (JobResult, error) {
-	g := buildGraph(req.Graph)
+	// The input graph is generated from the validated (so size-bounded)
+	// spec; generation is deterministic, which makes results cacheable.
+	spec := req.Graph
+	g, err := gen.Generate(spec.Kind, spec.Scale, spec.EdgeFactor, spec.Seed)
+	if err != nil {
+		return JobResult{}, badRequestf("%v", err)
+	}
 	res := JobResult{Vertices: g.NumVertices(), Edges: g.NumEdges()}
-	switch req.Kind {
-	case KindReorder:
-		alg, err := reorder.NewFromSpec(req.Alg)
+	if req.Kind == KindReorder || req.Alg != "" {
+		// Reorder jobs end here; simulate jobs go on over the relabeled
+		// graph. Metrics jobs never carry an alg (validated).
+		alg, err := reorder.New(req.Alg)
 		if err != nil {
 			return res, badRequestf("%v", err)
 		}
@@ -84,21 +75,15 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 			return res, err
 		}
 		res.Algorithm = r.Algorithm
-		res.PermCRC32C = crcPerm(r.Perm)
-		res.ReorderMS = float64(r.Elapsed.Microseconds()) / 1000
-	case KindSimulate:
-		if req.Alg != "" {
-			alg, err := reorder.NewFromSpec(req.Alg)
-			if err != nil {
-				return res, badRequestf("%v", err)
-			}
-			r, err := reorder.RunContext(ctx, alg, g)
-			if err != nil {
-				return res, err
-			}
-			res.Algorithm = r.Algorithm
-			g = g.Relabel(r.Perm)
+		if req.Kind == KindReorder {
+			res.PermCRC32C = crcPerm(r.Perm)
+			res.ReorderMS = float64(r.Elapsed.Microseconds()) / 1000
+			return res, nil
 		}
+		g = g.Relabel(r.Perm)
+	}
+	switch req.Kind {
+	case KindSimulate:
 		dir, err := ParseDirection(req.Direction)
 		if err != nil {
 			return res, badRequestf("%v", err)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
+	"graphlocality/internal/gen"
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/trace"
 )
@@ -208,12 +210,11 @@ func ValidateJobRequest(req *JobRequest, limits Limits) error {
 	default:
 		return badRequestf("unknown job kind %q (want reorder, simulate or metrics)", req.Kind)
 	}
-	switch req.Graph.Kind {
-	case "social", "web", "er", "ba":
-	case "":
-		return badRequestf("missing graph.kind (want social, web, er or ba)")
-	default:
-		return badRequestf("unknown graph.kind %q (want social, web, er or ba)", req.Graph.Kind)
+	switch {
+	case req.Graph.Kind == "":
+		return badRequestf("missing graph.kind (want %s)", gen.KindList())
+	case !slices.Contains(gen.Kinds, req.Graph.Kind):
+		return badRequestf("unknown graph.kind %q (want %s)", req.Graph.Kind, gen.KindList())
 	}
 	if req.Graph.Scale < 1 || req.Graph.Scale > limits.MaxScale {
 		return badRequestf("graph.scale %d out of range [1, %d]", req.Graph.Scale, limits.MaxScale)
@@ -251,16 +252,14 @@ func ValidateJobRequest(req *JobRequest, limits Limits) error {
 	}
 	if req.Alg != "" {
 		// Alg is a full spec ("ro", "go:window=7", "brew:detect=lp"):
-		// validated here so execution cannot fail on a bad algorithm, and
-		// canonicalized so equivalent specs dedup to one artifact.
-		spec, err := reorder.ParseSpec(req.Alg)
+		// built here so execution cannot fail on a bad algorithm, and
+		// replaced by the algorithm's Spec() so equivalent specs dedup to
+		// one artifact under the same identity expt checkpoints use.
+		alg, err := reorder.New(req.Alg)
 		if err != nil {
 			return badRequestf("%v", err)
 		}
-		if _, err := spec.New(); err != nil {
-			return badRequestf("%v", err)
-		}
-		req.Alg = spec.Canonical()
+		req.Alg = alg.Spec()
 	}
 	if req.Direction != "" {
 		if req.Kind != KindSimulate {

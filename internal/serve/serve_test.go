@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"graphlocality/internal/gen"
 	"graphlocality/internal/obs"
 	"graphlocality/internal/runctl"
 )
@@ -392,6 +393,35 @@ func TestArtifactKeyCoversResultFieldsOnly(t *testing.T) {
 	}
 	if strings.ContainsAny(base.ArtifactKey(), "+/\\ ") {
 		t.Fatalf("artifact key %q contains unsafe characters", base.ArtifactKey())
+	}
+}
+
+// TestValidateGraphKindsMatchGen checks that requests accept exactly the
+// generator kinds gen.Generate builds.
+func TestValidateGraphKindsMatchGen(t *testing.T) {
+	for _, kind := range append([]string{"lattice"}, gen.Kinds...) {
+		req := JobRequest{Kind: KindMetrics, Graph: GraphSpec{Kind: kind, Scale: 4}}
+		err := ValidateJobRequest(&req, Limits{})
+		if _, genErr := gen.Generate(kind, 4, 2, 1); (err == nil) != (genErr == nil) {
+			t.Errorf("kind %q: validation error %v, generator error %v", kind, err, genErr)
+		}
+	}
+}
+
+// TestValidateCanonicalizesAlgSpec checks that equivalent specs become the
+// algorithm's Spec(), so they share one artifact key.
+func TestValidateCanonicalizesAlgSpec(t *testing.T) {
+	for in, want := range map[string]string{
+		"ro": "ro", "rabbit": "ro", "ro:edr=0-0": "ro",
+		"gorder:window=5": "go", "go:window=7": "go:window=7",
+	} {
+		req := JobRequest{Kind: KindReorder, Alg: in, Graph: GraphSpec{Kind: "er", Scale: 4}}
+		if err := ValidateJobRequest(&req, Limits{}); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if req.Alg != want {
+			t.Errorf("alg %q validated to %q, want %q", in, req.Alg, want)
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func TestHilbertTraceBeatsScrambledCOO(t *testing.T) {
 	// locality than arbitrarily ordered COO edges, without relabeling.
 	g := gen.SocialNetwork(12, 12, 3)
 	// Scramble vertex IDs so the row-order baseline carries no locality.
-	g = g.Relabel(reorder.Random{Seed: 4}.Relabel(g))
+	g = g.Relabel(reorder.Perm(reorder.Random{Seed: 4}, g))
 	cfg := cachesim.ScaledL3(g.NumVertices(), 0.04)
 	l := trace.NewLayout(g)
 

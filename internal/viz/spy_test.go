@@ -34,7 +34,7 @@ func TestSpyDiagonalOrdering(t *testing.T) {
 		t.Errorf("ring diagonal mass = %.3f, want ~1", m)
 	}
 	// Scrambling it spreads the mass off-diagonal.
-	scrambled := g.Relabel(reorder.Random{Seed: 3}.Relabel(g))
+	scrambled := g.Relabel(reorder.Perm(reorder.Random{Seed: 3}, g))
 	ps := Spy(scrambled, 32)
 	if ps.DiagonalMass(1) >= p.DiagonalMass(1) {
 		t.Error("scrambled ring should have less diagonal mass")
@@ -44,7 +44,7 @@ func TestSpyDiagonalOrdering(t *testing.T) {
 func TestSpyClusteringVisible(t *testing.T) {
 	// Rabbit-Order pulls a scrambled web graph's mass toward the diagonal.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 8, 7))
-	scrambled := base.Relabel(reorder.Random{Seed: 5}.Relabel(base))
+	scrambled := base.Relabel(reorder.Perm(reorder.Random{Seed: 5}, base))
 	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	before := Spy(scrambled, 32).DiagonalMass(2)
 	after := Spy(ro, 32).DiagonalMass(2)
