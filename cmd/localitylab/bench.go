@@ -1,16 +1,91 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"graphlocality/internal/expt"
 	"graphlocality/internal/perf"
+	"graphlocality/internal/runctl"
 )
+
+// cmdBenchParallel times a representative experiment grid twice — serial
+// (-parallel 1) and parallel — and writes both times and their ratio as a
+// perf.Report. Each run uses a fresh Session so the parallel pass cannot
+// reuse memoized results from the serial pass.
+func cmdBenchParallel(args []string) error {
+	fs := flag.NewFlagSet("bench parallel", flag.ExitOnError)
+	sizeName := fs.String("size", "standard", "dataset scale: tiny or standard")
+	out := fs.String("out", "BENCH_parallel.json", "output JSON path")
+	defPar := runtime.NumCPU()
+	if defPar < 2 {
+		// A single-core machine cannot show a wall-clock win; still run the
+		// comparison so the report captures the scheduler's overhead there.
+		defPar = 2
+	}
+	par := fs.Int("parallel", defPar, "worker count for the parallel pass")
+	fs.Parse(args)
+	size := expt.Standard
+	if *sizeName == "tiny" {
+		size = expt.Tiny
+	}
+	if *par < 2 {
+		return usagef("-parallel must be at least 2 to compare against the serial pass")
+	}
+
+	// The grid covers the scheduler's main shapes: Table II (reorder
+	// stages, one at a time at any -parallel so their cost is measured
+	// alone), Table III (per-vertex simulations and miss-count folds),
+	// Table V (snapshotted simulations) and Fig. 1 (per-vertex simulations
+	// and miss-rate-by-degree series).
+	runGrid := func(parallel int) (time.Duration, error) {
+		s := expt.NewSession()
+		s.Ctrl = runctl.New(context.Background(), runctl.Config{})
+		s.Parallel = parallel
+		ds := expt.Suite(size)
+		algs := expt.StandardAlgorithms()
+		start := time.Now()
+		expt.TableII(s, ds, algs)
+		expt.TableIII(s, ds, algs)
+		expt.TableV(s, ds, algs)
+		expt.Fig1(s, ds[0], algs)
+		elapsed := time.Since(start)
+		if len(s.DegradedStages()) != 0 {
+			return elapsed, fmt.Errorf("bench run degraded stages: %v", s.DegradedStages())
+		}
+		return elapsed, nil
+	}
+
+	fmt.Fprintf(os.Stderr, "localitylab: bench serial pass (-parallel 1, size %s)...\n", *sizeName)
+	serial, err := runGrid(1)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "localitylab: serial %v; parallel pass (-parallel %d)...\n",
+		serial.Round(time.Millisecond), *par)
+	parallel, err := runGrid(*par)
+	if err != nil {
+		return err
+	}
+
+	speedup := serial.Seconds() / parallel.Seconds()
+	report := perf.Report{Schema: perf.SchemaVersion, Suite: *sizeName, GoMaxProcs: runtime.GOMAXPROCS(0)}
+	report.Add("parallel/grid/serial", 1, float64(serial.Nanoseconds()))
+	report.Add(fmt.Sprintf("parallel/grid/w=%d", *par), 1, float64(parallel.Nanoseconds()))
+	report.AddSpeedup("parallel/grid", speedup)
+	if err := perf.WriteFile(*out, report); err != nil {
+		return err
+	}
+	fmt.Printf("serial %.2fs, parallel %.2fs (%d workers): %.2fx speedup -> %s\n",
+		serial.Seconds(), parallel.Seconds(), *par, speedup, *out)
+	return nil
+}
 
 // cmdBenchPipeline times the simulation stack itself: cachesim and trace
 // microbenchmarks plus batched-vs-scalar SimulateSpMV macro runs over the

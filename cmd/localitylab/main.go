@@ -838,94 +838,6 @@ func cmdBench(args []string) error {
 	return cmdBenchParallel(args)
 }
 
-// cmdBenchParallel times a representative experiment grid twice — serial
-// (-parallel 1) and parallel — and writes the comparison as JSON. Each run
-// uses a fresh Session so the parallel pass cannot reuse memoized results
-// from the serial pass.
-func cmdBenchParallel(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	sizeName := fs.String("size", "standard", "dataset scale: tiny or standard")
-	out := fs.String("out", "BENCH_parallel.json", "output JSON path")
-	defPar := runtime.NumCPU()
-	if defPar < 2 {
-		// A single-core machine cannot show a wall-clock win; still run the
-		// comparison so the report captures the scheduler's overhead there.
-		defPar = 2
-	}
-	par := fs.Int("parallel", defPar, "worker count for the parallel pass")
-	fs.Parse(args)
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
-	}
-	if *par < 2 {
-		return usagef("-parallel must be at least 2 to compare against the serial pass")
-	}
-
-	// The grid covers the scheduler's main shapes: Table II (reorder
-	// stages), Table III (full simulations plus sharded miss-rate series),
-	// Table V (snapshotted simulations), and Fig. 1 (sharded
-	// miss-rate-by-degree analytics).
-	runGrid := func(parallel int) (time.Duration, error) {
-		s := expt.NewSession()
-		s.Ctrl = runctl.New(context.Background(), runctl.Config{})
-		s.Parallel = parallel
-		ds := expt.Suite(size)
-		algs := expt.StandardAlgorithms()
-		start := time.Now()
-		expt.TableII(s, ds, algs)
-		expt.TableIII(s, ds, algs)
-		expt.TableV(s, ds, algs)
-		expt.Fig1(s, ds[0], algs)
-		elapsed := time.Since(start)
-		if len(s.DegradedStages()) != 0 {
-			return elapsed, fmt.Errorf("bench run degraded stages: %v", s.DegradedStages())
-		}
-		return elapsed, nil
-	}
-
-	fmt.Fprintf(os.Stderr, "localitylab: bench serial pass (-parallel 1, size %s)...\n", *sizeName)
-	serial, err := runGrid(1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "localitylab: serial %v; parallel pass (-parallel %d)...\n",
-		serial.Round(time.Millisecond), *par)
-	parallel, err := runGrid(*par)
-	if err != nil {
-		return err
-	}
-
-	report := struct {
-		Size            string  `json:"size"`
-		Grid            string  `json:"grid"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		ParallelWorkers int     `json:"parallel_workers"`
-		SerialSeconds   float64 `json:"serial_seconds"`
-		ParallelSeconds float64 `json:"parallel_seconds"`
-		Speedup         float64 `json:"speedup"`
-	}{
-		Size:            *sizeName,
-		Grid:            "table2+table3+table5+fig1",
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		ParallelWorkers: *par,
-		SerialSeconds:   serial.Seconds(),
-		ParallelSeconds: parallel.Seconds(),
-		Speedup:         serial.Seconds() / parallel.Seconds(),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("serial %.2fs, parallel %.2fs (%d workers): %.2fx speedup -> %s\n",
-		report.SerialSeconds, report.ParallelSeconds, *par, report.Speedup, *out)
-	return nil
-}
-
 // contrastOnly returns one social and one web dataset.
 func contrastOnly(ds []expt.Dataset) []expt.Dataset {
 	var out []expt.Dataset

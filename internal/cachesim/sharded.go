@@ -291,102 +291,3 @@ func (s *Sharded) Reset() {
 		c.Reset()
 	}
 }
-
-// ShardedHierarchy is the NUMA-aware hierarchy mode: every node owns a
-// private inner path (e.g. L1D+L2) and all nodes share one set-interleaved
-// Sharded LLC, the topology of a multi-socket Skylake-SP. Accesses are
-// attributed to a node (in trace replay, thread→node); the private levels
-// see only that node's stream while the LLC sees the merged stream through
-// its shard interleave. Not safe for concurrent use — determinism comes
-// from the driving access order, as everywhere in cachesim.
-type ShardedHierarchy struct {
-	private [][]*Cache // [node][level]
-	llc     *Sharded
-}
-
-// NewShardedHierarchy builds a hierarchy of nodes NUMA nodes, each with a
-// private copy of privateCfgs (innermost first), sharing one Sharded LLC of
-// llcCfg split into llcShards. nodes must be >= 1; privateCfgs may be empty
-// (LLC-only, the paper's model).
-func NewShardedHierarchy(nodes int, privateCfgs []Config, llcCfg Config, llcShards int) *ShardedHierarchy {
-	if nodes < 1 {
-		panic("cachesim: sharded hierarchy needs at least one node")
-	}
-	h := &ShardedHierarchy{
-		private: make([][]*Cache, nodes),
-		llc:     NewSharded(llcCfg, llcShards),
-	}
-	for n := range h.private {
-		levels := make([]*Cache, len(privateCfgs))
-		for i, cfg := range privateCfgs {
-			levels[i] = New(cfg)
-		}
-		h.private[n] = levels
-	}
-	return h
-}
-
-// SkylakeNUMA returns a nodes-socket Skylake-SP model: per-node private
-// 32 KiB 8-way L1D and 1 MiB 16-way L2, sharing the 22 MiB DRRIP L3
-// sharded one bank per node (rounded down to a power of two).
-func SkylakeNUMA(nodes int) *ShardedHierarchy {
-	shards := 1
-	for shards*2 <= nodes {
-		shards *= 2
-	}
-	return NewShardedHierarchy(nodes,
-		[]Config{
-			{Name: "L1D", LineSize: 64, Sets: 64, Ways: 8, Policy: LRU},
-			{Name: "L2", LineSize: 64, Sets: 1024, Ways: 16, Policy: LRU},
-		},
-		SkylakeL3(), shards)
-}
-
-// Nodes returns the number of NUMA nodes.
-func (h *ShardedHierarchy) Nodes() int { return len(h.private) }
-
-// PrivateLevels returns the number of per-node private levels.
-func (h *ShardedHierarchy) PrivateLevels() int {
-	if len(h.private) == 0 {
-		return 0
-	}
-	return len(h.private[0])
-}
-
-// LLC returns the shared sharded last-level cache.
-func (h *ShardedHierarchy) LLC() *Sharded { return h.llc }
-
-// Access walks node's private path then the shared LLC, filling on miss at
-// every level (NINE, like Hierarchy). It returns the 0-based level that
-// hit, with PrivateLevels() meaning the LLC and PrivateLevels()+1 memory.
-func (h *ShardedHierarchy) Access(node int, addr uint64, write bool) int {
-	for i, c := range h.private[node] {
-		if c.Access(addr, write) {
-			return i
-		}
-	}
-	if h.llc.Access(addr, write) {
-		return len(h.private[node])
-	}
-	return len(h.private[node]) + 1
-}
-
-// PrivateStats returns the statistics of node's private level i.
-func (h *ShardedHierarchy) PrivateStats(node, level int) Stats {
-	return h.private[node][level].Stats()
-}
-
-// MemoryAccesses returns the number of accesses that missed every level.
-func (h *ShardedHierarchy) MemoryAccesses() uint64 {
-	return h.llc.Stats().Misses
-}
-
-// Reset clears every private level and the LLC.
-func (h *ShardedHierarchy) Reset() {
-	for _, levels := range h.private {
-		for _, c := range levels {
-			c.Reset()
-		}
-	}
-	h.llc.Reset()
-}

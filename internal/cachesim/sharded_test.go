@@ -200,69 +200,3 @@ func TestShardedReset(t *testing.T) {
 		t.Fatalf("valid lines after reset: %d", s.ValidLines())
 	}
 }
-
-// TestShardedHierarchyNUMA exercises the NUMA mode: per-node private
-// levels filter the stream the shared sharded LLC sees; a single-node,
-// no-private-level hierarchy degenerates to the bare Sharded cache.
-func TestShardedHierarchyNUMA(t *testing.T) {
-	llcCfg := Config{Name: "LLC", LineSize: 64, Sets: 64, Ways: 4, Policy: LRU}
-
-	// Degenerate case: no private levels, one node, one shard == Cache.
-	h := NewShardedHierarchy(1, nil, llcCfg, 1)
-	single := New(llcCfg)
-	addrs, writes := streamGen(8000, 2048, 9)
-	for i, addr := range addrs {
-		wantHit := single.Access(addr, writes[i])
-		lvl := h.Access(0, addr, writes[i])
-		gotHit := lvl == 0 // PrivateLevels()==0, so 0 means LLC hit
-		if wantHit != gotHit {
-			t.Fatalf("access %d: single hit=%v hierarchy level=%d", i, wantHit, lvl)
-		}
-	}
-	if single.Stats() != h.LLC().Stats() {
-		t.Fatalf("LLC stats = %+v, want %+v", h.LLC().Stats(), single.Stats())
-	}
-	if h.MemoryAccesses() != single.Stats().Misses {
-		t.Fatalf("memory accesses = %d, want %d", h.MemoryAccesses(), single.Stats().Misses)
-	}
-
-	// Two-node Skylake: private levels absorb reuse, levels stay in range,
-	// node attribution drives distinct private caches.
-	sky := SkylakeNUMA(2)
-	if sky.Nodes() != 2 || sky.PrivateLevels() != 2 || sky.LLC().Shards() != 2 {
-		t.Fatalf("SkylakeNUMA(2) topology: nodes=%d private=%d shards=%d",
-			sky.Nodes(), sky.PrivateLevels(), sky.LLC().Shards())
-	}
-	for i, addr := range addrs {
-		node := i & 1
-		lvl := sky.Access(node, addr, writes[i])
-		if lvl < 0 || lvl > 3 {
-			t.Fatalf("access %d: level %d out of range", i, lvl)
-		}
-	}
-	var privAccesses uint64
-	for n := 0; n < 2; n++ {
-		privAccesses += sky.PrivateStats(n, 0).Accesses
-	}
-	if privAccesses != uint64(len(addrs)) {
-		t.Fatalf("L1 accesses across nodes = %d, want %d", privAccesses, len(addrs))
-	}
-	// The LLC only sees what both private levels missed.
-	if llc := sky.LLC().Stats().Accesses; llc >= uint64(len(addrs)) {
-		t.Fatalf("LLC saw %d accesses, private levels filtered nothing", llc)
-	}
-	// Determinism across a replay after Reset.
-	before := sky.LLC().Stats()
-	sky.Reset()
-	for i, addr := range addrs {
-		sky.Access(i&1, addr, writes[i])
-	}
-	if sky.LLC().Stats() != before {
-		t.Fatalf("replay after Reset diverged: %+v vs %+v", sky.LLC().Stats(), before)
-	}
-
-	// SkylakeNUMA rounds non-power-of-two node counts down for the LLC.
-	if got := SkylakeNUMA(3).LLC().Shards(); got != 2 {
-		t.Fatalf("SkylakeNUMA(3) shards = %d, want 2", got)
-	}
-}

@@ -18,21 +18,6 @@ type UtilizationStats struct {
 	Evicted uint64
 }
 
-// Merge folds another stats object (from a shadow cache of the same
-// geometry) into this one. Both histograms must have the same word count.
-func (u *UtilizationStats) Merge(o UtilizationStats) {
-	if len(u.Histogram) == 0 {
-		u.Histogram = make([]uint64, len(o.Histogram))
-	}
-	if len(u.Histogram) != len(o.Histogram) {
-		panic("cachesim: merging utilization stats of different line sizes")
-	}
-	for w, c := range o.Histogram {
-		u.Histogram[w] += c
-	}
-	u.Evicted += o.Evicted
-}
-
 // MeanWords returns the average number of touched words per line.
 func (u UtilizationStats) MeanWords() float64 {
 	var sum, n uint64

@@ -102,21 +102,6 @@ func (s *DegreeSeries) Add(degree uint32, value float64) {
 	s.Count[i]++
 }
 
-// Merge folds another series with the identical bin layout into this one.
-// Because each bin is a plain (sum, count) pair, merging per-shard series
-// built over the same bins reproduces the serial aggregate — exactly so
-// when the summed values are integers (miss counts), and up to float64
-// summation order otherwise.
-func (s *DegreeSeries) Merge(other *DegreeSeries) {
-	if len(s.Sum) != len(other.Sum) {
-		panic("core: merging degree series with different bin layouts")
-	}
-	for i := range s.Sum {
-		s.Sum[i] += other.Sum[i]
-		s.Count[i] += other.Count[i]
-	}
-}
-
 // Mean returns the average value in bin i (0 when empty).
 func (s *DegreeSeries) Mean(i int) float64 {
 	if s.Count[i] == 0 {

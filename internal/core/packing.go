@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"graphlocality/internal/graph"
 	"graphlocality/internal/trace"
 )
@@ -35,80 +33,21 @@ const PackingVertsPerLine = 64 / trace.VertexDataBytes
 func PackingFactor(g *graph.Graph) float64 {
 	deg := g.TotalDegrees()
 	hot := 2 * g.AverageDegree() // total degree averages 2|E|/|V|
-	return packingRatio(packingScan(deg, hot, 0, packingLines(g.NumVertices())))
-}
-
-// PackingFactorParallel is PackingFactor sharded over cache-line ranges:
-// shard boundaries are line-aligned, so no line is split across shards and
-// the integer hot/line counters merge to the serial result bit-for-bit at
-// any shard count. shards <= 1 runs the serial scan.
-func PackingFactorParallel(g *graph.Graph, shards int) float64 {
-	nLines := packingLines(g.NumVertices())
-	if shards <= 1 || nLines == 0 {
-		return PackingFactor(g)
-	}
-	deg := g.TotalDegrees()
-	hot := 2 * g.AverageDegree()
-	ranges := ShardRanges(nLines, shards)
-	parts := make([]packingCount, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r graph.Range) {
-			defer wg.Done()
-			parts[i] = packingScan(deg, hot, r.Lo, r.Hi)
-		}(i, r)
-	}
-	wg.Wait()
-	var total packingCount
-	for _, p := range parts {
-		total.hot += p.hot
-		total.lines += p.lines
-	}
-	return packingRatio(total)
-}
-
-// packingCount aggregates one line range: hot vertices seen, and lines
-// holding at least one of them.
-type packingCount struct {
-	hot   uint64
-	lines uint64
-}
-
-// packingLines is the number of cache lines spanned by n vertex-data
-// elements.
-func packingLines(n uint32) uint32 {
-	return (n + PackingVertsPerLine - 1) / PackingVertsPerLine
-}
-
-// packingScan counts hot vertices and hot-occupied lines over the line
-// range [loLine, hiLine). deg is read-only, so shards share it safely.
-func packingScan(deg []uint32, hot float64, loLine, hiLine uint32) packingCount {
-	n := uint32(len(deg))
-	var c packingCount
-	for line := loLine; line < hiLine; line++ {
-		lo := line * PackingVertsPerLine
-		hi := lo + PackingVertsPerLine
-		if hi > n {
-			hi = n
-		}
+	var hotVerts, hotLines uint64
+	for lo := 0; lo < len(deg); lo += PackingVertsPerLine {
 		inLine := uint64(0)
-		for v := lo; v < hi; v++ {
-			if float64(deg[v]) > hot {
+		for _, d := range deg[lo:min(lo+PackingVertsPerLine, len(deg))] {
+			if float64(d) > hot {
 				inLine++
 			}
 		}
 		if inLine > 0 {
-			c.hot += inLine
-			c.lines++
+			hotVerts += inLine
+			hotLines++
 		}
 	}
-	return c
-}
-
-func packingRatio(c packingCount) float64 {
-	if c.lines == 0 {
+	if hotLines == 0 {
 		return 0
 	}
-	return float64(c.hot) / float64(c.lines*PackingVertsPerLine)
+	return float64(hotVerts) / float64(hotLines*PackingVertsPerLine)
 }

@@ -50,9 +50,6 @@ func TestPackingFactorDegenerate(t *testing.T) {
 	if got := core.PackingFactor(ring); got != 0 {
 		t.Errorf("PackingFactor(ring) = %v, want 0 (no vertex above threshold)", got)
 	}
-	if got := core.PackingFactorParallel(ring, 4); got != 0 {
-		t.Errorf("PackingFactorParallel(ring) = %v, want 0", got)
-	}
 }
 
 // TestPackingFactorHubOrderings is the metamorphic anchor: orderings whose
@@ -69,27 +66,6 @@ func TestPackingFactorHubOrderings(t *testing.T) {
 		rg := g.Relabel(reorder.Perm(reorder.MustNew(name), g))
 		if got := core.PackingFactor(rg); got < base {
 			t.Errorf("%s lowered PF: %v < baseline %v", name, got, base)
-		}
-	}
-}
-
-// TestPackingFactorParallelMatchesSerial requires the sharded scan to be
-// bit-identical to the serial scan at every shard count — the counters are
-// integers and shard boundaries are line-aligned, so even the final float
-// division is the same operation on the same operands.
-func TestPackingFactorParallelMatchesSerial(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"social": gen.SocialNetwork(10, 8, 7),
-		"web":    gen.WebGraph(gen.DefaultWebGraph(1<<10, 8, 11)),
-		"er":     gen.ErdosRenyi(1000, 8000, 13),
-		"tiny":   gen.ErdosRenyi(5, 10, 1),
-	}
-	for gname, g := range graphs {
-		want := core.PackingFactor(g)
-		for _, shards := range []int{1, 2, 3, 8, 64, 1000} {
-			if got := core.PackingFactorParallel(g, shards); got != want {
-				t.Errorf("%s: PackingFactorParallel(shards=%d) = %v, want %v", gname, shards, got, want)
-			}
 		}
 	}
 }

@@ -203,19 +203,14 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 // LineUtilization measures how many 8-byte words of each fetched cache
 // line the random vertex-data accesses of a pull SpMV actually touch,
 // under the given cache geometry — a direct spatial-locality metric:
-// orderings with strong type-I/III locality use most of every line.
+// orderings with strong type-I/III locality use most of every line. The
+// reads feed a cold shadow cache in trace order.
 func LineUtilization(g graph.Topology, cfg cachesim.Config) cachesim.UtilizationStats {
 	if cfg == (cachesim.Config{}) {
 		cfg = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
 	}
-	return lineUtilization(g, cfg, graph.Range{Hi: g.NumVertices()})
-}
-
-// lineUtilization feeds the random vertex-data reads a pull traversal
-// issues while processing the vertices of r to a cold shadow cache.
-func lineUtilization(g graph.Topology, cfg cachesim.Config, r graph.Range) cachesim.UtilizationStats {
 	tr := cachesim.NewUtilizationTracker(cfg)
-	trace.Generate(g, trace.NewLayout(g), trace.Stream{Dir: trace.Pull, Range: r}, 0, true, func(b *trace.Block) bool {
+	trace.Generate(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), 0, true, func(b *trace.Block) bool {
 		for i, k := range b.Kinds {
 			if k == trace.KindVertexRead {
 				tr.Access(b.Addrs[i], b.Writes[i])

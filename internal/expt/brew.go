@@ -115,7 +115,7 @@ func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
 			Algorithm:    c.alg.Name(),
 			Class:        info.Class,
 			MeanAID:      core.MeanAID(g),
-			Packing:      core.PackingFactorParallel(g, s.analysisShards()),
+			Packing:      core.PackingFactor(g),
 			ECSPct:       sim.ECS,
 			MissRatePct:  100 * sim.Cache.MissRate(),
 			BytesPerEdge: graph.MeasureSegmented(g, graph.SegmentedOptions{}).BytesPerEdge(),

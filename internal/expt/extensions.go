@@ -134,16 +134,14 @@ type UtilizationRow struct {
 }
 
 // UtilizationExperiment measures line utilization for each RA. Cells run
-// under the parallel scheduler, and the shadow-cache scan inside a cell is
-// additionally sharded by destination-vertex range in parallel sessions
-// (see core.LineUtilizationParallel for the boundary caveat).
+// under the parallel scheduler; rows come back in grid order.
 func UtilizationExperiment(s *Session, datasets []Dataset, algs []reorder.Algorithm) []UtilizationRow {
 	cells := grid(datasets, algs)
 	return mapCells(s, len(cells), func(i int) UtilizationRow {
 		c := cells[i]
 		cfg := s.CacheFor(c.ds)
 		g := s.Relabeled(c.ds, c.alg)
-		u := core.LineUtilizationParallel(g, cfg, s.analysisShards())
+		u := core.LineUtilization(g, cfg)
 		sim := s.Simulate(c.ds, c.alg, core.SimOptions{})
 		return UtilizationRow{
 			Dataset: c.ds.Name, Algorithm: c.alg.Name(),

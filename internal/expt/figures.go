@@ -26,15 +26,13 @@ type Series struct {
 // dataset (paper Fig. 1): the misses incurred while *processing* each
 // vertex, binned by its in-degree (the number of random accesses its
 // processing makes in a pull traversal), per-bin miss rate in percent.
-// Each algorithm is one scheduler cell, and the per-vertex binning inside
-// a cell is sharded across vertex ranges (exact at any shard count: the
-// per-bin sums are integer miss counts).
+// Each algorithm is one scheduler cell.
 func Fig1(s *Session, ds Dataset, algs []reorder.Algorithm) []Series {
 	return mapCells(s, len(algs), func(i int) Series {
 		alg := algs[i]
 		sim := s.Simulate(ds, alg, core.SimOptions{PerVertex: true})
 		g := s.Relabeled(ds, alg)
-		dist := core.ProcessingMissRateByDegreeParallel(sim, g.InDegrees(), s.analysisShards())
+		dist := core.ProcessingMissRateByDegree(sim, g.InDegrees())
 		return seriesFromDegreeSeries(alg.Name(), dist)
 	})
 }
@@ -186,11 +184,9 @@ func RenderFig2(snaps []Fig2Snapshot) string {
 
 // Fig3 computes the AID degree distribution of the initial order and
 // Rabbit-Order (paper Fig. 3).
-// The AID scans shard across vertex ranges in a parallel session (per-bin
-// float sums, so the last ulp may differ from a serial session).
 func Fig3(s *Session, ds Dataset) []Series {
-	initial := core.AIDByDegreeParallel(s.Graph(ds), s.analysisShards())
-	ro := core.AIDByDegreeParallel(s.Relabeled(ds, reorder.MustNew("ro")), s.analysisShards())
+	initial := core.AIDByDegree(s.Graph(ds))
+	ro := core.AIDByDegree(s.Relabeled(ds, reorder.MustNew("ro")))
 	return []Series{
 		seriesFromDegreeSeries("Initial", initial),
 		seriesFromDegreeSeries("RabbitOrder", ro),

@@ -20,9 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
 // goldenSession is the shared serial Tiny session all live golden renders
-// use: Parallel=1 pins every output (including sharded analytics) to the
-// bit-exact serial path, and sharing one session means each reordering is
-// computed once for the whole suite.
+// use: Parallel=1 runs every grid in order on the calling goroutine, and
+// sharing one session means each reordering is computed once for the whole
+// suite.
 var (
 	goldenOnce sync.Once
 	goldenSess *Session

@@ -118,14 +118,3 @@ func (s *Session) parallelism() int {
 	}
 	return p
 }
-
-// analysisShards returns the fan-out for sharded per-cell analytics (AID
-// binning, miss-rate series, line-utilization scans). Serial sessions use
-// one shard so every output is bit-for-bit the pre-scheduler result;
-// parallel sessions shard across the machine.
-func (s *Session) analysisShards() int {
-	if s.Parallel <= 1 {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}

@@ -64,6 +64,8 @@ func TestGridRowMajor(t *testing.T) {
 // Parallel=8 session must render byte-identical deterministic outputs to a
 // serial session. (Tables with wall-clock columns are excluded — Elapsed is
 // inherently non-reproducible — matching the CSV outputs the driver diffs.)
+// Run it at several GOMAXPROCS values (go test -cpu 1,2,8): the parallel
+// session's worker count follows the runtime, and no output may.
 func TestParallelSessionMatchesSerial(t *testing.T) {
 	serial, ds := tinySession()
 	par, _ := tinySession()
@@ -78,6 +80,9 @@ func TestParallelSessionMatchesSerial(t *testing.T) {
 		{"table3", func(s *Session) string { return RenderTableIII(TableIII(s, ds, algs)) }},
 		{"table5", func(s *Session) string { return RenderTableV(TableV(s, ds, algs)) }},
 		{"fig1", func(s *Session) string { return RenderSeries("Fig1", Fig1(s, ds[0], algs)) }},
+		{"fig3", func(s *Session) string { return RenderSeries("Fig3", Fig3(s, ds[0])) }},
+		{"utilization", func(s *Session) string { return RenderUtilization(UtilizationExperiment(s, ds, algs)) }},
+		{"brew", func(s *Session) string { return RenderBrew(BrewExperiment(s, ds[:1])) }},
 	}
 	for _, r := range renders {
 		want := r.fn(serial)
@@ -89,6 +94,66 @@ func TestParallelSessionMatchesSerial(t *testing.T) {
 	if len(serial.DegradedStages()) != 0 || len(par.DegradedStages()) != 0 {
 		t.Fatalf("unexpected degraded stages: serial=%v parallel=%v",
 			serial.DegradedStages(), par.DegradedStages())
+	}
+}
+
+// allocSink keeps allocHeavy's allocation from being optimized away.
+var allocSink []byte
+
+// allocLean and allocHeavy are a Table II pair built to overlap when run
+// concurrently: allocLean starts, then waits (at most a second) until
+// allocHeavy has allocated 64 MB, and allocHeavy waits (at most a second)
+// for allocLean to start before allocating. Run one after the other, only
+// the first to run waits, and nothing overlaps.
+type allocLean struct{ started, heavyDone chan struct{} }
+
+func (allocLean) Name() string { return "lean" }
+func (allocLean) Spec() string { return "lean" }
+
+func (a allocLean) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
+	close(a.started)
+	select {
+	case <-a.heavyDone:
+	case <-time.After(time.Second):
+	}
+	return graph.Identity(g.NumVertices()), nil
+}
+
+type allocHeavy struct{ leanStarted, done chan struct{} }
+
+func (allocHeavy) Name() string { return "heavy" }
+func (allocHeavy) Spec() string { return "heavy" }
+
+func (a allocHeavy) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
+	select {
+	case <-a.leanStarted:
+	case <-time.After(time.Second):
+	}
+	allocSink = make([]byte, 64<<20)
+	allocSink = nil
+	close(a.done)
+	return graph.Identity(g.NumVertices()), nil
+}
+
+// TestTableIIMeasuresWithoutContention runs Table II in a parallel session
+// next to an algorithm that allocates 64 MB. AllocBytes is a process-wide
+// allocation delta, so the lean algorithm's row reports the heavy one's
+// allocation too unless the table measures its cells one at a time.
+func TestTableIIMeasuresWithoutContention(t *testing.T) {
+	s, ds := tinySession()
+	s.Parallel = 8
+	started, heavyDone := make(chan struct{}), make(chan struct{})
+	algs := []reorder.Algorithm{allocLean{started, heavyDone}, allocHeavy{started, heavyDone}}
+	rows := TableII(s, ds[:1], algs)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	lean, heavy := rows[0], rows[1]
+	if heavy.AllocBytes < 64<<20 {
+		t.Errorf("heavy row reports %d bytes, want at least 64 MB", heavy.AllocBytes)
+	}
+	if lean.AllocBytes >= 1<<20 {
+		t.Errorf("lean row reports %.1f MB: its measurement includes the concurrent heavy cell", float64(lean.AllocBytes)/(1<<20))
 	}
 }
 
@@ -133,7 +198,8 @@ func (waitForCancel) Reorder(ctx context.Context, g *graph.Graph) (graph.Permuta
 }
 
 // TestCancellationMidGridLeavesValidCheckpoints cancels the run from inside
-// one grid cell while others are in flight. Cells that completed before the
+// one grid cell while others are in flight. The grid is Table V's, whose
+// cells reorder, relabel and simulate under the parallel scheduler. Cells that completed before the
 // cancellation must have validating write-through checkpoints; cells cut off
 // by it must be degraded with a cancellation reason, never half-written.
 func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
@@ -155,7 +221,7 @@ func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
 	}
 	algs := []reorder.Algorithm{peer, trigger, waitForCancel{}}
 
-	rows := TableII(s, ds, algs)
+	rows := TableV(s, ds, algs)
 	if want := len(ds) * len(algs); len(rows) != want {
 		t.Fatalf("got %d rows, want %d — cancellation must not drop rows", len(rows), want)
 	}

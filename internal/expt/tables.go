@@ -77,8 +77,10 @@ type TableIIRow struct {
 
 // TableII measures preprocessing time and allocation for every RA on
 // every dataset. RA stage failures do not abort the table: the affected
-// rows are marked degraded (see Session.Reorder). Cells run under the
-// parallel scheduler; rows come back in grid order regardless.
+// rows are marked degraded (see Session.Reorder). The cells run one at a
+// time whatever the session's parallelism: Elapsed is wall-clock and
+// AllocBytes is a process-wide allocation delta, so a concurrent sibling
+// cell would be measured along with the cell itself.
 func TableII(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableIIRow {
 	work := make([]reorder.Algorithm, 0, len(algs))
 	for _, alg := range algs {
@@ -88,16 +90,18 @@ func TableII(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableII
 		work = append(work, alg)
 	}
 	cells := grid(datasets, work)
-	return mapCells(s, len(cells), func(i int) TableIIRow {
-		c := cells[i]
+	s.rec().Counter("expt.cells").Add(uint64(len(cells)))
+	rows := make([]TableIIRow, len(cells))
+	for i, c := range cells {
 		r := s.Reorder(c.ds, c.alg)
 		reason, deg := s.Degraded(c.ds, c.alg)
-		return TableIIRow{
+		rows[i] = TableIIRow{
 			Dataset: c.ds.Name, Algorithm: r.Algorithm,
 			Preprocess: r.Elapsed, AllocBytes: r.AllocBytes,
 			Degraded: deg, DegradedReason: reason,
 		}
-	})
+	}
+	return rows
 }
 
 // RenderTableII renders preprocessing cost rows. Degraded rows carry a
