@@ -38,15 +38,14 @@ bench-serve:
 	STATUS=$$?; kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
 	rm -rf /tmp/localitylab-bench-cache; exit $$STATUS
 
-# Sweeps the multicore simulation pipeline and the boba parallel ordering
-# across worker counts (each row cross-checked bit-exact against the scalar
-# reference) and writes BENCH_multicore.json, the committed scaling
-# baseline.
+# Sweeps the boba parallel ordering across worker counts (each row
+# cross-checked bit-exact against the serial permutation) and writes
+# BENCH_multicore.json, the committed scaling baseline.
 bench-multicore:
 	go run ./cmd/localitylab bench multicore -size standard -out BENCH_multicore.json
 
-# Scaling-erosion gate: re-runs the multicore sweep into a scratch report
-# and compares against the committed baseline. Meaningful on multicore
+# Scaling-erosion gate: re-runs the boba sweep into a scratch report and
+# compares against the committed baseline. Meaningful on multicore
 # machines; on one core the run still proves bit-exactness per row.
 bench-multicore-diff:
 	go run ./cmd/localitylab bench multicore -size standard -out /tmp/BENCH_multicore.json

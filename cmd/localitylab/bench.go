@@ -127,12 +127,12 @@ func cmdBenchPipeline(args []string) error {
 	return nil
 }
 
-// cmdBenchMulticore sweeps the multicore simulation pipeline and the boba
-// parallel ordering across worker counts, timing each under a matching
-// GOMAXPROCS and cross-checking every row against the scalar reference, so
-// the report is simultaneously a scaling measurement and a bit-exactness
-// proof. The committed BENCH_multicore.json is the baseline `bench diff`
-// gates scaling erosion against on multicore runners.
+// cmdBenchMulticore sweeps the boba parallel ordering across worker
+// counts, timing each under a matching GOMAXPROCS and cross-checking every
+// row against the serial permutation, so the report is simultaneously a
+// scaling measurement and a bit-exactness proof. The committed
+// BENCH_multicore.json is the baseline `bench diff` gates scaling erosion
+// against on multicore runners.
 func cmdBenchMulticore(args []string) error {
 	fs := flag.NewFlagSet("bench multicore", flag.ExitOnError)
 	sizeName := fs.String("size", "standard", "dataset scale: tiny or standard")

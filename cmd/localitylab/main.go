@@ -179,8 +179,8 @@ Commands:
   bench       performance harness: bench parallel (experiment grid serial vs
               parallel -> BENCH_parallel.json), bench pipeline (batched vs
               scalar simulation stack -> BENCH_pipeline.json), bench multicore
-              (per-worker-count simulation + boba scaling, every row
-              cross-checked bit-exact -> BENCH_multicore.json), bench diff
+              (per-worker-count boba scaling, every row cross-checked
+              bit-exact -> BENCH_multicore.json), bench diff
               [-tolerance 1.5] <baseline> <current> (regression gate)
   serve       run localityd, the reorder/simulate daemon (admission control,
               deadlines, load shedding, graceful drain on SIGTERM)
@@ -819,9 +819,9 @@ func cmdExperiment(args []string) error {
 // cmdBench dispatches the benchmark modes: "parallel" (the default, and
 // assumed when the first argument is a flag, for compatibility) compares
 // the experiment scheduler's serial and parallel passes; "pipeline" times
-// the simulation stack itself (see bench.go); "multicore" sweeps the
-// multicore simulation pipeline and boba across worker counts; "diff"
-// gates a current report against a committed baseline.
+// the simulation stack itself (see bench.go); "multicore" sweeps the boba
+// parallel ordering across worker counts; "diff" gates a current report
+// against a committed baseline.
 func cmdBench(args []string) error {
 	if len(args) > 0 {
 		switch args[0] {

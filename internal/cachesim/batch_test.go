@@ -3,7 +3,7 @@ package cachesim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -24,19 +24,19 @@ func assertSameState(t *testing.T, name string, want, got *Cache) {
 		t.Fatalf("%s: (psel,clock,brripCtr) = (%d,%d,%d), want (%d,%d,%d)",
 			name, got.psel, got.clock, got.brripCtr, want.psel, want.clock, want.brripCtr)
 	}
-	if !reflect.DeepEqual(want.tags, got.tags) {
+	if !slices.Equal(want.tags, got.tags) {
 		t.Fatalf("%s: tags diverge", name)
 	}
-	if !reflect.DeepEqual(want.valid, got.valid) {
+	if !slices.Equal(want.valid, got.valid) {
 		t.Fatalf("%s: valid bits diverge", name)
 	}
-	if !reflect.DeepEqual(want.dirty, got.dirty) {
+	if !slices.Equal(want.dirty, got.dirty) {
 		t.Fatalf("%s: dirty bits diverge", name)
 	}
-	if !reflect.DeepEqual(want.meta, got.meta) {
+	if !slices.Equal(want.meta, got.meta) {
 		t.Fatalf("%s: replacement metadata diverges", name)
 	}
-	if !reflect.DeepEqual(want.occ, got.occ) {
+	if !slices.Equal(want.occ, got.occ) {
 		t.Fatalf("%s: per-set occupancy diverges", name)
 	}
 }

@@ -300,16 +300,6 @@ func (c *Cache) missFill(line, set, tag uint64, base int, write bool) int {
 	return victim
 }
 
-// Prefetch fills addr's line exactly as the next-line prefetcher does: if
-// the line is absent it is inserted cold (distant RRPV / oldest LRU stamp)
-// so it is the first eviction candidate until a demand access promotes it.
-// Sharded uses this to route a shard's next-line prefetch into the shard
-// that owns line+1; it is not part of the demand-access accounting (no
-// Accesses/Hits/Misses update, only Prefetches and eviction counters).
-func (c *Cache) Prefetch(addr uint64) {
-	c.prefetch(addr >> c.lineBits)
-}
-
 // prefetch fills the given line if absent, inserting it cold so it is the
 // first candidate for eviction until a demand access promotes it.
 func (c *Cache) prefetch(line uint64) {

@@ -16,104 +16,6 @@ import (
 // cfgSel picks geometry and policy; blockSel the batch size; data encodes
 // the stream, 3 bytes per access (16-bit line index + write bit), keeping
 // the addresses in a window small enough to keep the cache contended.
-// FuzzShardedMergeVsSingle feeds arbitrary access streams through a
-// Sharded cache at a fuzzer-chosen shard count and requires:
-//
-//   - for the per-set policies (LRU, SRRIP): per-access results and merged
-//     Stats bit-identical to the single Cache of the same global geometry
-//     (the exactness half of the sharding model, prefetch included);
-//   - for every policy: the serial batch driver and the parallel
-//     per-shard driver bit-identical to per-access routing — same hits,
-//     same final state in every shard (the determinism half).
-//
-// The fuzzer owns the addresses, shard count, and batch cut, so it reaches
-// set/shard aliasing corners (single-set shards, prefetches that cross the
-// shard interleave, streams confined to one shard) that the structured
-// tests never construct.
-func FuzzShardedMergeVsSingle(f *testing.F) {
-	f.Add(uint8(0x00), uint8(0), uint8(1), []byte{0, 0, 0})
-	f.Add(uint8(0x1b), uint8(2), uint8(3), []byte{
-		0, 0, 0, 0, 0, 1, 0, 1, 0, 0xff, 0xff, 1, 0, 0, 0,
-	})
-	f.Add(uint8(0x5f), uint8(0x83), uint8(0), []byte{
-		1, 2, 0, 3, 4, 1, 5, 6, 0, 7, 8, 1, 1, 2, 0, 9, 10, 0,
-	})
-	f.Add(uint8(0xc7), uint8(1), uint8(255), []byte{
-		0x40, 0, 0, 0x40, 1, 0, 0x40, 2, 0, 0x40, 3, 1, 0x40, 0, 0,
-	})
-
-	f.Fuzz(func(t *testing.T, cfgSel, shardSel, blockSel uint8, data []byte) {
-		cfg := Config{
-			LineSize:         64,
-			Sets:             1 << (cfgSel & 0x7),       // 1..128 sets
-			Ways:             1 + int(cfgSel>>3&0x7),    // 1..8 ways
-			Policy:           Policy(cfgSel >> 6 & 0x3), // LRU..DRRIP
-			NextLinePrefetch: shardSel>>7 == 1,
-		}
-		shards := 1 << (shardSel & 0x3) // 1..8 shards
-		if shards > cfg.Sets {
-			shards = cfg.Sets
-		}
-		blockSize := 1 + int(blockSel)%64
-
-		n := len(data) / 3
-		if n == 0 {
-			return
-		}
-		addrs := make([]uint64, n)
-		writes := make([]bool, n)
-		for i := 0; i < n; i++ {
-			line := uint64(data[3*i])<<8 | uint64(data[3*i+1])
-			addrs[i] = line << 6
-			writes[i] = data[3*i+2]&1 == 1
-		}
-
-		name := fmt.Sprintf("cfg=%+v shards=%d bs=%d", cfg, shards, blockSize)
-		scalar := NewSharded(cfg, shards)
-		single := New(cfg)
-		perSet := cfg.Policy == LRU || cfg.Policy == SRRIP
-		scalarHits := make([]bool, n)
-		for i := 0; i < n; i++ {
-			scalarHits[i] = scalar.Access(addrs[i], writes[i])
-			if perSet {
-				if want := single.Access(addrs[i], writes[i]); scalarHits[i] != want {
-					t.Fatalf("%s: access %d (addr %#x): sharded hit=%v, single hit=%v",
-						name, i, addrs[i], scalarHits[i], want)
-				}
-			}
-		}
-		if perSet && scalar.Stats() != single.Stats() {
-			t.Fatalf("%s: merged sharded stats = %+v, single stats = %+v",
-				name, scalar.Stats(), single.Stats())
-		}
-
-		batched := NewSharded(cfg, shards)
-		parallel := NewSharded(cfg, shards)
-		batchHits := make([]bool, n)
-		parHits := make([]bool, n)
-		for lo := 0; lo < n; lo += blockSize {
-			hi := lo + blockSize
-			if hi > n {
-				hi = n
-			}
-			batched.AccessBatch(addrs[lo:hi], writes[lo:hi], batchHits[lo:hi])
-			parallel.AccessBatchParallel(addrs[lo:hi], writes[lo:hi], parHits[lo:hi])
-		}
-		for i := 0; i < n; i++ {
-			if batchHits[i] != scalarHits[i] {
-				t.Fatalf("%s: access %d: AccessBatch hit=%v, scalar hit=%v", name, i, batchHits[i], scalarHits[i])
-			}
-			if parHits[i] != scalarHits[i] {
-				t.Fatalf("%s: access %d: AccessBatchParallel hit=%v, scalar hit=%v", name, i, parHits[i], scalarHits[i])
-			}
-		}
-		for s := 0; s < shards; s++ {
-			assertSameState(t, fmt.Sprintf("%s batch shard %d", name, s), scalar.Shard(s), batched.Shard(s))
-			assertSameState(t, fmt.Sprintf("%s parallel shard %d", name, s), scalar.Shard(s), parallel.Shard(s))
-		}
-	})
-}
-
 func FuzzBatchedVsScalar(f *testing.F) {
 	f.Add(uint8(0x00), uint8(1), []byte{0, 0, 0})
 	f.Add(uint8(0x1b), uint8(3), []byte{

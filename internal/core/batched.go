@@ -7,7 +7,7 @@ import (
 	"graphlocality/internal/trace"
 )
 
-// simBatchSize is the block granularity of the fast paths: the trace
+// simBatchSize is the block granularity of the fast path: the trace
 // generator delivers blocks of this many accesses, the cache and TLB
 // consume them through AccessBatch, and the context is polled once per
 // block (so effective cancellation granularity is one block, on the order
@@ -32,9 +32,6 @@ const simBatchSize = trace.DefaultBatchSize
 func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
 	opts = opts.normalize(g)
 	c := newBlockConsumer(g, opts)
-	if opts.TLB != nil {
-		c.tlb = cachesim.NewTLB(*opts.TLB)
-	}
 	var attr *attribution
 	var hits []bool
 	if opts.PerVertex {
@@ -57,15 +54,14 @@ func simulateBatched(g graph.Topology, opts SimOptions) SimResult {
 	return res
 }
 
-// blockConsumer is the cache stage of the fast paths. It feeds each block
-// to the cache (and to the TLB, when it drives one), splits blocks at
+// blockConsumer is the cache stage of the fast path. It feeds each block
+// to the cache (and to the TLB, when there is one), splits blocks at
 // exact ECS snapshot points so the cache is scanned at the same access
 // counts as the scalar reference, folds bytes touched from the block's
-// edge-read count, and polls the context once per block. simulateBatched
-// and the multicore cache stage both run it.
+// edge-read count, and polls the context once per block.
 type blockConsumer struct {
 	cache      *cachesim.Cache
-	tlb        *cachesim.TLB // nil when absent or driven by another stage
+	tlb        *cachesim.TLB // nil when absent
 	layout     trace.Layout
 	every      uint64 // SnapshotEvery
 	totalLines float64
@@ -79,7 +75,7 @@ type blockConsumer struct {
 
 // newBlockConsumer builds the cache stage for normalized opts over g.
 func newBlockConsumer(g graph.Dims, opts SimOptions) *blockConsumer {
-	return &blockConsumer{
+	c := &blockConsumer{
 		cache:      cachesim.New(opts.Cache),
 		layout:     trace.NewLayout(g),
 		every:      uint64(max(opts.SnapshotEvery, 0)),
@@ -88,6 +84,10 @@ func newBlockConsumer(g graph.Dims, opts SimOptions) *blockConsumer {
 		// the context, and consume calls it once per block.
 		poll: runctl.NewPoller(opts.Ctx, 1),
 	}
+	if opts.TLB != nil {
+		c.tlb = cachesim.NewTLB(*opts.TLB)
+	}
+	return c
 }
 
 // consume feeds block b through the stage; hits, when non-nil, receives
@@ -185,17 +185,6 @@ func (a *attribution) add(b *trace.Block, hits []bool) {
 				a.dm[d]++
 			}
 		}
-	}
-}
-
-// merge adds o's counts to a. Integer addition is order-independent, so
-// merging per-worker parts reproduces the serial counts exactly.
-func (a *attribution) merge(o *attribution) {
-	for v := range a.va {
-		a.va[v] += o.va[v]
-		a.vm[v] += o.vm[v]
-		a.da[v] += o.da[v]
-		a.dm[v] += o.dm[v]
 	}
 }
 

@@ -21,8 +21,7 @@ import (
 
 // closedFormOptions returns every option set of the differential grid:
 // direction × policy × prefetch, per-vertex attribution, snapshots at the
-// grid's strides, the TLB, emulated threads, the kitchen sink, and the
-// multicore pipeline.
+// grid's strides, the TLB, emulated threads and the kitchen sink.
 func closedFormOptions(g graph.Dims) map[string]SimOptions {
 	sets := map[string]SimOptions{}
 	cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
@@ -36,7 +35,7 @@ func closedFormOptions(g graph.Dims) map[string]SimOptions {
 			}
 		}
 		sets[fmt.Sprintf("%s/pervertex", dir)] = SimOptions{Direction: dir, PerVertex: true}
-		sets[fmt.Sprintf("%s/threads=3/workers=4", dir)] = SimOptions{Direction: dir, Threads: 3, Interval: 37, Workers: 4}
+		sets[fmt.Sprintf("%s/threads=3", dir)] = SimOptions{Direction: dir, Threads: 3, Interval: 37}
 	}
 	for _, every := range []int{1, 997, 4096, 5000} {
 		sets[fmt.Sprintf("snapshot=%d", every)] = SimOptions{SnapshotEvery: every}
@@ -45,7 +44,7 @@ func closedFormOptions(g graph.Dims) map[string]SimOptions {
 	for _, threads := range []int{2, 4} {
 		sets[fmt.Sprintf("threads=%d", threads)] = SimOptions{Threads: threads, Interval: 512}
 	}
-	sets["workers=4/pervertex/tlb"] = SimOptions{Workers: 4, PerVertex: true, TLB: &tlb, SnapshotEvery: 1009}
+	sets["pervertex/tlb"] = SimOptions{PerVertex: true, TLB: &tlb, SnapshotEvery: 1009}
 	prefetch := cfg
 	prefetch.NextLinePrefetch = true
 	sets["kitchen-sink"] = SimOptions{Direction: trace.Push, Cache: prefetch, TLB: &tlb, SnapshotEvery: 1009, PerVertex: true}

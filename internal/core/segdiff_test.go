@@ -121,24 +121,6 @@ func TestSegmentedBackedMatchesScalarThreads(t *testing.T) {
 	}
 }
 
-// TestSegmentedBackedMatchesScalarWorkers drives the multicore pipeline
-// from a segment-backed graph: parallel producers decode segments
-// concurrently through the shared cache (this is the -race honeypot) and
-// the result must still be bit-exact.
-func TestSegmentedBackedMatchesScalarWorkers(t *testing.T) {
-	g := gen.ErdosRenyi(600, 4800, 2)
-	for _, segVerts := range []int{1, 37} {
-		// A small decoded-segment budget forces concurrent decode/evict
-		// churn between producer goroutines.
-		sg := openSeg(t, g, segVerts, 8<<10, nil)
-		for _, workers := range []int{2, 4} {
-			name := fmt.Sprintf("seg=%d/workers=%d", segVerts, workers)
-			assertSegSameResult(t, name, g, sg, SimOptions{Workers: workers})
-			assertSegSameResult(t, name+"/pervertex", g, sg, SimOptions{Workers: workers, PerVertex: true})
-		}
-	}
-}
-
 // TestSegmentedBackedKitchenSink combines everything at once on a tiny
 // cache budget.
 func TestSegmentedBackedKitchenSink(t *testing.T) {
@@ -200,7 +182,6 @@ func TestSegmentedBudgetBoundedEndToEnd(t *testing.T) {
 	}
 	sg := openSeg(t, g, 64, budget, reg)
 	assertSegSameResult(t, "budget-bounded", g, sg, SimOptions{PerVertex: true, SnapshotEvery: 4096})
-	assertSegSameResult(t, "budget-bounded/workers", g, sg, SimOptions{Workers: 4})
 
 	if _, peak, _ := sg.CacheStats(); peak > budget {
 		t.Fatalf("peak resident %d exceeds budget %d", peak, budget)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/graph"
@@ -13,7 +12,7 @@ import (
 // SimOptions configures an SpMV cache simulation.
 type SimOptions struct {
 	// Ctx, when non-nil, is polled as the simulation runs (once per block
-	// on the fast paths); when it dies the simulation stops early and the
+	// on the fast path); when it dies the simulation stops early and the
 	// result carries the counters accumulated so far with Canceled set.
 	Ctx context.Context
 	// Direction of the traversal (default Pull).
@@ -21,13 +20,11 @@ type SimOptions struct {
 	// Threads emulated by the paper's two-phase parallel simulation; 1
 	// runs a sequential trace.
 	Threads int
-	// Workers is the number of real OS-level pipeline workers the
-	// simulation may use (distinct from Threads, which changes the
-	// *simulated* access stream; Workers never does). Workers > 1 runs the
-	// multicore pipeline (see simulateMulticore), which is bit-identical
-	// to the serial batched path for every option combination. 0 or 1 —
-	// or any value when GOMAXPROCS is 1 — runs the proven serial
-	// fall-through.
+	// Workers bounds the number of segment replays SimulateSpMVSegmented
+	// runs concurrently (0 = one goroutine per segment). It never changes
+	// the simulated access stream, and SimulateSpMV ignores it: the cache
+	// model is serial by nature (DRRIP's PSEL and BRRIP's bimodal counter
+	// are global and order-dependent).
 	Workers int
 	// Interval is the per-thread access-interleaving interval (default
 	// 1024 accesses).
@@ -93,13 +90,8 @@ type SimResult struct {
 //
 // It runs on the batched fast path (see simulateBatched), which is
 // bit-identical to — and several times faster than — the scalar reference
-// implementation SimulateSpMVReference. With opts.Workers > 1 (and more
-// than one core available) it runs the multicore pipeline instead, which
-// is bit-identical to both.
+// implementation SimulateSpMVReference.
 func SimulateSpMV(g graph.Topology, opts SimOptions) SimResult {
-	if opts.Workers > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return simulateMulticore(g, opts)
-	}
 	return simulateBatched(g, opts)
 }
 

@@ -10,8 +10,9 @@ import (
 )
 
 // TestMulticorePass runs the multicore sweep on a tiny workload and checks
-// the report shape: one timing row per (kind, workload, worker count), one
-// speedup row per worker count above 1, and GOMAXPROCS restored afterward.
+// the report shape: only boba rows, one timing row per (workload, worker
+// count), one speedup row per worker count above 1, and GOMAXPROCS
+// restored afterward.
 // The pass's built-in DeepEqual cross-checks make a passing run a
 // bit-exactness statement too; a divergence would surface as an error here.
 func TestMulticorePass(t *testing.T) {
@@ -25,19 +26,28 @@ func TestMulticorePass(t *testing.T) {
 	if got := runtime.GOMAXPROCS(0); got != before {
 		t.Errorf("GOMAXPROCS = %d after pass, want %d restored", got, before)
 	}
-	for _, kind := range []string{"simulate", "boba"} {
-		for _, wc := range counts {
-			name := fmt.Sprintf("multicore/%s/tiny/w=%d", kind, wc)
-			if _, ok := r.Find(name); !ok {
-				t.Errorf("missing benchmark %s", name)
-			}
-			_, hasSpeedup := r.FindSpeedup(name)
-			if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
-				t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
-			}
+	for _, wc := range counts {
+		name := fmt.Sprintf("multicore/boba/tiny/w=%d", wc)
+		if _, ok := r.Find(name); !ok {
+			t.Errorf("missing benchmark %s", name)
+		}
+		_, hasSpeedup := r.FindSpeedup(name)
+		if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
+			t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
+		}
+	}
+	if len(r.Benchmarks) != len(counts) {
+		t.Errorf("%d benchmark rows, want %d (boba only)", len(r.Benchmarks), len(counts))
+	}
+	for _, b := range r.Benchmarks {
+		if !strings.HasPrefix(b.Name, "multicore/boba/") {
+			t.Errorf("unexpected benchmark row %s, want multicore/boba/* only", b.Name)
 		}
 	}
 	for _, s := range r.Speedups {
+		if !strings.HasPrefix(s.Name, "multicore/boba/") {
+			t.Errorf("unexpected speedup row %s, want multicore/boba/* only", s.Name)
+		}
 		if s.Speedup <= 0 {
 			t.Errorf("speedup %s = %v, want > 0", s.Name, s.Speedup)
 		}
@@ -46,7 +56,7 @@ func TestMulticorePass(t *testing.T) {
 
 // TestMulticoreDefaultsWorkerLadder pins the ladder contract: it starts at
 // 1 (the baseline every speedup is relative to) and always includes 2, so
-// the parallel pipeline runs even on a single-core machine; and a caller
+// the parallel boba pass runs even on a single-core machine; and a caller
 // list not starting at 1 gets the baseline prepended.
 func TestMulticoreDefaultsWorkerLadder(t *testing.T) {
 	counts := DefaultWorkerCounts()
