@@ -37,8 +37,8 @@ import (
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/spmv"
-	"graphlocality/internal/store"
 	"graphlocality/internal/trace"
+	"graphlocality/internal/vfs"
 	"graphlocality/internal/viz"
 )
 
@@ -192,8 +192,11 @@ Commands:
   version     print the binary version (also: -version)
 
 Environment:
-  LOCALITYLAB_FAILPOINTS  arm runctl failpoints at startup, e.g.
-                          "serve.job.run=panic*2,store.write.before-rename=crash"`)
+  LOCALITYLAB_FAILPOINTS  arm runctl stage failpoints at startup
+                          (name=mode[*times][~dur], mode panic|error|
+                          transient|hang), e.g.
+                          "serve.job.run=panic*2,serve.store.get=transient*1";
+                          file faults go through chaos run|replay instead`)
 }
 
 func loadGraph(path string) (*graph.Graph, error) {
@@ -205,11 +208,11 @@ func loadGraph(path string) (*graph.Graph, error) {
 	return graph.ReadBinary(f)
 }
 
-// saveGraph writes the graph through the store's atomic protocol (temp +
+// saveGraph writes the graph through the atomic commit protocol (temp +
 // sync + rename), so an interrupted run can never leave a torn .bin where
 // a good file stood.
 func saveGraph(g *graph.Graph, path string) error {
-	return store.WriteFileAtomic(path, g.WriteBinary)
+	return vfs.WriteFileAtomic(nil, path, g.WriteBinary)
 }
 
 func cmdSpy(args []string) error {

@@ -38,6 +38,13 @@ func TestGraphFileRoundTrip(t *testing.T) {
 	if !g.Equal(h) {
 		t.Error("file round trip changed the graph")
 	}
+	// Graphs commit through the shared atomic protocol, so they land with
+	// mode 0644 like every other committed file, not CreateTemp's 0600.
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Errorf("graph file mode = %v, want -rw-r--r--", fi.Mode().Perm())
+	}
 	if _, err := loadGraph(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Error("missing file accepted")
 	}

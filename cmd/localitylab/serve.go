@@ -21,9 +21,9 @@ import (
 
 // failpointEnv is the environment variable holding a failpoint spec
 // (see runctl.ParseSpec) armed at process startup, before any command
-// runs. The `serve -failpoints` flag is the equivalent per-invocation
-// form; both exist so the chaos CI job can attack a real binary it did
-// not build with test hooks.
+// runs, so stage faults can be injected into a real binary built without
+// test hooks. File faults are not failpoints: they are injected through
+// vfs.FaultFS by `localitylab chaos run|replay`.
 const failpointEnv = "LOCALITYLAB_FAILPOINTS"
 
 // armFailpointsFromEnv injects the LOCALITYLAB_FAILPOINTS spec, if any.
@@ -93,20 +93,11 @@ func cmdServe(args []string) error {
 	maxDeadline := fs.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 20*time.Second, "grace period for in-flight jobs on SIGTERM")
 	maxScale := fs.Int("maxscale", 16, "cap on graph.scale in job requests")
-	failpoints := fs.String("failpoints", "", "failpoint spec to arm (name=mode[*times][@offset][~dur],...)")
 	if err := fs.Parse(args); err != nil {
 		return usagef("serve: %v", err)
 	}
 	if fs.NArg() != 0 {
 		return usagef("serve: unexpected arguments %v", fs.Args())
-	}
-	if *failpoints != "" {
-		remove, err := runctl.InjectSpec(*failpoints)
-		if err != nil {
-			return usagef("serve: -failpoints: %v", err)
-		}
-		defer remove()
-		fmt.Fprintf(os.Stderr, "localitylab: failpoints armed: %s\n", *failpoints)
 	}
 
 	srv := serve.New(serve.Config{

@@ -42,7 +42,7 @@ func openStoreDir(fs *flag.FlagSet, args []string) (*store.Store, error) {
 	} else if !fi.IsDir() {
 		return nil, usagef("%s is not a directory", *dir)
 	}
-	return store.Open(*dir, nil)
+	return store.Open(nil, *dir, nil)
 }
 
 func renderScan(infos []store.ArtifactInfo) {

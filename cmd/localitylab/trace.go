@@ -7,8 +7,8 @@ import (
 	"os"
 
 	"graphlocality/internal/cachesim"
-	"graphlocality/internal/store"
 	"graphlocality/internal/trace"
+	"graphlocality/internal/vfs"
 )
 
 func cmdTrace(args []string) error {
@@ -31,7 +31,7 @@ func cmdTrace(args []string) error {
 	}
 	logs := trace.CollectLogs(g, trace.NewLayout(g), dir, *threads)
 	// Atomic write: an interrupted record never leaves a torn trace file.
-	if err := store.WriteFileAtomic(*out, func(w io.Writer) error {
+	if err := vfs.WriteFileAtomic(nil, *out, func(w io.Writer) error {
 		return trace.WriteLogs(logs, w)
 	}); err != nil {
 		return err

@@ -9,7 +9,6 @@ import (
 
 	"graphlocality/internal/obs"
 	"graphlocality/internal/runctl"
-	"graphlocality/internal/store"
 	"graphlocality/internal/vfs"
 )
 
@@ -43,7 +42,7 @@ type ScheduleResult struct {
 	// Spec is the canonical fault list (Schedule.String).
 	Spec string `json:"spec"`
 	// Crashed reports whether the schedule armed a simulated
-	// process-death fault (vfs crash rule or FailCrash failpoint).
+	// process-death fault (a vfs crash rule).
 	Crashed bool `json:"crashed,omitempty"`
 	// VFSFaults is how many vfs operations faulted.
 	VFSFaults int `json:"vfs_faults,omitempty"`
@@ -157,9 +156,6 @@ func runSchedule(opts Options, sched Schedule, index int) (ScheduleResult, error
 	if err != nil {
 		return res, err
 	}
-	// Unify crash sentinels: a vfs-injected crash reports the same error
-	// the failpoint layer uses, so store/serve crash handling is one path.
-	fault.SetCrashError(runctl.ErrSimulatedCrash)
 
 	removers := make([]func(), 0, len(sched.Failpoints))
 	for _, nf := range sched.Failpoints {
@@ -193,11 +189,6 @@ func crashScheduled(sched Schedule) bool {
 			return true
 		}
 	}
-	for _, nf := range sched.Failpoints {
-		if nf.FP.Mode == runctl.FailCrash {
-			return true
-		}
-	}
 	return false
 }
 
@@ -207,7 +198,7 @@ func WriteReport(path string, rep *Report) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return store.WriteFileAtomic(path, func(w io.Writer) error {
+	return vfs.WriteFileAtomic(nil, path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)

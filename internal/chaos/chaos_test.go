@@ -8,13 +8,11 @@ import (
 	"strings"
 	"testing"
 
-	"graphlocality/internal/runctl"
-	"graphlocality/internal/store"
 	"graphlocality/internal/vfs"
 )
 
-// Failpoints are process-global, so no test in this package may use
-// t.Parallel.
+// runctl failpoints (armed by serve schedules) are process-global, so no
+// test in this package may use t.Parallel.
 
 func TestParseScheduleRoundTrip(t *testing.T) {
 	cases := []string{
@@ -22,10 +20,10 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 		"vfs.write=short*2@1",
 		"vfs.rename=drop*1",
 		"vfs.sync=crash@3",
-		"store.write.before-rename=crash*1",
-		"store.write.after-commit=bitflip@-3",
+		"vfs.write=flip*1",
+		"vfs.write=flip@2,vfs.rename=crash",
 		"serve.job.run=transient*2",
-		"vfs.read=eio*1@2,store.write.before-sync=crash*1",
+		"vfs.read=eio*1@2,serve.store.get=error*1",
 	}
 	for _, spec := range cases {
 		s, err := ParseSchedule(spec)
@@ -49,11 +47,14 @@ func TestParseScheduleRejectsGarbage(t *testing.T) {
 		"vfs.teleport=eio",      // unknown op
 		"vfs.write=explode",     // unknown kind
 		"vfs.read=short",        // short is write-only
+		"vfs.sync=flip",         // flip is write-only
 		"vfs.write=drop",        // drop is rename-only
 		"vfs.write=eio*0",       // times must be >= 1
 		"vfs.write=eio*x",       // non-numeric
 		"vfs.write=eio@-1",      // negative skip
 		"some.point=vaporize",   // unknown failpoint mode
+		"some.point=crash",      // file faults are vfs items, not failpoints
+		"some.point=bitflip@-3", // likewise
 		"=eio",                  // empty name
 		"vfs.write=eio@1@2*bad", // trailing garbage
 	}
@@ -151,22 +152,22 @@ func TestCampaignDistinctSchedules(t *testing.T) {
 }
 
 // findSabotageIndex locates a schedule whose store workload suffers
-// silent post-commit corruption — the scenario the Unverified sabotage
-// turns into a visible violation.
+// silent corruption that still commits — the scenario the Unverified
+// sabotage turns into a visible violation.
 func findSabotageIndex(t *testing.T, seed int64) int {
 	t.Helper()
 	for index := 0; index < 2000; index++ {
 		s := GenerateSchedule(seed, index)
-		// The schedule's ONLY faults must be post-commit corruption: any
-		// other fault could block the commit, leaving nothing on disk to
-		// corrupt.
-		if s.Workload != "store" || len(s.Rules) != 0 || len(s.Failpoints) == 0 {
+		// The schedule's ONLY faults must be lying writes (short or flip)
+		// on the artifact's one write: any other fault could block the
+		// commit, leaving nothing corrupt on disk.
+		if s.Workload != "store" || len(s.Failpoints) != 0 || len(s.Rules) == 0 {
 			continue
 		}
 		ok := true
-		for _, nf := range s.Failpoints {
-			if nf.Name != store.PointAfterCommit ||
-				(nf.FP.Mode != runctl.FailBitFlip && nf.FP.Mode != runctl.FailTruncate) {
+		for _, r := range s.Rules {
+			if r.Op != vfs.OpWrite || r.Skip != 0 ||
+				(r.Kind != vfs.FaultShortWrite && r.Kind != vfs.FaultFlip) {
 				ok = false
 			}
 		}
@@ -174,7 +175,7 @@ func findSabotageIndex(t *testing.T, seed int64) int {
 			return index
 		}
 	}
-	t.Fatal("no store schedule whose sole fault is post-commit corruption in the first 2000 indices")
+	t.Fatal("no store schedule whose sole fault is a short or flipped write in the first 2000 indices")
 	return -1
 }
 

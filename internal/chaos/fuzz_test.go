@@ -20,8 +20,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"vfs.write=short*2@1",
 		"vfs.rename=drop",
 		"vfs.sync=crash@3,vfs.read=eio*1",
-		"store.write.before-rename=crash*1",
-		"store.write.after-commit=bitflip@-3",
+		"vfs.write=flip",
+		"vfs.write=flip*2@1,vfs.rename=crash*1",
 		"serve.job.run=transient*2,vfs.open=eio",
 		"a.b=hang~5ms",
 		"vfs.write=eio@1@2",

@@ -1,15 +1,15 @@
 // Package chaos is the systematic fault-campaign engine: it enumerates
-// deterministic fault schedules — vfs-layer disk faults (ENOSPC, EIO,
-// short writes, sync-then-crash, rename-drop) combined with runctl
-// failpoints (crash-at-point, silent corruption, typed errors) — runs a
-// workload under each schedule in-process with crash/restart simulation,
-// and checks machine-verifiable invariants after every run: verified
-// content only, exactly-once recompute (quarantine-or-restore), valid
-// permutation checkpoints, serve's ledger balance, and atomic segmented
-// graph commits (valid, missing or quarantined — never half-readable).
-// Every schedule is
-// a pure function of (seed, index), so a failing schedule replays
-// exactly from the two numbers the campaign prints.
+// deterministic fault schedules — file faults injected by vfs.FaultFS
+// (crashes, ENOSPC, EIO, short writes, bit flips, sync-then-crash,
+// rename-drop), plus, for the serve workload, runctl stage failpoints
+// (typed job and store errors) — runs a workload under each schedule
+// in-process with crash/restart simulation, and checks
+// machine-verifiable invariants after every run: verified content only,
+// exactly-once recompute (quarantine-or-restore), valid permutation
+// checkpoints, serve's ledger balance, and atomic segmented graph
+// commits (valid, missing or quarantined — never half-readable). Every
+// schedule is a pure function of (seed, index), so a failing schedule
+// replays exactly from the two numbers the campaign prints.
 package chaos
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/serve"
-	"graphlocality/internal/store"
 	"graphlocality/internal/vfs"
 )
 
@@ -73,20 +72,14 @@ var failModeNames = map[runctl.FailMode]string{
 	runctl.FailError:     "error",
 	runctl.FailTransient: "transient",
 	runctl.FailHang:      "hang",
-	runctl.FailCrash:     "crash",
-	runctl.FailTruncate:  "truncate",
-	runctl.FailBitFlip:   "bitflip",
 }
 
 // renderFailpoint writes one failpoint back in runctl.ParseSpec grammar
-// (name=mode[*times][@offset][~duration]).
+// (name=mode[*times][~duration]).
 func renderFailpoint(name string, fp runctl.Failpoint) string {
 	s := name + "=" + failModeNames[fp.Mode]
 	if fp.Times > 0 {
 		s += "*" + strconv.Itoa(fp.Times)
-	}
-	if fp.Offset != 0 {
-		s += "@" + strconv.FormatInt(fp.Offset, 10)
 	}
 	if fp.HangFor > 0 {
 		s += "~" + fp.HangFor.String()
@@ -100,9 +93,9 @@ func renderFailpoint(name string, fp runctl.Failpoint) string {
 //	item        := vfsItem | failpointItem
 //	vfsItem     := "vfs." op "=" kind ["*" times] ["@" skip]
 //	op          := open|create|read|write|sync|rename|remove|readdir|mkdir
-//	kind        := enospc|eio|short|crash|drop
+//	kind        := enospc|eio|short|crash|drop|flip
 //	failpointItem is exactly one runctl.ParseSpec arm directive
-//	              (name=mode[*times][@offset][~duration])
+//	              (name=mode[*times][~duration])
 //
 // Items are comma-separated. The schedule's workload is not part of the
 // grammar — Run/Replay choose it from the schedule index.
@@ -201,9 +194,9 @@ type candidate struct {
 // function of (seed, index), so any schedule replays exactly from the
 // two numbers. The workload rotates through Workloads() by index; the
 // faults are drawn from a pool of vfs rules (every kind/op combination
-// that models a real disk failure) and runctl failpoints (a crash at
-// each instrumented atomic-write point, post-commit silent corruption,
-// and — for the serve workload — typed job/store errors).
+// that models a real disk failure, crashes and silent corruption
+// included) and — for the serve workload — runctl failpoints raising
+// typed job/store errors.
 func GenerateSchedule(seed int64, index int) Schedule {
 	rng := rand.New(rand.NewSource(seed ^ (int64(index)+1)*0x5851F42D4C957F2D))
 	wls := Workloads()
@@ -216,6 +209,7 @@ func GenerateSchedule(seed int64, index int) Schedule {
 		{Op: vfs.OpWrite, Kind: vfs.FaultENOSPC},
 		{Op: vfs.OpWrite, Kind: vfs.FaultEIO},
 		{Op: vfs.OpWrite, Kind: vfs.FaultShortWrite},
+		{Op: vfs.OpWrite, Kind: vfs.FaultFlip},
 		{Op: vfs.OpWrite, Kind: vfs.FaultCrash},
 		{Op: vfs.OpSync, Kind: vfs.FaultCrash},
 		{Op: vfs.OpSync, Kind: vfs.FaultEIO},
@@ -227,13 +221,6 @@ func GenerateSchedule(seed int64, index int) Schedule {
 		r := rc
 		pool = append(pool, candidate{rule: &r})
 	}
-	for _, p := range store.CrashPoints() {
-		pool = append(pool, candidate{name: p, fp: &runctl.Failpoint{Mode: runctl.FailCrash, Times: 1}})
-	}
-	pool = append(pool,
-		candidate{name: store.PointAfterCommit, fp: &runctl.Failpoint{Mode: runctl.FailTruncate, Times: 1, Offset: -4}},
-		candidate{name: store.PointAfterCommit, fp: &runctl.Failpoint{Mode: runctl.FailBitFlip, Times: 1, Offset: -3}},
-	)
 	if s.Workload == "serve" {
 		pool = append(pool,
 			candidate{name: serve.PointJobRun, fp: &runctl.Failpoint{Mode: runctl.FailError, Times: 1}},

@@ -19,7 +19,6 @@ import (
 	"graphlocality/internal/graph"
 	"graphlocality/internal/obs"
 	"graphlocality/internal/reorder"
-	"graphlocality/internal/runctl"
 	"graphlocality/internal/serve"
 	"graphlocality/internal/store"
 	"graphlocality/internal/vfs"
@@ -76,12 +75,6 @@ func (e *Env) Restart() {
 // Faults reports how many vfs operations faulted so far.
 func (e *Env) Faults() int { return e.fault.Fired() }
 
-// isCrashErr reports whether err (or its chain) is a simulated process
-// death from either fault layer.
-func isCrashErr(err error) bool {
-	return err != nil && (errors.Is(err, runctl.ErrSimulatedCrash) || errors.Is(err, vfs.ErrInjectedCrash))
-}
-
 // workloadFunc runs one workload under env and returns its violations.
 type workloadFunc func(e *Env) []Violation
 
@@ -102,8 +95,8 @@ func workloadByName(name string) (workloadFunc, error) {
 }
 
 // storePayload is the known-good artifact content every store-class
-// workload writes and checks against. Big enough that short writes and
-// offset corruption land inside the payload, small enough to be free.
+// workload writes and checks against. Big enough that short and flipped
+// writes land inside the payload, small enough to be free.
 func storePayload() []store.Section {
 	data := make([]byte, 512)
 	for i := range data {
@@ -142,7 +135,7 @@ func storeWorkload(e *Env) []Violation {
 	var computes1, computes2 int
 
 	committed := false
-	st, err := store.OpenFS(e.Dir, nil, e.FS())
+	st, err := store.Open(e.FS(), e.Dir, nil)
 	if err == nil {
 		res, gerr := st.GetOrCompute("probe.bin", true, nil, func() ([]store.Section, error) {
 			computes1++
@@ -182,10 +175,10 @@ func storeWorkload(e *Env) []Violation {
 	}
 
 	reg := obs.NewRegistry()
-	st2, err := store.OpenFS(e.Dir, reg, nil)
+	st2, err := store.Open(nil, e.Dir, reg)
 	if err != nil {
 		return append(v, Violation{"clean-restart-liveness",
-			fmt.Sprintf("store.OpenFS on the clean filesystem failed: %v", err)})
+			fmt.Sprintf("store.Open on the clean filesystem failed: %v", err)})
 	}
 	res2, err := st2.GetOrCompute("probe.bin", true, nil, func() ([]store.Section, error) {
 		computes2++
@@ -242,7 +235,7 @@ func raceWorkload(e *Env) []Violation {
 			defer wg.Done()
 			// Each racer opens its own Store handle — separate lock handles,
 			// like two processes sharing the directory.
-			st, err := store.OpenFS(e.Dir, nil, e.FS())
+			st, err := store.Open(e.FS(), e.Dir, nil)
 			if err != nil {
 				return // a faulted open is a legal outcome, not a violation
 			}
@@ -263,7 +256,7 @@ func raceWorkload(e *Env) []Violation {
 	}
 
 	e.Restart()
-	st, err := store.OpenFS(e.Dir, nil, nil)
+	st, err := store.Open(nil, e.Dir, nil)
 	if err != nil {
 		return append(v, Violation{"clean-restart-liveness", err.Error()})
 	}
@@ -303,11 +296,11 @@ func checkpointWorkload(e *Env) []Violation {
 		Perm:      checkpointPerm(n),
 		Elapsed:   1234 * time.Microsecond,
 	}
-	_ = expt.SavePermCheckpointFS(e.FS(), e.Dir, "chaosDS", "GO", saved) // failure is a legal outcome
+	_ = expt.SavePermCheckpoint(e.FS(), e.Dir, "chaosDS", "GO", saved) // failure is a legal outcome
 
 	e.Restart()
 
-	got, err := expt.LoadPermCheckpointFS(nil, e.Dir, "chaosDS", "GO", n)
+	got, err := expt.LoadPermCheckpoint(nil, e.Dir, "chaosDS", "GO", n)
 	switch {
 	case err == nil:
 		if len(got.Perm) != len(saved.Perm) {
@@ -332,11 +325,11 @@ func checkpointWorkload(e *Env) []Violation {
 
 	// Resume must always be able to move forward: save again on the clean
 	// filesystem and load it back exactly.
-	if err := expt.SavePermCheckpointFS(nil, e.Dir, "chaosDS", "GO", saved); err != nil {
+	if err := expt.SavePermCheckpoint(nil, e.Dir, "chaosDS", "GO", saved); err != nil {
 		return append(v, Violation{"clean-restart-liveness",
 			fmt.Sprintf("clean checkpoint save failed: %v", err)})
 	}
-	got, err = expt.LoadPermCheckpointFS(nil, e.Dir, "chaosDS", "GO", n)
+	got, err = expt.LoadPermCheckpoint(nil, e.Dir, "chaosDS", "GO", n)
 	if err != nil {
 		return append(v, Violation{"clean-restart-liveness",
 			fmt.Sprintf("clean checkpoint load failed: %v", err)})

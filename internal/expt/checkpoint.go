@@ -154,17 +154,12 @@ func decodePermSections(sections []store.Section, path, spec string, n uint32) (
 }
 
 // SavePermCheckpoint atomically writes the permutation of res for the
-// given dataset and algorithm spec under dir (created if missing). The
-// write goes through the artifact store: it is crash-safe and taken under
-// the artifact's exclusive lock.
-func SavePermCheckpoint(dir, dsName, spec string, res reorder.Result) error {
-	return SavePermCheckpointFS(nil, dir, dsName, spec, res)
-}
-
-// SavePermCheckpointFS is SavePermCheckpoint with the store's disk
-// operations routed through fsys (nil = the real filesystem).
-func SavePermCheckpointFS(fsys vfs.FS, dir, dsName, spec string, res reorder.Result) error {
-	st, err := store.OpenFS(dir, nil, fsys)
+// given dataset and algorithm spec under dir (created if missing), with
+// the store's disk operations routed through fsys (nil = the real
+// filesystem). The write goes through the artifact store: it is
+// crash-safe and taken under the artifact's exclusive lock.
+func SavePermCheckpoint(fsys vfs.FS, dir, dsName, spec string, res reorder.Result) error {
+	st, err := store.Open(fsys, dir, nil)
 	if err != nil {
 		return err
 	}
@@ -175,15 +170,10 @@ func SavePermCheckpointFS(fsys vfs.FS, dir, dsName, spec string, res reorder.Res
 // given dataset and algorithm spec; the result's Algorithm field holds
 // the spec. Integrity damage surfaces as a typed *store.IntegrityError
 // after the store has quarantined the file; a missing checkpoint reports
-// os.IsNotExist.
-func LoadPermCheckpoint(dir, dsName, spec string, n uint32) (reorder.Result, error) {
-	return LoadPermCheckpointFS(nil, dir, dsName, spec, n)
-}
-
-// LoadPermCheckpointFS is LoadPermCheckpoint with the store's disk
-// operations routed through fsys (nil = the real filesystem).
-func LoadPermCheckpointFS(fsys vfs.FS, dir, dsName, spec string, n uint32) (reorder.Result, error) {
-	st, err := store.OpenFS(dir, nil, fsys)
+// os.IsNotExist. fsys routes the store's disk operations (nil = the real
+// filesystem).
+func LoadPermCheckpoint(fsys vfs.FS, dir, dsName, spec string, n uint32) (reorder.Result, error) {
+	st, err := store.Open(fsys, dir, nil)
 	if err != nil {
 		return reorder.Result{}, err
 	}

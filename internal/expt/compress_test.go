@@ -14,6 +14,9 @@ import (
 // relabeling of the same graph. Every registered RA must beat (or tie,
 // for degenerate cases) the random baseline on the standard suite —
 // metamorphic because only the labeling changes, never the graph.
+//
+// One parallel subtest per dataset, all sharing one Session (its memos
+// are safe for concurrent use), so the datasets' reorderings overlap.
 func TestCompressionMetamorphic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("standard suite is too heavy for -short")
@@ -21,22 +24,25 @@ func TestCompressionMetamorphic(t *testing.T) {
 	s := NewSession()
 	random := reorder.MustNew("random")
 	for _, ds := range Suite(Standard) {
-		baseline := graph.MeasureSegmented(s.Relabeled(ds, random), graph.SegmentedOptions{}).BytesPerEdge()
-		if baseline <= 0 {
-			t.Fatalf("%s: random baseline bytes/edge = %v", ds.Name, baseline)
-		}
-		for _, alg := range GlobalAlgorithms() {
-			if alg.Name() == "random" {
-				continue
+		t.Run(ds.Name, func(t *testing.T) {
+			t.Parallel()
+			baseline := graph.MeasureSegmented(s.Relabeled(ds, random), graph.SegmentedOptions{}).BytesPerEdge()
+			if baseline <= 0 {
+				t.Fatalf("random baseline bytes/edge = %v", baseline)
 			}
-			got := graph.MeasureSegmented(s.Relabeled(ds, alg), graph.SegmentedOptions{}).BytesPerEdge()
-			// 0.5% headroom: on the hub-free uniform control some RAs are
-			// effectively another random labeling and land within noise of
-			// the baseline; the claim is "no worse", not "strictly better".
-			if got > baseline*1.005 {
-				t.Errorf("%s/%s: bytes/edge %.4f exceeds random baseline %.4f",
-					ds.Name, alg.Name(), got, baseline)
+			for _, alg := range GlobalAlgorithms() {
+				if alg.Name() == "random" {
+					continue
+				}
+				got := graph.MeasureSegmented(s.Relabeled(ds, alg), graph.SegmentedOptions{}).BytesPerEdge()
+				// 0.5% headroom: on the hub-free uniform control some RAs are
+				// effectively another random labeling and land within noise of
+				// the baseline; the claim is "no worse", not "strictly better".
+				if got > baseline*1.005 {
+					t.Errorf("%s: bytes/edge %.4f exceeds random baseline %.4f",
+						alg.Name(), got, baseline)
+				}
 			}
-		}
+		})
 	}
 }

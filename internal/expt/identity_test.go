@@ -77,13 +77,13 @@ func TestCheckpointRejectsOtherSpec(t *testing.T) {
 	if CheckpointName("d", "x:a=1") != CheckpointName("d", "x_a_1") {
 		t.Fatal("test premise: the two specs should share a file name")
 	}
-	if err := SavePermCheckpoint(dir, "d", "x:a=1", res); err != nil {
+	if err := SavePermCheckpoint(nil, dir, "d", "x:a=1", res); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPermCheckpoint(dir, "d", "x:a=1", 3); err != nil {
+	if _, err := LoadPermCheckpoint(nil, dir, "d", "x:a=1", 3); err != nil {
 		t.Fatalf("own spec rejected: %v", err)
 	}
-	if _, err := LoadPermCheckpoint(dir, "d", "x_a_1", 3); err == nil || !strings.Contains(err.Error(), "spec") {
+	if _, err := LoadPermCheckpoint(nil, dir, "d", "x_a_1", 3); err == nil || !strings.Contains(err.Error(), "spec") {
 		t.Errorf("checkpoint for x:a=1 loaded as x_a_1: %v", err)
 	}
 }

@@ -123,10 +123,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Elapsed:    1234 * time.Microsecond,
 		AllocBytes: 9876,
 	}
-	if err := SavePermCheckpoint(dir, "TwtrT", "GO", res); err != nil {
+	if err := SavePermCheckpoint(nil, dir, "TwtrT", "GO", res); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := LoadPermCheckpoint(dir, "TwtrT", "GO", 4)
+	got, err := LoadPermCheckpoint(nil, dir, "TwtrT", "GO", 4)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -141,11 +141,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	// Wrong expected size is rejected (a tiny-suite checkpoint must not
 	// leak into a standard-suite run).
-	if _, err := LoadPermCheckpoint(dir, "TwtrT", "GO", 5); err == nil {
+	if _, err := LoadPermCheckpoint(nil, dir, "TwtrT", "GO", 5); err == nil {
 		t.Error("size mismatch accepted")
 	}
 	// Missing pair.
-	if _, err := LoadPermCheckpoint(dir, "TwtrT", "RO", 4); err == nil {
+	if _, err := LoadPermCheckpoint(nil, dir, "TwtrT", "RO", 4); err == nil {
 		t.Error("missing checkpoint accepted")
 	}
 
@@ -159,7 +159,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPermCheckpoint(dir, "TwtrT", "GO", 4); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := LoadPermCheckpoint(nil, dir, "TwtrT", "GO", 4); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corruption not caught by checksum: %v", err)
 	}
 
@@ -167,7 +167,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data[:6], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPermCheckpoint(dir, "TwtrT", "GO", 4); err == nil {
+	if _, err := LoadPermCheckpoint(nil, dir, "TwtrT", "GO", 4); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
 }
@@ -175,10 +175,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointRejectsNonPermutation(t *testing.T) {
 	dir := t.TempDir()
 	res := reorder.Result{Algorithm: "X", Perm: graph.Permutation{0, 0, 1, 2}}
-	if err := SavePermCheckpoint(dir, "d", "X", res); err != nil {
+	if err := SavePermCheckpoint(nil, dir, "d", "X", res); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	if _, err := LoadPermCheckpoint(dir, "d", "X", 4); err == nil || !strings.Contains(err.Error(), "permutation") {
+	if _, err := LoadPermCheckpoint(nil, dir, "d", "X", 4); err == nil || !strings.Contains(err.Error(), "permutation") {
 		t.Errorf("duplicate-mapping payload accepted: %v", err)
 	}
 }
@@ -277,7 +277,7 @@ func TestResumeRecomputesMissingCheckpoint(t *testing.T) {
 	}
 	// The write-through checkpoint now exists and validates.
 	g := s.Graph(ds[0])
-	if _, err := LoadPermCheckpoint(s.CacheDir, ds[0].Name, alg.Spec(), g.NumVertices()); err != nil {
+	if _, err := LoadPermCheckpoint(nil, s.CacheDir, ds[0].Name, alg.Spec(), g.NumVertices()); err != nil {
 		t.Errorf("write-through checkpoint unreadable: %v", err)
 	}
 }

@@ -175,7 +175,7 @@ func (cancelAfterPeer) Spec() string { return "cancelpeer" }
 func (c cancelAfterPeer) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := LoadPermCheckpoint(c.dir, c.peerDS, c.peerAlg, c.vertices); err == nil {
+		if _, err := LoadPermCheckpoint(nil, c.dir, c.peerDS, c.peerAlg, c.vertices); err == nil {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -239,7 +239,7 @@ func TestCancellationMidGridLeavesValidCheckpoints(t *testing.T) {
 			completed++
 			// Every completed cell left a validating checkpoint.
 			n := s.Graph(d).NumVertices()
-			got, err := LoadPermCheckpoint(dir, d.Name, alg.Spec(), n)
+			got, err := LoadPermCheckpoint(nil, dir, d.Name, alg.Spec(), n)
 			if err != nil {
 				t.Errorf("%s/%s completed but checkpoint invalid: %v", d.Name, alg.Name(), err)
 				continue

@@ -238,7 +238,7 @@ func (s *Session) cacheStore() *store.Store {
 		return nil
 	}
 	s.storeOnce.Do(func() {
-		st, err := store.OpenFS(s.CacheDir, s.Obs, s.FS)
+		st, err := store.Open(s.FS, s.CacheDir, s.Obs)
 		if err != nil {
 			log.Printf("expt: cache directory unusable, running uncached: %v", err)
 			return

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -9,11 +8,12 @@ import (
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/store"
+	"graphlocality/internal/vfs"
 )
 
 // Integration tests of the session's persistence path: concurrent
 // sessions sharing one cache directory, and crash-restart at every
-// instrumented point of the store's write protocol.
+// step of the store's write protocol.
 
 // TestConcurrentSessionsShareCache runs two resuming sessions against
 // one cache directory at the same time (each with its own store handle
@@ -91,27 +91,55 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 	}
 }
 
-// TestSessionCrashRestartSweep kills the checkpoint write at every
-// instrumented point of the store's atomic-write protocol (the chaos
-// harness driving a whole Session instead of a bare store), then
-// "restarts" with a -resume session and asserts the invariant: the
-// restart either restores fully-verified data — for crashes after the
-// rename — or transparently recomputes, and in both cases ends with the
-// same permutation and a validating checkpoint on disk.
+// checkpointWriteSteps is one crash rule per step of a session's first
+// checkpoint write (a non-resuming GetOrCompute), with skips from the op
+// sequence of one clean write: the exclusive lock file is create #0 and
+// the temp file create #1; with bufio the first data write lands at
+// flush; the temp file's fsync is sync #0; the directory's open and
+// fsync are open #0 and sync #1 — the last operation of the commit, so a
+// crash there leaves the disk state of a crash after the commit.
+// committed marks the steps after the rename.
+var checkpointWriteSteps = []struct {
+	name      string
+	rule      vfs.Rule
+	committed bool
+}{
+	{"store.write.create-temp", vfs.Rule{Op: vfs.OpCreate, Kind: vfs.FaultCrash, Skip: 1, Times: 1}, false},
+	{"store.write.before-flush", vfs.Rule{Op: vfs.OpWrite, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"store.write.before-sync", vfs.Rule{Op: vfs.OpSync, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"store.write.before-rename", vfs.Rule{Op: vfs.OpRename, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"store.write.before-dirsync", vfs.Rule{Op: vfs.OpOpen, Kind: vfs.FaultCrash, Times: 1}, true},
+	{"store.write.after-commit", vfs.Rule{Op: vfs.OpSync, Kind: vfs.FaultCrash, Skip: 1, Times: 1}, true},
+}
+
+// TestSessionCrashRestartSweep crashes the checkpoint write at every
+// step of the atomic-write protocol (a vfs.FaultFS as Session.FS: the
+// chaos harness driving a whole Session instead of a bare store), then
+// "restarts" with a -resume session on the clean filesystem and asserts
+// the invariant: the restart either restores fully-verified data — for
+// crashes after the rename — or transparently recomputes, and in both
+// cases ends with the same permutation and a validating checkpoint on
+// disk.
 func TestSessionCrashRestartSweep(t *testing.T) {
 	alg := reorder.DegreeSort{}
-	for _, point := range store.CrashPoints() {
-		t.Run(point, func(t *testing.T) {
+	for _, step := range checkpointWriteSteps {
+		t.Run(step.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s1, ds := tinySession()
 			d := ds[0]
 			s1.CacheDir = dir
 			reg1 := obs.NewRegistry()
 			s1.Obs = reg1
+			fault, err := vfs.NewFaultFS(nil, []vfs.Rule{step.rule})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1.FS = fault
 
-			remove := runctl.Inject(point, runctl.Failpoint{Mode: runctl.FailCrash, Times: 1})
 			r1 := s1.Reorder(d, alg)
-			remove()
+			if n := fault.Fired(); n != 1 {
+				t.Fatalf("FaultFS fired %d times, want 1", n)
+			}
 
 			// The crash hit only persistence: the run's result is intact and
 			// the failure is surfaced in the manifest counters, not swallowed.
@@ -141,8 +169,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 					t.Fatalf("restart permutation differs at %d", i)
 				}
 			}
-			switch point {
-			case store.PointBeforeDirSync, store.PointAfterCommit:
+			if step.committed {
 				// The rename committed a complete verified artifact before the
 				// crash: the restart must restore it, never recompute.
 				if hits := runctl.HitCount(stage); hits != 0 {
@@ -151,7 +178,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 				if !s2.Restored(d, alg) {
 					t.Error("post-rename crash not marked restored")
 				}
-			default:
+			} else {
 				// Nothing durable landed: the restart must detect the clean
 				// miss and recompute exactly once.
 				if hits := runctl.HitCount(stage); hits != 1 {
@@ -163,7 +190,7 @@ func TestSessionCrashRestartSweep(t *testing.T) {
 			}
 			// Whatever the path, the surviving checkpoint verifies.
 			g := s2.Graph(d)
-			if _, err := LoadPermCheckpoint(dir, d.Name, alg.Spec(), g.NumVertices()); err != nil {
+			if _, err := LoadPermCheckpoint(nil, dir, d.Name, alg.Spec(), g.NumVertices()); err != nil {
 				t.Errorf("checkpoint after restart does not verify: %v", err)
 			}
 			if len(s2.DegradedStages()) != 0 {
@@ -183,20 +210,24 @@ func TestSessionQuarantinesCorruptCheckpoint(t *testing.T) {
 	s1, ds := tinySession()
 	d := ds[0]
 	s1.CacheDir = dir
-	r1 := s1.Reorder(d, alg)
-
-	// Flip one payload bit in the committed artifact via the failpoint
-	// corruption mode, exactly as the chaos harness does.
-	st, err := store.Open(dir, nil)
+	// The checkpoint's one write persists with a flipped bit and reports
+	// success, exactly as the chaos harness's flip fault does.
+	fault, err := vfs.NewFaultFS(nil, []vfs.Rule{{Op: vfs.OpWrite, Kind: vfs.FaultFlip, Times: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := st.Path(CheckpointName(d.Name, alg.Spec()))
-	remove := runctl.Inject("expt.test.corrupt", runctl.Failpoint{Mode: runctl.FailBitFlip, Offset: -16, Times: 1})
-	if err := runctl.FireFile(context.Background(), "expt.test.corrupt", path); err != nil {
+	s1.FS = fault
+	r1 := s1.Reorder(d, alg)
+	if n := fault.Fired(); n != 1 {
+		t.Fatalf("FaultFS fired %d times, want 1", n)
+	}
+	if len(s1.DegradedStages()) != 0 {
+		t.Fatalf("silent corruption surfaced to the writer: %v", s1.DegradedStages())
+	}
+	st, err := store.Open(nil, dir, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	remove()
 
 	s2, _ := tinySession()
 	s2.CacheDir = dir

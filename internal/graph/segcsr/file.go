@@ -40,18 +40,13 @@ type readerAt interface {
 	ReadAt(p []byte, off int64) (int, error)
 }
 
-// Open opens a segmented graph on the real filesystem.
-func Open(path string, opts Options) (*File, error) {
-	return OpenFS(nil, path, opts)
-}
-
-// OpenFS opens and verifies the segmented graph at path through fsys
+// Open opens and verifies the segmented graph at path through fsys
 // (nil = the OS passthrough). The container table, segmeta and both
 // segment indexes are fully verified here; segment payloads are only
 // read — and CRC-verified — on demand. All verification failures are
 // typed *store.IntegrityError.
-func OpenFS(fsys vfs.FS, path string, opts Options) (*File, error) {
-	cf, err := store.OpenContainerFS(fsys, path)
+func Open(fsys vfs.FS, path string, opts Options) (*File, error) {
+	cf, err := store.OpenContainer(fsys, path)
 	if err != nil {
 		return nil, err
 	}

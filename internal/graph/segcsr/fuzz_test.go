@@ -137,7 +137,7 @@ func FuzzReadSegmented(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Skip()
 		}
-		g, err := Open(path, Options{CacheBytes: 1 << 20})
+		g, err := Open(nil, path, Options{CacheBytes: 1 << 20})
 		if err != nil {
 			if !isIntegrity(err) {
 				t.Fatalf("open error not typed: %v", err)

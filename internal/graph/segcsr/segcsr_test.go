@@ -127,7 +127,7 @@ func TestRoundTrip(t *testing.T) {
 		for _, segVerts := range []int{1, 3, 16, int(gc.n), int(gc.n) + 100} {
 			opts := Options{SegmentVertices: segVerts}
 			path := writeTemp(t, out, in, opts)
-			f, err := Open(path, opts)
+			f, err := Open(nil, path, opts)
 			if err != nil {
 				t.Fatalf("%s/seg=%d: Open: %v", gc.name, segVerts, err)
 			}
@@ -160,7 +160,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRoundTripEmptyGraph(t *testing.T) {
 	empty := CSR{Off: []uint64{0}}
 	path := writeTemp(t, empty, empty, Options{})
-	f, err := Open(path, Options{})
+	f, err := Open(nil, path, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestEncodedBytesMatchesWrite(t *testing.T) {
 	var want WriteStats
 	for i, segVerts := range []int{1, 7, 64, 4096} {
 		path := writeTemp(t, out, in, Options{SegmentVertices: segVerts})
-		f, err := Open(path, Options{})
+		f, err := Open(nil, path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestCacheBudget(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	budget := int64(2048)
-	f, err := Open(path, Options{CacheBytes: budget, Obs: reg})
+	f, err := Open(nil, path, Options{CacheBytes: budget, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCacheHits(t *testing.T) {
 	in := transpose(out, 128)
 	path := writeTemp(t, out, in, Options{SegmentVertices: 8})
 	reg := obs.NewRegistry()
-	f, err := Open(path, Options{Obs: reg})
+	f, err := Open(nil, path, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestCorruption(t *testing.T) {
 		if err := os.WriteFile(p, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, err := Open(p, Options{})
+		f, err := Open(nil, p, Options{})
 		if err != nil {
 			if !isIntegrity(err) {
 				t.Fatalf("pos %d: open error not typed: %v", pos, err)
@@ -349,7 +349,7 @@ func TestCursorEndsOnCorruption(t *testing.T) {
 	if err := os.WriteFile(p, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(p, Options{})
+	f, err := Open(nil, p, Options{})
 	if err != nil {
 		if !isIntegrity(err) {
 			t.Fatalf("open error not typed: %v", err)

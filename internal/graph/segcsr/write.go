@@ -141,7 +141,7 @@ func Write(fsys vfs.FS, path string, out, in CSR, opts Options) (WriteStats, err
 		{Name: SectionDataOut, Data: outData},
 		{Name: SectionDataIn, Data: inData},
 	}
-	err := store.WriteFileAtomicFS(fsys, path, func(w io.Writer) error {
+	err := vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
 		return store.WriteContainer(w, sections)
 	})
 	if err != nil {

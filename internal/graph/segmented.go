@@ -90,7 +90,7 @@ func OpenSegmented(path string) (*SegGraph, error) {
 // *store.IntegrityError with Quarantined set when the rename succeeded.
 func OpenSegmentedOpts(path string, opts SegmentedOptions) (*SegGraph, error) {
 	fsys := vfs.Of(opts.FS)
-	f, err := segcsr.OpenFS(fsys, path, opts.segOpts())
+	f, err := segcsr.Open(fsys, path, opts.segOpts())
 	var ie *store.IntegrityError
 	if errors.As(err, &ie) {
 		if qerr := fsys.Rename(path, path+store.CorruptSuffix); qerr == nil {

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"text/tabwriter"
+
+	"graphlocality/internal/vfs"
 )
 
 // ManifestVersion is the on-disk manifest format version.
@@ -179,46 +180,18 @@ func ReadManifestFile(path string) (Manifest, error) {
 	return DecodeManifest(data)
 }
 
-// WriteManifestFile writes m to path as JSON, atomically: the bytes land
-// in a same-directory temp file which is synced and renamed over path, so
-// a crash mid-write can never leave a truncated manifest where a previous
-// complete one stood. (This mirrors internal/store's write protocol; obs
-// sits below store in the dependency order, so the few lines are inlined
-// here rather than imported.)
+// WriteManifestFile writes m to path as JSON through the atomic commit
+// protocol (vfs.WriteFileAtomic), so a crash mid-write can never leave a
+// truncated manifest where a previous complete one stood.
 func WriteManifestFile(path string, m Manifest) error {
 	data, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := os.CreateTemp(dir, "."+base+"-*.tmp")
-	if err != nil {
+	return vfs.WriteFileAtomic(nil, path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Persist the rename itself; some filesystems cannot sync a directory
-	// handle, which is not worth failing the run over.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }
 
 // Render pretty-prints the manifest: run metadata, counters sorted by

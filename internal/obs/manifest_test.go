@@ -67,6 +67,11 @@ func TestManifestFileRoundTrip(t *testing.T) {
 	if err := WriteManifestFile(path, m); err != nil {
 		t.Fatal(err)
 	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Errorf("manifest file mode = %v, want -rw-r--r--", fi.Mode().Perm())
+	}
 	got, err := ReadManifestFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,6 @@ package runctl
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,27 +26,7 @@ const (
 	// FailHang blocks until the firing context is done (or HangFor
 	// elapses), simulating a hung stage.
 	FailHang
-	// FailCrash aborts the instrumented operation exactly where it fired
-	// by returning ErrSimulatedCrash. Instrumented code must propagate it
-	// without running any cleanup, leaving partial on-disk state exactly
-	// as a SIGKILL at that point would — crash-restart tests then assert
-	// a fresh process recovers from that state.
-	FailCrash
-	// FailTruncate truncates the file passed to FireFile to Offset bytes
-	// (negative Offset: cut that many bytes off the end), then reports
-	// success — modelling a torn write the writer never noticed.
-	FailTruncate
-	// FailBitFlip flips one bit of the byte at Offset in the file passed
-	// to FireFile (negative Offset: from the end), then reports success —
-	// modelling silent media corruption.
-	FailBitFlip
 )
-
-// ErrSimulatedCrash is returned by a FailCrash failpoint. Instrumented
-// write paths treat it as a process death: they unwind immediately and
-// skip all cleanup, so the on-disk state a real crash would leave behind
-// is preserved for the restart under test.
-var ErrSimulatedCrash = errors.New("runctl: simulated crash")
 
 // Failpoint describes one injected fault.
 type Failpoint struct {
@@ -65,9 +42,6 @@ type Failpoint struct {
 	Panic any
 	// HangFor bounds FailHang when the context never dies (0 = until ctx).
 	HangFor time.Duration
-	// Offset positions FailTruncate/FailBitFlip within the target file
-	// (negative = relative to the end of the file).
-	Offset int64
 }
 
 var (
@@ -115,22 +89,9 @@ func HitCount(name string) int {
 // Fire triggers the named failpoint if one is injected. The fast path
 // (no injections anywhere) is one atomic load. Instrumented stages call
 // it at entry; the error (or panic) it produces flows through the
-// Controller like any organic stage failure. File-directed modes
-// (FailTruncate, FailBitFlip) need FireFile; firing them here is an
-// instrumentation bug and returns an error saying so.
+// Controller like any organic stage failure. Failpoints fault stages
+// only; file faults are injected at the filesystem seam (vfs.FaultFS).
 func Fire(ctx context.Context, name string) error {
-	return fire(ctx, name, "")
-}
-
-// FireFile is Fire for instrumented points that operate on a file: the
-// corruption modes mutate path (truncate or bit-flip) and then return
-// nil, so the instrumented write path believes it succeeded — the
-// damage must be caught by a verified read later, never by the writer.
-func FireFile(ctx context.Context, name, path string) error {
-	return fire(ctx, name, path)
-}
-
-func fire(ctx context.Context, name, path string) error {
 	if !fpActive.Load() {
 		return nil
 	}
@@ -149,15 +110,6 @@ func fire(ctx context.Context, name, path string) error {
 	fpMu.Unlock()
 	if !trigger {
 		return nil
-	}
-	switch fp.Mode {
-	case FailCrash:
-		return ErrSimulatedCrash
-	case FailTruncate, FailBitFlip:
-		if path == "" {
-			return fmt.Errorf("runctl: failpoint %s: corruption mode fired without a file (use FireFile)", name)
-		}
-		return corruptFile(path, fp)
 	}
 	switch fp.Mode {
 	case FailPanic:
@@ -201,44 +153,3 @@ func fpErr(fp Failpoint, name string) error {
 type failpointError struct{ name string }
 
 func (e *failpointError) Error() string { return "failpoint " + e.name }
-
-// corruptFile applies a FailTruncate/FailBitFlip fault to path. A nil
-// return means the corruption landed; the caller's write path proceeds
-// as if nothing happened.
-func corruptFile(path string, fp Failpoint) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("runctl: corruption failpoint: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("runctl: corruption failpoint: %w", err)
-	}
-	off := fp.Offset
-	if off < 0 {
-		off += info.Size()
-	}
-	if off < 0 {
-		off = 0
-	}
-	switch fp.Mode {
-	case FailTruncate:
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("runctl: truncate failpoint: %w", err)
-		}
-	case FailBitFlip:
-		if off >= info.Size() {
-			return fmt.Errorf("runctl: bit-flip failpoint: offset %d beyond %d-byte file", off, info.Size())
-		}
-		b := make([]byte, 1)
-		if _, err := f.ReadAt(b, off); err != nil {
-			return fmt.Errorf("runctl: bit-flip failpoint: %w", err)
-		}
-		b[0] ^= 0x01
-		if _, err := f.WriteAt(b, off); err != nil {
-			return fmt.Errorf("runctl: bit-flip failpoint: %w", err)
-		}
-	}
-	return f.Sync()
-}

@@ -8,25 +8,24 @@ import (
 )
 
 // Failpoint specs let a real process arm failpoints from the outside —
-// the LOCALITYLAB_FAILPOINTS environment variable or a -failpoints flag —
-// so the daemon chaos suite (and operators reproducing a fault) can
-// inject crashes, stalls and corruption into a production binary instead
-// of only into in-process tests.
+// the LOCALITYLAB_FAILPOINTS environment variable — so operators
+// reproducing a fault can inject panics, stalls and typed errors into
+// the stages of a production binary instead of only into in-process
+// tests. File faults (crashes, torn writes, corruption) are not stage
+// faults: they are injected through vfs.FaultFS, from the chaos
+// campaign's vfs.* schedule items.
 //
 // Grammar (comma-separated list of arm directives):
 //
-//	name=mode[*times][@offset][~duration]
+//	name=mode[*times][~duration]
 //
-//	mode     panic | error | transient | hang | crash | truncate | bitflip
+//	mode     panic | error | transient | hang
 //	*times   fire at most N times, then heal (default: every firing)
-//	@offset  byte offset for truncate/bitflip (negative = from end)
 //	~dur     HangFor bound for hang (Go duration, e.g. ~500ms)
 //
 // Examples:
 //
 //	serve.job.run=panic*1
-//	store.write.before-rename=crash
-//	store.write.after-commit=bitflip@-3
 //	serve.job.run=hang~2s,serve.store.get=transient*2
 
 // ParseSpec parses a failpoint spec string into named Failpoints without
@@ -41,7 +40,7 @@ func ParseSpec(spec string) (map[string]Failpoint, error) {
 		name, rest, ok := strings.Cut(item, "=")
 		name = strings.TrimSpace(name)
 		if !ok || name == "" || rest == "" {
-			return nil, fmt.Errorf("runctl: failpoint spec %q: want name=mode[*times][@offset][~dur]", item)
+			return nil, fmt.Errorf("runctl: failpoint spec %q: want name=mode[*times][~dur]", item)
 		}
 		fp, err := parseMode(rest)
 		if err != nil {
@@ -57,10 +56,8 @@ func parseMode(s string) (Failpoint, error) {
 	var fp Failpoint
 	// Suffix decorations can appear in any order after the mode word.
 	mode := s
-	for _, sep := range []string{"*", "@", "~"} {
-		if i := strings.IndexAny(mode, sep); i >= 0 {
-			mode = mode[:i]
-		}
+	if i := strings.IndexAny(mode, "*~"); i >= 0 {
+		mode = mode[:i]
 	}
 	rest := s[len(mode):]
 	switch mode {
@@ -72,22 +69,14 @@ func parseMode(s string) (Failpoint, error) {
 		fp.Mode = FailTransient
 	case "hang":
 		fp.Mode = FailHang
-	case "crash":
-		fp.Mode = FailCrash
-	case "truncate":
-		fp.Mode = FailTruncate
-	case "bitflip":
-		fp.Mode = FailBitFlip
 	default:
-		return fp, fmt.Errorf("unknown mode %q (want panic, error, transient, hang, crash, truncate or bitflip)", mode)
+		return fp, fmt.Errorf("unknown mode %q (want panic, error, transient or hang)", mode)
 	}
 	for rest != "" {
 		sep := rest[0]
 		val := rest[1:]
-		for _, s := range []string{"*", "@", "~"} {
-			if i := strings.IndexAny(val, s); i >= 0 {
-				val = val[:i]
-			}
+		if i := strings.IndexAny(val, "*~"); i >= 0 {
+			val = val[:i]
 		}
 		rest = rest[1+len(val):]
 		switch sep {
@@ -97,12 +86,6 @@ func parseMode(s string) (Failpoint, error) {
 				return fp, fmt.Errorf("bad times %q (want a positive integer)", val)
 			}
 			fp.Times = n
-		case '@':
-			off, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return fp, fmt.Errorf("bad offset %q", val)
-			}
-			fp.Offset = off
 		case '~':
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
@@ -110,9 +93,6 @@ func parseMode(s string) (Failpoint, error) {
 			}
 			fp.HangFor = d
 		}
-	}
-	if fp.Offset != 0 && fp.Mode != FailTruncate && fp.Mode != FailBitFlip {
-		return fp, fmt.Errorf("@offset only applies to truncate and bitflip")
 	}
 	if fp.HangFor != 0 && fp.Mode != FailHang {
 		return fp, fmt.Errorf("~duration only applies to hang")
@@ -122,10 +102,9 @@ func parseMode(s string) (Failpoint, error) {
 
 // InjectSpec parses spec and arms every failpoint it names, returning a
 // remover that disarms them all. This is the production entry point
-// behind LOCALITYLAB_FAILPOINTS / -failpoints: unlike Inject it is meant
-// to be called from a real daemon process, which is exactly the point —
-// the chaos suite drives a binary whose faults are armed the same way an
-// operator would arm them.
+// behind LOCALITYLAB_FAILPOINTS: unlike Inject it is meant to be called
+// from a real process, so a production binary's stage faults are armed
+// the same way an operator would arm them.
 func InjectSpec(spec string) (remove func(), err error) {
 	fps, err := ParseSpec(spec)
 	if err != nil {

@@ -3,8 +3,6 @@ package runctl
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -19,12 +17,9 @@ func TestParseSpec(t *testing.T) {
 		{"a=panic*1", map[string]Failpoint{"a": {Mode: FailPanic, Times: 1}}},
 		{"serve.job.run=hang~500ms", map[string]Failpoint{
 			"serve.job.run": {Mode: FailHang, HangFor: 500 * time.Millisecond}}},
-		{"store.write.after-commit=bitflip@-3", map[string]Failpoint{
-			"store.write.after-commit": {Mode: FailBitFlip, Offset: -3}}},
-		{"p=truncate*2@10", map[string]Failpoint{
-			"p": {Mode: FailTruncate, Times: 2, Offset: 10}}},
-		{"a=crash, b=transient*3", map[string]Failpoint{
-			"a": {Mode: FailCrash}, "b": {Mode: FailTransient, Times: 3}}},
+		{"a=hang*2~1s", map[string]Failpoint{"a": {Mode: FailHang, Times: 2, HangFor: time.Second}}},
+		{"a=panic, b=transient*3", map[string]Failpoint{
+			"a": {Mode: FailPanic}, "b": {Mode: FailTransient, Times: 3}}},
 		{"a=error", map[string]Failpoint{"a": {Mode: FailError}}},
 	}
 	for _, tc := range cases {
@@ -53,11 +48,13 @@ func TestParseSpecErrors(t *testing.T) {
 		"a=explode",
 		"a=panic*0",
 		"a=panic*x",
-		"a=bitflip@ten",
 		"a=hang~-1s",
 		"a=hang~soon",
-		"a=panic@3",    // offset on a non-file mode
-		"a=crash~1s",   // duration on a non-hang mode
+		"a=panic@3", // no offsets: file faults live in vfs.FaultFS
+		"a=crash",   // likewise no file-fault modes
+		"a=truncate",
+		"a=bitflip",
+		"a=error~1s",   // duration on a non-hang mode
 		"a=panic~1s*2", // duration on a non-hang mode, decorations reordered
 	}
 	for _, spec := range bad {
@@ -82,28 +79,6 @@ func TestInjectSpecArmsAndDisarms(t *testing.T) {
 	remove()
 	if err := Fire(context.Background(), "spec.point"); err != nil {
 		t.Fatalf("disarmed failpoint fired: %v", err)
-	}
-}
-
-func TestInjectSpecCorruptionMode(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f")
-	if err := os.WriteFile(path, []byte("hello"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	remove, err := InjectSpec("spec.trunc=truncate@2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remove()
-	if err := FireFile(context.Background(), "spec.trunc", path); err != nil {
-		t.Fatalf("corruption mode should report success to the writer: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "he" {
-		t.Fatalf("file = %q, want %q", data, "he")
 	}
 }
 

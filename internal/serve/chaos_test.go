@@ -9,10 +9,12 @@ import (
 
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/store"
+	"graphlocality/internal/vfs"
 )
 
-// Chaos suite: arm runctl failpoints against a live server and assert
-// the graceful-degradation invariants the design promises:
+// Chaos suite: arm runctl failpoints (stage faults) and a vfs.FaultFS
+// (file faults, through Config.FS) against a live server and assert the
+// graceful-degradation invariants the design promises:
 //
 //   - a panicking job fails typed; the process and its siblings survive
 //   - a stalled job is cut at its deadline with a clean 504
@@ -111,38 +113,74 @@ func TestChaosCacheCorruptionRecomputesExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestChaosStoreWriteCrashLeavesResultUsable(t *testing.T) {
-	remove := runctl.Inject(store.PointBeforeRename, runctl.Failpoint{Mode: runctl.FailCrash, Times: 1})
-	defer remove()
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{CacheDir: dir})
-	body := `{"kind":"reorder","alg":"dbg","graph":{"kind":"social","scale":9}}`
+// resultWriteSteps is one crash rule per step of the first result-cache
+// write, with skips from the op sequence of one clean cache-miss job:
+// the reusing GetOrCompute takes the shared lock (create #0) and misses
+// (open #0), then the exclusive lock (create #1) and misses again (open
+// #1), so the temp file is create #2 and the directory's open is open
+// #2. With bufio the first data write lands at flush; the temp file's
+// fsync is sync #0 and the directory's sync #1 — the last operation of
+// the commit, so a crash there leaves the disk state of a crash after
+// the commit. committed marks the steps after the rename.
+var resultWriteSteps = []struct {
+	name      string
+	rule      vfs.Rule
+	committed bool
+}{
+	{"create-temp", vfs.Rule{Op: vfs.OpCreate, Kind: vfs.FaultCrash, Skip: 2, Times: 1}, false},
+	{"before-flush", vfs.Rule{Op: vfs.OpWrite, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"before-sync", vfs.Rule{Op: vfs.OpSync, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"before-rename", vfs.Rule{Op: vfs.OpRename, Kind: vfs.FaultCrash, Times: 1}, false},
+	{"before-dirsync", vfs.Rule{Op: vfs.OpOpen, Kind: vfs.FaultCrash, Skip: 2, Times: 1}, true},
+	{"after-commit", vfs.Rule{Op: vfs.OpSync, Kind: vfs.FaultCrash, Skip: 1, Times: 1}, true},
+}
 
-	// Compute succeeds; persisting the artifact "crashes" mid-write. The
-	// client still gets its result — a broken cache write is the store's
-	// problem, not the request's.
-	code, first := postJob(t, ts, body)
-	if code != http.StatusOK || first.State != StateDone {
-		t.Fatalf("job with crashing store write = %d %s (error: %s), want 200 done", code, first.State, first.Error)
-	}
-	if got := s.Registry().Counter("serve.store_errors").Value(); got == 0 {
-		t.Fatal("serve.store_errors = 0, want the write crash counted")
-	}
-	// Nothing was committed, so the next request recomputes — and must
-	// agree with the first (exactly-once semantics are per-result, proven
-	// by the deterministic fingerprint).
-	code, second := postJob(t, ts, body)
-	if code != http.StatusOK || second.Cache != "miss" {
-		t.Fatalf("job after write crash = %d cache %q, want 200 miss", code, second.Cache)
-	}
-	if second.Result.PermCRC32C != first.Result.PermCRC32C {
-		t.Fatalf("fingerprints diverged across a write crash: %08x vs %08x",
-			first.Result.PermCRC32C, second.Result.PermCRC32C)
-	}
-	// And the recompute committed: third request hits.
-	code, third := postJob(t, ts, body)
-	if code != http.StatusOK || third.Cache != "hit" {
-		t.Fatalf("third job = %d cache %q, want 200 hit", code, third.Cache)
+func TestChaosStoreWriteCrashLeavesResultUsable(t *testing.T) {
+	body := `{"kind":"reorder","alg":"dbg","graph":{"kind":"social","scale":9}}`
+	for _, step := range resultWriteSteps {
+		t.Run(step.name, func(t *testing.T) {
+			fault, err := vfs.NewFaultFS(nil, []vfs.Rule{step.rule})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, Config{CacheDir: t.TempDir(), FS: fault})
+
+			// Compute succeeds; persisting the artifact "crashes" mid-write.
+			// The client still gets its result — a broken cache write is the
+			// store's problem, not the request's.
+			code, first := postJob(t, ts, body)
+			if code != http.StatusOK || first.State != StateDone {
+				t.Fatalf("job with crashing store write = %d %s (error: %s), want 200 done", code, first.State, first.Error)
+			}
+			if n := fault.Fired(); n != 1 {
+				t.Fatalf("FaultFS fired %d times, want 1", n)
+			}
+			if got := s.Registry().Counter("serve.store_errors").Value(); got == 0 {
+				t.Fatal("serve.store_errors = 0, want the write crash counted")
+			}
+			// A crash before the rename committed nothing, so the next
+			// request recomputes; after the rename the result is on disk
+			// and restored. Either way it must agree with the first
+			// (exactly-once semantics are per-result, proven by the
+			// deterministic fingerprint).
+			wantCache := "miss"
+			if step.committed {
+				wantCache = "hit"
+			}
+			code, second := postJob(t, ts, body)
+			if code != http.StatusOK || second.Cache != wantCache {
+				t.Fatalf("job after write crash = %d cache %q, want 200 %s", code, second.Cache, wantCache)
+			}
+			if second.Result.PermCRC32C != first.Result.PermCRC32C {
+				t.Fatalf("fingerprints diverged across a write crash: %08x vs %08x",
+					first.Result.PermCRC32C, second.Result.PermCRC32C)
+			}
+			// And the result is committed now: the third request hits.
+			code, third := postJob(t, ts, body)
+			if code != http.StatusOK || third.Cache != "hit" {
+				t.Fatalf("third job = %d cache %q, want 200 hit", code, third.Cache)
+			}
+		})
 	}
 }
 

@@ -27,6 +27,8 @@
 //     outcome — and returns. No admitted job is ever silently lost.
 //
 // Every fault path is provable from the outside: the chaos suite arms
-// runctl failpoints (panic/stall in jobs, crash/truncate/bit-flip in the
-// store) against a live server and asserts the invariants above.
+// runctl failpoints (panic/stall/typed errors in jobs and store calls)
+// and passes a vfs.FaultFS as Config.FS (crashes, torn writes and bit
+// flips in the store's file operations) against a live server and
+// asserts the invariants above.
 package serve

@@ -199,7 +199,7 @@ func New(cfg Config) *Server {
 	s.queue = newQueue(cfg.QueueMax, reg.Gauge("serve.queue_depth"))
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.CacheDir != "" {
-		st, err := store.OpenFS(cfg.CacheDir, reg, cfg.FS)
+		st, err := store.Open(cfg.FS, cfg.CacheDir, reg)
 		if err != nil {
 			cfg.Log.Printf("localityd: cache directory unusable, serving uncached: %v", err)
 		} else {

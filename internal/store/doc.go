@@ -6,7 +6,8 @@
 // It provides four guarantees (see DESIGN.md §11):
 //
 //   - Atomic writes. Every artifact is written with the same-directory
-//     temp-file protocol (write → fsync file → rename → fsync directory),
+//     temp-file protocol of vfs.WriteFileAtomic (write → fsync file →
+//     rename → fsync directory),
 //     so a reader can never observe a half-written artifact under its
 //     final name, and a crash at any instant leaves either the old
 //     artifact, the new artifact, or an orphaned temp file — never a torn
@@ -29,7 +30,8 @@
 //     guarantees at most one process computes a given artifact while the
 //     others block and then read the verified result.
 //
-// The write path is instrumented with runctl failpoints (CrashPoints) so
-// the chaos harness can kill or corrupt a write at every protocol step
-// and prove recovery end-to-end.
+// Every disk touch goes through the vfs.FS passed to Open, so a
+// vfs.FaultFS can crash, tear or corrupt a write at every protocol step
+// — each a counted filesystem operation — and the chaos sweeps prove
+// recovery end-to-end.
 package store

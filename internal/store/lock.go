@@ -43,15 +43,10 @@ func (l *FileLock) Unlock() error {
 }
 
 // LockShared acquires the advisory lock at path in shared (reader) mode,
-// blocking while a writer holds it.
-func LockShared(path string) (*FileLock, error) {
-	return LockSharedFS(nil, path)
-}
-
-// LockSharedFS is LockShared with the lock file opened through fsys
+// blocking while a writer holds it. The lock file is opened through fsys
 // (nil = the OS passthrough), so a fault-injecting filesystem can fail
 // lock acquisition too.
-func LockSharedFS(fsys vfs.FS, path string) (*FileLock, error) {
+func LockShared(fsys vfs.FS, path string) (*FileLock, error) {
 	h, err := acquireLock(fsys, path, false, true)
 	if err != nil {
 		return nil, err
@@ -60,14 +55,9 @@ func LockSharedFS(fsys vfs.FS, path string) (*FileLock, error) {
 }
 
 // LockExclusive acquires the advisory lock at path in exclusive (writer)
-// mode, blocking while any reader or writer holds it.
-func LockExclusive(path string) (*FileLock, error) {
-	return LockExclusiveFS(nil, path)
-}
-
-// LockExclusiveFS is LockExclusive with the lock file opened through
-// fsys (nil = the OS passthrough).
-func LockExclusiveFS(fsys vfs.FS, path string) (*FileLock, error) {
+// mode, blocking while any reader or writer holds it. The lock file is
+// opened through fsys (nil = the OS passthrough).
+func LockExclusive(fsys vfs.FS, path string) (*FileLock, error) {
 	h, err := acquireLock(fsys, path, true, true)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ func lockFile(t *testing.T) string {
 
 func TestExclusiveLockExcludesEverything(t *testing.T) {
 	path := lockFile(t)
-	l, err := LockExclusive(path)
+	l, err := LockExclusive(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestExclusiveLockExcludesEverything(t *testing.T) {
 
 func TestSharedLocksCoexistButBlockWriters(t *testing.T) {
 	path := lockFile(t)
-	r1, err := LockShared(path)
+	r1, err := LockShared(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := LockShared(path)
+	r2, err := LockShared(nil, path)
 	if err != nil {
 		t.Fatalf("second shared lock blocked: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestSharedLocksCoexistButBlockWriters(t *testing.T) {
 // try-lock) hands over correctly.
 func TestWriterBlocksUntilReaderLeaves(t *testing.T) {
 	path := lockFile(t)
-	r, err := LockShared(path)
+	r, err := LockShared(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWriterBlocksUntilReaderLeaves(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w, err := LockExclusive(path)
+		w, err := LockExclusive(nil, path)
 		if err != nil {
 			t.Error(err)
 			return
@@ -111,7 +111,7 @@ func TestNoDeadlockAcrossArtifacts(t *testing.T) {
 			}
 			for iter := 0; iter < 50; iter++ {
 				for _, p := range order {
-					l, err := LockExclusive(p)
+					l, err := LockExclusive(nil, p)
 					if err != nil {
 						t.Error(err)
 						return

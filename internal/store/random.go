@@ -47,18 +47,13 @@ type ContainerFile struct {
 	fileSize int64
 }
 
-// OpenContainer opens path on the real filesystem.
-func OpenContainer(path string) (*ContainerFile, error) {
-	return OpenContainerFS(nil, path)
-}
-
-// OpenContainerFS opens and header-verifies the container at path
+// OpenContainer opens and header-verifies the container at path
 // through fsys (nil = the OS passthrough) without reading any payload
 // bytes. Verification failures — bad magic, bad version, a corrupt
 // table, a file shorter or longer than the table describes — are typed
 // *IntegrityError with Path set (no quarantine: the caller owns the
 // file's lifecycle).
-func OpenContainerFS(fsys vfs.FS, path string) (*ContainerFile, error) {
+func OpenContainer(fsys vfs.FS, path string) (*ContainerFile, error) {
 	fsys = vfs.Of(fsys)
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -28,9 +28,9 @@ func TestContainerFileRoundTrip(t *testing.T) {
 		{Name: "blob", Data: bytes.Repeat([]byte{7, 1, 250}, 1000)},
 		{Name: "empty", Data: nil},
 	}
-	cf, err := OpenContainerFS(nil, writeTestContainer(t, sections))
+	cf, err := OpenContainer(nil, writeTestContainer(t, sections))
 	if err != nil {
-		t.Fatalf("OpenContainerFS: %v", err)
+		t.Fatalf("OpenContainer: %v", err)
 	}
 	defer cf.Close()
 
@@ -117,7 +117,7 @@ func TestContainerFileCorruption(t *testing.T) {
 			if err := os.WriteFile(p, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cf, err := OpenContainerFS(nil, p)
+			cf, err := OpenContainer(nil, p)
 			if err != nil {
 				if !isIntegrity(err) {
 					t.Fatalf("open error not typed: %v", err)
@@ -154,9 +154,9 @@ func TestContainerFileMatchesReadContainer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadContainer: %v", err)
 	}
-	cf, err := OpenContainerFS(nil, path)
+	cf, err := OpenContainer(nil, path)
 	if err != nil {
-		t.Fatalf("OpenContainerFS: %v", err)
+		t.Fatalf("OpenContainer: %v", err)
 	}
 	defer cf.Close()
 	for _, s := range full {

@@ -34,18 +34,13 @@ type Store struct {
 	fs  vfs.FS
 }
 
-// Open returns a store rooted at dir, creating the directory if needed.
+// Open returns a store rooted at dir, creating the directory if needed,
+// with every disk touch routed through fsys (nil = the OS passthrough).
+// Chaos tests pass a vfs.FaultFS here so crashes, ENOSPC, EIO, torn and
+// bit-flipped writes and rename-drop hit the store's real code paths.
 // rec (may be nil) receives the store's counters: store.writes,
 // store.verified_reads, store.integrity_errors, store.quarantined.
-func Open(dir string, rec obs.Recorder) (*Store, error) {
-	return OpenFS(dir, rec, nil)
-}
-
-// OpenFS is Open with every disk touch routed through fsys (nil = the OS
-// passthrough). Chaos tests pass a vfs.FaultFS here so ENOSPC, EIO,
-// short writes, sync-then-crash and rename-drop hit the store's real
-// code paths.
-func OpenFS(dir string, rec obs.Recorder, fsys vfs.FS) (*Store, error) {
+func Open(fsys vfs.FS, dir string, rec obs.Recorder) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
@@ -91,7 +86,7 @@ func (s *Store) WriteArtifact(name string, sections []Section) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	lock, err := LockExclusiveFS(s.fs, s.lockPath(name))
+	lock, err := LockExclusive(s.fs, s.lockPath(name))
 	if err != nil {
 		return err
 	}
@@ -102,7 +97,7 @@ func (s *Store) WriteArtifact(name string, sections []Section) error {
 // writeLocked performs the atomic container write; the caller must hold
 // the artifact's exclusive lock.
 func (s *Store) writeLocked(name string, sections []Section) error {
-	err := WriteFileAtomicFS(s.fs, s.Path(name), func(w io.Writer) error {
+	err := vfs.WriteFileAtomic(s.fs, s.Path(name), func(w io.Writer) error {
 		return WriteContainer(w, sections)
 	})
 	if err != nil {
@@ -120,7 +115,7 @@ func (s *Store) ReadArtifact(name string) ([]Section, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	lock, err := LockSharedFS(s.fs, s.lockPath(name))
+	lock, err := LockShared(s.fs, s.lockPath(name))
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +212,7 @@ func (s *Store) GetOrCompute(name string, reuse bool, check func([]Section) erro
 			return GetResult{Sections: sections, Restored: true}, nil
 		}
 	}
-	lock, err := LockExclusiveFS(s.fs, s.lockPath(name))
+	lock, err := LockExclusive(s.fs, s.lockPath(name))
 	if err != nil {
 		return GetResult{}, err
 	}

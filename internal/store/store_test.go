@@ -17,7 +17,7 @@ import (
 func openTestStore(t *testing.T) (*Store, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	s, err := Open(t.TempDir(), reg)
+	s, err := Open(nil, t.TempDir(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestGetOrComputeConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := Open(dir, nil) // each worker: its own Store => own lock fds
+			s, err := Open(nil, dir, nil) // each worker: its own Store => own lock fds
 			if err != nil {
 				t.Error(err)
 				return

@@ -9,11 +9,10 @@ import (
 	"syscall"
 )
 
-// ErrInjectedCrash is the default error a FaultCrash rule returns. Like
-// runctl.ErrSimulatedCrash it means "the process died right here":
-// instrumented write paths must unwind without cleanup so the on-disk
-// state is exactly what a SIGKILL at that instant would leave. The chaos
-// engine overrides it via SetCrashError so both sentinels unify.
+// ErrInjectedCrash is the error a FaultCrash rule returns. It means "the
+// process died right here": instrumented write paths must unwind without
+// cleanup so the on-disk state is exactly what a SIGKILL at that instant
+// would leave.
 var ErrInjectedCrash = errors.New("vfs: injected crash")
 
 // Op classifies filesystem operations for fault matching.
@@ -69,7 +68,7 @@ const (
 	// damage must be caught by a verified read later, never by the writer.
 	// Write operations only.
 	FaultShortWrite
-	// FaultCrash aborts the operation with the FS's crash error, modelling
+	// FaultCrash aborts the operation with ErrInjectedCrash, modelling
 	// process death at that exact operation. On OpSync the file is
 	// additionally truncated to half its size first (sync-then-crash: the
 	// page cache was half-flushed when power was lost).
@@ -77,6 +76,10 @@ const (
 	// FaultRenameDrop makes a rename report success without renaming —
 	// the commit the filesystem lost at power-cut. Rename operations only.
 	FaultRenameDrop
+	// FaultFlip makes a write persist its whole buffer with one bit
+	// flipped (bit 0 of the middle byte) while reporting success — silent
+	// media corruption of the same length. Write operations only.
+	FaultFlip
 )
 
 var faultKindNames = map[FaultKind]string{
@@ -85,6 +88,7 @@ var faultKindNames = map[FaultKind]string{
 	FaultShortWrite: "short",
 	FaultCrash:      "crash",
 	FaultRenameDrop: "drop",
+	FaultFlip:       "flip",
 }
 
 // String returns the grammar name of the kind.
@@ -102,7 +106,7 @@ func ParseFaultKind(s string) (FaultKind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("vfs: unknown fault kind %q (want enospc, eio, short, crash or drop)", s)
+	return 0, fmt.Errorf("vfs: unknown fault kind %q (want enospc, eio, short, crash, drop or flip)", s)
 }
 
 // Rule is one deterministic fault: the Skip+1-th through Skip+Times-th
@@ -126,8 +130,8 @@ func (r Rule) Validate() error {
 		return err
 	}
 	switch {
-	case r.Kind == FaultShortWrite && r.Op != OpWrite:
-		return fmt.Errorf("vfs: short fault applies only to write operations, not %s", r.Op)
+	case (r.Kind == FaultShortWrite || r.Kind == FaultFlip) && r.Op != OpWrite:
+		return fmt.Errorf("vfs: %v fault applies only to write operations, not %s", r.Kind, r.Op)
 	case r.Kind == FaultRenameDrop && r.Op != OpRename:
 		return fmt.Errorf("vfs: drop fault applies only to rename operations, not %s", r.Op)
 	case r.Skip < 0:
@@ -163,17 +167,16 @@ type ruleState struct {
 // schedules replayable from a seed. Safe for concurrent use (operation
 // counting is serialized).
 type FaultFS struct {
-	inner    FS
-	mu       sync.Mutex
-	rules    []*ruleState
-	crashErr error
-	fired    int
+	inner FS
+	mu    sync.Mutex
+	rules []*ruleState
+	fired int
 }
 
 // NewFaultFS wraps inner with the given rules. Invalid rules are
 // reported immediately rather than silently never matching.
 func NewFaultFS(inner FS, rules []Rule) (*FaultFS, error) {
-	f := &FaultFS{inner: Of(inner), crashErr: ErrInjectedCrash}
+	f := &FaultFS{inner: Of(inner)}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
@@ -181,17 +184,6 @@ func NewFaultFS(inner FS, rules []Rule) (*FaultFS, error) {
 		f.rules = append(f.rules, &ruleState{rule: r})
 	}
 	return f, nil
-}
-
-// SetCrashError replaces the error FaultCrash rules return (the chaos
-// engine injects runctl.ErrSimulatedCrash so crash handling unifies with
-// the failpoint layer).
-func (f *FaultFS) SetCrashError(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err != nil {
-		f.crashErr = err
-	}
 }
 
 // Fired reports how many operations have faulted so far.
@@ -205,7 +197,7 @@ func (f *FaultFS) Fired() int {
 // if any. The first rule (in registration order) whose window covers
 // this occurrence wins; every rule of the class still counts the
 // occurrence, so windows stay deterministic regardless of which fired.
-func (f *FaultFS) hit(op Op) (FaultKind, error, bool) {
+func (f *FaultFS) hit(op Op) (FaultKind, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var winner *ruleState
@@ -221,31 +213,31 @@ func (f *FaultFS) hit(op Op) (FaultKind, error, bool) {
 		}
 	}
 	if winner == nil {
-		return 0, nil, false
+		return 0, false
 	}
 	f.fired++
-	return winner.rule.Kind, f.crashErr, true
+	return winner.rule.Kind, true
 }
 
 // errFor maps a fault kind to the error the operation reports.
-func errFor(kind FaultKind, crashErr error, op Op, path string) error {
+func errFor(kind FaultKind, op Op, path string) error {
 	switch kind {
 	case FaultENOSPC:
 		return &fs.PathError{Op: string(op), Path: path, Err: syscall.ENOSPC}
 	case FaultEIO:
 		return &fs.PathError{Op: string(op), Path: path, Err: syscall.EIO}
 	case FaultCrash:
-		return crashErr
+		return ErrInjectedCrash
 	default:
-		// Semantic kinds (short, drop) are handled at their call sites;
+		// Semantic kinds (short, drop, flip) are handled at their call sites;
 		// reaching here is an instrumentation bug worth surfacing loudly.
 		return &fs.PathError{Op: string(op), Path: path, Err: fmt.Errorf("vfs: fault %v misapplied", kind)}
 	}
 }
 
 func (f *FaultFS) Open(name string) (File, error) {
-	if kind, crash, ok := f.hit(OpOpen); ok {
-		return nil, errFor(kind, crash, OpOpen, name)
+	if kind, ok := f.hit(OpOpen); ok {
+		return nil, errFor(kind, OpOpen, name)
 	}
 	inner, err := f.inner.Open(name)
 	if err != nil {
@@ -259,8 +251,8 @@ func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 	if flag&os.O_CREATE != 0 {
 		op = OpCreate
 	}
-	if kind, crash, ok := f.hit(op); ok {
-		return nil, errFor(kind, crash, op, name)
+	if kind, ok := f.hit(op); ok {
+		return nil, errFor(kind, op, name)
 	}
 	inner, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
@@ -270,8 +262,8 @@ func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 }
 
 func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	if kind, crash, ok := f.hit(OpCreate); ok {
-		return nil, errFor(kind, crash, OpCreate, dir+"/"+pattern)
+	if kind, ok := f.hit(OpCreate); ok {
+		return nil, errFor(kind, OpCreate, dir+"/"+pattern)
 	}
 	inner, err := f.inner.CreateTemp(dir, pattern)
 	if err != nil {
@@ -281,40 +273,40 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if kind, crash, ok := f.hit(OpRename); ok {
+	if kind, ok := f.hit(OpRename); ok {
 		if kind == FaultRenameDrop {
 			// Report success, do nothing: the rename the disk lost.
 			return nil
 		}
-		return errFor(kind, crash, OpRename, oldpath)
+		return errFor(kind, OpRename, oldpath)
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
 
 func (f *FaultFS) Remove(name string) error {
-	if kind, crash, ok := f.hit(OpRemove); ok {
-		return errFor(kind, crash, OpRemove, name)
+	if kind, ok := f.hit(OpRemove); ok {
+		return errFor(kind, OpRemove, name)
 	}
 	return f.inner.Remove(name)
 }
 
 func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
-	if kind, crash, ok := f.hit(OpMkdir); ok {
-		return errFor(kind, crash, OpMkdir, path)
+	if kind, ok := f.hit(OpMkdir); ok {
+		return errFor(kind, OpMkdir, path)
 	}
 	return f.inner.MkdirAll(path, perm)
 }
 
 func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	if kind, crash, ok := f.hit(OpReadDir); ok {
-		return nil, errFor(kind, crash, OpReadDir, name)
+	if kind, ok := f.hit(OpReadDir); ok {
+		return nil, errFor(kind, OpReadDir, name)
 	}
 	return f.inner.ReadDir(name)
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	if kind, crash, ok := f.hit(OpRead); ok {
-		return nil, errFor(kind, crash, OpRead, name)
+	if kind, ok := f.hit(OpRead); ok {
+		return nil, errFor(kind, OpRead, name)
 	}
 	return f.inner.ReadFile(name)
 }
@@ -330,10 +322,11 @@ type faultFile struct {
 	inner File
 }
 
-func (f *faultFile) Name() string               { return f.inner.Name() }
-func (f *faultFile) Stat() (fs.FileInfo, error) { return f.inner.Stat() }
-func (f *faultFile) Close() error               { return f.inner.Close() }
-func (f *faultFile) Truncate(size int64) error  { return f.inner.Truncate(size) }
+func (f *faultFile) Name() string                 { return f.inner.Name() }
+func (f *faultFile) Stat() (fs.FileInfo, error)   { return f.inner.Stat() }
+func (f *faultFile) Close() error                 { return f.inner.Close() }
+func (f *faultFile) Truncate(size int64) error    { return f.inner.Truncate(size) }
+func (f *faultFile) Chmod(mode fs.FileMode) error { return f.inner.Chmod(mode) }
 func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
 	return f.inner.Seek(offset, whence)
 }
@@ -343,58 +336,78 @@ func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
 func (f *faultFile) Sys() any { return f.inner.Sys() }
 
 func (f *faultFile) Read(p []byte) (int, error) {
-	if kind, crash, ok := f.fs.hit(OpRead); ok {
-		return 0, errFor(kind, crash, OpRead, f.inner.Name())
+	if kind, ok := f.fs.hit(OpRead); ok {
+		return 0, errFor(kind, OpRead, f.inner.Name())
 	}
 	return f.inner.Read(p)
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if kind, crash, ok := f.fs.hit(OpRead); ok {
-		return 0, errFor(kind, crash, OpRead, f.inner.Name())
+	if kind, ok := f.fs.hit(OpRead); ok {
+		return 0, errFor(kind, OpRead, f.inner.Name())
 	}
 	return f.inner.ReadAt(p, off)
 }
 
-func (f *faultFile) Write(p []byte) (int, error) {
-	if kind, crash, ok := f.fs.hit(OpWrite); ok {
-		if kind == FaultShortWrite {
-			// Persist half the buffer, report complete success: torn data
-			// lands on disk and only a verified read can catch it.
-			if _, err := f.inner.Write(p[:len(p)/2]); err != nil {
-				return 0, err
-			}
-			return len(p), nil
+// lie returns the bytes a lying write fault persists in place of p —
+// short: the first half; flip: all of p with bit 0 of its middle byte
+// flipped — or ok=false when kind fails the write outright.
+func lie(kind FaultKind, p []byte) (persist []byte, ok bool) {
+	switch kind {
+	case FaultShortWrite:
+		return p[:len(p)/2], true
+	case FaultFlip:
+		persist = append([]byte(nil), p...)
+		if len(persist) > 0 {
+			persist[len(persist)/2] ^= 0x01
 		}
-		return 0, errFor(kind, crash, OpWrite, f.inner.Name())
+		return persist, true
+	}
+	return nil, false
+}
+
+// Write and WriteAt apply lying faults (short, flip) by persisting the
+// damaged bytes and reporting complete success: the damage lands on disk
+// and only a verified read can catch it.
+func (f *faultFile) Write(p []byte) (int, error) {
+	if kind, ok := f.fs.hit(OpWrite); ok {
+		persist, lies := lie(kind, p)
+		if !lies {
+			return 0, errFor(kind, OpWrite, f.inner.Name())
+		}
+		if _, err := f.inner.Write(persist); err != nil {
+			return 0, err
+		}
+		return len(p), nil
 	}
 	return f.inner.Write(p)
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if kind, crash, ok := f.fs.hit(OpWrite); ok {
-		if kind == FaultShortWrite {
-			if _, err := f.inner.WriteAt(p[:len(p)/2], off); err != nil {
-				return 0, err
-			}
-			return len(p), nil
+	if kind, ok := f.fs.hit(OpWrite); ok {
+		persist, lies := lie(kind, p)
+		if !lies {
+			return 0, errFor(kind, OpWrite, f.inner.Name())
 		}
-		return 0, errFor(kind, crash, OpWrite, f.inner.Name())
+		if _, err := f.inner.WriteAt(persist, off); err != nil {
+			return 0, err
+		}
+		return len(p), nil
 	}
 	return f.inner.WriteAt(p, off)
 }
 
 func (f *faultFile) Sync() error {
-	if kind, crash, ok := f.fs.hit(OpSync); ok {
+	if kind, ok := f.fs.hit(OpSync); ok {
 		if kind == FaultCrash {
 			// Sync-then-crash: the process dies mid-fsync with the page
 			// cache half-flushed — truncate to half, then report the death.
 			if info, err := f.inner.Stat(); err == nil {
 				_ = f.inner.Truncate(info.Size() / 2)
 			}
-			return crash
+			return ErrInjectedCrash
 		}
-		return errFor(kind, crash, OpSync, f.inner.Name())
+		return errFor(kind, OpSync, f.inner.Name())
 	}
 	return f.inner.Sync()
 }

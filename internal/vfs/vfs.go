@@ -3,9 +3,11 @@
 // daemon's result cache) routes its file operations through an FS value
 // instead of calling the os package directly. Production code runs on
 // the OS passthrough; chaos tests swap in a FaultFS whose deterministic
-// fault schedule injects ENOSPC, EIO, short writes, sync-then-crash and
-// rename-drop at chosen operation counts — fault classes that are
-// untestable against a real, healthy filesystem.
+// fault schedule injects ENOSPC, EIO, short writes, bit flips,
+// sync-then-crash and rename-drop at chosen operation counts — fault
+// classes that are untestable against a real, healthy filesystem.
+// FaultFS is the repo's only file-fault injector, and WriteFileAtomic the
+// one crash-safe commit protocol every file writer shares.
 //
 // The package also defines the Clock seam (Now/Since/After/Sleep) so
 // time-dependent control loops — runctl heartbeats, watchdogs, retry
@@ -40,6 +42,8 @@ type File interface {
 	Sync() error
 	// Truncate resizes the file.
 	Truncate(size int64) error
+	// Chmod changes the file's mode bits.
+	Chmod(mode fs.FileMode) error
 	// Sys exposes the innermost platform file (an *os.File for disk-backed
 	// implementations, nil otherwise). The store's flock(2) locking needs
 	// the real descriptor; wrappers must pass it through.

@@ -97,14 +97,42 @@ func TestFaultShortWriteLies(t *testing.T) {
 	}
 }
 
+func TestFaultFlipLies(t *testing.T) {
+	dir := t.TempDir()
+	fsys, err := NewFaultFS(OS{}, []Rule{{Op: OpWrite, Kind: FaultFlip, Times: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "flipped")
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("0123456789")
+	n, err := f.Write(buf)
+	if err != nil || n != 10 {
+		t.Fatalf("flip write must lie: n=%d err=%v, want 10,nil", n, err)
+	}
+	if _, err := f.WriteAt([]byte("ab"), 10); err != nil {
+		t.Fatalf("healed WriteAt: %v", err)
+	}
+	f.Close()
+	if string(buf) != "0123456789" {
+		t.Fatalf("flip damaged the caller's buffer: %q", buf)
+	}
+	// '5' (0x35) with bit 0 flipped is '4' (0x34); the length is intact.
+	got, _ := os.ReadFile(path)
+	if string(got) != "0123446789ab" {
+		t.Fatalf("on-disk = %q, want one flipped bit %q", got, "0123446789ab")
+	}
+}
+
 func TestFaultSyncThenCrashTruncates(t *testing.T) {
 	dir := t.TempDir()
 	fsys, err := NewFaultFS(OS{}, []Rule{{Op: OpSync, Kind: FaultCrash, Times: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sentinel := errors.New("boom")
-	fsys.SetCrashError(sentinel)
 	path := filepath.Join(dir, "half")
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -113,8 +141,8 @@ func TestFaultSyncThenCrashTruncates(t *testing.T) {
 	if _, err := f.Write([]byte("abcdefgh")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Sync(); !errors.Is(err, sentinel) {
-		t.Fatalf("Sync err = %v, want crash sentinel", err)
+	if err := f.Sync(); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("Sync err = %v, want ErrInjectedCrash", err)
 	}
 	f.Close()
 	got, _ := os.ReadFile(path)
@@ -192,6 +220,7 @@ func TestFaultDeterminism(t *testing.T) {
 func TestRuleValidateAndString(t *testing.T) {
 	bad := []Rule{
 		{Op: OpRead, Kind: FaultShortWrite},
+		{Op: OpSync, Kind: FaultFlip},
 		{Op: OpWrite, Kind: FaultRenameDrop},
 		{Op: "bogus", Kind: FaultEIO},
 		{Op: OpWrite, Kind: FaultEIO, Skip: -1},
@@ -220,7 +249,7 @@ func TestParseOpAndKindRoundTrip(t *testing.T) {
 			t.Fatalf("ParseOp(%q) = %v, %v", op, got, err)
 		}
 	}
-	for _, k := range []FaultKind{FaultENOSPC, FaultEIO, FaultShortWrite, FaultCrash, FaultRenameDrop} {
+	for _, k := range []FaultKind{FaultENOSPC, FaultEIO, FaultShortWrite, FaultCrash, FaultRenameDrop, FaultFlip} {
 		got, err := ParseFaultKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseFaultKind(%q) = %v, %v", k.String(), got, err)
