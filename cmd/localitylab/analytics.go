@@ -13,7 +13,7 @@ import (
 
 func cmdAnalytics(args []string) error {
 	fs := flag.NewFlagSet("analytics", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	algo := fs.String("alg", "bfs", "analytic: bfs, cc, thrifty, sssp, hits, lp, pagerank")
 	src := fs.Uint("src", 0, "source vertex for bfs/sssp")
 	iters := fs.Int("iters", 10, "iterations for hits/lp/pagerank")
@@ -83,7 +83,7 @@ func cmdAnalytics(args []string) error {
 
 func cmdIHTL(args []string) error {
 	fs := flag.NewFlagSet("ihtl", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	cacheBytes := fs.Uint64("cachebytes", 0, "flipped-block accumulator budget (0 = half the scaled L3)")
 	fs.Parse(args)
 	if *in == "" {

@@ -61,11 +61,11 @@ func compressReport(ctx context.Context, g *graph.Graph, specs []string, opts gr
 // (internal/graph/segcsr: delta-gap + varint edge lists): bytes/edge of
 // the input labeling and, with -algs, of each reordering — the
 // storage-side locality metric. -out additionally writes the segmented
-// container of the input labeling and re-opens it to verify.
+// container of the input labeling and reloads it to verify.
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
-	out := fs.String("out", "", "also write the segmented container here (re-opened to verify)")
+	in := fs.String("graph", "", "input graph (segmented)")
+	out := fs.String("out", "", "also write the segmented container here (reloaded to verify)")
 	segVerts := fs.Int("segverts", 0, "vertices per segment (0 = default 16384)")
 	algsFlag := fs.String("algs", "", "comma-separated RA specs to relabel with before measuring (e.g. ro,go:window=7)")
 	fs.Parse(args)
@@ -109,13 +109,12 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	sg, err := graph.OpenSegmented(*out)
+	h, err := graph.ReadSegmented(*out)
 	if err != nil {
 		return fmt.Errorf("verify %s: %w", *out, err)
 	}
-	defer sg.Close()
-	if sg.NumVertices() != g.NumVertices() || sg.NumEdges() != g.NumEdges() {
-		return fmt.Errorf("verify %s: dimensions diverge from input", *out)
+	if !h.Equal(g) {
+		return fmt.Errorf("verify %s: reloaded graph differs from input", *out)
 	}
 	fmt.Printf("wrote %s: %d segments, %d payload + %d index bytes (verified)\n",
 		*out, st.Segments, st.OutPayloadBytes+st.InPayloadBytes, st.IndexBytes)

@@ -38,7 +38,7 @@ func TestCompressReport(t *testing.T) {
 func TestCmdCompressWritesVerifiedContainer(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(512, 6, 3))
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "g.bin")
+	bin := filepath.Join(dir, "g.seg")
 	if err := saveGraph(g, bin); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCmdCompressWritesVerifiedContainer(t *testing.T) {
 	if err := cmdCompress([]string{"-graph", bin, "-out", seg, "-segverts", "64", "-algs", "random"}); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := graph.OpenSegmented(seg)
+	sg, err := graph.OpenSegmented(seg, graph.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCmdCompressWritesVerifiedContainer(t *testing.T) {
 	if sg.NumEdges() != g.NumEdges() || sg.NumVertices() != g.NumVertices() {
 		t.Error("written container dimensions diverge")
 	}
-	if err := cmdCompress([]string{"-graph", filepath.Join(dir, "missing.bin")}); err == nil {
+	if err := cmdCompress([]string{"-graph", filepath.Join(dir, "missing.seg")}); err == nil {
 		t.Error("missing graph accepted")
 	}
 	if err := cmdCompress(nil); err == nil {

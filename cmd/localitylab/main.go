@@ -6,12 +6,15 @@
 //
 // Usage:
 //
-//	localitylab gen      -kind social|web|er|ba -out g.bin [-scale N] [-seed S]
-//	localitylab reorder  -graph g.bin -alg sb|sb++|go|ro|... -out relabeled.bin
-//	localitylab metrics  -graph g.bin [-aid] [-asym] [-decomp] [-coverage] [-types]
-//	localitylab spmv     -graph g.bin [-threads N] [-iters K] [-dir pull|push|pushread]
-//	localitylab simulate -graph g.bin [-threads N] [-ecs]
+//	localitylab gen      -kind social|web|er|ba -out g.seg [-scale N] [-seed S]
+//	localitylab reorder  -graph g.seg -alg sb|sb++|go|ro|... -out relabeled.seg
+//	localitylab metrics  -graph g.seg [-aid] [-asym] [-decomp] [-coverage] [-types]
+//	localitylab spmv     -graph g.seg [-threads N] [-iters K] [-dir pull|push|pushread]
+//	localitylab simulate -graph g.seg [-threads N] [-ecs]
 //	localitylab experiment table1|table2|...|table7|fig1|...|fig6|edr|gap|all [-size tiny|standard]
+//
+// Every graph file (-graph, -graphs, gen -out, reorder -out) is a
+// segmented compressed container (internal/graph/segcsr).
 package main
 
 import (
@@ -38,7 +41,6 @@ import (
 	"graphlocality/internal/runctl"
 	"graphlocality/internal/spmv"
 	"graphlocality/internal/trace"
-	"graphlocality/internal/vfs"
 	"graphlocality/internal/viz"
 )
 
@@ -172,8 +174,8 @@ Commands:
               fig1..fig6, edr, gap, ihtl, hybrid, brew, hilbert,
               utilization, all)
   compress    measure the segmented compressed-CSR footprint (bytes/edge)
-              of a graph, per reordering with -algs; -out writes the
-              verified .segcsr container
+              of a graph, per reordering with -algs; -out rewrites the
+              graph with -segverts segments and reloads it to verify
   obs         inspect run manifests: obs show <m.json>, obs diff <a> <b>
   store       maintain a -cachedir artifact store: store stat|verify|gc -dir D
   bench       performance harness: bench parallel (experiment grid serial vs
@@ -199,25 +201,23 @@ Environment:
                           file faults go through chaos run|replay instead`)
 }
 
+// loadGraph reads a segmented graph file. A file that fails verification
+// is quarantined to <path>.corrupt and reported as *store.IntegrityError.
 func loadGraph(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.ReadBinary(f)
+	return graph.ReadSegmented(path)
 }
 
-// saveGraph writes the graph through the atomic commit protocol (temp +
-// sync + rename), so an interrupted run can never leave a torn .bin where
-// a good file stood.
+// saveGraph writes the graph as a segmented container through the atomic
+// commit protocol (temp + sync + rename), so an interrupted run can never
+// leave a torn file where a good one stood.
 func saveGraph(g *graph.Graph, path string) error {
-	return vfs.WriteFileAtomic(nil, path, g.WriteBinary)
+	_, err := graph.WriteSegmented(g, path, graph.SegmentedOptions{})
+	return err
 }
 
 func cmdSpy(args []string) error {
 	fs := flag.NewFlagSet("spy", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	res := fs.Int("res", 48, "plot resolution (buckets per side)")
 	pgm := fs.String("pgm", "", "also write a PGM image to this path")
 	fs.Parse(args)
@@ -249,7 +249,7 @@ func cmdSpy(args []string) error {
 
 func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	fs.Parse(args)
 	if *in == "" {
 		return usagef("-graph is required")
@@ -276,7 +276,7 @@ func cmdGen(args []string) error {
 	scale := fs.Int("scale", 14, "log2 of the vertex count")
 	edgeFac := fs.Int("edgefac", 12, "edges per vertex")
 	seed := fs.Uint64("seed", 42, "generator seed")
-	out := fs.String("out", "", "output graph file (binary); empty prints a summary")
+	out := fs.String("out", "", "output graph file (segmented); empty prints a summary")
 	fs.Parse(args)
 
 	g, err := gen.Generate(*kind, *scale, *edgeFac, *seed)
@@ -292,7 +292,7 @@ func cmdGen(args []string) error {
 
 func cmdReorder(args []string) error {
 	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	algSpec := fs.String("alg", "ro", "algorithm spec: name[:key=value,...] (e.g. go:window=7), names: "+strings.Join(reorder.List(), ", "))
 	out := fs.String("out", "", "output relabeled graph; empty skips writing")
 	fs.Parse(args)
@@ -366,7 +366,7 @@ func cmdAlgorithms(args []string) error {
 
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	aid := fs.Bool("aid", false, "AID degree distribution")
 	asym := fs.Bool("asym", false, "asymmetricity degree distribution")
 	decomp := fs.Bool("decomp", false, "degree range decomposition")
@@ -452,7 +452,7 @@ func cmdMetrics(args []string) error {
 
 func cmdSpMV(args []string) error {
 	fs := flag.NewFlagSet("spmv", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	threads := fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	iters := fs.Int("iters", 5, "iterations to run")
 	dir := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
@@ -495,7 +495,7 @@ func cmdSpMV(args []string) error {
 
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	threads := fs.Int("threads", 4, "emulated threads for interleaved simulation")
 	dirName := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
 	ecs := fs.Bool("ecs", false, "measure effective cache size")
@@ -544,7 +544,7 @@ func cmdExperiment(args []string) error {
 	sizeName := fs.String("size", "standard", "dataset scale: tiny or standard")
 	algsFlag := fs.String("algs", "", "comma-separated algorithm specs (e.g. initial,go:window=7,brew) replacing the paper line-up")
 	csvDir := fs.String("csv", "", "also write machine-readable CSV files into this directory")
-	graphsFlag := fs.String("graphs", "", "comma-separated binary graph files to use instead of the synthetic suite")
+	graphsFlag := fs.String("graphs", "", "comma-separated segmented graph files to use instead of the synthetic suite")
 	cacheDir := fs.String("cachedir", "", "checkpoint computed permutations into this directory (write-through)")
 	resume := fs.Bool("resume", false, "reload permutations checkpointed in -cachedir instead of recomputing")
 	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage deadline; an overrunning RA degrades to Initial (0 = none)")
@@ -558,7 +558,7 @@ func cmdExperiment(args []string) error {
 	httpProf := fs.String("httpprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	// The experiment id is the first non-flag argument.
 	var id string
-	if len(args) > 0 && args[0][0] != '-' {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		id = args[0]
 		args = args[1:]
 	}
@@ -861,7 +861,7 @@ func contrastOnly(ds []expt.Dataset) []expt.Dataset {
 	return out
 }
 
-// datasetFromFile wraps a binary graph file as an experiment dataset,
+// datasetFromFile wraps a segmented graph file as an experiment dataset,
 // classifying its structure with the advisor so contrast-based
 // experiments know which side it belongs to.
 func datasetFromFile(path string) (expt.Dataset, error) {

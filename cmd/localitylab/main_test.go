@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"graphlocality/internal/core"
 	"graphlocality/internal/expt"
 	"graphlocality/internal/gen"
+	"graphlocality/internal/reorder"
+	"graphlocality/internal/store"
 	"graphlocality/internal/trace"
 )
 
@@ -27,7 +34,7 @@ func TestParseDirection(t *testing.T) {
 
 func TestGraphFileRoundTrip(t *testing.T) {
 	g := gen.Ring(100)
-	path := filepath.Join(t.TempDir(), "g.bin")
+	path := filepath.Join(t.TempDir(), "g.seg")
 	if err := saveGraph(g, path); err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +52,110 @@ func TestGraphFileRoundTrip(t *testing.T) {
 	} else if fi.Mode().Perm() != 0o644 {
 		t.Errorf("graph file mode = %v, want -rw-r--r--", fi.Mode().Perm())
 	}
-	if _, err := loadGraph(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+	if _, err := loadGraph(filepath.Join(t.TempDir(), "missing.seg")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// captureStdout runs fn with stdout redirected to a temp file and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCLIGraphFilePipeline drives gen -out → reorder -out → metrics over
+// real files and checks the result matches the same pipeline run in
+// process; every file the CLI writes is a GLAS container. Then one
+// flipped byte must make loadGraph fail typed, exit 1 and quarantine.
+func TestCLIGraphFilePipeline(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "g.seg"), filepath.Join(dir, "g-dbg.seg")
+	tr, seg := filepath.Join(dir, "g.trace"), filepath.Join(dir, "g.segcsr")
+	captureStdout(t, func() error {
+		return errors.Join(
+			cmdGen([]string{"-kind", "social", "-scale", "9", "-edgefac", "8", "-seed", "7", "-out", in}),
+			cmdReorder([]string{"-graph", in, "-alg", "dbg", "-out", out}),
+			cmdTrace([]string{"-graph", out, "-threads", "2", "-out", tr}),
+			cmdCompress([]string{"-graph", out, "-segverts", "64", "-out", seg}),
+		)
+	})
+	metrics := captureStdout(t, func() error { return cmdMetrics([]string{"-graph", out}) })
+
+	g := gen.SocialNetwork(9, 8, 7)
+	res, err := reorder.RunContext(context.Background(), reorder.MustNew("dbg"), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := g.Relabel(res.Perm)
+	if h, err := loadGraph(out); err != nil || !h.Equal(want) {
+		t.Fatalf("reorder -out file differs from the in-process relabeling (err %v)", err)
+	}
+	wantMetrics := fmt.Sprintf("%v\nmean AID %.1f, average gap %.1f, reciprocity %.3f\n",
+		want, core.MeanAID(want), core.AverageGap(want), core.Reciprocity(want))
+	if metrics != wantMetrics {
+		t.Fatalf("metrics -graph printed\n%s\nwant\n%s", metrics, wantMetrics)
+	}
+	for _, path := range []string{in, out, tr, seg} {
+		raw, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(raw, []byte("GLAS")) {
+			t.Fatalf("%s does not start with GLAS (err %v)", filepath.Base(path), err)
+		}
+	}
+
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(out, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = loadGraph(out)
+	var ie *store.IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("loadGraph(corrupt) = %v, want *store.IntegrityError", err)
+	}
+	if code := exitCode(err); code != exitFailure {
+		t.Errorf("exitCode = %d, want %d", code, exitFailure)
+	}
+	if _, err := os.Stat(out + store.CorruptSuffix); err != nil {
+		t.Errorf("corrupt graph not quarantined: %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("corrupt graph still at its path: %v", err)
+	}
+}
+
+// TestExperimentEmptyID: an empty experiment id is the usual usage
+// error, not an index panic.
+func TestExperimentEmptyID(t *testing.T) {
+	err := cmdExperiment([]string{""})
+	var ue *usageError
+	if !errors.As(err, &ue) || exitCode(err) != exitUsage {
+		t.Fatalf("experiment \"\" = %v, want a usage error (exit %d)", err, exitUsage)
 	}
 }
 
 func TestDatasetFromFile(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 8, 3))
-	path := filepath.Join(t.TempDir(), "web.bin")
+	path := filepath.Join(t.TempDir(), "web.seg")
 	if err := saveGraph(g, path); err != nil {
 		t.Fatal(err)
 	}

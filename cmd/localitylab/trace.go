@@ -13,7 +13,7 @@ import (
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	in := fs.String("graph", "", "input graph (binary)")
+	in := fs.String("graph", "", "input graph (segmented)")
 	out := fs.String("out", "", "output trace file")
 	threads := fs.Int("threads", 4, "emulated threads")
 	dirName := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
@@ -61,7 +61,7 @@ func cmdReplay(args []string) error {
 	defer f.Close()
 	logs, err := trace.ReadLogs(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("reading trace %s: %w", *in, err)
 	}
 	var policy cachesim.Policy
 	switch *policyName {

@@ -396,7 +396,7 @@ func segStreamDiff(sg *graph.SegGraph, g *graph.Graph, in bool) (string, error) 
 // per-segment CRC while streaming. Silently wrong edges or an untyped
 // failure break the contract.
 func segwriteOutcome(path string, g *graph.Graph) []Violation {
-	sg, err := graph.OpenSegmented(path)
+	sg, err := graph.OpenSegmented(path, graph.SegmentedOptions{})
 	switch {
 	case err == nil:
 		defer sg.Close()

@@ -30,7 +30,7 @@ func openSeg(t *testing.T, g *graph.Graph, segVerts int, cacheBytes int64, rec o
 	if _, err := graph.WriteSegmented(g, path, graph.SegmentedOptions{SegmentVertices: segVerts}); err != nil {
 		t.Fatalf("WriteSegmented: %v", err)
 	}
-	sg, err := graph.OpenSegmentedOpts(path, graph.SegmentedOptions{CacheBytes: cacheBytes, Obs: rec})
+	sg, err := graph.OpenSegmented(path, graph.SegmentedOptions{CacheBytes: cacheBytes, Obs: rec})
 	if err != nil {
 		t.Fatalf("OpenSegmented: %v", err)
 	}

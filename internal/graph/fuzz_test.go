@@ -3,8 +3,13 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphlocality/internal/graph/segcsr"
+	"graphlocality/internal/store"
 )
 
 // FuzzReadEdgeList checks the text parser never panics and that any graph
@@ -40,39 +45,50 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary checks the binary loader never panics on corrupt input.
-func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	_ = diamond().WriteBinary(&buf)
-	valid := buf.Bytes()
+// FuzzReadSegmented checks the graph file loader never panics on corrupt
+// input, that every graph it accepts passes Validate, and that an
+// accepted graph round-trips through WriteSegmented unchanged.
+func FuzzReadSegmented(f *testing.F) {
+	valid := segmentedBytes(f, diamond(), 0)
 	f.Add(valid)
-	f.Add([]byte("GLCG"))
+	f.Add(segmentedBytes(f, diamond(), 1))
+	f.Add(segmentedBytes(f, &Graph{}, 0))
+	f.Add(segmentedBytes(f, FromEdges(1, []Edge{{0, 0}}), 0))
+	f.Add([]byte("GLAS"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	// Corrupt variants of a valid file: truncations at every structural
-	// boundary, a header claiming far more data than follows, and flipped
-	// bytes inside the offset array.
+	// Corrupt variants of a valid file: a torn tail, a cut inside the
+	// section table, a flipped payload byte and a checksum-valid segmeta
+	// that claims far more vertices than the file holds.
 	f.Add(valid[:len(valid)-1])
-	f.Add(valid[:4+24])
-	f.Add(valid[:4+8])
-	huge := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(huge[12:], 1<<40) // |V|
-	f.Add(huge)
-	hugeE := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(hugeE[20:], 1<<40) // |E|
-	f.Add(hugeE)
+	f.Add(valid[:40])
 	flipped := append([]byte(nil), valid...)
-	if len(flipped) > 40 {
-		flipped[36] ^= 0xff // inside the offsets
-	}
+	flipped[len(flipped)-2] ^= 0xff
 	f.Add(flipped)
+	f.Add(withSections(f, valid, func(secs []store.Section) {
+		binary.LittleEndian.PutUint32(section(secs, segcsr.SectionMeta)[4:], 1<<20)
+	}))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		g, err := ReadBinary(bytes.NewReader(in))
+		path := filepath.Join(t.TempDir(), "g.seg")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := ReadSegmented(path)
 		if err != nil {
 			return
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
+		}
+		if _, err := WriteSegmented(g, path, SegmentedOptions{}); err != nil {
+			t.Fatalf("re-serialize: %v", err)
+		}
+		h, err := ReadSegmented(path)
+		if err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if !g.Equal(h) {
+			t.Fatal("round trip changed the graph")
 		}
 	})
 }

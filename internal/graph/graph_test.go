@@ -281,30 +281,6 @@ func TestTopologyBytes(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := diamond()
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(h) {
-		t.Error("binary round trip changed the graph")
-	}
-}
-
-func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("BOGUS data here")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("GL")); err == nil {
-		t.Error("truncated magic accepted")
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := diamond()
 	var buf bytes.Buffer

@@ -86,6 +86,10 @@ func newFile(cf *store.ContainerFile, opts Options) (*File, error) {
 	if uint64(nsegs) != wantSegs {
 		return nil, corruptf("segmeta claims %d segments, geometry implies %d", nsegs, wantSegs)
 	}
+	if nsegs == 0 && f.m != 0 {
+		// No segment index bounds |E| by payload bytes here.
+		return nil, corruptf("segmeta claims %d edges over 0 vertices", f.m)
+	}
 	for d, names := range [2][2]string{{SectionIdxOut, SectionDataOut}, {SectionIdxIn, SectionDataIn}} {
 		raw, err := cf.ReadSection(names[0])
 		if err != nil {
@@ -237,7 +241,7 @@ func (f *File) Segment(in bool, seg int) (*segment, error) {
 		f.record(err)
 		return nil, err
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != e.crc {
+	if got := crc32.Checksum(payload, store.Castagnoli); got != e.crc {
 		err := corruptf("segment %d: payload checksum mismatch (index %08x, computed %08x)", seg, e.crc, got)
 		f.record(err)
 		return nil, err

@@ -109,7 +109,7 @@ func handCraft(n uint32, m uint64, segVerts uint32, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(meta[20:], 1)
 	idx := make([]byte, idxEntryBytes)
 	binary.LittleEndian.PutUint32(idx[16:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(idx[20:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(idx[20:], crc32.Checksum(payload, store.Castagnoli))
 	var buf bytes.Buffer
 	if err := store.WriteContainer(&buf, []store.Section{
 		{Name: SectionMeta, Data: meta},

@@ -125,7 +125,7 @@ func Write(fsys vfs.FS, path string, out, in CSR, opts Options) (WriteStats, err
 			binary.LittleEndian.PutUint64(e[0:], c.Off[lo])
 			binary.LittleEndian.PutUint64(e[8:], uint64(len(data)))
 			binary.LittleEndian.PutUint32(e[16:], uint32(len(scratch)))
-			binary.LittleEndian.PutUint32(e[20:], crc32.Checksum(scratch, castagnoli))
+			binary.LittleEndian.PutUint32(e[20:], crc32.Checksum(scratch, store.Castagnoli))
 			idx = append(idx, e[:]...)
 			data = append(data, scratch...)
 		}
@@ -175,7 +175,3 @@ func Measure(out, in CSR, opts Options) WriteStats {
 		IndexBytes:      uint64(2 * nsegs * idxEntryBytes),
 	}
 }
-
-// castagnoli mirrors the store's CRC32C table: per-segment checksums use
-// the same polynomial as every other frame in the repo.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 
 	"graphlocality/internal/graph/segcsr"
 	"graphlocality/internal/obs"
@@ -10,11 +12,12 @@ import (
 )
 
 // Out-of-core graphs. WriteSegmented serializes a *Graph into the
-// segmented compressed container format (internal/graph/segcsr);
-// OpenSegmented opens one as a SegGraph, a Topology whose rows are
-// decoded on demand through a byte-budgeted segment cache — so the
-// trace generators and simulators stream graphs larger than memory
-// through exactly the code paths they use for in-RAM graphs.
+// segmented compressed container format (internal/graph/segcsr), the
+// repo's one on-disk graph format; OpenSegmented opens one as a
+// SegGraph, a Topology whose rows are decoded on demand through a
+// byte-budgeted segment cache — so the trace generators and simulators
+// stream graphs larger than memory through exactly the code paths they
+// use for in-RAM graphs. ReadSegmented loads one back into a *Graph.
 
 // SegmentedOptions configures WriteSegmented and OpenSegmented.
 type SegmentedOptions struct {
@@ -40,30 +43,101 @@ func (o SegmentedOptions) segOpts() segcsr.Options {
 	}
 }
 
+// csrs returns g's CSR and CSC in segcsr's input form. The zero Graph
+// has nil arrays; the format wants len-1 offsets.
+func (g *Graph) csrs() (out, in segcsr.CSR) {
+	if g.outOff == nil {
+		empty := segcsr.CSR{Off: []uint64{0}}
+		return empty, empty
+	}
+	return segcsr.CSR{Off: g.outOff, Adj: g.outAdj}, segcsr.CSR{Off: g.inOff, Adj: g.inAdj}
+}
+
 // WriteSegmented writes g to path in the segmented container format via
 // the crash-safe atomic protocol, returning the compression stats
 // (including the bytes/edge metric).
 func WriteSegmented(g *Graph, path string, opts SegmentedOptions) (segcsr.WriteStats, error) {
-	out := segcsr.CSR{Off: g.outOff, Adj: g.outAdj}
-	in := segcsr.CSR{Off: g.inOff, Adj: g.inAdj}
-	if g.n == 0 && g.outOff == nil {
-		// The zero Graph has nil arrays; the format wants len-1 offsets.
-		out = segcsr.CSR{Off: []uint64{0}}
-		in = segcsr.CSR{Off: []uint64{0}}
-	}
+	out, in := g.csrs()
 	return segcsr.Write(opts.FS, path, out, in, opts.segOpts())
 }
 
 // MeasureSegmented returns the stats WriteSegmented would produce
 // without touching disk — the cheap path to the bytes/edge metric.
 func MeasureSegmented(g *Graph, opts SegmentedOptions) segcsr.WriteStats {
-	out := segcsr.CSR{Off: g.outOff, Adj: g.outAdj}
-	in := segcsr.CSR{Off: g.inOff, Adj: g.inAdj}
-	if g.n == 0 && g.outOff == nil {
-		out = segcsr.CSR{Off: []uint64{0}}
-		in = segcsr.CSR{Off: []uint64{0}}
-	}
+	out, in := g.csrs()
 	return segcsr.Measure(out, in, opts.segOpts())
+}
+
+// ReadSegmented loads the segmented graph at path into memory. The CSR
+// rows stream into FromCSR; the file's CSC rows are then checked against
+// the CSC FromCSR rebuilt, so every payload byte is CRC-verified and the
+// two directions must agree. A verification failure is a typed
+// *store.IntegrityError and quarantines the file, as in OpenSegmented.
+func ReadSegmented(path string) (*Graph, error) {
+	// A one-pass load revisits no segment, so it caches none.
+	sg, err := OpenSegmented(path, SegmentedOptions{CacheBytes: 1})
+	if err != nil {
+		return nil, err
+	}
+	g, err := sg.load()
+	sg.Close()
+	if err != nil {
+		return nil, quarantine(vfs.Of(nil), path, err)
+	}
+	return g, nil
+}
+
+func (sg *SegGraph) load() (*Graph, error) {
+	n := sg.NumVertices()
+	off := make([]uint64, 0, uint64(n)+1)
+	adj := make([]uint32, 0, sg.NumEdges())
+	rows := sg.Rows(false, 0, n)
+	for {
+		_, o, a, ok := rows.Next()
+		if !ok {
+			break
+		}
+		off = append(off, o[:len(o)-1]...)
+		adj = append(adj, a...)
+	}
+	if err := sg.Err(); err != nil {
+		return nil, err
+	}
+	g, err := FromCSR(n, append(off, uint64(len(adj))), adj)
+	if err != nil {
+		return nil, &store.IntegrityError{Reason: err.Error()}
+	}
+	rows = sg.Rows(true, 0, n)
+	for {
+		base, o, a, ok := rows.Next()
+		if !ok {
+			break
+		}
+		// Offsets first: once they match, o indexes g.inAdj safely.
+		if !slices.Equal(o, g.inOff[base:int(base)+len(o)]) || !slices.Equal(a, g.inAdj[o[0]:o[len(o)-1]]) {
+			return nil, &store.IntegrityError{Reason: fmt.Sprintf("graph: CSC rows from vertex %d disagree with the CSR rows", base)}
+		}
+	}
+	return g, sg.Err()
+}
+
+// quarantine moves a file that failed verification to
+// path+store.CorruptSuffix (same discipline as the artifact store: a
+// corrupt graph must not be half-readable on the next run) and returns
+// the typed *store.IntegrityError with Quarantined set when the rename
+// succeeded. Other errors pass through unchanged.
+func quarantine(fsys vfs.FS, path string, err error) error {
+	var ie *store.IntegrityError
+	if !errors.As(err, &ie) {
+		return err
+	}
+	if ie.Path == "" {
+		ie.Path = path
+	}
+	if qerr := fsys.Rename(path, path+store.CorruptSuffix); qerr == nil {
+		ie.Quarantined = path + store.CorruptSuffix
+	}
+	return ie
 }
 
 // SegGraph is a segment-backed Topology: dimensions and indexes in
@@ -76,30 +150,16 @@ type SegGraph struct {
 	f *segcsr.File
 }
 
-// OpenSegmented opens the segmented graph at path on the real
-// filesystem with default options.
-func OpenSegmented(path string) (*SegGraph, error) {
-	return OpenSegmentedOpts(path, SegmentedOptions{})
-}
-
-// OpenSegmentedOpts opens the segmented graph at path. The container
+// OpenSegmented opens the segmented graph at path. The container
 // table, metadata and segment indexes are fully verified here; a
-// verification failure quarantines the file to path+store.CorruptSuffix
-// (same discipline as the artifact store: a corrupt graph must not be
-// half-readable on the next run) and returns the typed
-// *store.IntegrityError with Quarantined set when the rename succeeded.
-func OpenSegmentedOpts(path string, opts SegmentedOptions) (*SegGraph, error) {
+// verification failure is a typed *store.IntegrityError and moves the
+// file to path+store.CorruptSuffix. Segment payloads are verified as
+// cursors decode them; those failures latch on Err.
+func OpenSegmented(path string, opts SegmentedOptions) (*SegGraph, error) {
 	fsys := vfs.Of(opts.FS)
 	f, err := segcsr.Open(fsys, path, opts.segOpts())
-	var ie *store.IntegrityError
-	if errors.As(err, &ie) {
-		if qerr := fsys.Rename(path, path+store.CorruptSuffix); qerr == nil {
-			ie.Quarantined = path + store.CorruptSuffix
-		}
-		return nil, ie
-	}
 	if err != nil {
-		return nil, err
+		return nil, quarantine(fsys, path, err)
 	}
 	return &SegGraph{f: f}, nil
 }

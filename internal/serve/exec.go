@@ -31,15 +31,13 @@ const (
 	PointStoreGet = "serve.store.get"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // crcPerm fingerprints a permutation (little-endian CRC32C).
 func crcPerm(perm graph.Permutation) uint32 {
 	buf := make([]byte, 4*len(perm))
 	for i, v := range perm {
 		binary.LittleEndian.PutUint32(buf[4*i:], v)
 	}
-	return crc32.Checksum(buf, castagnoli)
+	return crc32.Checksum(buf, store.Castagnoli)
 }
 
 // computeError wraps a job's own failure inside GetOrCompute so the

@@ -35,9 +35,11 @@ const (
 	maxSectionBytes = 1 << 30
 )
 
-// castagnoli is the CRC32C polynomial table shared by all framing in the
-// store (the same polynomial hardware CRC instructions implement).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// Castagnoli is the CRC32C polynomial table behind every checksum in the
+// repo: container headers and sections, segcsr segment payloads and the
+// serve layer's permutation fingerprints (the same polynomial hardware
+// CRC instructions implement).
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Section is one named payload of a container artifact.
 type Section struct {
@@ -92,7 +94,7 @@ func WriteContainer(w io.Writer, sections []Section) error {
 		return fmt.Errorf("store: %d sections exceed the format limit %d", len(sections), maxSections)
 	}
 	bw := bufio.NewWriter(w)
-	hdrCRC := crc32.New(castagnoli)
+	hdrCRC := crc32.New(Castagnoli)
 	hw := io.MultiWriter(bw, hdrCRC)
 	if _, err := hw.Write([]byte(containerMagic)); err != nil {
 		return err
@@ -119,7 +121,7 @@ func WriteContainer(w io.Writer, sections []Section) error {
 		if err := binary.Write(hw, binary.LittleEndian, uint64(len(s.Data))); err != nil {
 			return err
 		}
-		if err := binary.Write(hw, binary.LittleEndian, crc32.Checksum(s.Data, castagnoli)); err != nil {
+		if err := binary.Write(hw, binary.LittleEndian, crc32.Checksum(s.Data, Castagnoli)); err != nil {
 			return err
 		}
 	}
@@ -155,7 +157,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // Verification failures are *IntegrityError (with Path unset).
 func ReadContainer(r io.Reader) ([]Section, error) {
 	br := bufio.NewReader(r)
-	hr := &crcReader{r: br, h: crc32.New(castagnoli)}
+	hr := &crcReader{r: br, h: crc32.New(Castagnoli)}
 
 	magic := make([]byte, len(containerMagic))
 	if _, err := io.ReadFull(hr, magic); err != nil {
@@ -232,7 +234,7 @@ func ReadContainer(r io.Reader) ([]Section, error) {
 			data = append(data, buf...)
 			read += c
 		}
-		if got := crc32.Checksum(data, castagnoli); got != e.crc {
+		if got := crc32.Checksum(data, Castagnoli); got != e.crc {
 			return nil, integrityf("section %q checksum mismatch (table %08x, computed %08x)", e.name, e.crc, got)
 		}
 		sections = append(sections, Section{Name: e.name, Data: data})
@@ -246,8 +248,8 @@ func ReadContainer(r io.Reader) ([]Section, error) {
 }
 
 // IsContainer reports whether data starts with the container magic —
-// the cheap front-door test format-migration readers use to pick the
-// container or the legacy decode path.
+// the cheap front-door test Scan uses to tell artifacts from foreign
+// files.
 func IsContainer(data []byte) bool {
 	return len(data) >= len(containerMagic) && string(data[:len(containerMagic)]) == containerMagic
 }

@@ -1,7 +1,9 @@
 // Package store is the crash-safe, integrity-checked artifact store of
 // the toolkit: the single persistence layer for every expensive on-disk
-// artifact (permutation checkpoints, graph binaries, trace logs) that a
-// crashed, interrupted or concurrent run must be able to trust.
+// artifact (permutation checkpoints, graph files, trace logs) that a
+// crashed, interrupted or concurrent run must be able to trust. Graph
+// files (graph/segcsr) and trace logs (trace.WriteLogs) are containers
+// in its format.
 //
 // It provides four guarantees (see DESIGN.md §11):
 //

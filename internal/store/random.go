@@ -79,7 +79,7 @@ func newContainerFile(f vfs.File, path string) (*ContainerFile, error) {
 	// Parse the header exactly like ReadContainer, counting bytes so the
 	// payload offsets can be resolved once the table checks out.
 	br := bufio.NewReader(io.NewSectionReader(f, 0, st.Size()))
-	hr := &crcReader{r: br, h: crc32.New(castagnoli)}
+	hr := &crcReader{r: br, h: crc32.New(Castagnoli)}
 	var consumed int64
 	readFull := func(p []byte) error {
 		n, err := io.ReadFull(hr, p)
@@ -209,7 +209,7 @@ func (c *ContainerFile) ReadSection(name string) ([]byte, error) {
 	if _, err := c.f.ReadAt(data, e.offset); err != nil {
 		return nil, &IntegrityError{Path: c.path, Reason: fmt.Sprintf("section %q: reading payload: %v", name, err)}
 	}
-	if got := crc32.Checksum(data, castagnoli); got != e.crc {
+	if got := crc32.Checksum(data, Castagnoli); got != e.crc {
 		return nil, &IntegrityError{Path: c.path,
 			Reason: fmt.Sprintf("section %q checksum mismatch (table %08x, computed %08x)", name, e.crc, got)}
 	}

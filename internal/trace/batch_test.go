@@ -236,7 +236,7 @@ func TestStreamSegmentedTopology(t *testing.T) {
 		if _, err := graph.WriteSegmented(g, path, graph.SegmentedOptions{SegmentVertices: segVerts}); err != nil {
 			t.Fatal(err)
 		}
-		sg, err := graph.OpenSegmentedOpts(path, graph.SegmentedOptions{CacheBytes: 4096})
+		sg, err := graph.OpenSegmented(path, graph.SegmentedOptions{CacheBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzReadLogs checks the binary trace reader never panics on corrupt
+// FuzzReadLogs checks the trace container reader never panics on corrupt
 // input and that any stream it accepts round-trips: decode → encode →
 // decode must reproduce the logs exactly, or replaying an archived trace
 // would silently simulate a different access stream.
@@ -24,7 +24,7 @@ func FuzzReadLogs(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())-7]) // truncated mid-record
-	f.Add([]byte("GLTR"))                   // magic only
+	f.Add([]byte("GLAS"))                   // magic only
 	f.Add([]byte("BAD!"))                   // wrong magic
 	f.Add([]byte{})                         // empty
 

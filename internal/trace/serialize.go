@@ -1,178 +1,88 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
+	"strconv"
+	"strings"
+
+	"graphlocality/internal/store"
 )
 
-// Binary trace format: traces can be written once and replayed against
-// many cache configurations (the tooling side of the paper's two-phase
-// method — log once, simulate under different replacement policies or
+// Trace files: traces can be written once and replayed against many
+// cache configurations (the tooling side of the paper's two-phase method
+// — log once, simulate under different replacement policies or
 // geometries without regenerating the traversal).
 //
-// Layout (little-endian): magic "GLTR", version, thread count, then per
-// thread one frame: thread id, access count, packed 24-byte access
-// records (addr u64, vertex u32, dest u32, kind u8, write u8, 6 pad
-// bytes — records are written field by field), and — since version 2 —
-// a CRC32C over the frame's bytes (id + count + records). A bit flip or
-// torn tail in an archived trace is caught at the damaged frame instead
-// of silently replaying a different access stream. Version-1 streams
-// (no frame checksums) are still read.
+// A trace file is one GLAS container (internal/store framing: CRC-guarded
+// section table, per-section CRC32C) with one section per thread log, in
+// log order, named "thread.<id>". A section holds the thread's packed
+// 24-byte access records, little-endian: addr u64, vertex u32, dest u32,
+// kind u8, write u8, 6 zero pad bytes. A bit flip or torn tail in an
+// archived trace is caught by the container before a record is decoded.
+// The container caps a section at 1 GiB, so one thread log holds at most
+// 44 739 242 accesses.
 
 const (
-	traceMagic   = "GLTR"
-	traceVersion = 2
-	// traceVersionLegacy is the pre-checksum format, accepted on read.
-	traceVersionLegacy = 1
+	threadSectionPrefix = "thread."
+	recordBytes         = 24
 )
 
-// traceCastagnoli is the CRC32C polynomial, matching the framing used by
-// internal/store artifacts.
-var traceCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// WriteLogs serializes thread logs to w in the current (checksummed)
-// format version.
+// WriteLogs serializes thread logs to w as a trace container.
 func WriteLogs(logs []ThreadLog, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(traceVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(logs))); err != nil {
-		return err
-	}
-	for _, lg := range logs {
-		// The frame CRC covers everything from the thread id through the
-		// last record, so it is accumulated alongside the writes.
-		frameCRC := crc32.New(traceCastagnoli)
-		fw := io.MultiWriter(bw, frameCRC)
-		if err := binary.Write(fw, binary.LittleEndian, uint32(lg.Thread)); err != nil {
-			return err
-		}
-		if err := binary.Write(fw, binary.LittleEndian, uint64(len(lg.Accesses))); err != nil {
-			return err
-		}
-		for _, a := range lg.Accesses {
-			var wr uint8
+	sections := make([]store.Section, len(logs))
+	for i, lg := range logs {
+		data := make([]byte, recordBytes*len(lg.Accesses))
+		for j, a := range lg.Accesses {
+			rec := data[j*recordBytes:]
+			binary.LittleEndian.PutUint64(rec[0:], a.Addr)
+			binary.LittleEndian.PutUint32(rec[8:], a.Vertex)
+			binary.LittleEndian.PutUint32(rec[12:], a.Dest)
+			rec[16] = uint8(a.Kind)
 			if a.Write {
-				wr = 1
-			}
-			rec := packedAccess{
-				Addr: a.Addr, Vertex: a.Vertex, Dest: a.Dest,
-				Kind: uint8(a.Kind), Write: wr,
-			}
-			if err := binary.Write(fw, binary.LittleEndian, rec); err != nil {
-				return err
+				rec[17] = 1
 			}
 		}
-		if err := binary.Write(bw, binary.LittleEndian, frameCRC.Sum32()); err != nil {
-			return err
-		}
+		sections[i] = store.Section{Name: threadSectionPrefix + strconv.Itoa(lg.Thread), Data: data}
 	}
-	return bw.Flush()
+	return store.WriteContainer(w, sections)
 }
 
-// packedAccess is the fixed-size on-disk record.
-type packedAccess struct {
-	Addr   uint64
-	Vertex uint32
-	Dest   uint32
-	Kind   uint8
-	Write  uint8
-	_      [6]uint8 // explicit padding keeps the record size stable
-}
-
-// hashingReader accumulates a CRC over exactly the bytes the consumer
-// reads, so a frame checksum compares against the consumed frame.
-type hashingReader struct {
-	r io.Reader
-	h hash.Hash32
-}
-
-func (hr *hashingReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	if n > 0 {
-		hr.h.Write(p[:n])
-	}
-	return n, err
-}
-
-// ReadLogs deserializes thread logs written by WriteLogs. Version-2
-// streams have every frame verified against its CRC32C before its
-// accesses are returned; legacy version-1 streams decode without
-// verification.
+// ReadLogs deserializes thread logs written by WriteLogs. Every section
+// is CRC-verified by the container before its records are decoded; a
+// section that is not a well-formed thread log is a typed
+// *store.IntegrityError like any container failure.
 func ReadLogs(r io.Reader) ([]ThreadLog, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	sections, err := store.ReadContainer(r)
+	if err != nil {
 		return nil, err
 	}
-	if version != traceVersion && version != traceVersionLegacy {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	logs := make([]ThreadLog, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var fr io.Reader = br
-		var frameCRC hash.Hash32
-		if version >= traceVersion {
-			frameCRC = crc32.New(traceCastagnoli)
-			fr = &hashingReader{r: br, h: frameCRC}
+	logs := make([]ThreadLog, len(sections))
+	for i, s := range sections {
+		id, err := strconv.Atoi(strings.TrimPrefix(s.Name, threadSectionPrefix))
+		if err != nil || s.Name != threadSectionPrefix+strconv.Itoa(id) {
+			return nil, &store.IntegrityError{Reason: fmt.Sprintf("trace: section %q is not a thread log", s.Name)}
 		}
-		var thread uint32
-		var n uint64
-		if err := binary.Read(fr, binary.LittleEndian, &thread); err != nil {
-			return nil, err
+		if len(s.Data)%recordBytes != 0 {
+			return nil, &store.IntegrityError{Reason: fmt.Sprintf(
+				"trace: thread %d: %d record bytes, not a multiple of %d", id, len(s.Data), recordBytes)}
 		}
-		if err := binary.Read(fr, binary.LittleEndian, &n); err != nil {
-			return nil, err
+		logs[i].Thread = id
+		if len(s.Data) == 0 {
+			continue
 		}
-		lg := ThreadLog{Thread: int(thread)}
-		// Chunked reads keep a corrupt count from allocating unbounded
-		// memory before hitting EOF.
-		const chunk = 1 << 15
-		for read := uint64(0); read < n; {
-			c := n - read
-			if c > chunk {
-				c = chunk
-			}
-			buf := make([]packedAccess, c)
-			if err := binary.Read(fr, binary.LittleEndian, buf); err != nil {
-				return nil, fmt.Errorf("trace: reading accesses: %w", err)
-			}
-			for _, rec := range buf {
-				lg.Accesses = append(lg.Accesses, Access{
-					Addr: rec.Addr, Vertex: rec.Vertex, Dest: rec.Dest,
-					Kind: Kind(rec.Kind), Write: rec.Write != 0,
-				})
-			}
-			read += c
-		}
-		if frameCRC != nil {
-			var got uint32
-			if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-				return nil, fmt.Errorf("trace: thread %d: reading frame checksum: %w", thread, err)
-			}
-			if want := frameCRC.Sum32(); got != want {
-				return nil, fmt.Errorf("trace: thread %d: frame checksum mismatch (file %08x, computed %08x)", thread, got, want)
+		logs[i].Accesses = make([]Access, len(s.Data)/recordBytes)
+		for j := range logs[i].Accesses {
+			rec := s.Data[j*recordBytes:]
+			logs[i].Accesses[j] = Access{
+				Addr:   binary.LittleEndian.Uint64(rec[0:]),
+				Vertex: binary.LittleEndian.Uint32(rec[8:]),
+				Dest:   binary.LittleEndian.Uint32(rec[12:]),
+				Kind:   Kind(rec[16]),
+				Write:  rec[17] != 0,
 			}
 		}
-		logs = append(logs, lg)
 	}
 	return logs, nil
 }

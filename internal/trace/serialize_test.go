@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"graphlocality/internal/gen"
+	"graphlocality/internal/store"
 )
 
 func TestLogsRoundTrip(t *testing.T) {
@@ -61,59 +62,26 @@ func TestReadLogsErrors(t *testing.T) {
 	if _, err := ReadLogs(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated trace accepted")
 	}
-}
-
-// writeLogsV1 emits the pre-checksum version-1 stream, preserved here so
-// the legacy-read path keeps a producer to test against.
-func writeLogsV1(logs []ThreadLog, w *bytes.Buffer) error {
-	w.WriteString(traceMagic)
-	if err := binary.Write(w, binary.LittleEndian, uint32(traceVersionLegacy)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(logs))); err != nil {
-		return err
-	}
-	for _, lg := range logs {
-		if err := binary.Write(w, binary.LittleEndian, uint32(lg.Thread)); err != nil {
-			return err
+	// Checksum-valid containers whose sections are not thread logs.
+	for name, sec := range map[string]store.Section{
+		"ragged records": {Name: "thread.0", Data: make([]byte, 25)},
+		"foreign name":   {Name: "segmeta", Data: make([]byte, 24)},
+		"bad thread id":  {Name: "thread.x", Data: make([]byte, 24)},
+		"non-canonical":  {Name: "thread.01", Data: make([]byte, 24)},
+	} {
+		var buf bytes.Buffer
+		if err := store.WriteContainer(&buf, []store.Section{sec}); err != nil {
+			t.Fatal(err)
 		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(lg.Accesses))); err != nil {
-			return err
+		var ie *store.IntegrityError
+		if _, err := ReadLogs(&buf); !errors.As(err, &ie) {
+			t.Errorf("%s: ReadLogs = %v, want *store.IntegrityError", name, err)
 		}
-		for _, a := range lg.Accesses {
-			var wr uint8
-			if a.Write {
-				wr = 1
-			}
-			rec := packedAccess{Addr: a.Addr, Vertex: a.Vertex, Dest: a.Dest, Kind: uint8(a.Kind), Write: wr}
-			if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// TestReadLogsLegacyV1 keeps archived pre-checksum traces readable.
-func TestReadLogsLegacyV1(t *testing.T) {
-	g := gen.Ring(16)
-	l := NewLayout(g)
-	logs := CollectLogs(g, l, Pull, 2)
-	var v1 bytes.Buffer
-	if err := writeLogsV1(logs, &v1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLogs(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy trace rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, logs) {
-		t.Fatal("legacy decode differs from original logs")
 	}
 }
 
 // TestReadLogsDetectsCorruption flips single bits across the stream and
-// asserts every record-region flip is caught by a frame checksum — the
+// asserts every flip is caught by the container's checksums — the
 // failure mode is a damaged archived trace silently replaying a
 // different access stream.
 func TestReadLogsDetectsCorruption(t *testing.T) {
@@ -125,9 +93,8 @@ func TestReadLogsDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
-	// Header is magic+version+count (12 bytes); every byte after it is
-	// covered by some frame's CRC.
-	for off := 12; off < len(clean); off += 7 {
+	// Every byte is covered by the header CRC or a section CRC.
+	for off := 0; off < len(clean); off += 7 {
 		data := append([]byte(nil), clean...)
 		data[off] ^= 0x01
 		got, err := ReadLogs(bytes.NewReader(data))
