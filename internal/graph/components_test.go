@@ -39,19 +39,6 @@ func TestConnectedComponentsIsolated(t *testing.T) {
 	}
 }
 
-func TestComponentsExcluding(t *testing.T) {
-	// Star: 0 is the hub. Removing it isolates the leaves.
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}})
-	removed := []bool{true, false, false, false}
-	labels, k := g.ComponentsExcluding(removed)
-	if k != 3 {
-		t.Fatalf("k = %d, want 3", k)
-	}
-	if labels[0] != NoVertex {
-		t.Error("removed vertex must be labeled NoVertex")
-	}
-}
-
 func TestComponentSizes(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {2, 1}, {3, 4}})
 	labels, k := g.ConnectedComponents()
@@ -62,19 +49,6 @@ func TestComponentSizes(t *testing.T) {
 	}
 	if total != 5 {
 		t.Errorf("sizes sum to %d, want 5", total)
-	}
-}
-
-func TestGiantComponent(t *testing.T) {
-	// Component A: triangle (3 edges). Component B: single edge.
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 4}})
-	labels, k := g.ConnectedComponents()
-	gcc := g.GiantComponent(labels, k)
-	if gcc != labels[0] {
-		t.Errorf("GCC = %d, want the triangle's label %d", gcc, labels[0])
-	}
-	if g.GiantComponent(nil, 0) != NoVertex {
-		t.Error("GCC of empty labeling should be NoVertex")
 	}
 }
 

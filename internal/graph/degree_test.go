@@ -134,15 +134,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("bad in-adjacency accepted")
 	}
 }
-
-func TestGiantComponentTieBreak(t *testing.T) {
-	// Two components with equal edge counts: the smaller label wins.
-	g := FromEdges(4, []Edge{{0, 1}, {2, 3}})
-	labels, k := g.ConnectedComponents()
-	if k != 2 {
-		t.Fatal("want 2 components")
-	}
-	if gcc := g.GiantComponent(labels, k); gcc != labels[0] {
-		t.Errorf("tie should go to the smaller label, got %d", gcc)
-	}
-}

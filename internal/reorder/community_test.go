@@ -96,10 +96,10 @@ func TestDetectLouvainFindsPlantedCommunities(t *testing.T) {
 
 func TestDetectorsPartitionInvariant(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"empty":   graph.FromEdges(0, nil),
+		"empty":    graph.FromEdges(0, nil),
 		"isolated": graph.FromEdges(5, nil),
-		"rmat":    gen.RMAT(gen.DefaultRMAT(10, 8, 7)),
-		"er":      gen.ErdosRenyi(300, 1200, 11),
+		"rmat":     gen.RMAT(gen.DefaultRMAT(10, 8, 7)),
+		"er":       gen.ErdosRenyi(300, 1200, 11),
 	}
 	for name, g := range graphs {
 		g := g

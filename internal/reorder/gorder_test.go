@@ -7,6 +7,19 @@ import (
 	"graphlocality/internal/graph"
 )
 
+// batch changes the key of each of vs by d, as one batch.
+func batch(h *unitHeap, d int32, vs ...uint32) {
+	for _, v := range vs {
+		h.add(v, d)
+	}
+	for _, v := range vs {
+		if !h.removed(v) {
+			h.replay(v)
+		}
+	}
+	h.settled()
+}
+
 func TestUnitHeapBasics(t *testing.T) {
 	h := newUnitHeap(4)
 	// Nothing extractable while all keys are 0 — in particular vertex 0
@@ -15,9 +28,7 @@ func TestUnitHeapBasics(t *testing.T) {
 	if v, ok := h.extractMax(); ok {
 		t.Fatalf("empty heap extracted %d", v)
 	}
-	h.adjust(2, true)
-	h.adjust(2, true) // key 2
-	h.adjust(1, true) // key 1
+	batch(h, 1, 2, 2, 1) // keys 2 and 1
 	if v, ok := h.extractMax(); !ok || v != 2 {
 		t.Fatalf("extractMax = %d,%v; want 2", v, ok)
 	}
@@ -27,14 +38,14 @@ func TestUnitHeapBasics(t *testing.T) {
 	if _, ok := h.extractMax(); ok {
 		t.Fatal("heap should be empty")
 	}
-	// Adjustments to removed vertices are ignored.
-	h.adjust(2, true)
+	// Changes to removed vertices are ignored.
+	batch(h, 1, 2)
 	if _, ok := h.extractMax(); ok {
 		t.Fatal("removed vertex resurrected")
 	}
-	// Decrement back to zero keeps the vertex alive but unextractable.
-	h.adjust(3, true)
-	h.adjust(3, false)
+	// A change back to zero keeps the vertex alive but unextractable.
+	batch(h, 1, 3)
+	batch(h, -1, 3)
 	if h.removed(3) {
 		t.Fatal("vertex 3 wrongly removed")
 	}
@@ -44,6 +55,32 @@ func TestUnitHeapBasics(t *testing.T) {
 	h.remove(3)
 	if !h.removed(3) {
 		t.Fatal("remove failed")
+	}
+}
+
+// TestUnitHeapBatchTieOrder checks a batch leaves each bucket as moving
+// the vertex at every single change would: ordered by last change, newest
+// first, with vertex 4, whose changes cancel, moved to the head too.
+func TestUnitHeapBatchTieOrder(t *testing.T) {
+	h := newUnitHeap(6)
+	batch(h, 1, 4)
+	changes := []struct {
+		v uint32
+		d int32
+	}{{3, 1}, {5, 1}, {4, -1}, {4, 1}, {3, -1}, {3, 1}, {1, 1}, {1, 1}}
+	for _, c := range changes {
+		h.add(c.v, c.d)
+	}
+	for _, c := range changes {
+		h.replay(c.v)
+	}
+	h.settled()
+	// One change at a time: [4], [3 4], [5 3 4], [5 3], [4 5 3], [4 5],
+	// [3 4 5], and 1 alone in bucket 2.
+	for _, want := range []uint32{1, 3, 4, 5} {
+		if v, ok := h.extractMax(); !ok || v != want {
+			t.Fatalf("extractMax = %d,%v; want %d", v, ok, want)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package reorder
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -132,41 +132,40 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 	}
 
 	// Weighted adjacency between live communities, restricted to eligible
-	// vertices. str[v] = total incident weight (community strength).
-	adj := make([]map[uint32]float64, n)
+	// vertices. A community's edges are the non-self eligible entries of
+	// its root's und row (weight 1 each), plus the (community, weight)
+	// pairs of every community merged into it. Entries name the community
+	// as it was when they were recorded; find maps them to the live one.
+	// str[v] = total incident weight (community strength). Weights are
+	// integer-valued float64s, so every sum is exact in any order.
+	str := make([]float64, n)
 	var m2 float64 // 2m = total degree weight
 	for v := uint32(0); v < n; v++ {
 		if !eligible[v] {
 			continue
 		}
 		for _, u := range und.OutNeighbors(v) {
-			if u == v || !eligible[u] {
-				continue
+			if u != v && eligible[u] {
+				str[v]++
 			}
-			if adj[v] == nil {
-				adj[v] = make(map[uint32]float64, und.OutDegree(v))
-			}
-			adj[v][u]++
-			m2++
 		}
+		m2 += str[v]
 	}
 	if m2 == 0 {
 		m2 = 1 // avoid division by zero; gains all become non-positive
 	}
-	str := make([]float64, n)
-	for v := uint32(0); v < n; v++ {
-		for _, w := range adj[v] {
-			str[v] += w
-		}
+	type edge struct {
+		c uint32
+		w float64
 	}
+	merged := make([][]edge, n)
 
 	// Union-find over communities.
 	parent := make([]uint32, n)
 	for i := range parent {
 		parent[i] = uint32(i)
 	}
-	var find func(uint32) uint32
-	find = func(x uint32) uint32 {
+	find := func(x uint32) uint32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -174,8 +173,15 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 		return x
 	}
 
-	// Dendrogram: children of each community in merge order.
-	children := make([][]uint32, n)
+	// Dendrogram: the children of each community in merge order, as a
+	// first-child / next-sibling list.
+	firstChild := make([]uint32, n)
+	lastChild := make([]uint32, n)
+	nextSibling := make([]uint32, n)
+	for i := range firstChild {
+		firstChild[i] = graph.NoVertex
+		nextSibling[i] = graph.NoVertex
+	}
 	// Community vertex counts for the MaxCommunitySize cap.
 	size := make([]uint32, n)
 	for i := range size {
@@ -189,77 +195,86 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 	}
 	visitOrder := graph.VerticesByDegreeAsc(degs)
 
+	// acc[c] sums the visited community's edge weight to community c over
+	// the communities in touched; every weight is positive, so acc[c] == 0
+	// means c is not yet touched.
+	acc := make([]float64, n)
+	var touched []uint32
+	add := func(c uint32, w float64) {
+		if acc[c] == 0 {
+			touched = append(touched, c)
+		}
+		acc[c] += w
+	}
+
 	var cancelErr error
 	for _, v := range visitOrder {
 		if cancelErr = poll.Check(); cancelErr != nil {
 			break // flatten the dendrogram built so far
 		}
-		if !eligible[v] {
+		if !eligible[v] || find(v) != v {
+			continue // outside the EDR, or already absorbed
+		}
+		// Sum the weight to every neighbour community.
+		touched = touched[:0]
+		for _, u := range und.OutNeighbors(v) {
+			if u != v && eligible[u] {
+				if c := find(u); c != v {
+					add(c, 1)
+				}
+			}
+		}
+		for _, e := range merged[v] {
+			if c := find(e.c); c != v {
+				add(c, e.w)
+			}
+		}
+		// The neighbour community with the maximum gain; ties go to the
+		// lowest community ID.
+		best := graph.NoVertex
+		bestGain := 0.0
+		for _, c := range touched {
+			if r.MaxCommunitySize > 0 && size[v]+size[c] > r.MaxCommunitySize {
+				continue
+			}
+			gain := 2 * (acc[c]/m2 - (str[v]*str[c])/(m2*m2))
+			if gain > bestGain || (gain == bestGain && best != graph.NoVertex && c < best) {
+				bestGain = gain
+				best = c
+			}
+		}
+		if best == graph.NoVertex {
+			// v stays a top-level community root.
+			for _, c := range touched {
+				acc[c] = 0
+			}
 			continue
 		}
-		cv := find(v)
-		if cv != v {
-			continue // already absorbed into a community
-		}
-		// Find the neighbour community with maximum gain.
-		var best uint32
-		bestGain := 0.0
-		found := false
-		// Deterministic iteration: collect and sort neighbour communities.
-		type cand struct {
-			c uint32
-			w float64
-		}
-		cands := make([]cand, 0, len(adj[cv]))
-		merged := make(map[uint32]float64, len(adj[cv]))
-		for u, w := range adj[cv] {
-			cu := find(u)
-			if cu == cv {
-				continue
+		// Merge v into best: hand over v's edges to every other community
+		// and drop the internal edge.
+		es := slices.Grow(merged[best], len(touched)-1)
+		for _, c := range touched {
+			if c != best {
+				es = append(es, edge{c, acc[c]})
 			}
-			merged[cu] += w
+			acc[c] = 0
 		}
-		for c, w := range merged {
-			cands = append(cands, cand{c, w})
+		merged[best] = es
+		merged[v] = nil
+		str[best] += str[v]
+		size[best] += size[v]
+		parent[v] = best
+		if firstChild[best] == graph.NoVertex {
+			firstChild[best] = v
+		} else {
+			nextSibling[lastChild[best]] = v
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].c < cands[j].c })
-		for _, cd := range cands {
-			if r.MaxCommunitySize > 0 && size[cv]+size[cd.c] > r.MaxCommunitySize {
-				continue
-			}
-			gain := 2 * (cd.w/m2 - (str[cv]*str[cd.c])/(m2*m2))
-			if gain > bestGain {
-				bestGain = gain
-				best = cd.c
-				found = true
-			}
-		}
-		if !found {
-			continue // v stays a top-level community root
-		}
-		// Merge cv into best: move cv's edges, drop the internal edge.
-		cu := best
-		if adj[cu] == nil {
-			adj[cu] = make(map[uint32]float64)
-		}
-		for x, w := range adj[cv] {
-			cx := find(x)
-			if cx == cu || cx == cv {
-				continue
-			}
-			adj[cu][x] += w
-		}
-		delete(adj[cu], cv)
-		// Remove stale references to members of cv lazily: find() handles
-		// them on later reads.
-		adj[cv] = nil
-		str[cu] += str[cv]
-		size[cu] += size[cv]
-		parent[cv] = cu
-		children[cu] = append(children[cu], cv)
+		lastChild[best] = v
 	}
 
-	// Phase 2: DFS preorder ID assignment from each top-level root.
+	// Phase 2: DFS preorder ID assignment from each top-level root,
+	// children in merge order. A root has no siblings, so the preorder of
+	// its first-child / next-sibling tree is exactly its subtree.
 	perm := make(graph.Permutation, n)
 	var next uint32
 	var stack []uint32
@@ -270,22 +285,18 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 			continue
 		}
 		communitySizes = append(communitySizes, size[v])
-		// Iterative DFS, children visited in merge order.
 		stack = append(stack[:0], v)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if assigned[x] {
-				continue
-			}
 			assigned[x] = true
 			perm[x] = next
 			next++
-			// Push children reversed so the earliest-merged child is
-			// visited first.
-			ch := children[x]
-			for i := len(ch) - 1; i >= 0; i-- {
-				stack = append(stack, ch[i])
+			if s := nextSibling[x]; s != graph.NoVertex {
+				stack = append(stack, s)
+			}
+			if c := firstChild[x]; c != graph.NoVertex {
+				stack = append(stack, c)
 			}
 		}
 	}

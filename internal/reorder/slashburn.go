@@ -1,9 +1,10 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -112,9 +113,17 @@ func (s *SlashBurn) setIterations(n int) {
 	s.statMu.Unlock()
 }
 
-// Reorder implements Algorithm: the per-iteration degree sweep polls ctx
-// every PollEvery vertices, so cancellation returns within one poll
-// interval with the partially filled permutation.
+// Reorder implements Algorithm: the burn polls ctx every PollEvery
+// vertices it labels, so cancellation returns within one poll interval
+// with the partially filled permutation.
+//
+// Each iteration touches only the vertices still in play, kept as a list
+// in ascending ID: the GCC of the previous iteration. One DFS from each
+// unlabelled vertex in that order labels the components, so labels are
+// numbered by smallest vertex as in ConnectedComponents. On the way it
+// counts each vertex's in-play neighbours, which sum to its component's
+// edges (to pick the GCC) and, since the spokes share no edge with the
+// GCC, are the GCC's degrees for the next iteration.
 func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutation, error) {
 	n := g.NumVertices()
 	perm := make(graph.Permutation, n)
@@ -129,140 +138,168 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 	und := g.Undirected()
 	sqrtN := math.Sqrt(float64(n))
 
-	// inPlay marks vertices still being slashed (current GCC ∪ not yet
-	// processed); removed marks vertices already given an ID.
+	// play lists the vertices still being slashed in ascending ID;
+	// inPlay marks them. deg holds their degrees within the in-play
+	// subgraph: at first, with every vertex in play, the undirected ones.
+	play := make([]uint32, n)
 	inPlay := make([]bool, n)
-	for i := range inPlay {
-		inPlay[i] = true
+	deg := make([]uint32, n)
+	maxDeg := uint32(0)
+	for v := range play {
+		play[v] = uint32(v)
+		inPlay[v] = true
+		deg[v] = und.OutDegree(uint32(v))
+		maxDeg = max(maxDeg, deg[v])
 	}
-	playCount := int(n)
 
 	front := uint32(0) // next low ID (hubs)
 	back := n          // IDs (back..n-1) already assigned to spokes
-	deg := make([]uint32, n)
-
-	assignFront := func(v uint32) {
-		perm[v] = front
-		front++
-		inPlay[v] = false
-		playCount--
-	}
+	burnDeg := make([]uint32, n)
+	labels := make([]uint32, n)
+	var (
+		members []uint32 // component members, component by component
+		starts  []int    // component c's members are members[starts[c]:starts[c+1]]
+		edges   []uint64 // edges (both directions) inside each component
+		stack   []uint32
+		spokes  []uint32
+	)
 
 	iter := 0
-	for playCount > 0 {
+	for {
 		iter++
-		// Degrees within the remaining (in-play) subgraph.
-		maxDeg := uint32(0)
-		for v := uint32(0); v < n; v++ {
-			if err := poll.Check(); err != nil {
-				// Fill the unassigned middle of the ID space with the
-				// still-in-play vertices in original order so the partial
-				// result is a valid permutation.
-				for u := uint32(0); u < n; u++ {
-					if inPlay[u] {
-						perm[u] = front
-						front++
-					}
-				}
-				s.setIterations(iter)
-				return perm, err
-			}
-			deg[v] = 0
-			if !inPlay[v] {
-				continue
-			}
-			for _, u := range und.OutNeighbors(v) {
-				if inPlay[u] {
-					deg[v]++
-				}
-			}
-			if deg[v] > maxDeg {
-				maxDeg = deg[v]
-			}
-		}
-
 		// Stopping rules: classic (remaining ≤ k) or SB++ (max degree
 		// below √|V|) or iteration bound.
-		stop := playCount <= k ||
+		stop := len(play) <= k ||
 			(s.StopAtSqrtDegree && float64(maxDeg) < sqrtN) ||
 			(s.MaxIterations > 0 && iter > s.MaxIterations) ||
 			(s.CacheBytes > 0 && uint64(front)*8 >= s.CacheBytes)
 		if stop {
-			s.finishRemaining(perm, inPlay, deg, &front)
-			playCount = 0
+			sortByDegreeDesc(play, deg)
+			for _, v := range play {
+				perm[v] = front
+				front++
+			}
 			break
 		}
 
-		// Slash: remove the k highest-degree in-play vertices, hubs get
-		// consecutive low IDs in degree order.
-		hubs := topKByDegree(inPlay, deg, k)
-		for _, h := range hubs {
-			assignFront(h)
+		// Slash: remove the k highest-degree in-play vertices (more than
+		// k remain, or the classic rule stopped), hubs get consecutive
+		// low IDs in degree order.
+		for _, h := range topKByDegree(play, deg, maxDeg, k) {
+			perm[h] = front
+			front++
+			inPlay[h] = false
 		}
 
-		// Burn: components of the remainder. Spokes (non-giant
-		// components) get IDs from the back, smallest components at the
-		// highest IDs, matching SlashBurn's spoke ordering.
-		removedView := make([]bool, n)
-		for v := uint32(0); v < n; v++ {
-			removedView[v] = !inPlay[v]
+		// Burn: components of the remainder, and each vertex's degree in
+		// it (burnDeg).
+		for _, v := range play {
+			labels[v] = graph.NoVertex
 		}
-		labels, numComp := und.ComponentsExcluding(removedView)
+		members, starts, edges = members[:0], starts[:0], edges[:0]
+		for _, root := range play {
+			if !inPlay[root] || labels[root] != graph.NoVertex {
+				continue
+			}
+			c := uint32(len(starts))
+			starts = append(starts, len(members))
+			var e uint64
+			labels[root] = c
+			stack = append(stack[:0], root)
+			for len(stack) > 0 {
+				if err := poll.Check(); err != nil {
+					// Fill the unassigned middle of the ID space with
+					// the still-in-play vertices in original order so the
+					// partial result is a valid permutation.
+					for _, u := range play {
+						if inPlay[u] {
+							perm[u] = front
+							front++
+						}
+					}
+					s.setIterations(iter)
+					return perm, err
+				}
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				members = append(members, v)
+				d := uint32(0)
+				for _, u := range und.OutNeighbors(v) {
+					if !inPlay[u] {
+						continue
+					}
+					d++
+					if labels[u] == graph.NoVertex {
+						labels[u] = c
+						stack = append(stack, u)
+					}
+				}
+				burnDeg[v] = d
+				e += uint64(d)
+			}
+			edges = append(edges, e)
+		}
+		numComp := uint32(len(starts))
 		if numComp == 0 {
-			break
+			break // every vertex left was a hub
 		}
-		gcc := und.GiantComponent(labels, numComp)
-
-		comps := make([][]uint32, numComp)
-		for v := uint32(0); v < n; v++ {
-			if inPlay[v] && labels[v] != graph.NoVertex {
-				comps[labels[v]] = append(comps[labels[v]], v)
+		starts = append(starts, len(members))
+		// The GCC is the component with the most edges (the paper's
+		// "community with the largest number of edges", §IV-A); ties go
+		// to the smaller label.
+		gcc := uint32(0)
+		for c := uint32(1); c < numComp; c++ {
+			if edges[c] > edges[gcc] {
+				gcc = c
 			}
 		}
-		// Non-giant components sorted by size ascending; tie: smaller
-		// label first.
-		spokes := make([]uint32, 0, numComp)
+		comp := func(c uint32) []uint32 { return members[starts[c]:starts[c+1]] }
+
+		// Spokes (non-giant components) get IDs from the back, smallest
+		// components at the highest IDs, matching SlashBurn's spoke
+		// ordering; ties: smaller label first.
+		spokes = spokes[:0]
 		for c := uint32(0); c < numComp; c++ {
-			if c != gcc && len(comps[c]) > 0 {
+			if c != gcc {
 				spokes = append(spokes, c)
 			}
 		}
-		sort.Slice(spokes, func(i, j int) bool {
-			a, b := spokes[i], spokes[j]
-			if len(comps[a]) != len(comps[b]) {
-				return len(comps[a]) < len(comps[b])
+		slices.SortFunc(spokes, func(a, b uint32) int {
+			if la, lb := len(comp(a)), len(comp(b)); la != lb {
+				return cmp.Compare(la, lb)
 			}
-			return a < b
+			return cmp.Compare(a, b)
 		})
 		// Assign from the back: the first (smallest) spoke occupies the
-		// highest remaining IDs. Within a component, degree-descending.
+		// highest remaining IDs. Within a component, degree-descending
+		// by the degrees this iteration started with.
 		for _, c := range spokes {
-			members := comps[c]
-			sort.Slice(members, func(i, j int) bool {
-				a, b := members[i], members[j]
-				if deg[a] != deg[b] {
-					return deg[a] > deg[b]
-				}
-				return a < b
-			})
-			for i := len(members) - 1; i >= 0; i-- {
+			ms := comp(c)
+			sortByDegreeDesc(ms, deg)
+			for i := len(ms) - 1; i >= 0; i-- {
 				back--
-				perm[members[i]] = back
-				inPlay[members[i]] = false
-				playCount--
+				perm[ms[i]] = back
+				inPlay[ms[i]] = false
 			}
 		}
 
+		// The GCC, in ascending ID, is the next iteration's play list,
+		// with its burn degrees.
+		next := play[:0]
+		maxDeg = 0
+		for _, v := range play {
+			if inPlay[v] {
+				next = append(next, v)
+				maxDeg = max(maxDeg, burnDeg[v])
+			}
+		}
+		play = next
+		deg, burnDeg = burnDeg, deg
+
 		if s.OnIteration != nil {
-			gccDeg := make([]uint32, 0, len(comps[gcc]))
-			for _, v := range comps[gcc] {
-				d := uint32(0)
-				for _, u := range und.OutNeighbors(v) {
-					if inPlay[u] {
-						d++
-					}
-				}
-				gccDeg = append(gccDeg, d)
+			gccDeg := make([]uint32, len(play))
+			for i, v := range play {
+				gccDeg[i] = deg[v]
 			}
 			s.OnIteration(iter, gccDeg)
 		}
@@ -271,47 +308,41 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 	return perm, nil
 }
 
-// finishRemaining assigns the remaining in-play vertices consecutive front
-// IDs in degree-descending order.
-func (s *SlashBurn) finishRemaining(perm graph.Permutation, inPlay []bool, deg []uint32, front *uint32) {
-	var rest []uint32
-	for v := range inPlay {
-		if inPlay[v] {
-			rest = append(rest, uint32(v))
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		a, b := rest[i], rest[j]
+// sortByDegreeDesc sorts vs by degree descending (ties: ascending ID).
+func sortByDegreeDesc(vs, deg []uint32) {
+	slices.SortFunc(vs, func(a, b uint32) int {
 		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
+			return cmp.Compare(deg[b], deg[a])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
-	for _, v := range rest {
-		perm[v] = *front
-		*front++
-		inPlay[v] = false
-	}
 }
 
-// topKByDegree returns the k in-play vertices with the highest degree, in
-// degree-descending order (ties: ascending ID).
-func topKByDegree(inPlay []bool, deg []uint32, k int) []uint32 {
-	var cands []uint32
-	for v := range inPlay {
-		if inPlay[v] {
-			cands = append(cands, uint32(v))
+// topKByDegree returns the k vertices of play (ascending IDs, degrees at
+// most maxDeg, more than k of them) with the highest degree, in
+// degree-descending order (ties: ascending ID). A degree histogram finds
+// the threshold degree t, so only the k hubs are sorted: every vertex above
+// t, and the lowest-ID vertices at t.
+func topKByDegree(play, deg []uint32, maxDeg uint32, k int) []uint32 {
+	hist := make([]int, maxDeg+1)
+	for _, v := range play {
+		hist[deg[v]]++
+	}
+	t, above := maxDeg, 0 // above counts the vertices with degree > t
+	for above+hist[t] < k {
+		above += hist[t]
+		t--
+	}
+	atT := k - above // how many of the degree-t vertices are hubs
+	hubs := make([]uint32, 0, k)
+	for _, v := range play {
+		if d := deg[v]; d > t || (d == t && atT > 0) {
+			if d == t {
+				atT--
+			}
+			hubs = append(hubs, v)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if deg[a] != deg[b] {
-			return deg[a] > deg[b]
-		}
-		return a < b
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+	sortByDegreeDesc(hubs, deg)
+	return hubs
 }

@@ -53,6 +53,58 @@ func TestSlashBurnSpokesGetHighIDs(t *testing.T) {
 	}
 }
 
+// TestSlashBurnGCCIsMostEdges checks the burn keeps the component with
+// the most edges (§IV-A), not the most vertices, and breaks a tie to the
+// component with the smaller vertex: hub 0 splits off a 6-vertex path
+// (5 edges) and a 4-clique (6 edges), or two triangles. The kept component
+// takes the low IDs after the hub; the spoke takes the top ones.
+func TestSlashBurnGCCIsMostEdges(t *testing.T) {
+	undirected := func(n uint32, pairs [][2]uint32) *graph.Graph {
+		var edges []graph.Edge
+		for v := uint32(1); v < n; v++ {
+			edges = append(edges, graph.Edge{Src: 0, Dst: v})
+		}
+		for _, p := range pairs {
+			edges = append(edges, graph.Edge{Src: p[0], Dst: p[1]})
+		}
+		return graph.FromEdges(n, edges)
+	}
+	cases := []struct {
+		name       string
+		g          *graph.Graph
+		gcc, spoke []uint32
+	}{
+		{"clique beats longer path", undirected(11, [][2]uint32{
+			{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+			{7, 8}, {7, 9}, {7, 10}, {8, 9}, {8, 10}, {9, 10}}),
+			[]uint32{7, 8, 9, 10}, []uint32{1, 2, 3, 4, 5, 6}},
+		{"tie goes to smaller vertex", undirected(7, [][2]uint32{
+			{4, 5}, {5, 6}, {6, 4}, {1, 2}, {2, 3}, {3, 1}}),
+			[]uint32{1, 2, 3}, []uint32{4, 5, 6}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			perm := Perm(&SlashBurn{KFraction: 0.02}, c.g) // k = 1
+			if err := perm.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if perm[0] != 0 {
+				t.Errorf("hub got ID %d, want 0", perm[0])
+			}
+			for _, v := range c.gcc {
+				if perm[v] == 0 || perm[v] > uint32(len(c.gcc)) {
+					t.Errorf("GCC vertex %d got ID %d, want 1..%d", v, perm[v], len(c.gcc))
+				}
+			}
+			for _, v := range c.spoke {
+				if perm[v] <= uint32(len(c.gcc)) {
+					t.Errorf("spoke vertex %d got low ID %d", v, perm[v])
+				}
+			}
+		})
+	}
+}
+
 func TestSlashBurnIterationTrace(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	var iters []int
