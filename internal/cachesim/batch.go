@@ -1,126 +1,97 @@
 package cachesim
 
+import "math/bits"
+
 // Batched access fast paths. A trace-driven simulation spends most of its
 // time calling Cache.Access once per memory instruction; for a full SpMV
 // grid that is hundreds of millions of calls whose cost is dominated by Go
 // call overhead and per-access bookkeeping rather than by the replacement
 // policy itself. AccessBatch amortizes that overhead over a block of
-// accesses: geometry (line shift, set mask, tag shift) and policy state
-// (PSEL, BRRIP counter, LRU clock) are hoisted out of the loop, the probe
-// and the whole miss path run inline over local slice headers with no
-// method calls, and the counters are folded into Stats once per block.
+// accesses: geometry (line shift, set mask, set shift) and policy state
+// (PSEL, BRRIP counter) are hoisted out of the loop, the probe and the miss
+// path run inline, and the counters are folded into Stats once per block.
+// The per-way columns are read through the Cache rather than hoisted: the
+// loop keeps fewer values live, and in measurement that beat holding six
+// more slice headers in locals the compiler then spills.
 //
-// Bit-exactness contract: for any access sequence, any way of cutting it
-// into batches produces exactly the per-access hit/miss results and final
-// cache state (tags, dirty bits, replacement metadata, DRRIP PSEL, BRRIP
-// counter, statistics) that the same sequence produces through scalar
-// Access calls. The inlined miss path below mirrors missFill/victim/insert
-// operation for operation; the differential suite in core and
-// FuzzBatchedVsScalar hold the two implementations together.
-
-// bmax is a branchless max for values below 2^63: the sign of a-b selects
-// between the operands with a mask instead of a data-dependent branch.
-func bmax(a, b uint64) uint64 {
-	return a ^ ((a ^ b) & uint64((int64(a)-int64(b))>>63))
-}
+// Bit-exactness contract: for any access sequence and any geometry, any
+// way of cutting the sequence into batches produces exactly the per-access
+// hit/miss results and final cache state (tags, partial tags, dirty bits,
+// RRPVs or LRU stamps, per-set occupancy, DRRIP PSEL, BRRIP counter, LRU
+// clock, statistics) that the same sequence produces through scalar Access
+// calls. Both paths probe the packed set state the same way and take their
+// victims from the same evict; the rest of the inlined miss path mirrors
+// missFill and fill operation for operation. The differential suite in
+// core, batch_test.go and FuzzBatchedVsScalar hold the two paths together,
+// and the LRU and RRIP oracles in core check both against models that
+// share no code with them.
 
 // AccessBatch simulates len(addrs) accesses in order. writes marks which
 // accesses are stores; nil means all loads. hits, when non-nil, must have
 // len(addrs) elements and receives the per-access hit results. It returns
 // the number of hits in the batch.
 func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
-	// A real tag is addr >> (lineBits+setBits), so it spans fewer than 64
-	// bits — and can never equal invalidTag — whenever the geometry shifts
-	// by at least one bit. The degenerate 1-byte-line, single-set cache
-	// (test-only) falls back to the scalar path, whose probe uses the valid
-	// bits; the per-access order of state and stats updates is the same, so
-	// results are still bit-identical.
-	if c.lineBits+c.setBits == 0 {
-		n := 0
-		for i, addr := range addrs {
-			hit := c.Access(addr, writes != nil && writes[i])
-			if hits != nil {
-				hits[i] = hit
-			}
-			if hit {
-				n++
-			}
-		}
-		return n
-	}
-	lineBits, setMask, setBits := c.lineBits, c.setMask, c.setBits
-	ways := c.cfg.Ways
-	tags, valid, dirty, meta, occ := c.tags, c.valid, c.dirty, c.meta, c.occ
+	// Shift counts are masked so the shifts compile without a range check.
+	lineShift, setBits := c.lineBits&63, c.setBits&63
+	setMask, stride, ways := c.setMask, c.stride, c.cfg.Ways
 	policy := c.cfg.Policy
 	isLRU := policy == LRU
 	isDRRIP := policy == DRRIP
 	nextLine := c.cfg.NextLinePrefetch
 	// Policy state as loop locals, written back after the block. prefetch()
-	// (the only method still called, on the rare prefetch-fill path) does
-	// not read any of these, so the copies cannot go stale mid-block.
-	psel, clock, brripCtr := c.psel, c.clock, c.brripCtr
+	// (the only method called besides evict, on the prefetch-fill path)
+	// reads neither, so the copies cannot go stale mid-block.
+	psel, brripCtr := c.psel, c.brripCtr
 
 	// Two-slot MRU line memo. The SpMV stream is highly line-repetitive in
 	// an alternating pattern — 16 sequential edge reads per line interleaved
 	// with random vertex-data reads, and offsets pairs on a shared line — so
 	// remembering the last two distinct (line, way) residencies lets most
-	// accesses skip the associative probe with a single tag compare. The
-	// memo is only a probe shortcut: a stale entry (way since reclaimed by
-	// another line) fails the tag compare and falls through to the full
-	// probe, so state evolution is untouched.
-	memoLine0, memoWay0 := ^uint64(0), 0
-	memoLine1, memoWay1 := ^uint64(0), 0
+	// accesses skip the probe with a single compare. An entry names a way of
+	// the line's own set, and ways change lines but never empty mid-block,
+	// so comparing the way's line number alone rejects a stale entry. The
+	// initial entries name line ^0 and way 0 of its set, which matches only
+	// once it really holds line ^0: a free way's line number is 0.
+	noLine, noWay := ^uint64(0), int(setMask)*stride
+	memoLine0, memoWay0 := noLine, noWay
+	memoLine1, memoWay1 := noLine, noWay
 
 	nHits := 0
-	var readMiss, writeMiss, evictions, writebacks uint64
 	for i, addr := range addrs {
-		write := writes != nil && writes[i]
-		line := addr >> lineBits
-		tag := line >> setBits
-
-		hitWay := -1
-		// The sentinel makes the valid-bit check redundant here too: a
-		// reclaimed way holds some other tag (or invalidTag), so the tag
-		// compare alone rejects stale memo entries.
+		line := addr >> lineShift
+		j := -1 // column index of the way holding the line
 		if line == memoLine0 {
-			if j := memoWay0; tags[j] == tag {
-				hitWay = j
+			if c.tags[memoWay0] == line {
+				j = memoWay0
 			}
 		} else if line == memoLine1 {
-			if j := memoWay1; tags[j] == tag {
-				hitWay = j
+			if c.tags[memoWay1] == line {
+				j = memoWay1
 			}
 		}
-		if hitWay < 0 {
+		if j < 0 {
 			set := line & setMask
-			base := int(set) * ways
-			// Tag-only probe: invalid ways hold invalidTag, which no real
-			// tag equals here, so the valid-bit load and branch drop out of
-			// the inner loop. Fills always claim the lowest-index invalid
-			// way, so valid ways form a prefix of the set: the first
-			// sentinel both proves the miss and is the victim way.
-			row := tags[base : base+ways]
-			victim := -1
-			for w, t := range row {
-				if t == tag {
-					hitWay = base + w
-					break
-				}
-				if t == invalidTag {
-					victim = w
-					break
+			base := int(set) * stride
+			n := int(c.occ[set])
+			// Probe (probe()): the partial tags nominate, the line numbers
+			// decide.
+			p := uint64(uint8(line>>setBits)) * laneOnes
+			for k := 0; k < n && j < 0; k += 8 {
+				for m := zeroLanes(le64(c.ptag[base+k:])^p) & firstLanes(n-k); m != 0; m &= m - 1 {
+					if w := base + k + bits.TrailingZeros64(m)>>3; c.tags[w] == line {
+						j = w
+						break
+					}
 				}
 			}
-			if hitWay < 0 {
+			if j < 0 {
 				// Inlined miss path — the same operations missFill performs,
 				// in the same order, over the hoisted state.
-				if hits != nil {
-					hits[i] = false
-				}
+				write := writes != nil && writes[i]
 				if write {
-					writeMiss++
+					c.stats.WriteMiss++
 				} else {
-					readMiss++
+					c.stats.ReadMiss++
 				}
 				if isDRRIP {
 					// Leader-set misses steer PSEL (leaderPeriod is a power
@@ -135,78 +106,22 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 					canDn := int(uint64(int64(-psel)) >> 63)        // 1 iff psel > 0
 					psel += isS*canUp - isB*canDn
 				}
-				// Victim selection (victim()): the invalid way the probe
-				// stopped at, else per policy. occ stays in lockstep for the
-				// scalar path's victim().
-				metaRow := meta[base : base+ways]
-				if victim >= 0 {
-					occ[set]++
+				// Fill (fill()): the first free way, else evict's choice.
+				w := n
+				if n < ways {
+					c.occ[set]++
 				} else {
-					if isLRU {
-						victim = 0
-						for w := 1; w < ways; w++ {
-							if metaRow[w] < metaRow[victim] {
-								victim = w
-							}
-						}
-					} else if ways == 8 {
-						// RRIP single-scan age-and-evict (see victim()),
-						// branchless: RRPVs are 2-bit, so (rrpv<<4 | 15-way)
-						// packs into one comparable key whose maximum is the
-						// highest RRPV at the lowest way — the argmax position
-						// is data-dependent noise the branch predictor pays
-						// ~2 mispredicts per miss to chase. The masked-select
-						// maxes reduce as a tree (depth 3, not a 7-long
-						// dependency chain), and the aging add runs
-						// unconditionally since adding 0 is the identity.
-						r := metaRow[:8:8]
-						best := bmax(
-							bmax(bmax(r[0]<<4|15, r[1]<<4|14), bmax(r[2]<<4|13, r[3]<<4|12)),
-							bmax(bmax(r[4]<<4|11, r[5]<<4|10), bmax(r[6]<<4|9, r[7]<<4|8)))
-						victim = 15 - int(best&15)
-						d := rrpvMax - best>>4
-						r[0] += d
-						r[1] += d
-						r[2] += d
-						r[3] += d
-						r[4] += d
-						r[5] += d
-						r[6] += d
-						r[7] += d
-					} else if ways <= 16 {
-						best := metaRow[0]<<4 | 15
-						for w := 1; w < ways; w++ {
-							best = bmax(best, metaRow[w]<<4|uint64(15-w))
-						}
-						victim = 15 - int(best&15)
-						d := rrpvMax - best>>4
-						for w := range metaRow {
-							metaRow[w] += d
-						}
-					} else {
-						max := metaRow[0]
-						victim = 0
-						for w := 1; w < ways; w++ {
-							if metaRow[w] > max {
-								victim, max = w, metaRow[w]
-							}
-						}
-						if d := rrpvMax - max; d != 0 {
-							for w := range metaRow {
-								metaRow[w] += d
-							}
-						}
-					}
-					evictions++
-					if dirty[base+victim] {
-						writebacks++
+					w = c.evict(base)
+					c.stats.Evictions++
+					if c.dirty[base+w] {
+						c.stats.Writebacks++
 					}
 				}
-				// Fill.
-				valid[base+victim] = true
-				row[victim] = tag
-				dirty[base+victim] = write
-				// Insertion (insert()/setRole()).
+				j = base + w
+				c.tags[j] = line
+				c.ptag[j] = uint8(line >> setBits)
+				c.dirty[j] = write
+				// Insertion (missFill()/setRole()).
 				role := policy
 				if isDRRIP {
 					switch set & (leaderPeriod - 1) {
@@ -224,46 +139,46 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 				}
 				switch role {
 				case LRU:
-					clock++
-					metaRow[victim] = clock
+					c.clock++
+					c.stamp[j] = c.clock
 				case SRRIP:
-					metaRow[victim] = rrpvLong
+					c.rrpv[j] = rrpvLong
 				default: // BRRIP
 					brripCtr++
 					if brripCtr%brripEpsilon == 0 {
-						metaRow[victim] = rrpvLong
+						c.rrpv[j] = rrpvLong
 					} else {
-						metaRow[victim] = rrpvDistant
+						c.rrpv[j] = rrpvDistant
 					}
 				}
 				if nextLine {
 					c.prefetch(line + 1)
 				}
-				way := base + victim
+				if hits != nil {
+					hits[i] = false
+				}
 				if line != memoLine0 {
 					memoLine1, memoWay1 = memoLine0, memoWay0
-					memoLine0, memoWay0 = line, way
-				} else {
-					memoWay0 = way
+					memoLine0 = line
 				}
+				memoWay0 = j
 				continue
 			}
 		}
 		if line != memoLine0 {
 			memoLine1, memoWay1 = memoLine0, memoWay0
-			memoLine0, memoWay0 = line, hitWay
-		} else {
-			memoWay0 = hitWay
+			memoLine0 = line
 		}
+		memoWay0 = j
 		nHits++
 		if isLRU {
-			clock++
-			meta[hitWay] = clock
+			c.clock++
+			c.stamp[j] = c.clock
 		} else { // all RRIP variants promote to RRPV 0 on hit
-			meta[hitWay] = 0
+			c.rrpv[j] = 0
 		}
-		if write {
-			dirty[hitWay] = true
+		if writes != nil && writes[i] {
+			c.dirty[j] = true
 		}
 		if hits != nil {
 			hits[i] = true
@@ -271,15 +186,12 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 	}
 
 	// Write back the hoisted policy state and fold the counters once per
-	// block. Prefetch fills account their own stats inside prefetch().
-	c.psel, c.clock, c.brripCtr = psel, clock, brripCtr
+	// block. The miss path counts read and write misses, evictions and
+	// writebacks as it goes; prefetch fills account their own stats.
+	c.psel, c.brripCtr = psel, brripCtr
 	c.stats.Accesses += uint64(len(addrs))
 	c.stats.Hits += uint64(nHits)
 	c.stats.Misses += uint64(len(addrs) - nHits)
-	c.stats.ReadMiss += readMiss
-	c.stats.WriteMiss += writeMiss
-	c.stats.Evictions += evictions
-	c.stats.Writebacks += writebacks
 	return nHits
 }
 

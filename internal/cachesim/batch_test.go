@@ -9,8 +9,9 @@ import (
 
 // State-level differential tests for AccessBatch. The core differential
 // suite compares end-to-end SimResults; these compare the *complete*
-// internal cache state — tags, valid, dirty, replacement metadata, PSEL,
-// BRRIP counter, LRU clock, per-set occupancy and statistics — after every
+// internal cache state — full and partial tags, dirty bits, RRPVs or LRU
+// stamps, PSEL, BRRIP counter, LRU clock, per-set occupancy and
+// statistics — after every
 // batch cut, so a divergence is caught at the first access that drifts
 // rather than smeared into an end-of-run counter diff.
 
@@ -27,13 +28,13 @@ func assertSameState(t *testing.T, name string, want, got *Cache) {
 	if !slices.Equal(want.tags, got.tags) {
 		t.Fatalf("%s: tags diverge", name)
 	}
-	if !slices.Equal(want.valid, got.valid) {
-		t.Fatalf("%s: valid bits diverge", name)
+	if !slices.Equal(want.ptag, got.ptag) {
+		t.Fatalf("%s: partial tags diverge", name)
 	}
 	if !slices.Equal(want.dirty, got.dirty) {
 		t.Fatalf("%s: dirty bits diverge", name)
 	}
-	if !slices.Equal(want.meta, got.meta) {
+	if !slices.Equal(want.rrpv, got.rrpv) || !slices.Equal(want.stamp, got.stamp) {
 		t.Fatalf("%s: replacement metadata diverges", name)
 	}
 	if !slices.Equal(want.occ, got.occ) {
@@ -110,8 +111,8 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 	addrs, writes := mixedStream(rng, 20000, 1<<20)
 	for _, pol := range []Policy{LRU, SRRIP, BRRIP, DRRIP} {
 		for _, prefetch := range []bool{false, true} {
-			// 64 sets × 8 ways: small enough to thrash, 8 ways exercises
-			// the tree-reduction victim scan.
+			// 64 sets × 8 ways: small enough to thrash, one word of
+			// partial tags and RRPVs per set.
 			cfg := Config{LineSize: 64, Sets: 64, Ways: 8, Policy: pol, NextLinePrefetch: prefetch}
 			// Block size 1 pins per-access equivalence; 7 lands cuts at
 			// awkward offsets; 4096 is the production block size.
@@ -123,9 +124,8 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAccessBatchOddWays covers the non-power-of-two associativities that
-// take the generic victim-scan paths (ways<=16 masked scan, ways>16 branchy
-// scan) instead of the ways==8 tree reduction.
+// TestAccessBatchOddWays covers associativities that are not a multiple of
+// 8, whose sets end in pad ways, and sets of two and three words.
 func TestAccessBatchOddWays(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	addrs, writes := mixedStream(rng, 8000, 1<<18)
@@ -212,7 +212,7 @@ func TestAccessBatchPrefetchAddressWrap(t *testing.T) {
 	})
 	t.Run("true-wrap", func(t *testing.T) {
 		// 1-byte lines: line == addr, so the successor of ^uint64(0) wraps
-		// to line 0. Sets > 1 keeps this on the fast tag-only path.
+		// to line 0.
 		cfg := Config{LineSize: 1, Sets: 16, Ways: 4, Policy: LRU, NextLinePrefetch: true}
 		addrs := []uint64{
 			^uint64(0), // miss; prefetch(line+1) wraps to line 0
@@ -294,12 +294,12 @@ func TestHierarchyAccessBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAccessBatchDegenerateGeometry pins the scalar fallback for the
-// 1-byte-line single-set cache, where a real tag can equal invalidTag and
-// the tag-only probe would be wrong.
+// TestAccessBatchDegenerateGeometry runs the 1-byte-line single-set cache,
+// where a tag spans all 64 bits of the address, so no tag value is free to
+// mark an empty way: the probe must go by occupancy alone.
 func TestAccessBatchDegenerateGeometry(t *testing.T) {
 	cfg := Config{LineSize: 1, Sets: 1, Ways: 2, Policy: LRU}
-	// Includes ^uint64(0), whose tag IS invalidTag under this geometry.
+	// Includes 0, the tag every free way holds, and ^uint64(0).
 	addrs := []uint64{0, 1, ^uint64(0), 0, ^uint64(0), 2, 1, ^uint64(0)}
 	scalar, batched := New(cfg), New(cfg)
 	hits := make([]bool, len(addrs))
@@ -312,22 +312,66 @@ func TestAccessBatchDegenerateGeometry(t *testing.T) {
 	assertSameState(t, "degenerate", scalar, batched)
 }
 
-// TestOccTracksValid cross-checks the per-set occupancy counters against a
-// recount of the valid bits after a contended run with prefetching.
+// TestAccessBatchMemoStartsEmpty pins the line memo's initial entries. With
+// 1-byte lines and two sets, line ^0 and line ^0-1 have the same tag in
+// different sets; after the second fills set 0's way 0, an access to the
+// first must miss, whichever way the memo starts out naming.
+func TestAccessBatchMemoStartsEmpty(t *testing.T) {
+	cfg := Config{LineSize: 1, Sets: 2, Ways: 1, Policy: LRU}
+	addrs := []uint64{^uint64(0) - 1, ^uint64(0)}
+	hits := make([]bool, len(addrs))
+	New(cfg).AccessBatch(addrs, nil, hits)
+	if hits[1] {
+		t.Fatal("line ^0 hit in an empty set")
+	}
+}
+
+// TestOccTracksValid cross-checks the per-set occupancy counters after a
+// contended run with prefetching: a set holds as many lines as were ever
+// filled into it, up to its associativity (fills take free ways first and
+// nothing frees one); the valid ways hold distinct lines of the set with
+// their tags' low bytes as partial tags; every free and pad way is zero.
 func TestOccTracksValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	addrs, writes := mixedStream(rng, 10000, 1<<16)
-	c := New(Config{LineSize: 64, Sets: 16, Ways: 8, Policy: DRRIP, NextLinePrefetch: true})
-	c.AccessBatch(addrs, writes, nil)
-	for set := 0; set < c.cfg.Sets; set++ {
-		n := uint16(0)
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.valid[set*c.cfg.Ways+w] {
-				n++
+	for _, ways := range []int{8, 11} {
+		c := New(Config{LineSize: 64, Sets: 16, Ways: ways, Policy: DRRIP, NextLinePrefetch: true})
+		hits := make([]bool, len(addrs))
+		c.AccessBatch(addrs, writes, hits)
+		// Every demand line is filled or resident; a miss also prefetches
+		// the next line.
+		filled := make([]map[uint64]bool, c.cfg.Sets)
+		for i := range filled {
+			filled[i] = map[uint64]bool{}
+		}
+		for i, a := range addrs {
+			line := a >> 6
+			filled[line%16][line] = true
+			if !hits[i] {
+				filled[(line+1)%16][line+1] = true
 			}
 		}
-		if c.occ[set] != n {
-			t.Fatalf("set %d: occ=%d but %d valid ways", set, c.occ[set], n)
+		for set := 0; set < c.cfg.Sets; set++ {
+			if want := min(len(filled[set]), ways); int(c.occ[set]) != want {
+				t.Fatalf("ways=%d set %d: occ=%d but %d lines filled", ways, set, c.occ[set], want)
+			}
+			base := set * c.stride
+			seen := map[uint64]bool{}
+			for w := 0; w < c.stride; w++ {
+				i := base + w
+				if w >= int(c.occ[set]) {
+					if c.tags[i] != 0 || c.ptag[i] != 0 || c.rrpv[i] != 0 || c.dirty[i] {
+						t.Fatalf("ways=%d set %d: free way %d is not zero", ways, set, w)
+					}
+					continue
+				}
+				line := c.tags[i]
+				if seen[line] || !filled[set][line] || c.ptag[i] != uint8(line>>4) || c.rrpv[i] > rrpvMax {
+					t.Fatalf("ways=%d set %d: way %d holds tag %#x, partial tag %#x, RRPV %d",
+						ways, set, w, c.tags[i], c.ptag[i], c.rrpv[i])
+				}
+				seen[line] = true
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package cachesim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -63,12 +64,6 @@ const (
 	// leader.
 	leaderPeriod = 32
 )
-
-// invalidTag marks never-filled ways in the tags array, letting the batched
-// probe match on the tag alone. A real tag is addr >> (lineBits+setBits),
-// so it can only equal invalidTag when lineBits+setBits == 0 — AccessBatch
-// falls back to the valid-bit probe for that degenerate geometry.
-const invalidTag = ^uint64(0)
 
 // Config describes cache geometry and policy.
 type Config struct {
@@ -135,23 +130,58 @@ func (s Stats) Record(rec obs.Recorder, prefix string) {
 	rec.Counter(prefix + ".prefetches").Add(s.Prefetches)
 }
 
+// Per-way state is packed by set so that a set's metadata is a few
+// little-endian words. Every per-way column has a per-set stride of Ways
+// rounded up to a multiple of 8, and way w of set s lives at index
+// s*stride+w in each of them:
+//
+//   - tags holds each way's line number (its tag above its set index) and
+//     ptag the low byte of its tag, so that one XOR against the probed
+//     tag's broadcast low byte and an exact zero-byte test compare eight
+//     ways at once;
+//   - rrpv holds each way's 2-bit RRPV in a byte for the RRIP policies, so
+//     that the victim search and the set's aging are word operations;
+//     stamp holds each way's 64-bit recency stamp for LRU;
+//   - dirty marks the lines to write back.
+//
+// occ counts the valid ways of each set. A fill always takes the set's
+// lowest free way and only Reset frees one, so way w of set s is valid
+// exactly when w < occ[s]. A free way, and every pad way past Ways, holds
+// zeros in every column.
+
+const (
+	laneOnes = 0x0101010101010101 // bit 0 of every byte lane
+	laneLow7 = 0x7f7f7f7f7f7f7f7f // bits 0-6 of every byte lane
+	laneHigh = 0x8080808080808080 // bit 7 of every byte lane
+)
+
+// le64 loads the first eight bytes of b as a word; byte j is lane j.
+func le64(b []uint8) uint64 { return binary.LittleEndian.Uint64(b) }
+
+// zeroLanes returns bit 7 of exactly the zero byte lanes of x: adding 0x7f
+// to a lane's low seven bits sets its bit 7 unless they are all zero, and
+// no lane carries into the next.
+func zeroLanes(x uint64) uint64 { return ^(x&laneLow7 + laneLow7 | x | laneLow7) }
+
+// firstLanes returns bit 7 of lanes 0..n-1 for n >= 1 (all eight for n >= 8).
+func firstLanes(n int) uint64 { return laneHigh >> (64 - 8*uint(min(n, 8))) }
+
 // Cache is a set-associative cache simulator. Not safe for concurrent use.
 type Cache struct {
 	cfg      Config
 	lineBits uint
 	setBits  uint // log2(Sets); tag = line >> setBits
 	setMask  uint64
+	stride   int    // per-set stride of the way columns: Ways rounded up to a multiple of 8
+	tail     uint64 // bit 0 of the lanes of a set's last word that hold real ways
 
-	// Per-line state, indexed by set*ways+way.
+	// Per-way columns, indexed by set*stride+way (see above).
 	tags  []uint64
-	valid []bool
+	ptag  []uint8
+	rrpv  []uint8  // RRIP policies only
+	stamp []uint64 // LRU only
 	dirty []bool
-	meta  []uint64 // LRU timestamp or RRPV, per policy
-
-	// occ counts the valid ways per set. Once a set is full (the steady
-	// state after warmup) the victim search can skip its scan for an
-	// invalid way; the fill paths keep the count in lockstep with valid.
-	occ []uint16
+	occ   []uint16 // valid ways per set: way w is valid iff w < occ[set]
 
 	clock    uint64 // LRU timestamp source
 	psel     int    // DRRIP policy selector
@@ -166,21 +196,25 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nLines := cfg.Sets * cfg.Ways
+	stride := (cfg.Ways + 7) &^ 7
+	nLines := cfg.Sets * stride
 	c := &Cache{
 		cfg:      cfg,
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setBits:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:  uint64(cfg.Sets - 1),
+		stride:   stride,
+		tail:     laneOnes >> (8 * uint(stride-cfg.Ways)),
 		tags:     make([]uint64, nLines),
-		valid:    make([]bool, nLines),
+		ptag:     make([]uint8, nLines),
 		dirty:    make([]bool, nLines),
-		meta:     make([]uint64, nLines),
 		occ:      make([]uint16, cfg.Sets),
 		psel:     pselInit,
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	if cfg.Policy == LRU {
+		c.stamp = make([]uint64, nLines)
+	} else {
+		c.rrpv = make([]uint8, nLines)
 	}
 	return c
 }
@@ -193,15 +227,12 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.meta[i] = 0
-		c.tags[i] = invalidTag
-	}
-	for i := range c.occ {
-		c.occ[i] = 0
-	}
+	clear(c.tags)
+	clear(c.ptag)
+	clear(c.rrpv)
+	clear(c.stamp)
+	clear(c.dirty)
+	clear(c.occ)
 	c.clock = 0
 	c.psel = pselInit
 	c.brripCtr = 0
@@ -229,43 +260,56 @@ func (c *Cache) setRole(set uint64) Policy {
 // Access simulates one memory access of any size that fits in a line.
 // It returns true on hit. write marks the line dirty.
 func (c *Cache) Access(addr uint64, write bool) bool {
+	hit, _ := c.access(addr, write)
+	return hit
+}
+
+// access is Access that also returns the column index (set*stride+way) of
+// the way that hit or was filled.
+func (c *Cache) access(addr uint64, write bool) (bool, int) {
 	c.stats.Accesses++
 	line := addr >> c.lineBits
 	set := line & c.setMask
-	tag := line >> c.setBits
-	base := int(set) * c.cfg.Ways
-
-	// Probe.
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.stats.Hits++
-			c.touch(i)
-			if write {
-				c.dirty[i] = true
-			}
-			return true
+	if w := c.probe(set, line); w >= 0 {
+		i := int(set)*c.stride + w
+		c.stats.Hits++
+		c.touch(i)
+		if write {
+			c.dirty[i] = true
 		}
+		return true, i
 	}
 
-	// Miss.
 	c.stats.Misses++
 	if write {
 		c.stats.WriteMiss++
 	} else {
 		c.stats.ReadMiss++
 	}
-	c.missFill(line, set, tag, base, write)
-	return false
+	return false, c.missFill(line, set, write)
+}
+
+// probe returns the valid way of set that holds line, or -1. A partial-tag
+// match only nominates a way; the line number decides.
+func (c *Cache) probe(set, line uint64) int {
+	base, occ := int(set)*c.stride, int(c.occ[set])
+	p := uint64(uint8(line>>c.setBits)) * laneOnes
+	for k := 0; k < occ; k += 8 {
+		for m := zeroLanes(le64(c.ptag[base+k:])^p) & firstLanes(occ-k); m != 0; m &= m - 1 {
+			if w := k + bits.TrailingZeros64(m)>>3; c.tags[base+w] == line {
+				return w
+			}
+		}
+	}
+	return -1
 }
 
 // missFill performs everything a demand miss does after the probe: DRRIP
 // set-dueling vote, victim selection, fill, replacement-metadata insertion
-// and the optional next-line prefetch. It is shared verbatim between the
-// scalar Access path and AccessBatch, so the two paths cannot drift.
-// It returns the way index the line was filled into (used by AccessBatch's
-// line memo).
-func (c *Cache) missFill(line, set, tag uint64, base int, write bool) int {
+// and the optional next-line prefetch. AccessBatch performs the same
+// operations in the same order over its hoisted state, with the same
+// evict. It returns the column index the line was filled into.
+func (c *Cache) missFill(line, set uint64, write bool) int {
 	if c.cfg.Policy == DRRIP {
 		// Leader-set misses steer PSEL: an SRRIP-leader miss votes
 		// against SRRIP (increment), a BRRIP-leader miss votes against
@@ -281,21 +325,102 @@ func (c *Cache) missFill(line, set, tag uint64, base int, write bool) int {
 			}
 		}
 	}
-	victim := c.victim(base, set)
-	if c.valid[victim] {
-		c.stats.Evictions++
-		if c.dirty[victim] {
-			c.stats.Writebacks++
+	i := c.fill(set, line, write)
+	switch c.setRole(set) {
+	case LRU:
+		c.clock++
+		c.stamp[i] = c.clock
+	case SRRIP:
+		c.rrpv[i] = rrpvLong
+	case BRRIP:
+		c.brripCtr++
+		if c.brripCtr%brripEpsilon == 0 {
+			c.rrpv[i] = rrpvLong
+		} else {
+			c.rrpv[i] = rrpvDistant
 		}
-	} else {
-		c.occ[set]++
 	}
-	c.valid[victim] = true
-	c.tags[victim] = tag
-	c.dirty[victim] = write
-	c.insert(victim, set)
 	if c.cfg.NextLinePrefetch {
 		c.prefetch(line + 1)
+	}
+	return i
+}
+
+// fill puts line into the first free way of set, or else into the way
+// evict picks, accounting the eviction, and returns the way's column
+// index. The replacement metadata is left to the caller.
+func (c *Cache) fill(set, line uint64, dirty bool) int {
+	base := int(set) * c.stride
+	w := int(c.occ[set])
+	if w < c.cfg.Ways {
+		c.occ[set]++
+	} else {
+		w = c.evict(base)
+		c.stats.Evictions++
+		if c.dirty[base+w] {
+			c.stats.Writebacks++
+		}
+	}
+	i := base + w
+	c.tags[i] = line
+	c.ptag[i] = uint8(line >> c.setBits)
+	c.dirty[i] = dirty
+	return i
+}
+
+// evict returns the way to evict from the full set whose columns start at
+// base: for LRU the first way with the oldest stamp; for RRIP the first
+// way holding the set's highest RRPV, after raising every way's RRPV by
+// rrpvMax minus that RRPV. The RRIP step is the textbook loop — evict the
+// first way at rrpvMax, else age every way by one and scan again — in one
+// pass: raising every RRPV by the same amount makes the first way holding
+// the maximum the first to reach rrpvMax. Both halves are word operations
+// over the set's RRPV bytes, masked to bit 0 of the lanes of real ways:
+// r & r>>1 marks the lanes at 3, r>>1 the lanes at 2 or more, r the odd
+// lanes, and the aging is one add per word.
+func (c *Cache) evict(base int) int {
+	if c.cfg.Policy == LRU {
+		stamp := c.stamp[base : base+c.cfg.Ways]
+		best := 0
+		for w := 1; w < len(stamp); w++ {
+			if stamp[w] < stamp[best] {
+				best = w
+			}
+		}
+		return best
+	}
+	rrpv, last := c.rrpv[base:base+c.stride], c.stride-8
+	var top, high, odd uint64
+	for k := 0; k <= last; k += 8 {
+		m := uint64(laneOnes)
+		if k == last {
+			m = c.tail
+		}
+		r := le64(rrpv[k:])
+		h := r >> 1 & m
+		top |= r & h
+		high |= h
+		odd |= r & m
+	}
+	d := uint64(rrpvMax) // every way at 0
+	if top != 0 {
+		d = 0
+	} else if high != 0 {
+		d = 1
+	} else if odd != 0 {
+		d = 2
+	}
+	victim := 0
+	for k := last; k >= 0; k -= 8 {
+		m := uint64(laneOnes)
+		if k == last {
+			m = c.tail
+		}
+		r := le64(rrpv[k:]) + d*m
+		binary.LittleEndian.PutUint64(rrpv[k:], r)
+		if v := r & (r >> 1) & m; v != 0 {
+			victim = k + bits.TrailingZeros64(v)>>3
+		}
 	}
 	return victim
 }
@@ -304,131 +429,44 @@ func (c *Cache) missFill(line, set, tag uint64, base int, write bool) int {
 // first candidate for eviction until a demand access promotes it.
 func (c *Cache) prefetch(line uint64) {
 	set := line & c.setMask
-	tag := line >> c.setBits
-	base := int(set) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return // already resident
-		}
+	if c.probe(set, line) >= 0 {
+		return // already resident
 	}
-	victim := c.victim(base, set)
-	if c.valid[victim] {
-		c.stats.Evictions++
-		if c.dirty[victim] {
-			c.stats.Writebacks++
-		}
-	} else {
-		c.occ[set]++
-	}
-	c.valid[victim] = true
-	c.tags[victim] = tag
-	c.dirty[victim] = false
+	i := c.fill(set, line, false)
 	// Cold insertion: distant RRPV / oldest LRU stamp.
 	if c.cfg.Policy == LRU {
-		c.meta[victim] = 0
+		c.stamp[i] = 0
 	} else {
-		c.meta[victim] = rrpvDistant
+		c.rrpv[i] = rrpvDistant
 	}
 	c.stats.Prefetches++
 }
 
 // touch updates replacement metadata on a hit.
 func (c *Cache) touch(i int) {
-	switch c.cfg.Policy {
-	case LRU:
-		c.clock++
-		c.meta[i] = c.clock
-	default: // all RRIP variants promote to RRPV 0 on hit
-		c.meta[i] = 0
-	}
-}
-
-// insert sets replacement metadata for a newly filled line.
-func (c *Cache) insert(i int, set uint64) {
-	switch c.setRole(set) {
-	case LRU:
-		c.clock++
-		c.meta[i] = c.clock
-	case SRRIP:
-		c.meta[i] = rrpvLong
-	case BRRIP:
-		c.brripCtr++
-		if c.brripCtr%brripEpsilon == 0 {
-			c.meta[i] = rrpvLong
-		} else {
-			c.meta[i] = rrpvDistant
-		}
-	}
-}
-
-// victim picks the way to fill in the set starting at base.
-func (c *Cache) victim(base int, set uint64) int {
-	ways := c.cfg.Ways
-	// Invalid way first; skipped entirely when the set is known full.
-	if int(c.occ[set]) < ways {
-		valid := c.valid[base : base+ways]
-		for w, v := range valid {
-			if !v {
-				return base + w
-			}
-		}
-	}
-	meta := c.meta[base : base+ways]
 	if c.cfg.Policy == LRU {
-		best := 0
-		for w := 1; w < ways; w++ {
-			if meta[w] < meta[best] {
-				best = w
-			}
-		}
-		return base + best
+		c.clock++
+		c.stamp[i] = c.clock
+	} else { // all RRIP variants promote to RRPV 0 on hit
+		c.rrpv[i] = 0
 	}
-	// RRIP: evict the first way at RRPV == rrpvMax, aging all ways until
-	// one appears. Done in one scan: raising every RRPV by the same amount
-	// makes the first way holding the maximum the first to reach rrpvMax,
-	// so that way is the victim — identical to the textbook scan-and-age
-	// loop, without the repeated passes.
-	best, max := 0, meta[0]
-	for w := 1; w < ways; w++ {
-		if meta[w] > max {
-			best, max = w, meta[w]
-		}
-	}
-	if d := rrpvMax - max; d != 0 {
-		for w := range meta {
-			meta[w] += d
-		}
-	}
-	return base + best
 }
 
 // Contains reports whether addr's line is currently cached, without
 // updating any state. Used by tests and by the ECS scanner.
 func (c *Cache) Contains(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := line & c.setMask
-	tag := line >> c.setBits
-	base := int(set) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
+	return c.probe(line&c.setMask, line) >= 0
 }
 
 // Snapshot calls fn with the base address of every valid line. It performs
 // no state updates; the paper's ECS metric periodically scans cache
 // contents this way (§VI-F).
 func (c *Cache) Snapshot(fn func(lineAddr uint64)) {
-	setBits := c.setBits
-	for set := 0; set < c.cfg.Sets; set++ {
-		base := set * c.cfg.Ways
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.valid[base+w] {
-				line := c.tags[base+w]<<setBits | uint64(set)
-				fn(line << c.lineBits)
-			}
+	for set, n := range c.occ {
+		base := set * c.stride
+		for _, line := range c.tags[base : base+int(n)] {
+			fn(line << c.lineBits)
 		}
 	}
 }
@@ -436,10 +474,8 @@ func (c *Cache) Snapshot(fn func(lineAddr uint64)) {
 // ValidLines returns the number of currently valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
-			n++
-		}
+	for _, o := range c.occ {
+		n += int(o)
 	}
 	return n
 }

@@ -10,8 +10,9 @@ import (
 // and requires bit-identical per-access results and final state. The fuzzer
 // owns the address distribution, so it explores corners the differential
 // suite's structured streams never reach: pathological set aliasing,
-// tag patterns adjacent to the invalidTag sentinel, single-way sets,
-// batch cuts of every phase relative to the stream.
+// lines whose tags share their low byte (so the partial-tag probe
+// nominates several ways), line 0 (whose number a free way also holds),
+// single-way sets, batch cuts of every phase relative to the stream.
 //
 // cfgSel picks geometry and policy; blockSel the batch size; data encodes
 // the stream, 3 bytes per access (16-bit line index + write bit), keeping

@@ -7,11 +7,10 @@ import "math/bits"
 // 0.2–7% of the 8-byte vertex-data array. ScaledL3 reproduces that regime
 // for arbitrary dataset sizes: it returns a DRRIP cache sized so that it
 // caches about `fraction` of a vertex-data array of n 8-byte elements,
-// with 64-byte lines and 16-way associativity, sets rounded to a power of
-// two (minimum geometry 64 sets).
-// ScaledL3 uses 8-way associativity and a 16-set minimum so that even
-// modest synthetic datasets (tens of thousands of vertices) sit in the
-// paper's cache-pressure regime.
+// with 64-byte lines and 8-way associativity, sets rounded down to a power
+// of two with a minimum of 16 sets, so that even modest synthetic datasets
+// (tens of thousands of vertices) sit in the paper's cache-pressure
+// regime.
 func ScaledL3(n uint32, fraction float64) Config {
 	targetBytes := fraction * float64(n) * 8
 	const lineSize, ways = 64, 8

@@ -40,17 +40,17 @@ func (u UtilizationStats) MeanFraction() float64 {
 }
 
 // UtilizationTracker observes a Cache's accesses and evictions to build
-// line-utilization statistics. It shadows the cache's content: drive it
-// with the same access stream via Observe.
+// line-utilization statistics. It drives a shadow cache with the access
+// stream it is given through Access, which reports the way each access hit
+// or filled.
 type UtilizationTracker struct {
 	c     *Cache
 	words int
-	// touched[line index] = bitmask of words touched since fill.
+	// touched[way index] = bitmask of words touched since the line's fill;
+	// a way holds a tracked line exactly when its mask is non-zero, since a
+	// fill always touches one word.
 	touched []uint64
-	// filled mirrors validity as seen by the tracker.
-	filled []uint64 // line tag per slot, to detect replacement
-	valid  []bool
-	stats  UtilizationStats
+	stats   UtilizationStats
 }
 
 // NewUtilizationTracker builds a tracker for the given cache geometry.
@@ -63,13 +63,11 @@ func NewUtilizationTracker(cfg Config) *UtilizationTracker {
 	if words > 64 {
 		panic("cachesim: utilization tracking supports at most 512-byte lines")
 	}
-	n := cfg.Sets * cfg.Ways
+	c := New(cfg)
 	return &UtilizationTracker{
-		c:       New(cfg),
+		c:       c,
 		words:   words,
-		touched: make([]uint64, n),
-		filled:  make([]uint64, n),
-		valid:   make([]bool, n),
+		touched: make([]uint64, len(c.tags)),
 		stats:   UtilizationStats{Histogram: make([]uint64, words+1)},
 	}
 }
@@ -77,43 +75,20 @@ func NewUtilizationTracker(cfg Config) *UtilizationTracker {
 // Access drives the shadow cache with one access and updates word masks.
 // It returns whether the access hit.
 func (t *UtilizationTracker) Access(addr uint64, write bool) bool {
-	line := addr >> t.c.lineBits
-	word := uint((addr >> 3)) % uint(t.words)
-	set := line & t.c.setMask
-	base := int(set) * t.c.cfg.Ways
-
-	hit := t.c.Access(addr, write)
-	// Locate the slot now holding the line.
-	slot := -1
-	for w := 0; w < t.c.cfg.Ways; w++ {
-		i := base + w
-		if t.c.valid[i] && t.c.tags[i] == line>>uint(bits.TrailingZeros(uint(t.c.cfg.Sets))) {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		return hit // should not happen: the line was just filled
-	}
+	hit, slot := t.c.access(addr, write)
 	if !hit {
 		// The slot was refilled; account the evicted line's usage.
-		if t.valid[slot] {
+		if t.touched[slot] != 0 {
 			t.record(slot)
 		}
-		t.valid[slot] = true
-		t.filled[slot] = line
 		t.touched[slot] = 0
 	}
-	t.touched[slot] |= 1 << word
+	t.touched[slot] |= 1 << (uint(addr>>3) % uint(t.words))
 	return hit
 }
 
 func (t *UtilizationTracker) record(slot int) {
-	w := bits.OnesCount64(t.touched[slot])
-	if w == 0 {
-		w = 1
-	}
-	t.stats.Histogram[w]++
+	t.stats.Histogram[bits.OnesCount64(t.touched[slot])]++
 	t.stats.Evicted++
 }
 
@@ -123,13 +98,9 @@ func (t *UtilizationTracker) record(slot int) {
 // it at the end of a run.
 func (t *UtilizationTracker) Stats() UtilizationStats {
 	out := UtilizationStats{Histogram: append([]uint64(nil), t.stats.Histogram...), Evicted: t.stats.Evicted}
-	for i, v := range t.valid {
-		if v {
-			w := bits.OnesCount64(t.touched[i])
-			if w == 0 {
-				w = 1
-			}
-			out.Histogram[w]++
+	for _, m := range t.touched {
+		if m != 0 {
+			out.Histogram[bits.OnesCount64(m)]++
 			out.Evicted++
 		}
 	}

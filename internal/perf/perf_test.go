@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"graphlocality/internal/gen"
 )
 
 func baselineReport() Report {
@@ -122,5 +124,18 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if got.MinSpeedup() != 2.0 {
 		t.Fatalf("MinSpeedup = %v, want 2.0", got.MinSpeedup())
+	}
+}
+
+func TestSpMVAccessRows(t *testing.T) {
+	var r Report
+	SpMVAccess(&r, gen.SocialNetwork(8, 4, 1), Options{Repeats: 1})
+	for _, name := range []string{"cachesim/access/spmv/scalar", "cachesim/access/spmv/batched"} {
+		if b, ok := r.Find(name); !ok || b.NsPerOp <= 0 {
+			t.Errorf("%s: %+v, found %v", name, b, ok)
+		}
+	}
+	if s, ok := r.FindSpeedup("cachesim/access/spmv"); !ok || s.Speedup <= 0 {
+		t.Errorf("speedup: %+v, found %v", s, ok)
 	}
 }

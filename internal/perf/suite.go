@@ -63,14 +63,18 @@ func timeIt(repeats int, f func()) time.Duration {
 	return best
 }
 
-// Pipeline runs the full benchmark suite — micro (cachesim, trace) and
-// macro (batched vs scalar SimulateSpMV over the given workloads) — and
+// Pipeline runs the full benchmark suite — micro (cachesim, trace), the
+// cache alone over the first workload's SpMV stream, and macro (batched vs
+// scalar SimulateSpMV over the given workloads) — and
 // returns the report. The macro pass also cross-checks that the batched
 // and scalar results are identical, so a bench run doubles as a coarse
 // differential test; a mismatch is returned as an error.
 func Pipeline(workloads []Workload, opts Options) (Report, error) {
 	r := Report{Schema: SchemaVersion, Suite: opts.Suite, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	Micro(&r, opts)
+	if len(workloads) > 0 {
+		SpMVAccess(&r, workloads[0].Graph, opts)
+	}
 	if err := Macro(&r, workloads, opts); err != nil {
 		return r, err
 	}
@@ -107,32 +111,7 @@ func Micro(r *Report, opts Options) {
 		writes[i] = state>>61&1 == 0
 	}
 
-	scalar := timeIt(rep, func() {
-		c := cachesim.New(cfg)
-		for i, a := range addrs {
-			c.Access(a, writes[i])
-		}
-	})
-	name := "cachesim/access/scalar"
-	ns := float64(scalar.Nanoseconds()) / microAccesses
-	r.Add(name, rep, ns)
-	opts.progress(name, ns)
-
-	batched := timeIt(rep, func() {
-		c := cachesim.New(cfg)
-		for lo := 0; lo < len(addrs); lo += trace.DefaultBatchSize {
-			hi := lo + trace.DefaultBatchSize
-			if hi > len(addrs) {
-				hi = len(addrs)
-			}
-			c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil)
-		}
-	})
-	name = "cachesim/access/batched"
-	ns = float64(batched.Nanoseconds()) / microAccesses
-	r.Add(name, rep, ns)
-	opts.progress(name, ns)
-	r.AddSpeedup("cachesim/access", float64(scalar.Nanoseconds())/float64(batched.Nanoseconds()))
+	accessRows(r, "cachesim/access", cfg, addrs, writes, opts)
 
 	// Trace generation over a small social graph (deterministic).
 	g := gen.SocialNetwork(12, 12, 42)
@@ -143,8 +122,8 @@ func Micro(r *Report, opts Options) {
 	tScalar := timeIt(rep, func() {
 		trace.Run(g, layout, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sinkAddr += a.Addr; return true })
 	})
-	name = "trace/run/scalar"
-	ns = float64(tScalar.Nanoseconds()) / total
+	name := "trace/run/scalar"
+	ns := float64(tScalar.Nanoseconds()) / total
 	r.Add(name, rep, ns)
 	opts.progress(name, ns)
 
@@ -162,6 +141,53 @@ func Micro(r *Report, opts Options) {
 	opts.progress(name, ns)
 	r.AddSpeedup("trace/run", float64(tScalar.Nanoseconds())/float64(tBatched.Nanoseconds()))
 	_ = sinkAddr
+}
+
+// SpMVAccess appends the cache simulator's throughput on a stream it is
+// actually given: the pull SpMV access stream of g, materialized once,
+// replayed through scalar Access and through AccessBatch in
+// trace.DefaultBatchSize blocks, on the default ScaledL3 DRRIP geometry for
+// g. NsPerOp is nanoseconds per simulated access.
+func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
+	cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
+	var addrs []uint64
+	var writes []bool
+	trace.Generate(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), 0, false, func(b *trace.Block) bool {
+		addrs = append(addrs, b.Addrs...)
+		writes = append(writes, b.Writes...)
+		return true
+	})
+	accessRows(r, "cachesim/access/spmv", cfg, addrs, writes, opts)
+}
+
+// accessRows times one stream through a fresh cache of geometry cfg, once
+// per scalar Access call and once through AccessBatch in
+// trace.DefaultBatchSize blocks, and appends name/scalar and name/batched
+// in nanoseconds per access, and their speedup as name.
+func accessRows(r *Report, name string, cfg cachesim.Config, addrs []uint64, writes []bool, opts Options) {
+	rep := opts.repeats()
+	n := float64(len(addrs))
+	scalar := timeIt(rep, func() {
+		c := cachesim.New(cfg)
+		for i, a := range addrs {
+			c.Access(a, writes[i])
+		}
+	})
+	ns := float64(scalar.Nanoseconds()) / n
+	r.Add(name+"/scalar", rep, ns)
+	opts.progress(name+"/scalar", ns)
+
+	batched := timeIt(rep, func() {
+		c := cachesim.New(cfg)
+		for lo := 0; lo < len(addrs); lo += trace.DefaultBatchSize {
+			hi := min(lo+trace.DefaultBatchSize, len(addrs))
+			c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil)
+		}
+	})
+	ns = float64(batched.Nanoseconds()) / n
+	r.Add(name+"/batched", rep, ns)
+	opts.progress(name+"/batched", ns)
+	r.AddSpeedup(name, float64(scalar.Nanoseconds())/float64(batched.Nanoseconds()))
 }
 
 // Macro appends, per workload, the scalar-reference and batched
