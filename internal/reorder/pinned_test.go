@@ -10,15 +10,16 @@ import (
 	"graphlocality/internal/graph"
 )
 
-// heavyPin is the fingerprint of one heavy-ordering run: the CRC32C of the
+// heavyPin is the fingerprint of one pinned ordering run: the CRC32C of the
 // permutation and of the run's statistic (SlashBurn's iteration count or
-// Rabbit-Order's community sizes; 0 for GOrder).
+// Rabbit-Order's community sizes; 0 for GOrder and RCM).
 type heavyPin struct{ perm, stat uint32 }
 
 // heavyPins holds, per spec, one pin per pinnedStandard graph (in its
 // order) and one CRC folded over every pinnedRandom graph. The values were
-// recorded from the map-based Rabbit-Order, the full-scan SlashBurn and the
-// per-change GOrder; any rewrite of those kernels must reproduce them.
+// recorded from the map-based Rabbit-Order, the full-scan SlashBurn, the
+// per-change GOrder and the copy-and-sort-every-list RCM; any rewrite of
+// those kernels must reproduce them.
 var heavyPins = map[string]struct {
 	std    [6]heavyPin
 	random uint32
@@ -32,6 +33,7 @@ var heavyPins = map[string]struct {
 	"go":                 {std: [6]heavyPin{{0xd80c9867, 0x00000000}, {0x612a97a1, 0x00000000}, {0xebb36ec6, 0x00000000}, {0xeddfefb4, 0x00000000}, {0x8dfc5420, 0x00000000}, {0x446b6f2c, 0x00000000}}, random: 0xef727f86},
 	"go:window=1":        {std: [6]heavyPin{{0xaf82aa8d, 0x00000000}, {0x478f1333, 0x00000000}, {0x5b44835f, 0x00000000}, {0x1bb41be8, 0x00000000}, {0xb9d8dc7d, 0x00000000}, {0xd23c9137, 0x00000000}}, random: 0xa40e2826},
 	"go:window=8":        {std: [6]heavyPin{{0xfd9c2410, 0x00000000}, {0xe64fe8f3, 0x00000000}, {0x0c77a01d, 0x00000000}, {0xd70159c8, 0x00000000}, {0xbcc325a0, 0x00000000}, {0x9f458810, 0x00000000}}, random: 0x6e1b0251},
+	"rcm":                {std: [6]heavyPin{{0xda8d69a8, 0x00000000}, {0x5c8b2c2a, 0x00000000}, {0x0b671945, 0x00000000}, {0x429b6386, 0x00000000}, {0x4870eec2, 0x00000000}, {0xfa731d4c, 0x00000000}}, random: 0x7a753227},
 }
 
 // pinnedStandard builds the Standard suite's generators shrunk 16-fold
@@ -95,14 +97,14 @@ func crcWords(crc uint32, words []uint32) uint32 {
 	return crc32.Update(crc, pinTable, buf)
 }
 
-// TestHeavyPermutationsPinned pins SlashBurn, Rabbit-Order and GOrder
-// bit for bit: every permutation, SlashBurn iteration count and
-// Rabbit-Order community-size list under nine option sets, on the
+// TestHeavyPermutationsPinned pins SlashBurn, Rabbit-Order, GOrder and
+// RCM bit for bit: every permutation, SlashBurn iteration count and
+// Rabbit-Order community-size list under ten option sets, on the
 // benchmark's heavy shapes and on 200 small random graphs.
 func TestHeavyPermutationsPinned(t *testing.T) {
 	std, random := pinnedStandard(), pinnedRandom()
 	specs := []string{"sb", "sb++", "sb:cachebytes=4096", "ro", "ro:edr=2-40",
-		"ro:cachebytes=512", "go", "go:window=1", "go:window=8"}
+		"ro:cachebytes=512", "go", "go:window=1", "go:window=8", "rcm"}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
