@@ -20,12 +20,13 @@ bench: bench-parallel bench-pipeline
 bench-parallel:
 	go run ./cmd/localitylab bench -size standard -out BENCH_parallel.json
 
-# Times the simulation stack itself — cachesim/trace microbenchmarks and
-# batched-vs-scalar SimulateSpMV over the standard dataset suite — and
-# writes BENCH_pipeline.json, the committed baseline `bench diff` gates
-# against.
+# Times the simulation stack itself — cachesim/trace microbenchmarks, the
+# standard suite's graph builds and batched-vs-scalar SimulateSpMV over
+# that suite — and writes BENCH_pipeline.json, the committed baseline
+# `bench diff` gates against. GOMAXPROCS and the repeat count are pinned
+# so the file records the same conditions whoever regenerates it.
 bench-pipeline:
-	go run ./cmd/localitylab bench pipeline -size standard -out BENCH_pipeline.json
+	GOMAXPROCS=1 go run ./cmd/localitylab bench pipeline -size standard -repeats 11 -out BENCH_pipeline.json
 
 # Starts a localityd daemon, replays the mixed loadtest workload against
 # it and writes BENCH_serve.json (p50/p99 latency, shed/completion/
@@ -54,7 +55,7 @@ bench-multicore-diff:
 # Regression gate: re-runs the pipeline benchmarks into a scratch report
 # and compares it against the committed baseline with the CI tolerance.
 bench-diff:
-	go run ./cmd/localitylab bench pipeline -size standard -out /tmp/BENCH_pipeline.json
+	GOMAXPROCS=1 go run ./cmd/localitylab bench pipeline -size standard -repeats 11 -out /tmp/BENCH_pipeline.json
 	go run ./cmd/localitylab bench diff BENCH_pipeline.json /tmp/BENCH_pipeline.json
 
 build:

@@ -88,8 +88,9 @@ func cmdBenchParallel(args []string) error {
 }
 
 // cmdBenchPipeline times the simulation stack itself: cachesim and trace
-// microbenchmarks plus batched-vs-scalar SimulateSpMV macro runs over the
-// experiment dataset suite, written as a perf.Report. The committed
+// microbenchmarks, each suite graph's build, and batched-vs-scalar
+// SimulateSpMV macro runs over the experiment dataset suite, written as a
+// perf.Report. The committed
 // BENCH_pipeline.json is the baseline `bench diff` gates CI against.
 func cmdBenchPipeline(args []string) error {
 	fs := flag.NewFlagSet("bench pipeline", flag.ExitOnError)
@@ -104,7 +105,7 @@ func cmdBenchPipeline(args []string) error {
 
 	var workloads []perf.Workload
 	for _, d := range expt.Suite(size) {
-		workloads = append(workloads, perf.Workload{Name: d.Name, Graph: d.Build()})
+		workloads = append(workloads, perf.Workload{Name: d.Name, Graph: d.Build(), Build: d.Build})
 	}
 	opts := perf.Options{
 		Repeats: *repeats,

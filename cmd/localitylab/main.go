@@ -443,7 +443,10 @@ func cmdMetrics(args []string) error {
 	}
 	if *util {
 		cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-		u := core.LineUtilization(g, cfg)
+		u, err := core.LineUtilization(g, cfg)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("cache-line utilization: %.2f of 8 words per fetched line (%.0f%%)\n",
 			u.MeanWords(), 100*u.MeanFraction())
 	}

@@ -1,6 +1,9 @@
 package cachesim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Line-utilization tracking: how many of a cache line's 8-byte words are
 // actually touched between fill and eviction. This quantifies *spatial*
@@ -53,15 +56,32 @@ type UtilizationTracker struct {
 	stats   UtilizationStats
 }
 
-// NewUtilizationTracker builds a tracker for the given cache geometry.
-// The cache must use a line size of at most 512 bytes (64 words).
-func NewUtilizationTracker(cfg Config) *UtilizationTracker {
+// UtilizationConfigError reports a cache configuration the utilization
+// tracker cannot account correctly.
+type UtilizationConfigError struct {
+	Config Config
+	Reason string
+}
+
+func (e *UtilizationConfigError) Error() string {
+	return fmt.Sprintf("cachesim: utilization tracking of %q: %s", e.Config.Name, e.Reason)
+}
+
+// NewUtilizationTracker builds a tracker for the given cache geometry. It
+// rejects, with a *UtilizationConfigError, lines over 512 bytes (a line's
+// word mask is one uint64) and NextLinePrefetch: the tracker sees only
+// demand accesses, so a prefetch fill would evict a tracked line without
+// its usage being recorded.
+func NewUtilizationTracker(cfg Config) (*UtilizationTracker, error) {
 	words := cfg.LineSize / 8
 	if words < 1 {
 		words = 1
 	}
 	if words > 64 {
-		panic("cachesim: utilization tracking supports at most 512-byte lines")
+		return nil, &UtilizationConfigError{cfg, "lines over 512 bytes are not supported"}
+	}
+	if cfg.NextLinePrefetch {
+		return nil, &UtilizationConfigError{cfg, "NextLinePrefetch fills are not seen by the tracker"}
 	}
 	c := New(cfg)
 	return &UtilizationTracker{
@@ -69,7 +89,7 @@ func NewUtilizationTracker(cfg Config) *UtilizationTracker {
 		words:   words,
 		touched: make([]uint64, len(c.tags)),
 		stats:   UtilizationStats{Histogram: make([]uint64, words+1)},
-	}
+	}, nil
 }
 
 // Access drives the shadow cache with one access and updates word masks.

@@ -1,10 +1,23 @@
 package cachesim
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
+
+// newTracker builds a tracker for a configuration it must accept.
+func newTracker(t *testing.T, cfg Config) *UtilizationTracker {
+	t.Helper()
+	tr, err := NewUtilizationTracker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 func TestUtilizationSingleWord(t *testing.T) {
 	// Touch one word per line over many lines: utilization 1 word/line.
-	tr := NewUtilizationTracker(Config{Name: "t", LineSize: 64, Sets: 4, Ways: 2, Policy: LRU})
+	tr := newTracker(t, Config{Name: "t", LineSize: 64, Sets: 4, Ways: 2, Policy: LRU})
 	for i := uint64(0); i < 100; i++ {
 		tr.Access(i*64, false)
 	}
@@ -22,7 +35,7 @@ func TestUtilizationSingleWord(t *testing.T) {
 
 func TestUtilizationFullLine(t *testing.T) {
 	// Touch all 8 words of each line before moving on.
-	tr := NewUtilizationTracker(Config{Name: "t", LineSize: 64, Sets: 4, Ways: 2, Policy: LRU})
+	tr := newTracker(t, Config{Name: "t", LineSize: 64, Sets: 4, Ways: 2, Policy: LRU})
 	for i := uint64(0); i < 50; i++ {
 		for w := uint64(0); w < 8; w++ {
 			tr.Access(i*64+w*8, false)
@@ -39,7 +52,7 @@ func TestUtilizationFullLine(t *testing.T) {
 
 func TestUtilizationHitMissAgreesWithPlainCache(t *testing.T) {
 	cfg := Config{Name: "t", LineSize: 64, Sets: 8, Ways: 2, Policy: DRRIP}
-	tr := NewUtilizationTracker(cfg)
+	tr := newTracker(t, cfg)
 	plain := New(cfg)
 	rng := newTestRNG(5)
 	for i := 0; i < 20000; i++ {
@@ -62,17 +75,41 @@ func TestUtilizationHitMissAgreesWithPlainCache(t *testing.T) {
 	}
 }
 
-func TestUtilizationPanicsOnHugeLines(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("1KiB lines should panic")
-		}
-	}()
-	NewUtilizationTracker(Config{Name: "t", LineSize: 1024, Sets: 2, Ways: 1, Policy: LRU})
+func TestUtilizationRejectsHugeLines(t *testing.T) {
+	_, err := NewUtilizationTracker(Config{Name: "t", LineSize: 1024, Sets: 2, Ways: 1, Policy: LRU})
+	var cfgErr *UtilizationConfigError
+	if !errors.As(err, &cfgErr) {
+		t.Fatalf("1KiB lines: err = %v, want a *UtilizationConfigError", err)
+	}
+	if _, err := NewUtilizationTracker(Config{Name: "t", LineSize: 512, Sets: 2, Ways: 1, Policy: LRU}); err != nil {
+		t.Errorf("512-byte lines: %v", err)
+	}
+}
+
+// TestUtilizationRejectsPrefetch pins why a prefetching cache is refused.
+// With one set and one way, a demand access to line 0 and one to line 1
+// (byte 72) fill the way twice: two lines of one word each. A next-line
+// prefetch on the first miss would fill line 1 unseen and turn the second
+// access into a hit on it, so the tracker would report one line of two
+// words.
+func TestUtilizationRejectsPrefetch(t *testing.T) {
+	cfg := Config{Name: "t", LineSize: 64, Sets: 1, Ways: 1, Policy: LRU}
+	tr := newTracker(t, cfg)
+	tr.Access(0, false)
+	tr.Access(72, false)
+	if st := tr.Stats(); st.Evicted != 2 || st.Histogram[1] != 2 {
+		t.Errorf("demand-only stats = %+v, want 2 lines of 1 word", st)
+	}
+	cfg.NextLinePrefetch = true
+	_, err := NewUtilizationTracker(cfg)
+	var cfgErr *UtilizationConfigError
+	if !errors.As(err, &cfgErr) || !cfgErr.Config.NextLinePrefetch {
+		t.Fatalf("NextLinePrefetch: err = %v, want a *UtilizationConfigError for it", err)
+	}
 }
 
 func TestUtilizationEmpty(t *testing.T) {
-	tr := NewUtilizationTracker(Config{Name: "t", LineSize: 64, Sets: 2, Ways: 1, Policy: LRU})
+	tr := newTracker(t, Config{Name: "t", LineSize: 64, Sets: 2, Ways: 1, Policy: LRU})
 	st := tr.Stats()
 	if st.MeanWords() != 0 || st.Evicted != 0 {
 		t.Errorf("empty stats = %+v", st)

@@ -157,8 +157,8 @@ func TestSegmentedBackedVariants(t *testing.T) {
 		if !reflect.DeepEqual(gotNUMA, wantNUMA) {
 			t.Errorf("seg=%d: SimulateSpMVNUMA diverged: %+v vs %+v", segVerts, gotNUMA, wantNUMA)
 		}
-		wantUtil := LineUtilization(g, cfg)
-		gotUtil := LineUtilization(sg, cfg)
+		wantUtil := mustLineUtilization(t, g, cfg)
+		gotUtil := mustLineUtilization(t, sg, cfg)
 		if !reflect.DeepEqual(gotUtil, wantUtil) {
 			t.Errorf("seg=%d: LineUtilization diverged", segVerts)
 		}

@@ -196,12 +196,17 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 // line the random vertex-data accesses of a pull SpMV actually touch,
 // under the given cache geometry — a direct spatial-locality metric:
 // orderings with strong type-I/III locality use most of every line. The
-// reads feed a cold shadow cache in trace order.
-func LineUtilization(g graph.Topology, cfg cachesim.Config) cachesim.UtilizationStats {
+// reads feed a cold shadow cache in trace order. A geometry the tracker
+// cannot account (see cachesim.NewUtilizationTracker) is returned as its
+// *cachesim.UtilizationConfigError.
+func LineUtilization(g graph.Topology, cfg cachesim.Config) (cachesim.UtilizationStats, error) {
 	if cfg == (cachesim.Config{}) {
 		cfg = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
 	}
-	tr := cachesim.NewUtilizationTracker(cfg)
+	tr, err := cachesim.NewUtilizationTracker(cfg)
+	if err != nil {
+		return cachesim.UtilizationStats{}, err
+	}
 	trace.Generate(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), 0, true, func(b *trace.Block) bool {
 		for i, k := range b.Kinds {
 			if k == trace.KindVertexRead {
@@ -210,7 +215,7 @@ func LineUtilization(g graph.Topology, cfg cachesim.Config) cachesim.Utilization
 		}
 		return true
 	})
-	return tr.Stats()
+	return tr.Stats(), nil
 }
 
 // MissRateByDegree folds the data-owner attribution into a miss-rate

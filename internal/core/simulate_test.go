@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/gen"
+	"graphlocality/internal/graph"
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/trace"
 )
@@ -183,8 +185,8 @@ func TestLineUtilizationOrderingsDiffer(t *testing.T) {
 	scrambled := base.Relabel(reorder.Perm(reorder.Random{Seed: 6}, base))
 	ro := scrambled.Relabel(reorder.Perm(reorder.MustNew("ro"), scrambled))
 	cfg := cachesim.Config{Name: "L3", LineSize: 64, Sets: 8, Ways: 4, Policy: cachesim.DRRIP}
-	sc := LineUtilization(scrambled, cfg)
-	cl := LineUtilization(ro, cfg)
+	sc := mustLineUtilization(t, scrambled, cfg)
+	cl := mustLineUtilization(t, ro, cfg)
 	if cl.MeanWords() <= sc.MeanWords() {
 		t.Errorf("clustered utilization %.2f words not above scrambled %.2f",
 			cl.MeanWords(), sc.MeanWords())
@@ -193,8 +195,28 @@ func TestLineUtilizationOrderingsDiffer(t *testing.T) {
 		t.Errorf("fraction out of range: %v", sc.MeanFraction())
 	}
 	// Zero config uses the scaled default.
-	if def := LineUtilization(base, cachesim.Config{}); def.Evicted == 0 {
+	if def := mustLineUtilization(t, base, cachesim.Config{}); def.Evicted == 0 {
 		t.Error("default-config utilization empty")
+	}
+}
+
+func mustLineUtilization(t *testing.T, g graph.Topology, cfg cachesim.Config) cachesim.UtilizationStats {
+	t.Helper()
+	u, err := LineUtilization(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// TestLineUtilizationRejectsPrefetch checks that the tracker's refusal of
+// a prefetching geometry reaches the caller as its typed error.
+func TestLineUtilizationRejectsPrefetch(t *testing.T) {
+	g := gen.Ring(64)
+	cfg := cachesim.Config{Name: "L3", LineSize: 64, Sets: 1, Ways: 1, Policy: cachesim.LRU, NextLinePrefetch: true}
+	var cfgErr *cachesim.UtilizationConfigError
+	if _, err := LineUtilization(g, cfg); !errors.As(err, &cfgErr) {
+		t.Errorf("err = %v, want a *cachesim.UtilizationConfigError", err)
 	}
 }
 

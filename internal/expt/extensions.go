@@ -141,7 +141,11 @@ func UtilizationExperiment(s *Session, datasets []Dataset, algs []reorder.Algori
 		c := cells[i]
 		cfg := s.CacheFor(c.ds)
 		g := s.Relabeled(c.ds, c.alg)
-		u := core.LineUtilization(g, cfg)
+		u, err := core.LineUtilization(g, cfg)
+		if err != nil {
+			// CacheFor is a ScaledL3 geometry: 64-byte lines, no prefetch.
+			panic(err)
+		}
 		sim := s.Simulate(c.ds, c.alg, core.SimOptions{})
 		return UtilizationRow{
 			Dataset: c.ds.Name, Algorithm: c.alg.Name(),

@@ -29,50 +29,63 @@ func DefaultRMAT(scale, edgeFac int, seed uint64) RMATConfig {
 // RMAT generates a directed R-MAT graph. Self-loops are dropped and
 // duplicate edges removed; zero-degree vertices are *not* removed (callers
 // that follow the paper's methodology should call RemoveZeroDegree).
+//
+// The RNG state stays in locals for the whole run. Each level draws the
+// four perturbations and then u, in that order, and evaluates every
+// expression in the same shape as a * (1 - Noise/2 + Noise*f), with the
+// invariants 1 - Noise/2 and 1 - A - B - C hoisted (DESIGN §19). The
+// quadrant comes from comparing u against the partial sums of the
+// normalisation: the src bit is u ≥ a+b, and the dst bit flips at each of
+// a, a+b and a+b+c. With A, B, C ≥ 0 and Noise ≤ 2 the sums are ordered,
+// so this is the first-match quadrant choice.
 func RMAT(cfg RMATConfig) *graph.Graph {
-	rng := NewRNG(cfg.Seed)
+	x := NewRNG(cfg.Seed).s
 	n := uint32(1) << cfg.Scale
 	target := cfg.EdgeFac * int(n)
 	edges := make([]graph.Edge, 0, target+target/4)
+	a, b, c, d := cfg.A, cfg.B, cfg.C, 1-cfg.A-cfg.B-cfg.C
+	base, noise := 1-cfg.Noise/2, cfg.Noise
+	var r1, r2, r3, r4, r5 uint64
 	for len(edges) < target {
-		src, dst := rmatEdge(rng, cfg)
+		var src, dst uint32
+		for level := 0; level < cfg.Scale; level++ {
+			// Perturb quadrant probabilities each level so degrees smooth out.
+			x, r1 = x.next()
+			x, r2 = x.next()
+			x, r3 = x.next()
+			x, r4 = x.next()
+			x, r5 = x.next()
+			al := a * (base + noise*unitFloat(r1))
+			bl := b * (base + noise*unitFloat(r2))
+			cl := c * (base + noise*unitFloat(r3))
+			dl := d * (base + noise*unitFloat(r4))
+			ab := al + bl
+			abc := ab + cl
+			u := unitFloat(r5) * (abc + dl)
+			hi := bit(u >= ab)
+			src = src<<1 | hi
+			dst = dst<<1 | (bit(u >= al) ^ hi ^ bit(u >= abc))
+		}
 		if src == dst {
 			continue
 		}
 		edges = append(edges, graph.Edge{Src: src, Dst: dst})
-		if cfg.Reciprocation > 0 && rng.Float64() < cfg.Reciprocation {
-			edges = append(edges, graph.Edge{Src: dst, Dst: src})
+		if cfg.Reciprocation > 0 {
+			if x, r1 = x.next(); unitFloat(r1) < cfg.Reciprocation {
+				edges = append(edges, graph.Edge{Src: dst, Dst: src})
+			}
 		}
 	}
 	return graph.FromEdgesDedup(n, edges)
 }
 
-func rmatEdge(rng *RNG, cfg RMATConfig) (uint32, uint32) {
-	a, b, c := cfg.A, cfg.B, cfg.C
-	var src, dst uint32
-	for level := 0; level < cfg.Scale; level++ {
-		// Perturb quadrant probabilities each level so degrees smooth out.
-		al := a * (1 - cfg.Noise/2 + cfg.Noise*rng.Float64())
-		bl := b * (1 - cfg.Noise/2 + cfg.Noise*rng.Float64())
-		cl := c * (1 - cfg.Noise/2 + cfg.Noise*rng.Float64())
-		dl := (1 - a - b - c) * (1 - cfg.Noise/2 + cfg.Noise*rng.Float64())
-		norm := al + bl + cl + dl
-		u := rng.Float64() * norm
-		src <<= 1
-		dst <<= 1
-		switch {
-		case u < al:
-			// top-left: nothing
-		case u < al+bl:
-			dst |= 1
-		case u < al+bl+cl:
-			src |= 1
-		default:
-			src |= 1
-			dst |= 1
-		}
+// bit converts a comparison to 0 or 1 without a branch.
+func bit(b bool) uint32 {
+	var v uint32
+	if b {
+		v = 1
 	}
-	return src, dst
+	return v
 }
 
 // SocialNetwork generates the repo's standard social-network stand-in: an

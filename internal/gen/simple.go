@@ -42,23 +42,34 @@ func PreferentialAttachment(n uint32, k int, seed uint64) *graph.Graph {
 		if int(v) < k {
 			links = int(v)
 		}
-		seen := make(map[uint32]bool, links)
-		for len(seen) < links {
+		// v's picks so far are the edges appended since first; at most k,
+		// so a scan checks them for a repeat.
+		first := len(edges)
+		for len(edges)-first < links {
 			dst := endpointPool[rng.Intn(len(endpointPool))]
-			if dst == v || seen[dst] {
+			if dst == v || linked(edges[first:], dst) {
 				// Fall back to a uniform pick to guarantee progress in
 				// degenerate early rounds.
 				dst = rng.Uint32n(v)
-				if dst == v || seen[dst] {
+				if dst == v || linked(edges[first:], dst) {
 					continue
 				}
 			}
-			seen[dst] = true
 			edges = append(edges, graph.Edge{Src: v, Dst: dst})
 			endpointPool = append(endpointPool, v, dst)
 		}
 	}
 	return graph.FromEdgesDedup(n, edges)
+}
+
+// linked reports whether one of edges leads to dst.
+func linked(edges []graph.Edge, dst uint32) bool {
+	for _, e := range edges {
+		if e.Dst == dst {
+			return true
+		}
+	}
+	return false
 }
 
 // Ring generates a directed cycle of n vertices — a graph with perfect

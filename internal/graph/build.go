@@ -155,17 +155,45 @@ func FromCSR(n uint32, offsets []uint64, adj []uint32) (*Graph, error) {
 // relative order (the paper removes zero-degree vertices from all datasets,
 // §III-A). It returns the compacted graph and a mapping old→new where
 // removed vertices map to NoVertex.
+//
+// Only isolated vertices go, so every edge survives and the renumbering is
+// monotone: each offsets array keeps the entries of the kept vertices, and
+// each edges array is mapped entry by entry and stays sorted.
 func (g *Graph) RemoveZeroDegree() (*Graph, []uint32) {
-	keep := make([]bool, g.n)
-	all := true
-	for v := uint32(0); v < g.n; v++ {
-		keep[v] = g.OutDegree(v) != 0 || g.InDegree(v) != 0
-		all = all && keep[v]
+	mapping := make([]uint32, g.n)
+	var m uint32
+	for v := range g.n {
+		if g.outOff[v+1] == g.outOff[v] && g.inOff[v+1] == g.inOff[v] {
+			mapping[v] = NoVertex
+			continue
+		}
+		mapping[v] = m
+		m++
 	}
-	if all {
-		return g, Identity(g.n) // nothing removed
+	if m == g.n {
+		return g, mapping // nothing removed
 	}
-	return g.InducedSubgraph(keep)
+	h := &Graph{n: m}
+	h.outOff, h.outAdj = compacted(g.outOff, g.outAdj, mapping, m)
+	h.inOff, h.inAdj = compacted(g.inOff, g.inAdj, mapping, m)
+	return h, mapping
+}
+
+// compacted renumbers one direction's arrays for RemoveZeroDegree: the
+// offsets of the m kept vertices (a dropped vertex's bucket is empty, so
+// each kept vertex's end offset is unchanged), and every neighbour mapped.
+func compacted(off []uint64, adj, mapping []uint32, m uint32) ([]uint64, []uint32) {
+	newOff := make([]uint64, m+1)
+	for v, nv := range mapping {
+		if nv != NoVertex {
+			newOff[nv+1] = off[v+1]
+		}
+	}
+	newAdj := make([]uint32, len(adj))
+	for i, u := range adj {
+		newAdj[i] = mapping[u]
+	}
+	return newOff, newAdj
 }
 
 // NoVertex is a sentinel vertex ID meaning "no vertex" / removed.

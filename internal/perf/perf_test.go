@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphlocality/internal/gen"
+	"graphlocality/internal/graph"
 )
 
 func baselineReport() Report {
@@ -137,5 +138,24 @@ func TestSpMVAccessRows(t *testing.T) {
 	}
 	if s, ok := r.FindSpeedup("cachesim/access/spmv"); !ok || s.Speedup <= 0 {
 		t.Errorf("speedup: %+v, found %v", s, ok)
+	}
+}
+
+func TestGenRows(t *testing.T) {
+	build := func() *graph.Graph { return gen.SocialNetwork(8, 4, 1) }
+	var r Report
+	err := Gen(&r, []Workload{{Name: "s", Graph: build(), Build: build}, {Name: "fixed", Graph: build()}}, Options{Repeats: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := r.Find("gen/s"); !ok || b.NsPerOp <= 0 {
+		t.Errorf("gen/s: %+v, found %v", b, ok)
+	}
+	if len(r.Benchmarks) != 1 {
+		t.Errorf("rows %+v, want only gen/s (fixed has no Build)", r.Benchmarks)
+	}
+	other := func() *graph.Graph { return gen.SocialNetwork(8, 4, 2) }
+	if err := Gen(&r, []Workload{{Name: "d", Graph: build(), Build: other}}, Options{Repeats: 1}); err == nil {
+		t.Error("a build that differs from the workload's graph passed")
 	}
 }

@@ -20,6 +20,8 @@ type Workload struct {
 	Name  string
 	Graph *graph.Graph
 	Opts  core.SimOptions
+	// Build, when set, generates Graph again; Gen times it.
+	Build func() *graph.Graph
 }
 
 // Options tunes a Pipeline run.
@@ -64,21 +66,48 @@ func timeIt(repeats int, f func()) time.Duration {
 }
 
 // Pipeline runs the full benchmark suite — micro (cachesim, trace), the
-// cache alone over the first workload's SpMV stream, and macro (batched vs
-// scalar SimulateSpMV over the given workloads) — and
-// returns the report. The macro pass also cross-checks that the batched
-// and scalar results are identical, so a bench run doubles as a coarse
-// differential test; a mismatch is returned as an error.
+// cache alone over the first workload's SpMV stream, the workloads' graph
+// builds, and macro (batched vs scalar SimulateSpMV over the given
+// workloads) — and returns the report. The gen pass checks that every
+// build reproduces its workload's graph, and the macro pass that the
+// batched and scalar results are identical, so a bench run doubles as a
+// coarse differential test; a mismatch is returned as an error.
 func Pipeline(workloads []Workload, opts Options) (Report, error) {
 	r := Report{Schema: SchemaVersion, Suite: opts.Suite, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	Micro(&r, opts)
 	if len(workloads) > 0 {
 		SpMVAccess(&r, workloads[0].Graph, opts)
 	}
+	if err := Gen(&r, workloads, opts); err != nil {
+		return r, err
+	}
 	if err := Macro(&r, workloads, opts); err != nil {
 		return r, err
 	}
 	return r, nil
+}
+
+// Gen appends, per workload with a Build, the time to generate its graph
+// as gen/<name> in nanoseconds per edge: the set-up every experiment,
+// bench and served job pays before its first reorder or simulation. It
+// errors if a build differs from the workload's graph.
+func Gen(r *Report, workloads []Workload, opts Options) error {
+	rep := opts.repeats()
+	for _, w := range workloads {
+		if w.Build == nil {
+			continue
+		}
+		var g *graph.Graph
+		d := timeIt(rep, func() { g = w.Build() })
+		if !g.Equal(w.Graph) {
+			return fmt.Errorf("perf: building %s again gave a different graph", w.Name)
+		}
+		name := "gen/" + w.Name
+		ns := float64(d.Nanoseconds()) / float64(max(g.NumEdges(), 1))
+		r.Add(name, rep, ns)
+		opts.progress(name, ns)
+	}
+	return nil
 }
 
 // microAccesses is the synthetic stream length for the cachesim micro

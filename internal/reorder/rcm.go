@@ -1,8 +1,9 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"graphlocality/internal/graph"
 )
@@ -39,8 +40,16 @@ func (RCM) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error)
 		deg[v] = u.OutDegree(v)
 	}
 	visited := make([]bool, n)
+	// order doubles as the BFS queue: a component's vertices are appended
+	// in the order they are dequeued.
 	order := make([]uint32, 0, n)
-	queue := make([]uint32, 0, 1024)
+	var fresh []uint32
+	byDegree := func(x, y uint32) int {
+		if c := cmp.Compare(deg[x], deg[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	}
 
 	// Seeds in ascending degree order so each component starts from a
 	// pseudo-peripheral low-degree vertex.
@@ -50,24 +59,19 @@ func (RCM) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error)
 			continue
 		}
 		visited[s] = true
-		queue = append(queue[:0], s)
-		for i := 0; i < len(queue); i++ {
-			v := queue[i]
-			order = append(order, v)
-			nbrs := append([]uint32(nil), u.OutNeighbors(v)...)
-			sort.Slice(nbrs, func(a, b int) bool {
-				x, y := nbrs[a], nbrs[b]
-				if deg[x] != deg[y] {
-					return deg[x] < deg[y]
-				}
-				return x < y
-			})
-			for _, w := range nbrs {
+		order = append(order, s)
+		for i := len(order) - 1; i < len(order); i++ {
+			// Only the unvisited neighbours are enqueued, so only they
+			// are sorted.
+			fresh = fresh[:0]
+			for _, w := range u.OutNeighbors(order[i]) {
 				if !visited[w] {
 					visited[w] = true
-					queue = append(queue, w)
+					fresh = append(fresh, w)
 				}
 			}
+			slices.SortFunc(fresh, byDegree)
+			order = append(order, fresh...)
 		}
 	}
 	// Reverse.
