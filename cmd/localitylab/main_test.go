@@ -143,6 +143,25 @@ func TestCLIGraphFilePipeline(t *testing.T) {
 	}
 }
 
+// TestCmdGenRejectsBadInput: gen with a scale whose 2^scale wraps or an
+// edge factor below 1 is a usage error that writes no -out file.
+func TestCmdGenRejectsBadInput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kind", "er", "-scale", "32"},
+		{"-kind", "er", "-scale", "4", "-edgefac", "0"},
+	} {
+		out := filepath.Join(t.TempDir(), "g.seg")
+		err := cmdGen(append(args, "-out", out))
+		var ue *usageError
+		if !errors.As(err, &ue) || exitCode(err) != exitUsage {
+			t.Errorf("gen %v = %v, want a usage error (exit %d)", args, err, exitUsage)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("gen %v wrote -out (stat: %v)", args, err)
+		}
+	}
+}
+
 // TestExperimentEmptyID: an empty experiment id is the usual usage
 // error, not an index panic.
 func TestExperimentEmptyID(t *testing.T) {

@@ -1,47 +1,74 @@
 package cachesim
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Batched access fast paths. A trace-driven simulation spends most of its
 // time calling Cache.Access once per memory instruction; for a full SpMV
 // grid that is hundreds of millions of calls whose cost is dominated by Go
 // call overhead and per-access bookkeeping rather than by the replacement
 // policy itself. AccessBatch amortizes that overhead over a block of
-// accesses: geometry (line shift, set mask, set shift) and policy state
-// (PSEL, BRRIP counter) are hoisted out of the loop, the probe and the miss
-// path run inline, and the counters are folded into Stats once per block.
-// The per-way columns are read through the Cache rather than hoisted: the
-// loop keeps fewer values live, and in measurement that beat holding six
-// more slice headers in locals the compiler then spills.
+// accesses: geometry, policy state (PSEL, BRRIP counter, LRU clock) and the
+// per-way columns are hoisted out of the loop, the probe and the miss path
+// run inline, and the counters are folded into Stats once per block.
+//
+// The kernel is written for caches of at most 8 ways, whose per-set stride
+// is 8: a set's partial tags are then one little-endian word and so are its
+// RRPVs. The probe is one XOR of that word against the probed tag's
+// broadcast low byte, masked to the set's occupied lanes, and the RRIP
+// victim is one aging add on the RRPV word plus a trailing-zeros pick.
+// ScaledL3 (8-way DRRIP) and ScaledTLB (4-way LRU), the geometries every
+// simulation uses, both take it. A wider cache runs the scalar access once
+// per element of the block.
 //
 // Bit-exactness contract: for any access sequence and any geometry, any
 // way of cutting the sequence into batches produces exactly the per-access
 // hit/miss results and final cache state (tags, partial tags, dirty bits,
 // RRPVs or LRU stamps, per-set occupancy, DRRIP PSEL, BRRIP counter, LRU
 // clock, statistics) that the same sequence produces through scalar Access
-// calls. Both paths probe the packed set state the same way and take their
-// victims from the same evict; the rest of the inlined miss path mirrors
-// missFill and fill operation for operation. The differential suite in
-// core, batch_test.go and FuzzBatchedVsScalar hold the two paths together,
-// and the LRU and RRIP oracles in core check both against models that
-// share no code with them.
+// calls. Above 8 ways that holds by construction. Up to 8 ways the kernel
+// is the one-word case of probe and evict, and the rest of its miss path
+// mirrors missFill and fill operation for operation. The differential
+// suite in core, batch_test.go and FuzzBatchedVsScalar (which samples 1..16
+// ways, across the 8/9 boundary) hold the two paths together, and the LRU
+// and RRIP oracles in core check both against models that share no code
+// with them.
 
 // AccessBatch simulates len(addrs) accesses in order. writes marks which
 // accesses are stores; nil means all loads. hits, when non-nil, must have
 // len(addrs) elements and receives the per-access hit results. It returns
 // the number of hits in the batch.
 func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
+	nHits := 0
+	if c.stride != 8 {
+		for i, addr := range addrs {
+			hit, _ := c.access(addr, writes != nil && writes[i])
+			if hit {
+				nHits++
+			}
+			if hits != nil {
+				hits[i] = hit
+			}
+		}
+		return nHits
+	}
+
 	// Shift counts are masked so the shifts compile without a range check.
 	lineShift, setBits := c.lineBits&63, c.setBits&63
-	setMask, stride, ways := c.setMask, c.stride, c.cfg.Ways
+	setMask, ways, tail := c.setMask, uint16(c.cfg.Ways), c.tail
 	policy := c.cfg.Policy
 	isLRU := policy == LRU
 	isDRRIP := policy == DRRIP
 	nextLine := c.cfg.NextLinePrefetch
+	tags, ptag, dirty, occ := c.tags, c.ptag, c.dirty, c.occ
+	rrpv, stamp := c.rrpv, c.stamp
 	// Policy state as loop locals, written back after the block. prefetch()
-	// (the only method called besides evict, on the prefetch-fill path)
-	// reads neither, so the copies cannot go stale mid-block.
-	psel, brripCtr := c.psel, c.brripCtr
+	// and evict(), the only methods called, read none of them, so the
+	// copies cannot go stale mid-block.
+	psel, brripCtr, clock := c.psel, c.brripCtr, c.clock
+	var readMiss, writeMiss, evictions, writebacks uint64
 
 	// Two-slot MRU line memo. The SpMV stream is highly line-repetitive in
 	// an alternating pattern — 16 sequential edge reads per line interleaved
@@ -52,36 +79,33 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 	// so comparing the way's line number alone rejects a stale entry. The
 	// initial entries name line ^0 and way 0 of its set, which matches only
 	// once it really holds line ^0: a free way's line number is 0.
-	noLine, noWay := ^uint64(0), int(setMask)*stride
+	noLine, noWay := ^uint64(0), int(setMask)*8
 	memoLine0, memoWay0 := noLine, noWay
 	memoLine1, memoWay1 := noLine, noWay
 
-	nHits := 0
 	for i, addr := range addrs {
 		line := addr >> lineShift
 		j := -1 // column index of the way holding the line
 		if line == memoLine0 {
-			if c.tags[memoWay0] == line {
+			if tags[memoWay0] == line {
 				j = memoWay0
 			}
 		} else if line == memoLine1 {
-			if c.tags[memoWay1] == line {
+			if tags[memoWay1] == line {
 				j = memoWay1
 			}
 		}
 		if j < 0 {
 			set := line & setMask
-			base := int(set) * stride
-			n := int(c.occ[set])
-			// Probe (probe()): the partial tags nominate, the line numbers
-			// decide.
+			base := int(set) * 8
+			n := occ[set]
+			// Probe (probe()): the partial tags of the occupied ways
+			// nominate, the line numbers decide.
 			p := uint64(uint8(line>>setBits)) * laneOnes
-			for k := 0; k < n && j < 0; k += 8 {
-				for m := zeroLanes(le64(c.ptag[base+k:])^p) & firstLanes(n-k); m != 0; m &= m - 1 {
-					if w := base + k + bits.TrailingZeros64(m)>>3; c.tags[w] == line {
-						j = w
-						break
-					}
+			for m := zeroLanes(le64(ptag[base:base+8])^p) & (laneHigh >> (64 - 8*uint(n))); m != 0; m &= m - 1 {
+				if w := base + bits.TrailingZeros64(m)>>3; tags[w] == line {
+					j = w
+					break
 				}
 			}
 			if j < 0 {
@@ -89,9 +113,9 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 				// in the same order, over the hoisted state.
 				write := writes != nil && writes[i]
 				if write {
-					c.stats.WriteMiss++
+					writeMiss++
 				} else {
-					c.stats.ReadMiss++
+					readMiss++
 				}
 				if isDRRIP {
 					// Leader-set misses steer PSEL (leaderPeriod is a power
@@ -106,21 +130,37 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 					canDn := int(uint64(int64(-psel)) >> 63)        // 1 iff psel > 0
 					psel += isS*canUp - isB*canDn
 				}
-				// Fill (fill()): the first free way, else evict's choice.
-				w := n
+				// Fill (fill()): the first free way, else evict's choice;
+				// the RRIP victim is evict's one-word case, inline.
+				j = base + int(n)
 				if n < ways {
-					c.occ[set]++
+					occ[set]++
 				} else {
-					w = c.evict(base)
-					c.stats.Evictions++
-					if c.dirty[base+w] {
-						c.stats.Writebacks++
+					if isLRU {
+						j = base + c.evict(base)
+					} else {
+						r := le64(rrpv[base : base+8])
+						h := r >> 1 & tail
+						d := uint64(rrpvMax) // every way at 0
+						if r&h != 0 {
+							d = 0
+						} else if h != 0 {
+							d = 1
+						} else if r&tail != 0 {
+							d = 2
+						}
+						r += d * tail
+						binary.LittleEndian.PutUint64(rrpv[base:base+8], r)
+						j = base + bits.TrailingZeros64(r&(r>>1)&tail)>>3
+					}
+					evictions++
+					if dirty[j] {
+						writebacks++
 					}
 				}
-				j = base + w
-				c.tags[j] = line
-				c.ptag[j] = uint8(line >> setBits)
-				c.dirty[j] = write
+				tags[j] = line
+				ptag[j] = uint8(line >> setBits)
+				dirty[j] = write
 				// Insertion (missFill()/setRole()).
 				role := policy
 				if isDRRIP {
@@ -139,16 +179,16 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 				}
 				switch role {
 				case LRU:
-					c.clock++
-					c.stamp[j] = c.clock
+					clock++
+					stamp[j] = clock
 				case SRRIP:
-					c.rrpv[j] = rrpvLong
+					rrpv[j] = rrpvLong
 				default: // BRRIP
 					brripCtr++
 					if brripCtr%brripEpsilon == 0 {
-						c.rrpv[j] = rrpvLong
+						rrpv[j] = rrpvLong
 					} else {
-						c.rrpv[j] = rrpvDistant
+						rrpv[j] = rrpvDistant
 					}
 				}
 				if nextLine {
@@ -172,13 +212,13 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 		memoWay0 = j
 		nHits++
 		if isLRU {
-			c.clock++
-			c.stamp[j] = c.clock
+			clock++
+			stamp[j] = clock
 		} else { // all RRIP variants promote to RRPV 0 on hit
-			c.rrpv[j] = 0
+			rrpv[j] = 0
 		}
 		if writes != nil && writes[i] {
-			c.dirty[j] = true
+			dirty[j] = true
 		}
 		if hits != nil {
 			hits[i] = true
@@ -186,12 +226,15 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 	}
 
 	// Write back the hoisted policy state and fold the counters once per
-	// block. The miss path counts read and write misses, evictions and
-	// writebacks as it goes; prefetch fills account their own stats.
-	c.psel, c.brripCtr = psel, brripCtr
+	// block. prefetch fills account their own stats as they go.
+	c.psel, c.brripCtr, c.clock = psel, brripCtr, clock
 	c.stats.Accesses += uint64(len(addrs))
 	c.stats.Hits += uint64(nHits)
 	c.stats.Misses += uint64(len(addrs) - nHits)
+	c.stats.ReadMiss += readMiss
+	c.stats.WriteMiss += writeMiss
+	c.stats.Evictions += evictions
+	c.stats.Writebacks += writebacks
 	return nHits
 }
 

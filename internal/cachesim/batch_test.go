@@ -125,7 +125,9 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 }
 
 // TestAccessBatchOddWays covers associativities that are not a multiple of
-// 8, whose sets end in pad ways, and sets of two and three words.
+// 8, whose sets end in pad ways, and sets of two and three words: 1 and 3
+// ways take AccessBatch's one-word kernel, the wider ones its per-access
+// fallback.
 func TestAccessBatchOddWays(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	addrs, writes := mixedStream(rng, 8000, 1<<18)

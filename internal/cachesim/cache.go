@@ -306,9 +306,10 @@ func (c *Cache) probe(set, line uint64) int {
 
 // missFill performs everything a demand miss does after the probe: DRRIP
 // set-dueling vote, victim selection, fill, replacement-metadata insertion
-// and the optional next-line prefetch. AccessBatch performs the same
-// operations in the same order over its hoisted state, with the same
-// evict. It returns the column index the line was filled into.
+// and the optional next-line prefetch. AccessBatch's kernel performs the
+// same operations in the same order over its hoisted state, with evict's
+// one-word case inline. It returns the column index the line was filled
+// into.
 func (c *Cache) missFill(line, set uint64, write bool) int {
 	if c.cfg.Policy == DRRIP {
 		// Leader-set misses steer PSEL: an SRRIP-leader miss votes

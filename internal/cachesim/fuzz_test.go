@@ -12,30 +12,33 @@ import (
 // suite's structured streams never reach: pathological set aliasing,
 // lines whose tags share their low byte (so the partial-tag probe
 // nominates several ways), line 0 (whose number a free way also holds),
-// single-way sets, batch cuts of every phase relative to the stream.
+// single-way sets, batch cuts of every phase relative to the stream, and
+// both sides of the 8/9-way boundary between AccessBatch's one-word kernel
+// and its per-access fallback.
 //
-// cfgSel picks geometry and policy; blockSel the batch size; data encodes
-// the stream, 3 bytes per access (16-bit line index + write bit), keeping
-// the addresses in a window small enough to keep the cache contended.
+// cfgSel picks geometry and policy (bits 0-1 sets, 2-5 ways, 6-7 policy,
+// 8 next-line prefetch); blockSel the batch size; data encodes the stream,
+// 3 bytes per access (16-bit line index + write bit), keeping the addresses
+// in a window small enough to keep the cache contended.
 func FuzzBatchedVsScalar(f *testing.F) {
-	f.Add(uint8(0x00), uint8(1), []byte{0, 0, 0})
-	f.Add(uint8(0x1b), uint8(3), []byte{
+	f.Add(uint16(0x00), uint8(1), []byte{0, 0, 0})
+	f.Add(uint16(0x1b), uint8(3), []byte{
 		0, 0, 0, 0, 0, 1, 0, 1, 0, 0xff, 0xff, 1, 0, 0, 0,
 	})
-	f.Add(uint8(0x2f), uint8(0), []byte{
+	f.Add(uint16(0x4f), uint8(0), []byte{
 		1, 2, 0, 3, 4, 1, 5, 6, 0, 7, 8, 1, 1, 2, 0, 9, 10, 0,
 	})
-	f.Add(uint8(0x37), uint8(255), []byte{
+	f.Add(uint16(0x57), uint8(255), []byte{
 		0x40, 0, 0, 0x40, 1, 0, 0x40, 2, 0, 0x40, 3, 1, 0x40, 0, 0,
 	})
 
-	f.Fuzz(func(t *testing.T, cfgSel, blockSel uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, cfgSel uint16, blockSel uint8, data []byte) {
 		cfg := Config{
 			LineSize:         64,
 			Sets:             1 << (cfgSel & 0x3),       // 1..8 sets
-			Ways:             1 + int(cfgSel>>2&0x7),    // 1..8 ways
-			Policy:           Policy(cfgSel >> 5 & 0x3), // LRU..DRRIP
-			NextLinePrefetch: cfgSel>>7 == 1,
+			Ways:             1 + int(cfgSel>>2&0xf),    // 1..16 ways
+			Policy:           Policy(cfgSel >> 6 & 0x3), // LRU..DRRIP
+			NextLinePrefetch: cfgSel>>8&1 == 1,
 		}
 		blockSize := 1 + int(blockSel)%64
 

@@ -15,8 +15,15 @@ var Kinds = []string{"social", "web", "er", "ba"}
 // (WebGraph with DefaultWebGraph), "er" (ErdosRenyi) or "ba"
 // (PreferentialAttachment). It is the one kind switch behind the CLI's
 // gen command and the server's graph specs, so both build the same graph
-// from the same parameters.
+// from the same parameters. scale must lie in [1, 31], where 2^scale is a
+// uint32 vertex count, and edgeFac must be at least 1.
 func Generate(kind string, scale, edgeFac int, seed uint64) (*graph.Graph, error) {
+	if scale < 1 || scale > 31 {
+		return nil, fmt.Errorf("gen: scale %d out of range [1, 31]", scale)
+	}
+	if edgeFac < 1 {
+		return nil, fmt.Errorf("gen: edge factor %d must be at least 1", edgeFac)
+	}
 	n := uint32(1) << scale
 	switch kind {
 	case "social":

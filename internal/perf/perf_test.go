@@ -131,13 +131,15 @@ func TestReportRoundTrip(t *testing.T) {
 func TestSpMVAccessRows(t *testing.T) {
 	var r Report
 	SpMVAccess(&r, gen.SocialNetwork(8, 4, 1), Options{Repeats: 1})
-	for _, name := range []string{"cachesim/access/spmv/scalar", "cachesim/access/spmv/batched"} {
-		if b, ok := r.Find(name); !ok || b.NsPerOp <= 0 {
-			t.Errorf("%s: %+v, found %v", name, b, ok)
+	for _, name := range []string{"cachesim/access/spmv", "cachesim/access/tlb"} {
+		for _, row := range []string{name + "/scalar", name + "/batched"} {
+			if b, ok := r.Find(row); !ok || b.NsPerOp <= 0 {
+				t.Errorf("%s: %+v, found %v", row, b, ok)
+			}
 		}
-	}
-	if s, ok := r.FindSpeedup("cachesim/access/spmv"); !ok || s.Speedup <= 0 {
-		t.Errorf("speedup: %+v, found %v", s, ok)
+		if s, ok := r.FindSpeedup(name); !ok || s.Speedup <= 0 {
+			t.Errorf("%s speedup: %+v, found %v", name, s, ok)
+		}
 	}
 }
 

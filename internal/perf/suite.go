@@ -175,48 +175,71 @@ func Micro(r *Report, opts Options) {
 // SpMVAccess appends the cache simulator's throughput on a stream it is
 // actually given: the pull SpMV access stream of g, materialized once,
 // replayed through scalar Access and through AccessBatch in
-// trace.DefaultBatchSize blocks, on the default ScaledL3 DRRIP geometry for
-// g. NsPerOp is nanoseconds per simulated access.
+// trace.DefaultBatchSize blocks. cachesim/access/spmv runs it on the
+// default ScaledL3 DRRIP geometry for g, and cachesim/access/tlb on the
+// 4-way LRU ScaledTLB that covers 10% of g's footprint, as the simulations
+// with a TLB use. NsPerOp is nanoseconds per simulated access.
 func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
-	cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
+	layout := trace.NewLayout(g)
 	var addrs []uint64
 	var writes []bool
-	trace.Generate(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), 0, false, func(b *trace.Block) bool {
+	trace.Generate(g, layout, trace.Whole(g, trace.Pull), 0, false, func(b *trace.Block) bool {
 		addrs = append(addrs, b.Addrs...)
 		writes = append(writes, b.Writes...)
 		return true
 	})
-	accessRows(r, "cachesim/access/spmv", cfg, addrs, writes, opts)
+	accessRows(r, "cachesim/access/spmv", cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction), addrs, writes, opts)
+
+	tlbCfg := cachesim.ScaledTLB(layout.FootprintBytes(), 0.10)
+	timeRows(r, "cachesim/access/tlb", len(addrs), func() {
+		t := cachesim.NewTLB(tlbCfg)
+		for _, a := range addrs {
+			t.Access(a)
+		}
+	}, func() {
+		t := cachesim.NewTLB(tlbCfg)
+		forBlocks(len(addrs), func(lo, hi int) { t.AccessBatch(addrs[lo:hi], nil) })
+	}, opts)
 }
 
 // accessRows times one stream through a fresh cache of geometry cfg, once
 // per scalar Access call and once through AccessBatch in
-// trace.DefaultBatchSize blocks, and appends name/scalar and name/batched
-// in nanoseconds per access, and their speedup as name.
+// trace.DefaultBatchSize blocks (see timeRows).
 func accessRows(r *Report, name string, cfg cachesim.Config, addrs []uint64, writes []bool, opts Options) {
-	rep := opts.repeats()
-	n := float64(len(addrs))
-	scalar := timeIt(rep, func() {
+	timeRows(r, name, len(addrs), func() {
 		c := cachesim.New(cfg)
 		for i, a := range addrs {
 			c.Access(a, writes[i])
 		}
-	})
-	ns := float64(scalar.Nanoseconds()) / n
+	}, func() {
+		c := cachesim.New(cfg)
+		forBlocks(len(addrs), func(lo, hi int) { c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil) })
+	}, opts)
+}
+
+// timeRows times scalar and batched, which each simulate the same n
+// accesses, and appends name/scalar and name/batched in nanoseconds per
+// access, and their speedup as name.
+func timeRows(r *Report, name string, n int, scalar, batched func(), opts Options) {
+	rep := opts.repeats()
+	tScalar := timeIt(rep, scalar)
+	ns := float64(tScalar.Nanoseconds()) / float64(n)
 	r.Add(name+"/scalar", rep, ns)
 	opts.progress(name+"/scalar", ns)
 
-	batched := timeIt(rep, func() {
-		c := cachesim.New(cfg)
-		for lo := 0; lo < len(addrs); lo += trace.DefaultBatchSize {
-			hi := min(lo+trace.DefaultBatchSize, len(addrs))
-			c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil)
-		}
-	})
-	ns = float64(batched.Nanoseconds()) / n
+	tBatched := timeIt(rep, batched)
+	ns = float64(tBatched.Nanoseconds()) / float64(n)
 	r.Add(name+"/batched", rep, ns)
 	opts.progress(name+"/batched", ns)
-	r.AddSpeedup(name, float64(scalar.Nanoseconds())/float64(batched.Nanoseconds()))
+	r.AddSpeedup(name, float64(tScalar.Nanoseconds())/float64(tBatched.Nanoseconds()))
+}
+
+// forBlocks calls f on [lo, hi) for consecutive trace.DefaultBatchSize
+// blocks covering [0, n).
+func forBlocks(n int, f func(lo, hi int)) {
+	for lo := 0; lo < n; lo += trace.DefaultBatchSize {
+		f(lo, min(lo+trace.DefaultBatchSize, n))
+	}
 }
 
 // Macro appends, per workload, the scalar-reference and batched
