@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphlocality/internal/core"
@@ -159,6 +160,28 @@ func TestCmdGenRejectsBadInput(t *testing.T) {
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("gen %v wrote -out (stat: %v)", args, err)
 		}
+	}
+}
+
+// TestCmdReplayRejectsHugeGeometry: a geometry past the simulator's line
+// cap fails Validate with its message and a non-zero exit, before replay
+// allocates the cache (2^30 sets x 64 ways would need terabytes).
+func TestCmdReplayRejectsHugeGeometry(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "t.tr")
+	g := gen.SocialNetwork(6, 4, 1)
+	f, err := os.Create(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteLogs(trace.CollectLogs(g, trace.NewLayout(g), trace.Pull, 1), f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdReplay([]string{"-trace", tr, "-sets", "1073741824", "-ways", "64"})
+	if err == nil || !strings.Contains(err.Error(), "cachesim: 1073741824 sets x 64 ways") || exitCode(err) == 0 {
+		t.Fatalf("replay of 2^30 x 64 = %v (exit %d), want the Validate error and a non-zero exit", err, exitCode(err))
 	}
 }
 

@@ -3,7 +3,6 @@ package cachesim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -15,7 +14,9 @@ import (
 // batch cut, so a divergence is caught at the first access that drifts
 // rather than smeared into an end-of-run counter diff.
 
-// assertSameState compares every piece of mutable state of two caches.
+// assertSameState compares every piece of mutable state of two caches:
+// the policy state, the statistics and every set record, pad lanes
+// included.
 func assertSameState(t *testing.T, name string, want, got *Cache) {
 	t.Helper()
 	if want.stats != got.stats {
@@ -25,20 +26,28 @@ func assertSameState(t *testing.T, name string, want, got *Cache) {
 		t.Fatalf("%s: (psel,clock,brripCtr) = (%d,%d,%d), want (%d,%d,%d)",
 			name, got.psel, got.clock, got.brripCtr, want.psel, want.clock, want.brripCtr)
 	}
-	if !slices.Equal(want.tags, got.tags) {
-		t.Fatalf("%s: tags diverge", name)
+	if len(want.recs) != len(got.recs) {
+		t.Fatalf("%s: %d records, want %d", name, len(got.recs), len(want.recs))
 	}
-	if !slices.Equal(want.ptag, got.ptag) {
-		t.Fatalf("%s: partial tags diverge", name)
-	}
-	if !slices.Equal(want.dirty, got.dirty) {
-		t.Fatalf("%s: dirty bits diverge", name)
-	}
-	if !slices.Equal(want.rrpv, got.rrpv) || !slices.Equal(want.stamp, got.stamp) {
-		t.Fatalf("%s: replacement metadata diverges", name)
-	}
-	if !slices.Equal(want.occ, got.occ) {
-		t.Fatalf("%s: per-set occupancy diverges", name)
+	for i, w := range want.recs {
+		g := got.recs[i]
+		var field string
+		switch {
+		case w.tags != g.tags:
+			field = "tags"
+		case w.ptag != g.ptag:
+			field = "partial tags"
+		case w.dirty != g.dirty:
+			field = "dirty bits"
+		case w.rrpv != g.rrpv || w.stamp != g.stamp:
+			field = "replacement metadata"
+		case w.occ != g.occ:
+			field = "occupancy"
+		default:
+			continue
+		}
+		t.Fatalf("%s: %s of record %d (set %d) diverge: got %+v, want %+v",
+			name, field, i, 8*i/want.stride, g, w)
 	}
 }
 
@@ -119,6 +128,49 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 			for _, bs := range []int{1, 7, 4096} {
 				name := fmt.Sprintf("%s/prefetch=%v/bs=%d", pol, prefetch, bs)
 				runDifferential(t, name, cfg, addrs, writes, bs)
+			}
+		}
+	}
+}
+
+// TestAccessBatchInterleavedWithScalar drives one cache through runs of
+// scalar Access calls and AccessBatch blocks in turn, cut at seeded points,
+// and compares per-access hits and the full state after every run against
+// a cache that only ever saw scalar Access calls. Both entry points read
+// and write the same set records and policy state, so a field one of them
+// keeps in a local it forgets to write back, or reads stale, shows up at
+// the next switch. 8 ways takes the batched kernel, 11 its per-access
+// fallback.
+func TestAccessBatchInterleavedWithScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	addrs, writes := mixedStream(rng, 12000, 1<<19)
+	for _, ways := range []int{8, 11} {
+		for _, pol := range []Policy{LRU, SRRIP, BRRIP, DRRIP} {
+			for _, prefetch := range []bool{false, true} {
+				name := fmt.Sprintf("ways=%d/%s/prefetch=%v", ways, pol, prefetch)
+				cfg := Config{LineSize: 64, Sets: 32, Ways: ways, Policy: pol, NextLinePrefetch: prefetch}
+				scalar, mixed := New(cfg), New(cfg)
+				cuts := rand.New(rand.NewSource(int64(8*ways + int(pol))))
+				hits := make([]bool, 256)
+				batch := prefetch // start with either entry point
+				for lo := 0; lo < len(addrs); batch = !batch {
+					hi := min(lo+1+cuts.Intn(len(hits)), len(addrs))
+					if batch {
+						mixed.AccessBatch(addrs[lo:hi], writes[lo:hi], hits[:hi-lo])
+					} else {
+						for i := lo; i < hi; i++ {
+							hits[i-lo] = mixed.Access(addrs[i], writes[i])
+						}
+					}
+					for i := lo; i < hi; i++ {
+						if want := scalar.Access(addrs[i], writes[i]); hits[i-lo] != want {
+							t.Fatalf("%s: access %d (addr %#x, batched=%v): hit=%v, scalar hit=%v",
+								name, i, addrs[i], batch, hits[i-lo], want)
+						}
+					}
+					assertSameState(t, fmt.Sprintf("%s after [%d,%d) batched=%v", name, lo, hi, batch), scalar, mixed)
+					lo = hi
+				}
 			}
 		}
 	}
@@ -331,8 +383,9 @@ func TestAccessBatchMemoStartsEmpty(t *testing.T) {
 // TestOccTracksValid cross-checks the per-set occupancy counters after a
 // contended run with prefetching: a set holds as many lines as were ever
 // filled into it, up to its associativity (fills take free ways first and
-// nothing frees one); the valid ways hold distinct lines of the set with
-// their tags' low bytes as partial tags; every free and pad way is zero.
+// nothing frees one), and only its first record counts them; the valid
+// ways hold distinct lines of the set with their tags' low bytes as
+// partial tags; every free way and pad lane is zero.
 func TestOccTracksValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	addrs, writes := mixedStream(rng, 10000, 1<<16)
@@ -354,23 +407,27 @@ func TestOccTracksValid(t *testing.T) {
 			}
 		}
 		for set := 0; set < c.cfg.Sets; set++ {
-			if want := min(len(filled[set]), ways); int(c.occ[set]) != want {
-				t.Fatalf("ways=%d set %d: occ=%d but %d lines filled", ways, set, c.occ[set], want)
+			recs := c.setRecs(set * c.stride)
+			occ := int(recs[0].occ)
+			if want := min(len(filled[set]), ways); occ != want {
+				t.Fatalf("ways=%d set %d: occ=%d but %d lines filled", ways, set, occ, want)
 			}
-			base := set * c.stride
 			seen := map[uint64]bool{}
 			for w := 0; w < c.stride; w++ {
-				i := base + w
-				if w >= int(c.occ[set]) {
-					if c.tags[i] != 0 || c.ptag[i] != 0 || c.rrpv[i] != 0 || c.dirty[i] {
+				r, lane := &recs[w>>3], w&7
+				if w >= 8 && lane == 0 && r.occ != 0 {
+					t.Fatalf("ways=%d set %d: record %d counts %d ways", ways, set, w>>3, r.occ)
+				}
+				if w >= occ {
+					if r.tags[lane] != 0 || r.ptag[lane] != 0 || r.rrpv[lane] != 0 || r.stamp[lane] != 0 || r.dirty[lane] {
 						t.Fatalf("ways=%d set %d: free way %d is not zero", ways, set, w)
 					}
 					continue
 				}
-				line := c.tags[i]
-				if seen[line] || !filled[set][line] || c.ptag[i] != uint8(line>>4) || c.rrpv[i] > rrpvMax {
+				line := r.tags[lane]
+				if seen[line] || !filled[set][line] || r.ptag[lane] != uint8(line>>4) || r.rrpv[lane] > rrpvMax {
 					t.Fatalf("ways=%d set %d: way %d holds tag %#x, partial tag %#x, RRPV %d",
-						ways, set, w, c.tags[i], c.ptag[i], c.rrpv[i])
+						ways, set, w, line, r.ptag[lane], r.rrpv[lane])
 				}
 				seen[line] = true
 			}

@@ -83,7 +83,15 @@ type Config struct {
 // SizeBytes returns the total capacity in bytes.
 func (c Config) SizeBytes() int { return c.LineSize * c.Sets * c.Ways }
 
-// Validate checks the geometry.
+// maxLines caps a cache's line count Sets×Ways at 2^24 (16 Mi lines, a
+// 1 GiB cache of 64-byte lines, about 46 times the paper's 22 MiB L3).
+// A cache keeps about 20 bytes of state per line, so the cap bounds a
+// cache at about 320 MiB, and it keeps every occupancy count far inside
+// its uint32.
+const maxLines = 1 << 24
+
+// Validate checks the geometry: LineSize and Sets positive powers of two,
+// Ways positive, and at most 2^24 lines (Sets×Ways) in all.
 func (c Config) Validate() error {
 	if c.LineSize <= 0 || bits.OnesCount(uint(c.LineSize)) != 1 {
 		return fmt.Errorf("cachesim: LineSize %d must be a positive power of two", c.LineSize)
@@ -93,6 +101,9 @@ func (c Config) Validate() error {
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cachesim: Ways %d must be positive", c.Ways)
+	}
+	if c.Ways > maxLines/c.Sets {
+		return fmt.Errorf("cachesim: %d sets x %d ways is more than the %d lines a cache may hold", c.Sets, c.Ways, maxLines)
 	}
 	return nil
 }
@@ -130,41 +141,72 @@ func (s Stats) Record(rec obs.Recorder, prefix string) {
 	rec.Counter(prefix + ".prefetches").Add(s.Prefetches)
 }
 
-// Per-way state is packed by set so that a set's metadata is a few
-// little-endian words. Every per-way column has a per-set stride of Ways
-// rounded up to a multiple of 8, and way w of set s lives at index
-// s*stride+w in each of them:
+// A cache's state is one slice of set records of eight ways each. A set of
+// at most 8 ways is one record; a wider set spans stride/8 consecutive
+// records, stride being Ways rounded up to a multiple of 8. Way w of set s
+// is way number k = s*stride+w, which lives in lane k&7 of record k>>3:
 //
 //   - tags holds each way's line number (its tag above its set index) and
 //     ptag the low byte of its tag, so that one XOR against the probed
-//     tag's broadcast low byte and an exact zero-byte test compare eight
-//     ways at once;
+//     tag's broadcast low byte and an exact zero-byte test compare a
+//     record's eight ways at once;
 //   - rrpv holds each way's 2-bit RRPV in a byte for the RRIP policies, so
 //     that the victim search and the set's aging are word operations;
 //     stamp holds each way's 64-bit recency stamp for LRU;
-//   - dirty marks the lines to write back.
+//   - dirty marks the lines to write back;
+//   - occ counts the set's valid ways. Only a set's first record uses it;
+//     it is zero in the others.
 //
-// occ counts the valid ways of each set. A fill always takes the set's
-// lowest free way and only Reset frees one, so way w of set s is valid
-// exactly when w < occ[s]. A free way, and every pad way past Ways, holds
-// zeros in every column.
+// A fill always takes the set's lowest free way and only Reset frees one,
+// so way w of set s is valid exactly when w < occ. A free way, and every
+// pad lane past Ways in a set's last record, holds zeros in every field.
+type setRec struct {
+	ptag  [8]uint8
+	rrpv  [8]uint8 // RRIP policies only
+	dirty [8]bool
+	occ   uint32 // valid ways of the set, in its first record; Validate's cap keeps it from wrapping
+	tags  [8]uint64
+	stamp [8]uint64 // LRU only
+}
 
 const (
 	laneOnes = 0x0101010101010101 // bit 0 of every byte lane
 	laneLow7 = 0x7f7f7f7f7f7f7f7f // bits 0-6 of every byte lane
-	laneHigh = 0x8080808080808080 // bit 7 of every byte lane
 )
 
-// le64 loads the first eight bytes of b as a word; byte j is lane j.
-func le64(b []uint8) uint64 { return binary.LittleEndian.Uint64(b) }
+// le64 loads eight byte lanes as a word; byte j is lane j.
+func le64(b *[8]uint8) uint64 { return binary.LittleEndian.Uint64(b[:]) }
+
+// putLE64 stores a word into eight byte lanes; lane j is byte j.
+func putLE64(b *[8]uint8, x uint64) { binary.LittleEndian.PutUint64(b[:], x) }
 
 // zeroLanes returns bit 7 of exactly the zero byte lanes of x: adding 0x7f
 // to a lane's low seven bits sets its bit 7 unless they are all zero, and
 // no lane carries into the next.
 func zeroLanes(x uint64) uint64 { return ^(x&laneLow7 + laneLow7 | x | laneLow7) }
 
-// firstLanes returns bit 7 of lanes 0..n-1 for n >= 1 (all eight for n >= 8).
-func firstLanes(n int) uint64 { return laneHigh >> (64 - 8*uint(min(n, 8))) }
+// nonZero returns 1 if x != 0 and 0 otherwise, without a branch.
+func nonZero(x uint64) uint64 { return (x | -x) >> 63 }
+
+// b2u returns 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// agingDistance returns how far evict raises every RRPV of a full set:
+// rrpvMax minus the set's highest RRPV, given bit 0 of the set's lanes at
+// 3 (top), at 2 or more (high) and at an odd RRPV (odd). It has no branch:
+// which RRPV a victim set tops out at is data, not a pattern a branch
+// predictor learns.
+func agingDistance(top, high, odd uint64) uint64 {
+	hi := nonZero(high)
+	// With a lane at 2 or more the highest RRPV is 2 plus whether one is
+	// at 3; otherwise it is whether one is at 1.
+	return rrpvMax - 2*hi - nonZero(odd^(top^odd)&-hi)
+}
 
 // Cache is a set-associative cache simulator. Not safe for concurrent use.
 type Cache struct {
@@ -172,16 +214,10 @@ type Cache struct {
 	lineBits uint
 	setBits  uint // log2(Sets); tag = line >> setBits
 	setMask  uint64
-	stride   int    // per-set stride of the way columns: Ways rounded up to a multiple of 8
-	tail     uint64 // bit 0 of the lanes of a set's last word that hold real ways
+	stride   int    // way numbers per set: Ways rounded up to a multiple of 8
+	tail     uint64 // bit 0 of the lanes of a set's last record that hold real ways
 
-	// Per-way columns, indexed by set*stride+way (see above).
-	tags  []uint64
-	ptag  []uint8
-	rrpv  []uint8  // RRIP policies only
-	stamp []uint64 // LRU only
-	dirty []bool
-	occ   []uint16 // valid ways per set: way w is valid iff w < occ[set]
+	recs []setRec // Sets*stride/8 records; way k is lane k&7 of recs[k>>3]
 
 	clock    uint64 // LRU timestamp source
 	psel     int    // DRRIP policy selector
@@ -197,26 +233,16 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	stride := (cfg.Ways + 7) &^ 7
-	nLines := cfg.Sets * stride
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setBits:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:  uint64(cfg.Sets - 1),
 		stride:   stride,
 		tail:     laneOnes >> (8 * uint(stride-cfg.Ways)),
-		tags:     make([]uint64, nLines),
-		ptag:     make([]uint8, nLines),
-		dirty:    make([]bool, nLines),
-		occ:      make([]uint16, cfg.Sets),
+		recs:     make([]setRec, cfg.Sets*stride/8),
 		psel:     pselInit,
 	}
-	if cfg.Policy == LRU {
-		c.stamp = make([]uint64, nLines)
-	} else {
-		c.rrpv = make([]uint8, nLines)
-	}
-	return c
 }
 
 // Config returns the cache's configuration.
@@ -227,17 +253,15 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.ptag)
-	clear(c.rrpv)
-	clear(c.stamp)
-	clear(c.dirty)
-	clear(c.occ)
+	clear(c.recs)
 	c.clock = 0
 	c.psel = pselInit
 	c.brripCtr = 0
 	c.stats = Stats{}
 }
+
+// setRecs returns the records of the set whose first way number is base.
+func (c *Cache) setRecs(base int) []setRec { return c.recs[base>>3 : (base+c.stride)>>3] }
 
 // set dueling roles for DRRIP.
 func (c *Cache) setRole(set uint64) Policy {
@@ -264,20 +288,19 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return hit
 }
 
-// access is Access that also returns the column index (set*stride+way) of
+// access is Access that also returns the way number (set*stride+way) of
 // the way that hit or was filled.
 func (c *Cache) access(addr uint64, write bool) (bool, int) {
 	c.stats.Accesses++
 	line := addr >> c.lineBits
 	set := line & c.setMask
-	if w := c.probe(set, line); w >= 0 {
-		i := int(set)*c.stride + w
+	if k := c.probe(set, line); k >= 0 {
 		c.stats.Hits++
-		c.touch(i)
+		c.touch(k)
 		if write {
-			c.dirty[i] = true
+			c.recs[k>>3].dirty[k&7] = true
 		}
-		return true, i
+		return true, k
 	}
 
 	c.stats.Misses++
@@ -289,15 +312,20 @@ func (c *Cache) access(addr uint64, write bool) (bool, int) {
 	return false, c.missFill(line, set, write)
 }
 
-// probe returns the valid way of set that holds line, or -1. A partial-tag
-// match only nominates a way; the line number decides.
+// probe returns the way number of the valid way of set that holds line, or
+// -1. A partial-tag match only nominates a way; the line number and the
+// occupancy decide. A free way or pad lane holds partial tag 0 and line 0,
+// so only line 0 can match one, and w < occ turns it down.
 func (c *Cache) probe(set, line uint64) int {
-	base, occ := int(set)*c.stride, int(c.occ[set])
+	base := int(set) * c.stride
+	recs := c.setRecs(base)
+	occ := int(recs[0].occ)
 	p := uint64(uint8(line>>c.setBits)) * laneOnes
-	for k := 0; k < occ; k += 8 {
-		for m := zeroLanes(le64(c.ptag[base+k:])^p) & firstLanes(occ-k); m != 0; m &= m - 1 {
-			if w := k + bits.TrailingZeros64(m)>>3; c.tags[base+w] == line {
-				return w
+	for i := 0; 8*i < occ; i++ {
+		r := &recs[i]
+		for m := zeroLanes(le64(&r.ptag) ^ p); m != 0; m &= m - 1 {
+			if w := 8*i + bits.TrailingZeros64(m)>>3; r.tags[w&7] == line && w < occ {
+				return base + w
 			}
 		}
 	}
@@ -307,9 +335,9 @@ func (c *Cache) probe(set, line uint64) int {
 // missFill performs everything a demand miss does after the probe: DRRIP
 // set-dueling vote, victim selection, fill, replacement-metadata insertion
 // and the optional next-line prefetch. AccessBatch's kernel performs the
-// same operations in the same order over its hoisted state, with evict's
-// one-word case inline. It returns the column index the line was filled
-// into.
+// same operations over its hoisted state, with evict's one-record RRIP
+// case inline and the vote and the insertion RRPV computed without
+// branches. It returns the way number the line was filled into.
 func (c *Cache) missFill(line, set uint64, write bool) int {
 	if c.cfg.Policy == DRRIP {
 		// Leader-set misses steer PSEL: an SRRIP-leader miss votes
@@ -326,101 +354,95 @@ func (c *Cache) missFill(line, set uint64, write bool) int {
 			}
 		}
 	}
-	i := c.fill(set, line, write)
+	k := c.fill(set, line, write)
+	r, lane := &c.recs[k>>3], k&7
 	switch c.setRole(set) {
 	case LRU:
 		c.clock++
-		c.stamp[i] = c.clock
+		r.stamp[lane] = c.clock
 	case SRRIP:
-		c.rrpv[i] = rrpvLong
+		r.rrpv[lane] = rrpvLong
 	case BRRIP:
 		c.brripCtr++
 		if c.brripCtr%brripEpsilon == 0 {
-			c.rrpv[i] = rrpvLong
+			r.rrpv[lane] = rrpvLong
 		} else {
-			c.rrpv[i] = rrpvDistant
+			r.rrpv[lane] = rrpvDistant
 		}
 	}
 	if c.cfg.NextLinePrefetch {
 		c.prefetch(line + 1)
 	}
-	return i
+	return k
 }
 
 // fill puts line into the first free way of set, or else into the way
-// evict picks, accounting the eviction, and returns the way's column
-// index. The replacement metadata is left to the caller.
+// evict picks, accounting the eviction, and returns the way number. The
+// replacement metadata is left to the caller.
 func (c *Cache) fill(set, line uint64, dirty bool) int {
 	base := int(set) * c.stride
-	w := int(c.occ[set])
+	head := &c.recs[base>>3]
+	w := int(head.occ)
 	if w < c.cfg.Ways {
-		c.occ[set]++
+		head.occ++
 	} else {
 		w = c.evict(base)
 		c.stats.Evictions++
-		if c.dirty[base+w] {
-			c.stats.Writebacks++
-		}
+		c.stats.Writebacks += b2u(c.recs[(base+w)>>3].dirty[w&7])
 	}
-	i := base + w
-	c.tags[i] = line
-	c.ptag[i] = uint8(line >> c.setBits)
-	c.dirty[i] = dirty
-	return i
+	k := base + w
+	r, lane := &c.recs[k>>3], k&7
+	r.tags[lane] = line
+	r.ptag[lane] = uint8(line >> c.setBits)
+	r.dirty[lane] = dirty
+	return k
 }
 
-// evict returns the way to evict from the full set whose columns start at
-// base: for LRU the first way with the oldest stamp; for RRIP the first
+// evict returns the way to evict from the full set whose first way number
+// is base: for LRU the first way with the oldest stamp; for RRIP the first
 // way holding the set's highest RRPV, after raising every way's RRPV by
 // rrpvMax minus that RRPV. The RRIP step is the textbook loop — evict the
 // first way at rrpvMax, else age every way by one and scan again — in one
 // pass: raising every RRPV by the same amount makes the first way holding
 // the maximum the first to reach rrpvMax. Both halves are word operations
-// over the set's RRPV bytes, masked to bit 0 of the lanes of real ways:
-// r & r>>1 marks the lanes at 3, r>>1 the lanes at 2 or more, r the odd
-// lanes, and the aging is one add per word.
+// over each record's RRPV bytes, masked to bit 0 of the lanes of real
+// ways: r & r>>1 marks the lanes at 3, r>>1 the lanes at 2 or more, r the
+// odd lanes, and the aging is one add per record.
 func (c *Cache) evict(base int) int {
+	recs := c.setRecs(base)
 	if c.cfg.Policy == LRU {
-		stamp := c.stamp[base : base+c.cfg.Ways]
 		best := 0
-		for w := 1; w < len(stamp); w++ {
-			if stamp[w] < stamp[best] {
+		for w := 1; w < c.cfg.Ways; w++ {
+			if recs[w>>3].stamp[w&7] < recs[best>>3].stamp[best&7] {
 				best = w
 			}
 		}
 		return best
 	}
-	rrpv, last := c.rrpv[base:base+c.stride], c.stride-8
+	last := len(recs) - 1
 	var top, high, odd uint64
-	for k := 0; k <= last; k += 8 {
+	for i := range recs {
 		m := uint64(laneOnes)
-		if k == last {
+		if i == last {
 			m = c.tail
 		}
-		r := le64(rrpv[k:])
+		r := le64(&recs[i].rrpv)
 		h := r >> 1 & m
 		top |= r & h
 		high |= h
 		odd |= r & m
 	}
-	d := uint64(rrpvMax) // every way at 0
-	if top != 0 {
-		d = 0
-	} else if high != 0 {
-		d = 1
-	} else if odd != 0 {
-		d = 2
-	}
+	d := agingDistance(top, high, odd)
 	victim := 0
-	for k := last; k >= 0; k -= 8 {
+	for i := last; i >= 0; i-- {
 		m := uint64(laneOnes)
-		if k == last {
+		if i == last {
 			m = c.tail
 		}
-		r := le64(rrpv[k:]) + d*m
-		binary.LittleEndian.PutUint64(rrpv[k:], r)
+		r := le64(&recs[i].rrpv) + d*m
+		putLE64(&recs[i].rrpv, r)
 		if v := r & (r >> 1) & m; v != 0 {
-			victim = k + bits.TrailingZeros64(v)>>3
+			victim = 8*i + bits.TrailingZeros64(v)>>3
 		}
 	}
 	return victim
@@ -433,23 +455,23 @@ func (c *Cache) prefetch(line uint64) {
 	if c.probe(set, line) >= 0 {
 		return // already resident
 	}
-	i := c.fill(set, line, false)
+	k := c.fill(set, line, false)
 	// Cold insertion: distant RRPV / oldest LRU stamp.
 	if c.cfg.Policy == LRU {
-		c.stamp[i] = 0
+		c.recs[k>>3].stamp[k&7] = 0
 	} else {
-		c.rrpv[i] = rrpvDistant
+		c.recs[k>>3].rrpv[k&7] = rrpvDistant
 	}
 	c.stats.Prefetches++
 }
 
-// touch updates replacement metadata on a hit.
-func (c *Cache) touch(i int) {
+// touch updates replacement metadata of way k on a hit.
+func (c *Cache) touch(k int) {
 	if c.cfg.Policy == LRU {
 		c.clock++
-		c.stamp[i] = c.clock
+		c.recs[k>>3].stamp[k&7] = c.clock
 	} else { // all RRIP variants promote to RRPV 0 on hit
-		c.rrpv[i] = 0
+		c.recs[k>>3].rrpv[k&7] = 0
 	}
 }
 
@@ -464,10 +486,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // no state updates; the paper's ECS metric periodically scans cache
 // contents this way (§VI-F).
 func (c *Cache) Snapshot(fn func(lineAddr uint64)) {
-	for set, n := range c.occ {
-		base := set * c.stride
-		for _, line := range c.tags[base : base+int(n)] {
-			fn(line << c.lineBits)
+	for base := 0; base < len(c.recs)*8; base += c.stride {
+		for k := base; k < base+int(c.recs[base>>3].occ); k++ {
+			fn(c.recs[k>>3].tags[k&7] << c.lineBits)
 		}
 	}
 }
@@ -475,8 +496,8 @@ func (c *Cache) Snapshot(fn func(lineAddr uint64)) {
 // ValidLines returns the number of currently valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, o := range c.occ {
-		n += int(o)
+	for i := 0; i < len(c.recs); i += c.stride / 8 {
+		n += int(c.recs[i].occ)
 	}
 	return n
 }

@@ -16,18 +16,58 @@ func TestConfigValidate(t *testing.T) {
 		{LineSize: 64, Sets: 3, Ways: 1},
 		{LineSize: 64, Sets: 0, Ways: 1},
 		{LineSize: 64, Sets: 4, Ways: 0},
+		// More lines than the 2^24 cap, one way past it, and a product
+		// that overflows int.
+		{LineSize: 64, Sets: 1 << 30, Ways: 64},
+		{LineSize: 64, Sets: 1, Ways: 1<<24 + 1},
+		{LineSize: 64, Sets: 1 << 21, Ways: 9},
+		{LineSize: 64, Sets: 1 << 62, Ways: 4},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v accepted", c)
 		}
 	}
-	good := Config{LineSize: 64, Sets: 8, Ways: 4}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, good := range []Config{
+		{LineSize: 64, Sets: 8, Ways: 4},
+		{LineSize: 64, Sets: 1, Ways: 1 << 24},
+		{LineSize: 64, Sets: 1 << 21, Ways: 8},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", good, err)
+		}
 	}
+	good := Config{LineSize: 64, Sets: 8, Ways: 4}
 	if good.SizeBytes() != 64*8*4 {
 		t.Errorf("SizeBytes = %d", good.SizeBytes())
+	}
+}
+
+// TestWideSetOccupancy fills a single 65 536-way LRU set with as many
+// distinct lines: the set's occupancy must count all of them, with no
+// eviction, and the last line filled must hit. The first 65 535 lines go
+// straight to fill, which does not probe, so the test stays linear; the
+// last one is a demand miss through Access.
+func TestWideSetOccupancy(t *testing.T) {
+	const ways = 1 << 16
+	c := New(Config{LineSize: 64, Sets: 1, Ways: ways, Policy: LRU})
+	for line := uint64(1); line < ways; line++ {
+		c.fill(0, line, false)
+	}
+	if c.Access(0, false) {
+		t.Fatal("line 0 hit before it was filled")
+	}
+	if !c.Access(0, false) {
+		t.Fatal("line 0 missed in a set that holds every line filled")
+	}
+	if n := c.ValidLines(); n != ways {
+		t.Fatalf("ValidLines = %d, want %d", n, ways)
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("%d evictions filling %d ways with %d lines", st.Evictions, ways, ways)
+	}
+	if !c.Contains((ways - 1) << 6) {
+		t.Fatalf("line %d is not resident", ways-1)
 	}
 }
 

@@ -49,7 +49,7 @@ func (u UtilizationStats) MeanFraction() float64 {
 type UtilizationTracker struct {
 	c     *Cache
 	words int
-	// touched[way index] = bitmask of words touched since the line's fill;
+	// touched[way number] = bitmask of words touched since the line's fill;
 	// a way holds a tracked line exactly when its mask is non-zero, since a
 	// fill always touches one word.
 	touched []uint64
@@ -87,7 +87,7 @@ func NewUtilizationTracker(cfg Config) (*UtilizationTracker, error) {
 	return &UtilizationTracker{
 		c:       c,
 		words:   words,
-		touched: make([]uint64, len(c.tags)),
+		touched: make([]uint64, 8*len(c.recs)),
 		stats:   UtilizationStats{Histogram: make([]uint64, words+1)},
 	}, nil
 }

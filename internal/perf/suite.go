@@ -140,7 +140,7 @@ func Micro(r *Report, opts Options) {
 		writes[i] = state>>61&1 == 0
 	}
 
-	accessRows(r, "cachesim/access", cfg, addrs, writes, opts)
+	accessRows(r, "cachesim/access", cfg, addrs, writes, 1, opts)
 
 	// Trace generation over a small social graph (deterministic).
 	g := gen.SocialNetwork(12, 12, 42)
@@ -172,13 +172,21 @@ func Micro(r *Report, opts Options) {
 	_ = sinkAddr
 }
 
+// spmvMinAccesses is the least number of accesses one repetition of an
+// SpMVAccess row simulates: the stream is replayed whole as many times as
+// it takes to reach it, so that a repetition lasts some 50 ms or more and
+// min-of-N compares repetitions long enough to ride out scheduler noise.
+const spmvMinAccesses = 5 << 20
+
 // SpMVAccess appends the cache simulator's throughput on a stream it is
 // actually given: the pull SpMV access stream of g, materialized once,
 // replayed through scalar Access and through AccessBatch in
-// trace.DefaultBatchSize blocks. cachesim/access/spmv runs it on the
-// default ScaledL3 DRRIP geometry for g, and cachesim/access/tlb on the
-// 4-way LRU ScaledTLB that covers 10% of g's footprint, as the simulations
-// with a TLB use. NsPerOp is nanoseconds per simulated access.
+// trace.DefaultBatchSize blocks, each replay into a fresh cache, until a
+// repetition has simulated at least spmvMinAccesses accesses.
+// cachesim/access/spmv runs it on the default ScaledL3 DRRIP geometry for
+// g, and cachesim/access/tlb on the 4-way LRU ScaledTLB that covers 10% of
+// g's footprint, as the simulations with a TLB use. NsPerOp is nanoseconds
+// per simulated access.
 func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
 	layout := trace.NewLayout(g)
 	var addrs []uint64
@@ -188,32 +196,41 @@ func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
 		writes = append(writes, b.Writes...)
 		return true
 	})
-	accessRows(r, "cachesim/access/spmv", cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction), addrs, writes, opts)
+	passes := max(1, (spmvMinAccesses+len(addrs)-1)/max(len(addrs), 1))
+	accessRows(r, "cachesim/access/spmv", cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction), addrs, writes, passes, opts)
 
 	tlbCfg := cachesim.ScaledTLB(layout.FootprintBytes(), 0.10)
-	timeRows(r, "cachesim/access/tlb", len(addrs), func() {
-		t := cachesim.NewTLB(tlbCfg)
-		for _, a := range addrs {
-			t.Access(a)
+	timeRows(r, "cachesim/access/tlb", passes*len(addrs), func() {
+		for range passes {
+			t := cachesim.NewTLB(tlbCfg)
+			for _, a := range addrs {
+				t.Access(a)
+			}
 		}
 	}, func() {
-		t := cachesim.NewTLB(tlbCfg)
-		forBlocks(len(addrs), func(lo, hi int) { t.AccessBatch(addrs[lo:hi], nil) })
+		for range passes {
+			t := cachesim.NewTLB(tlbCfg)
+			forBlocks(len(addrs), func(lo, hi int) { t.AccessBatch(addrs[lo:hi], nil) })
+		}
 	}, opts)
 }
 
-// accessRows times one stream through a fresh cache of geometry cfg, once
-// per scalar Access call and once through AccessBatch in
-// trace.DefaultBatchSize blocks (see timeRows).
-func accessRows(r *Report, name string, cfg cachesim.Config, addrs []uint64, writes []bool, opts Options) {
-	timeRows(r, name, len(addrs), func() {
-		c := cachesim.New(cfg)
-		for i, a := range addrs {
-			c.Access(a, writes[i])
+// accessRows times passes replays of one stream, each through a fresh
+// cache of geometry cfg, once per scalar Access call and once through
+// AccessBatch in trace.DefaultBatchSize blocks (see timeRows).
+func accessRows(r *Report, name string, cfg cachesim.Config, addrs []uint64, writes []bool, passes int, opts Options) {
+	timeRows(r, name, passes*len(addrs), func() {
+		for range passes {
+			c := cachesim.New(cfg)
+			for i, a := range addrs {
+				c.Access(a, writes[i])
+			}
 		}
 	}, func() {
-		c := cachesim.New(cfg)
-		forBlocks(len(addrs), func(lo, hi int) { c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil) })
+		for range passes {
+			c := cachesim.New(cfg)
+			forBlocks(len(addrs), func(lo, hi int) { c.AccessBatch(addrs[lo:hi], writes[lo:hi], nil) })
+		}
 	}, opts)
 }
 
