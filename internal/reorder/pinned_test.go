@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -18,8 +19,9 @@ type heavyPin struct{ perm, stat uint32 }
 // heavyPins holds, per spec, one pin per pinnedStandard graph (in its
 // order) and one CRC folded over every pinnedRandom graph. The values were
 // recorded from the map-based Rabbit-Order, the full-scan SlashBurn, the
-// per-change GOrder and the copy-and-sort-every-list RCM; any rewrite of
-// those kernels must reproduce them.
+// per-change GOrder, the copy-and-sort-every-list RCM and Brew over the
+// map-based community detectors; any rewrite of those kernels must
+// reproduce them.
 var heavyPins = map[string]struct {
 	std    [6]heavyPin
 	random uint32
@@ -34,6 +36,9 @@ var heavyPins = map[string]struct {
 	"go:window=1":        {std: [6]heavyPin{{0xaf82aa8d, 0x00000000}, {0x478f1333, 0x00000000}, {0x5b44835f, 0x00000000}, {0x1bb41be8, 0x00000000}, {0xb9d8dc7d, 0x00000000}, {0xd23c9137, 0x00000000}}, random: 0xa40e2826},
 	"go:window=8":        {std: [6]heavyPin{{0xfd9c2410, 0x00000000}, {0xe64fe8f3, 0x00000000}, {0x0c77a01d, 0x00000000}, {0xd70159c8, 0x00000000}, {0xbcc325a0, 0x00000000}, {0x9f458810, 0x00000000}}, random: 0x6e1b0251},
 	"rcm":                {std: [6]heavyPin{{0xda8d69a8, 0x00000000}, {0x5c8b2c2a, 0x00000000}, {0x0b671945, 0x00000000}, {0x429b6386, 0x00000000}, {0x4870eec2, 0x00000000}, {0xfa731d4c, 0x00000000}}, random: 0x7a753227},
+	"brew":               {std: [6]heavyPin{{0x96dfd854, 0x00000000}, {0x3ad70faf, 0x00000000}, {0x51be6689, 0x00000000}, {0x7f259314, 0x00000000}, {0x8f1f62ce, 0x00000000}, {0x4aae53db, 0x00000000}}, random: 0x7083440d},
+	"brew:resolution=2":  {std: [6]heavyPin{{0xd6fe50bb, 0x00000000}, {0xfadf74a7, 0x00000000}, {0x2a705abd, 0x00000000}, {0xd2b44bbb, 0x00000000}, {0xf6266626, 0x00000000}, {0xf81c64fe, 0x00000000}}, random: 0x0be026cc},
+	"brew:detect=lp":     {std: [6]heavyPin{{0x0ad4e998, 0x00000000}, {0x459761e3, 0x00000000}, {0x748331b7, 0x00000000}, {0xe48bf797, 0x00000000}, {0x0e7586fe, 0x00000000}, {0xd6d4dd51, 0x00000000}}, random: 0xb1f31d01},
 }
 
 // pinnedStandard builds the Standard suite's generators shrunk 16-fold
@@ -97,14 +102,15 @@ func crcWords(crc uint32, words []uint32) uint32 {
 	return crc32.Update(crc, pinTable, buf)
 }
 
-// TestHeavyPermutationsPinned pins SlashBurn, Rabbit-Order, GOrder and
-// RCM bit for bit: every permutation, SlashBurn iteration count and
-// Rabbit-Order community-size list under ten option sets, on the
+// TestHeavyPermutationsPinned pins SlashBurn, Rabbit-Order, GOrder, RCM
+// and Brew bit for bit: every permutation, SlashBurn iteration count and
+// Rabbit-Order community-size list under thirteen option sets, on the
 // benchmark's heavy shapes and on 200 small random graphs.
 func TestHeavyPermutationsPinned(t *testing.T) {
 	std, random := pinnedStandard(), pinnedRandom()
 	specs := []string{"sb", "sb++", "sb:cachebytes=4096", "ro", "ro:edr=2-40",
-		"ro:cachebytes=512", "go", "go:window=1", "go:window=8", "rcm"}
+		"ro:cachebytes=512", "go", "go:window=1", "go:window=8", "rcm",
+		"brew", "brew:resolution=2", "brew:detect=lp"}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
@@ -138,4 +144,72 @@ func pinLiteral(std [6]heavyPin, random uint32) string {
 		s += fmt.Sprintf("{%#08x, %#08x}", p.perm, p.stat)
 	}
 	return s + fmt.Sprintf("}, random: %#08x}", random)
+}
+
+// communityPins holds, per detector, the CRC32C of Membership followed by
+// Count for each pinnedStandard graph, and one CRC folded over every
+// pinnedRandom graph. The values were recorded from the map-based Louvain
+// and label-propagation detectors.
+var communityPins = map[string]struct {
+	std    [6]uint32
+	random uint32
+}{
+	"louvain":              {std: [6]uint32{0x5e707815, 0xf245f168, 0xe45f1ad5, 0x93d2b9bc, 0xb0750473, 0x398d124d}, random: 0x5fa3703e},
+	"louvain:resolution=2": {std: [6]uint32{0xfaf56aae, 0xdc98d895, 0xb6ea2c0f, 0xbf149276, 0x37d7c10e, 0xd4e9891d}, random: 0x7a463821},
+	"lp":                   {std: [6]uint32{0x951304b3, 0x69e5738a, 0xa0ae741d, 0xd4f5ab43, 0x857d1c29, 0x15c451cc}, random: 0x846ab77f},
+}
+
+// communityDetectors names the detector runs TestCommunityDetectionPinned
+// fingerprints, each at Brew's default seed.
+var communityDetectors = map[string]func(*graph.Graph) (Communities, error){
+	"louvain": func(g *graph.Graph) (Communities, error) {
+		return DetectLouvain(context.Background(), g, 1, 1, 0)
+	},
+	"louvain:resolution=2": func(g *graph.Graph) (Communities, error) {
+		return DetectLouvain(context.Background(), g, 2, 1, 0)
+	},
+	"lp": func(g *graph.Graph) (Communities, error) {
+		return DetectLabelProp(context.Background(), g, 1, 0)
+	},
+}
+
+// TestCommunityDetectionPinned pins the Louvain and label-propagation
+// partitions bit for bit, on the benchmark's heavy shapes and on 200 small
+// random graphs.
+func TestCommunityDetectionPinned(t *testing.T) {
+	std, random := pinnedStandard(), pinnedRandom()
+	for name, detect := range communityDetectors {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			run := func(g *graph.Graph) uint32 {
+				c, err := detect(g)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return crcWords(crcWords(0, c.Membership), []uint32{uint32(c.Count)})
+			}
+			var got [6]uint32
+			for i, g := range std {
+				got[i] = run(g)
+			}
+			var fold uint32
+			for _, g := range random {
+				fold = crcWords(fold, []uint32{run(g)})
+			}
+			want, ok := communityPins[name]
+			if !ok {
+				t.Fatalf("no pins recorded for %s; got %s", name, communityLiteral(got, fold))
+			}
+			if got != want.std || fold != want.random {
+				t.Errorf("%s drifted:\n got  %s\n want %s", name, communityLiteral(got, fold), communityLiteral(want.std, want.random))
+			}
+		})
+	}
+}
+
+// communityLiteral renders pins as the communityPins entry that records
+// them.
+func communityLiteral(std [6]uint32, random uint32) string {
+	return fmt.Sprintf("{std: [6]uint32{%#08x, %#08x, %#08x, %#08x, %#08x, %#08x}, random: %#08x}",
+		std[0], std[1], std[2], std[3], std[4], std[5], random)
 }
