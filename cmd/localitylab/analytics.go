@@ -6,6 +6,7 @@ import (
 
 	"graphlocality/internal/analytics"
 	"graphlocality/internal/cachesim"
+	"graphlocality/internal/core"
 	"graphlocality/internal/ihtl"
 	"graphlocality/internal/spmv"
 	"graphlocality/internal/trace"
@@ -101,15 +102,10 @@ func cmdIHTL(args []string) error {
 	b := ihtl.Build(g, ihtl.Config{CacheBytes: budget})
 	fmt.Println(b)
 
-	count := func(run func(trace.Sink)) uint64 {
-		c := cachesim.New(cfg)
-		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
-		return c.Stats().Misses
-	}
-	plain := count(func(s trace.Sink) {
-		trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { s(a); return true })
-	})
-	blocked := count(func(s trace.Sink) { ihtl.Trace(b, ihtl.NewLayout(b), s) })
+	plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
+	c := cachesim.New(cfg)
+	ihtl.Trace(b, ihtl.NewLayout(b), func(a trace.Access) { c.Access(a.Addr, a.Write) })
+	blocked := c.Stats().Misses
 	fmt.Printf("simulated L3 misses: plain pull %d, iHTL %d (%.1f%% fewer)\n",
 		plain, blocked, 100*(1-float64(blocked)/float64(plain)))
 	return nil

@@ -458,10 +458,14 @@ func cmdSpMV(args []string) error {
 	in := fs.String("graph", "", "input graph (segmented)")
 	threads := fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	iters := fs.Int("iters", 5, "iterations to run")
-	dir := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
+	dirName := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
 	fs.Parse(args)
 	if *in == "" {
 		return usagef("-graph is required")
+	}
+	dir, err := trace.ParseDirection(*dirName)
+	if err != nil {
+		return usagef("%v", err)
 	}
 	g, err := loadGraph(*in)
 	if err != nil {
@@ -476,18 +480,16 @@ func cmdSpMV(args []string) error {
 	}
 	for it := 0; it < *iters; it++ {
 		var st spmv.Stats
-		switch *dir {
-		case "pull":
+		switch dir {
+		case trace.Pull:
 			st = e.Pull(src, dst)
-		case "pushread":
+		case trace.PushRead:
 			st = e.PushRead(src, dst)
-		case "push":
+		case trace.Push:
 			for i := range dst {
 				dst[i] = 0
 			}
 			st = e.Push(src, dst)
-		default:
-			return usagef("unknown direction %q", *dir)
 		}
 		fmt.Printf("iter %d: %7.2f ms, idle %4.1f%%, steals %d (threads %d)\n",
 			it, float64(st.Elapsed.Microseconds())/1000, st.IdlePct, st.Steals, st.Threads)
@@ -508,20 +510,13 @@ func cmdSimulate(args []string) error {
 	if *in == "" {
 		return usagef("-graph is required")
 	}
+	dir, err := trace.ParseDirection(*dirName)
+	if err != nil {
+		return usagef("%v", err)
+	}
 	g, err := loadGraph(*in)
 	if err != nil {
 		return err
-	}
-	var dir trace.Direction
-	switch *dirName {
-	case "pull":
-		dir = trace.Pull
-	case "push":
-		dir = trace.Push
-	case "pushread":
-		dir = trace.PushRead
-	default:
-		return usagef("unknown direction %q", *dirName)
 	}
 	cfg := cachesim.ScaledL3(g.NumVertices(), *fraction)
 	tlbCfg := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), 0.10)

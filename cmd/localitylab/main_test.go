@@ -18,21 +18,6 @@ import (
 	"graphlocality/internal/trace"
 )
 
-func TestParseDirection(t *testing.T) {
-	cases := map[string]trace.Direction{
-		"pull": trace.Pull, "push": trace.Push, "pushread": trace.PushRead,
-	}
-	for name, want := range cases {
-		got, err := parseDirection(name)
-		if err != nil || got != want {
-			t.Errorf("parseDirection(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseDirection("sideways"); err == nil {
-		t.Error("bad direction accepted")
-	}
-}
-
 func TestGraphFileRoundTrip(t *testing.T) {
 	g := gen.Ring(100)
 	path := filepath.Join(t.TempDir(), "g.seg")

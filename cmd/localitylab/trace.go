@@ -25,9 +25,9 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	dir, err := parseDirection(*dirName)
+	dir, err := trace.ParseDirection(*dirName)
 	if err != nil {
-		return err
+		return usagef("%v", err)
 	}
 	logs := trace.CollectLogs(g, trace.NewLayout(g), dir, *threads)
 	// Atomic write: an interrupted record never leaves a torn trace file.
@@ -91,16 +91,4 @@ func cmdReplay(args []string) error {
 	fmt.Printf("accesses %d, misses %d (%.2f%%), prefetches %d, writebacks %d\n",
 		st.Accesses, st.Misses, 100*st.MissRate(), st.Prefetches, st.Writebacks)
 	return nil
-}
-
-func parseDirection(name string) (trace.Direction, error) {
-	switch name {
-	case "pull":
-		return trace.Pull, nil
-	case "push":
-		return trace.Push, nil
-	case "pushread":
-		return trace.PushRead, nil
-	}
-	return 0, fmt.Errorf("unknown direction %q", name)
 }

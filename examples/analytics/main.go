@@ -9,6 +9,7 @@ import (
 
 	"graphlocality/internal/analytics"
 	"graphlocality/internal/cachesim"
+	"graphlocality/internal/core"
 	"graphlocality/internal/gen"
 	"graphlocality/internal/ihtl"
 	"graphlocality/internal/reorder"
@@ -60,20 +61,13 @@ func main() {
 	// --- §VIII-A: iHTL vs reordering on hub locality ------------------
 	fmt.Println("\nhub locality, simulated L3 misses of one SpMV:")
 	cfg := cachesim.ScaledL3(g.NumVertices(), 0.04)
-	count := func(run func(sink trace.Sink)) uint64 {
-		c := cachesim.New(cfg)
-		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
-		return c.Stats().Misses
-	}
-	plain := count(func(s trace.Sink) {
-		trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { s(a); return true })
-	})
+	plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 	ro := g.Relabel(reorder.Perm(reorder.MustNew("ro"), g))
-	roMiss := count(func(s trace.Sink) {
-		trace.Run(ro, trace.NewLayout(ro), trace.Whole(ro, trace.Pull), func(a trace.Access) bool { s(a); return true })
-	})
+	roMiss := core.SimulateSpMV(ro, core.SimOptions{Cache: cfg}).Cache.Misses
 	blocked := ihtl.Build(g, ihtl.Config{CacheBytes: uint64(cfg.SizeBytes() / 2)})
-	ihtlMiss := count(func(s trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), s) })
+	c := cachesim.New(cfg)
+	ihtl.Trace(blocked, ihtl.NewLayout(blocked), func(a trace.Access) { c.Access(a.Addr, a.Write) })
+	ihtlMiss := c.Stats().Misses
 	fmt.Printf("  plain pull:    %8d\n", plain)
 	fmt.Printf("  Rabbit-Order:  %8d\n", roMiss)
 	fmt.Printf("  iHTL (%s): %8d\n", blocked, ihtlMiss)

@@ -220,68 +220,3 @@ func (c *Cache) AccessBatch(addrs []uint64, writes, hits []bool) int {
 func (t *TLB) AccessBatch(addrs []uint64, hits []bool) int {
 	return t.c.AccessBatch(addrs, nil, hits)
 }
-
-// AccessBatch walks the hierarchy for a block of accesses. levels, when
-// non-nil, must have len(addrs) elements and receives each access's hit
-// level (Levels() for a memory access), exactly as scalar Access reports.
-//
-// The batch is processed level by level with miss compaction: level 0 sees
-// the whole block, level 1 only the block's level-0 misses, and so on.
-// Because each level's future behaviour depends only on the sequence of
-// addresses it observes — and compaction preserves that sequence in order —
-// the per-level states and statistics evolve bit-identically to the scalar
-// walk that interleaves levels per access.
-func (h *Hierarchy) AccessBatch(addrs []uint64, writes []bool, levels []int) {
-	n := len(addrs)
-	if n == 0 {
-		return
-	}
-	if cap(h.batchHits) < n {
-		h.batchHits = make([]bool, n)
-		h.missAddrs = make([]uint64, n)
-		h.missWrites = make([]bool, n)
-		h.missIdx = make([]int, n)
-	}
-
-	curAddrs := addrs
-	curWrites := writes
-	var curIdx []int // nil = identity mapping into the caller's block
-	for li, c := range h.levels {
-		hits := h.batchHits[:len(curAddrs)]
-		c.AccessBatch(curAddrs, curWrites, hits)
-		// Compact the misses for the next level. Forward in-place
-		// compaction is safe: the write index never passes the read index.
-		nm := 0
-		for i, hit := range hits {
-			orig := i
-			if curIdx != nil {
-				orig = curIdx[i]
-			}
-			if hit {
-				if levels != nil {
-					levels[orig] = li
-				}
-				continue
-			}
-			h.missAddrs[nm] = curAddrs[i]
-			if curWrites != nil {
-				h.missWrites[nm] = curWrites[i]
-			}
-			h.missIdx[nm] = orig
-			nm++
-		}
-		if nm == 0 {
-			return
-		}
-		curAddrs = h.missAddrs[:nm]
-		if curWrites != nil {
-			curWrites = h.missWrites[:nm]
-		}
-		curIdx = h.missIdx[:nm]
-	}
-	if levels != nil {
-		for _, orig := range curIdx {
-			levels[orig] = len(h.levels)
-		}
-	}
-}

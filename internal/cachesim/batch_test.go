@@ -310,44 +310,6 @@ func TestTLBAccessBatchPageStraddle(t *testing.T) {
 	assertSameState(t, "tlb-straddle", scalar.c, batched.c)
 }
 
-// TestHierarchyAccessBatchMatchesScalar compares the miss-compacted
-// hierarchy walk against the scalar per-access walk: per-access hit levels
-// and the full state of every level.
-func TestHierarchyAccessBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	addrs, writes := mixedStream(rng, 12000, 1<<19)
-	mk := func() *Hierarchy {
-		return NewHierarchy(
-			Config{Name: "L1", LineSize: 64, Sets: 8, Ways: 2, Policy: LRU},
-			Config{Name: "L2", LineSize: 64, Sets: 32, Ways: 4, Policy: SRRIP},
-			Config{Name: "L3", LineSize: 64, Sets: 64, Ways: 8, Policy: DRRIP},
-		)
-	}
-	scalar, batched := mk(), mk()
-	for _, bs := range []int{1, 13, 4096} {
-		scalar.Reset()
-		batched.Reset()
-		levels := make([]int, bs)
-		for lo := 0; lo < len(addrs); lo += bs {
-			hi := lo + bs
-			if hi > len(addrs) {
-				hi = len(addrs)
-			}
-			batched.AccessBatch(addrs[lo:hi], writes[lo:hi], levels[:hi-lo])
-			for i := lo; i < hi; i++ {
-				want := scalar.Access(addrs[i], writes[i])
-				if levels[i-lo] != want {
-					t.Fatalf("bs=%d: access %d hit level %d, want %d", bs, i, levels[i-lo], want)
-				}
-			}
-			for li := 0; li < scalar.Levels(); li++ {
-				assertSameState(t, fmt.Sprintf("bs=%d level %d after [%d,%d)", bs, li, lo, hi),
-					scalar.levels[li], batched.levels[li])
-			}
-		}
-	}
-}
-
 // TestAccessBatchDegenerateGeometry runs the 1-byte-line single-set cache,
 // where a tag spans all 64 bits of the address, so no tag value is free to
 // mark an empty way: the probe must go by occupancy alone.

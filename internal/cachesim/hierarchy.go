@@ -8,13 +8,6 @@ package cachesim
 // rather than assumed.
 type Hierarchy struct {
 	levels []*Cache
-
-	// Scratch buffers for AccessBatch's per-level miss compaction, sized
-	// lazily to the largest block seen.
-	batchHits  []bool
-	missAddrs  []uint64
-	missWrites []bool
-	missIdx    []int
 }
 
 // NewHierarchy builds a hierarchy from the innermost level outward.

@@ -52,6 +52,41 @@ func TestSkylakeSTLBGeometry(t *testing.T) {
 	}
 }
 
+func TestTLBConfigValidate(t *testing.T) {
+	for _, cfg := range []TLBConfig{SkylakeSTLB(), ScaledTLB(64<<20, 0.1), ScaledTLB(100, 0.1),
+		{PageSize: 2 << 20, Entries: 4, Ways: 4}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	bad := []TLBConfig{
+		{PageSize: 4096, Entries: 12, Ways: 8}, // not a multiple of Ways
+		{PageSize: 4096, Entries: 3, Ways: 4},  // fewer entries than ways
+		{PageSize: 4096, Entries: 24, Ways: 8}, // 3 sets
+		{PageSize: 4096, Entries: 0, Ways: 4},
+		{PageSize: 4096, Entries: 16, Ways: 0},
+		{PageSize: 4096, Entries: -8, Ways: 4},
+		{PageSize: 0, Entries: 16, Ways: 4},
+		{PageSize: 3000, Entries: 16, Ways: 4},
+		{PageSize: 4096, Entries: 2 * maxLines, Ways: 2}, // more lines than a cache may hold
+	}
+	for _, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v validated", cfg)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || err.Error() != cfg.Validate().Error() {
+					t.Errorf("NewTLB(%+v) panicked with %v, want its Validate error", cfg, r)
+				}
+			}()
+			NewTLB(cfg)
+		}()
+	}
+}
+
 func TestScaledL3(t *testing.T) {
 	cfg := ScaledL3(1<<20, 0.04)
 	if err := cfg.Validate(); err != nil {

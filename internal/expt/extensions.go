@@ -35,19 +35,12 @@ func IHTLExperiment(s *Session, datasets []Dataset) []IHTLRow {
 		g := s.Graph(ds)
 		cfg := s.CacheFor(ds)
 		blocked := ihtl.Build(g, ihtl.Config{CacheBytes: uint64(cfg.SizeBytes() / 2)})
-		count := func(run func(trace.Sink)) uint64 {
-			c := cachesim.New(cfg)
-			run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
-			return c.Stats().Misses
-		}
-		plain := count(func(sk trace.Sink) {
-			trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
-		})
+		plain := core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses
 		ro := s.Relabeled(ds, reorder.MustNew("ro"))
-		roMiss := count(func(sk trace.Sink) {
-			trace.Run(ro, trace.NewLayout(ro), trace.Whole(ro, trace.Pull), func(a trace.Access) bool { sk(a); return true })
-		})
-		ihtlMiss := count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
+		roMiss := core.SimulateSpMV(ro, core.SimOptions{Cache: cfg}).Cache.Misses
+		c := cachesim.New(cfg)
+		ihtl.Trace(blocked, ihtl.NewLayout(blocked), func(a trace.Access) { c.Access(a.Addr, a.Write) })
+		ihtlMiss := c.Stats().Misses
 		return IHTLRow{
 			Dataset: ds.Name, Kind: ds.Kind,
 			PlainMisses: plain, ROMisses: roMiss, IHTLMisses: ihtlMiss,
@@ -194,9 +187,7 @@ func HilbertExperiment(s *Session, datasets []Dataset) []HilbertRow {
 			Dataset:       ds.Name,
 			HilbertMisses: count(func(sk trace.Sink) { sfc.Trace(hil, l, sk) }),
 			RowMisses:     count(func(sk trace.Sink) { sfc.Trace(row, l, sk) }),
-			PullMisses: count(func(sk trace.Sink) {
-				trace.Run(g, l, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
-			}),
+			PullMisses:    core.SimulateSpMV(g, core.SimOptions{Cache: cfg}).Cache.Misses,
 		}
 	})
 }

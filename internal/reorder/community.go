@@ -2,7 +2,7 @@ package reorder
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"graphlocality/internal/graph"
 	"graphlocality/internal/runctl"
@@ -35,23 +35,52 @@ func (c Communities) Groups() [][]uint32 {
 	return groups
 }
 
-// compactBySmallestMember renumbers arbitrary community labels so that
-// community 0 is the one containing the smallest vertex ID, community 1
-// the one containing the next-smallest vertex not yet covered, and so on.
+// compactBySmallestMember renumbers community labels so that community 0
+// is the one containing the smallest vertex ID, community 1 the one
+// containing the next-smallest vertex not yet covered, and so on. Every
+// label must be below len(membership).
 func compactBySmallestMember(membership []uint32) Communities {
-	remap := make(map[uint32]uint32)
-	next := uint32(0)
+	remap := make([]uint32, len(membership)) // label → new ID + 1; 0 = unseen
 	out := make([]uint32, len(membership))
+	next := uint32(0)
 	for v, label := range membership {
-		id, ok := remap[label]
-		if !ok {
-			id = next
-			remap[label] = id
+		if remap[label] == 0 {
 			next++
+			remap[label] = next
 		}
-		out[v] = id
+		out[v] = remap[label] - 1
 	}
 	return Communities{Membership: out, Count: int(next)}
+}
+
+// tally sums float64 weights per key below a fixed bound, remembering
+// which keys it touched in first-touch order; an untouched key reads 0.
+// reset clears only the touched keys, so emptying the tally after a visit
+// costs that visit's degree, not the number of keys.
+type tally struct {
+	sum     []float64
+	seen    []bool
+	touched []uint32
+}
+
+func newTally(n uint32) *tally {
+	return &tally{sum: make([]float64, n), seen: make([]bool, n)}
+}
+
+func (t *tally) add(k uint32, x float64) {
+	if !t.seen[k] {
+		t.seen[k] = true
+		t.touched = append(t.touched, k)
+	}
+	t.sum[k] += x
+}
+
+func (t *tally) reset() {
+	for _, k := range t.touched {
+		t.sum[k] = 0
+		t.seen[k] = false
+	}
+	t.touched = t.touched[:0]
 }
 
 // SingleCommunity assigns every vertex to one community — the "none"
@@ -86,39 +115,10 @@ func (w *wgraph) neighbors(v uint32) ([]uint32, []float64) {
 	return w.nbr[w.off[v]:w.off[v+1]], w.wgt[w.off[v]:w.off[v+1]]
 }
 
-// levelGraph builds the level-0 weighted view of g: the undirected simple
-// view with unit weights (each undirected edge contributing 1 in both
-// directions), self-loops dropped.
-func levelGraph(g *graph.Graph) *wgraph {
-	und := g.Undirected()
-	n := und.NumVertices()
-	w := &wgraph{
-		off:  make([]uint32, n+1),
-		self: make([]float64, n),
-		str:  make([]float64, n),
-	}
-	for v := uint32(0); v < n; v++ {
-		cnt := uint32(0)
-		for _, u := range und.OutNeighbors(v) {
-			if u != v {
-				cnt++
-			}
-		}
-		w.off[v+1] = w.off[v] + cnt
-	}
-	w.nbr = make([]uint32, w.off[n])
-	w.wgt = make([]float64, w.off[n])
-	pos := append([]uint32(nil), w.off[:n]...)
-	for v := uint32(0); v < n; v++ {
-		for _, u := range und.OutNeighbors(v) {
-			if u == v {
-				continue
-			}
-			w.nbr[pos[v]] = u
-			w.wgt[pos[v]] = 1
-			pos[v]++
-		}
-	}
+// weigh fills str and m2 from the adjacency and self weights.
+func (w *wgraph) weigh() {
+	n := w.numNodes()
+	w.str = make([]float64, n)
 	for v := uint32(0); v < n; v++ {
 		for _, x := range w.wgt[w.off[v]:w.off[v+1]] {
 			w.str[v] += x
@@ -126,14 +126,43 @@ func levelGraph(g *graph.Graph) *wgraph {
 		w.str[v] += 2 * w.self[v]
 		w.m2 += w.str[v]
 	}
+}
+
+// levelGraph builds the level-0 weighted view of g: the undirected simple
+// view with unit weights (each undirected edge contributing 1 in both
+// directions), self-loops dropped.
+func levelGraph(g *graph.Graph) *wgraph {
+	und := g.Undirected()
+	n := und.NumVertices()
+	w := &wgraph{
+		off:  make([]uint32, 1, n+1),
+		nbr:  make([]uint32, 0, und.NumEdges()),
+		self: make([]float64, n),
+	}
+	for v := uint32(0); v < n; v++ {
+		for _, u := range und.OutNeighbors(v) {
+			if u != v {
+				w.nbr = append(w.nbr, u)
+			}
+		}
+		w.off = append(w.off, uint32(len(w.nbr)))
+	}
+	w.wgt = make([]float64, len(w.nbr))
+	for i := range w.wgt {
+		w.wgt[i] = 1
+	}
+	w.weigh()
 	return w
 }
 
 // localMove runs Louvain local-moving passes over w until a pass makes no
 // move (or the poller cancels). comm is updated in place; visit order is a
 // seeded shuffle, re-used across passes so a fixed seed fixes the output
-// bit-for-bit. Tie-breaking is by smallest community ID. Returns the number
-// of moves made in total and the first poll error, if any.
+// bit-for-bit. The vertex's own (possibly now empty) community is always a
+// candidate; it keeps the vertex unless another community's gain is
+// strictly higher, and ties among the others go to the smallest ID.
+// Returns the number of moves made in total and the first poll error, if
+// any.
 func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll *runctl.Poller) (int, error) {
 	n := w.numNodes()
 	if n == 0 {
@@ -143,21 +172,13 @@ func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll
 	for v := uint32(0); v < n; v++ {
 		tot[comm[v]] += w.str[v]
 	}
-	visit := make([]uint32, n)
-	for i := range visit {
-		visit[i] = uint32(i)
-	}
-	for i := len(visit) - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
-		visit[i], visit[j] = visit[j], visit[i]
-	}
+	visit := rng.shuffled(n)
 
 	m2 := w.m2
 	if m2 == 0 {
 		return 0, nil
 	}
-	// Scratch: weight from the current vertex to each touched community.
-	wTo := make(map[uint32]float64)
+	wTo := newTally(n) // weight from the current vertex to each community
 	totalMoves := 0
 	for pass := 0; pass < 32; pass++ {
 		moves := 0
@@ -167,35 +188,23 @@ func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll
 			}
 			old := comm[v]
 			tot[old] -= w.str[v]
-			for k := range wTo {
-				delete(wTo, k)
-			}
 			nbrs, wgts := w.neighbors(v)
 			for i, u := range nbrs {
-				wTo[comm[u]] += wgts[i]
+				wTo.add(comm[u], wgts[i])
 			}
-			// Deterministic candidate order: communities ascending. The
-			// vertex's own (possibly now empty) community is always a
-			// candidate with gain w_in - γ·k·tot/m2 like any other, so
-			// staying put wins ties at equal gain only if it has the
-			// smallest ID — the tie-break is purely structural.
-			cands := make([]uint32, 0, len(wTo)+1)
-			if _, ok := wTo[old]; !ok {
-				cands = append(cands, old)
-			}
-			for c := range wTo {
-				cands = append(cands, c)
-			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+			// The result does not depend on the order candidates are
+			// visited in: the maximum gain wins, old first on a tie, then
+			// the smallest ID. An untouched old reads a zero sum.
 			best := old
-			bestGain := wTo[old] - resolution*w.str[v]*tot[old]/m2
-			for _, c := range cands {
-				gain := wTo[c] - resolution*w.str[v]*tot[c]/m2
-				if gain > bestGain {
+			bestGain := wTo.sum[old] - resolution*w.str[v]*tot[old]/m2
+			for _, c := range wTo.touched {
+				gain := wTo.sum[c] - resolution*w.str[v]*tot[c]/m2
+				if gain > bestGain || (gain == bestGain && best != old && c < best) {
 					bestGain = gain
 					best = c
 				}
 			}
+			wTo.reset()
 			comm[v] = best
 			tot[best] += w.str[v]
 			if best != old {
@@ -211,64 +220,40 @@ func localMove(w *wgraph, comm []uint32, resolution float64, rng *splitmix, poll
 }
 
 // aggregate collapses each community of w into one super-node and returns
-// the next-level graph plus the node→super-node map (compact, ascending by
-// smallest member).
+// the next-level graph plus each node's super-node (compact, ascending by
+// smallest member). Super-nodes are built one at a time from their members
+// in ascending order, so every weight is summed in node order.
 func aggregate(w *wgraph, comm []uint32) (*wgraph, []uint32) {
-	n := w.numNodes()
 	compact := compactBySmallestMember(comm)
 	sup := compact.Membership
 	sn := uint32(compact.Count)
-
-	// Accumulate inter-community weights and internal (self) weight.
-	maps := make([]map[uint32]float64, sn)
-	self := make([]float64, sn)
-	for v := uint32(0); v < n; v++ {
-		cv := sup[v]
-		self[cv] += w.self[v]
-		nbrs, wgts := w.neighbors(v)
-		for i, u := range nbrs {
-			cu := sup[u]
-			if cu == cv {
-				// Each internal edge is seen from both endpoints; halve.
-				self[cv] += wgts[i] / 2
-				continue
-			}
-			if maps[cv] == nil {
-				maps[cv] = make(map[uint32]float64)
-			}
-			maps[cv][cu] += wgts[i]
-		}
-	}
 	nw := &wgraph{
-		off:  make([]uint32, sn+1),
-		self: self,
-		str:  make([]float64, sn),
+		off:  make([]uint32, 1, sn+1),
+		self: make([]float64, sn),
 	}
-	for c := uint32(0); c < sn; c++ {
-		nw.off[c+1] = nw.off[c] + uint32(len(maps[c]))
-	}
-	nw.nbr = make([]uint32, nw.off[sn])
-	nw.wgt = make([]float64, nw.off[sn])
-	for c := uint32(0); c < sn; c++ {
-		keys := make([]uint32, 0, len(maps[c]))
-		for u := range maps[c] {
-			keys = append(keys, u)
+	cross := newTally(sn) // weight from the current super-node to each other
+	for c, members := range compact.Groups() {
+		for _, v := range members {
+			nw.self[c] += w.self[v]
+			nbrs, wgts := w.neighbors(v)
+			for i, u := range nbrs {
+				if cu := sup[u]; cu != uint32(c) {
+					cross.add(cu, wgts[i])
+				} else {
+					// Each internal edge is seen from both endpoints; halve.
+					nw.self[c] += wgts[i] / 2
+				}
+			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		p := nw.off[c]
-		for _, u := range keys {
-			nw.nbr[p] = u
-			nw.wgt[p] = maps[c][u]
-			p++
+		slices.Sort(cross.touched)
+		for _, cu := range cross.touched {
+			nw.nbr = append(nw.nbr, cu)
+			nw.wgt = append(nw.wgt, cross.sum[cu])
 		}
+		nw.off = append(nw.off, uint32(len(nw.nbr)))
+		cross.reset()
 	}
-	for c := uint32(0); c < sn; c++ {
-		for _, x := range nw.wgt[nw.off[c]:nw.off[c+1]] {
-			nw.str[c] += x
-		}
-		nw.str[c] += 2 * nw.self[c]
-		nw.m2 += nw.str[c]
-	}
+	nw.weigh()
 	return nw, sup
 }
 
@@ -341,16 +326,9 @@ func DetectLabelProp(ctx context.Context, g *graph.Graph, seed uint64, pollEvery
 	for v := range label {
 		label[v] = uint32(v)
 	}
-	visit := make([]uint32, n)
-	for i := range visit {
-		visit[i] = uint32(i)
-	}
-	for i := len(visit) - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
-		visit[i], visit[j] = visit[j], visit[i]
-	}
+	visit := rng.shuffled(n)
 
-	counts := make(map[uint32]int)
+	counts := newTally(n) // neighbours per label, exact in float64
 	var pollErr error
 	for pass := 0; pass < 32 && pollErr == nil; pass++ {
 		changed := 0
@@ -358,28 +336,24 @@ func DetectLabelProp(ctx context.Context, g *graph.Graph, seed uint64, pollEvery
 			if pollErr = poll.Check(); pollErr != nil {
 				break
 			}
-			nbrs := und.OutNeighbors(v)
-			if len(nbrs) == 0 {
-				continue
-			}
-			for k := range counts {
-				delete(counts, k)
-			}
-			for _, u := range nbrs {
+			for _, u := range und.OutNeighbors(v) {
 				if u != v {
-					counts[label[u]]++
+					counts.add(label[u], 1)
 				}
 			}
-			if len(counts) == 0 {
+			if len(counts.touched) == 0 {
 				continue
 			}
+			// Most neighbours wins, then the smallest label: a total order,
+			// so the visiting order of the candidates does not matter.
 			best := label[v]
-			bestCount := counts[best] // 0 if own label absent
-			for l, c := range counts {
-				if c > bestCount || (c == bestCount && l < best) {
+			bestCount := counts.sum[best] // 0 if own label absent
+			for _, l := range counts.touched {
+				if c := counts.sum[l]; c > bestCount || (c == bestCount && l < best) {
 					best, bestCount = l, c
 				}
 			}
+			counts.reset()
 			if best != label[v] {
 				label[v] = best
 				changed++

@@ -182,13 +182,8 @@ func (r Random) Spec() string {
 
 // Reorder implements Algorithm; it ignores ctx and cannot fail.
 func (r Random) Reorder(_ context.Context, g *graph.Graph) (graph.Permutation, error) {
-	p := graph.Identity(g.NumVertices())
 	rng := splitmix{s: r.Seed}
-	for i := len(p) - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p, nil
+	return rng.shuffled(g.NumVertices()), nil
 }
 
 // splitmix is a tiny local RNG so reorder does not depend on gen.
@@ -200,6 +195,19 @@ func (r *splitmix) next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// shuffled returns 0..n-1 in a Fisher–Yates order drawn from r.
+func (r *splitmix) shuffled(n uint32) []uint32 {
+	p := make([]uint32, n)
+	for i := range p {
+		p[i] = uint32(i)
+	}
+	for i := len(p) - 1; i > 0; i-- {
+		j := int(r.next() % uint64(i+1))
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }
 
 // DegreeSort assigns IDs by descending total degree (in+out), the

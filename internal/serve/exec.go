@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -82,7 +83,8 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 	}
 	switch req.Kind {
 	case KindSimulate:
-		dir, err := ParseDirection(req.Direction)
+		// An empty direction means pull on the wire.
+		dir, err := trace.ParseDirection(cmp.Or(req.Direction, "pull"))
 		if err != nil {
 			return res, badRequestf("%v", err)
 		}

@@ -265,7 +265,7 @@ func ValidateJobRequest(req *JobRequest, limits Limits) error {
 		if req.Kind != KindSimulate {
 			return badRequestf("direction only applies to simulate jobs")
 		}
-		if _, err := ParseDirection(req.Direction); err != nil {
+		if _, err := trace.ParseDirection(req.Direction); err != nil {
 			return badRequestf("%v", err)
 		}
 	}
@@ -276,20 +276,6 @@ func ValidateJobRequest(req *JobRequest, limits Limits) error {
 		return badRequestf("deadline_ms %d exceeds the server cap %v", req.DeadlineMS, limits.MaxDeadline)
 	}
 	return nil
-}
-
-// ParseDirection maps the wire name of a traversal direction.
-func ParseDirection(name string) (trace.Direction, error) {
-	switch name {
-	case "", "pull":
-		return trace.Pull, nil
-	case "push":
-		return trace.Push, nil
-	case "pushread":
-		return trace.PushRead, nil
-	default:
-		return trace.Pull, fmt.Errorf("unknown direction %q (want pull, push or pushread)", name)
-	}
 }
 
 // ArtifactKey returns the content-addressed artifact name of a job spec:

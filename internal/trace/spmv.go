@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 
 	"graphlocality/internal/graph"
@@ -34,6 +35,20 @@ func (d Direction) String() string {
 		return "push-read"
 	}
 	return "unknown"
+}
+
+// ParseDirection maps a direction's command-line and wire name: pull, push
+// or pushread.
+func ParseDirection(name string) (Direction, error) {
+	switch name {
+	case "pull":
+		return Pull, nil
+	case "push":
+		return Push, nil
+	case "pushread":
+		return PushRead, nil
+	}
+	return Pull, fmt.Errorf("unknown direction %q (want pull, push or pushread)", name)
 }
 
 // Sink receives simulated accesses in program order.

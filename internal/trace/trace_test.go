@@ -261,6 +261,23 @@ func TestKindAndDirectionStrings(t *testing.T) {
 	}
 }
 
+func TestParseDirection(t *testing.T) {
+	cases := map[string]Direction{
+		"pull": Pull, "push": Push, "pushread": PushRead,
+	}
+	for name, want := range cases {
+		got, err := ParseDirection(name)
+		if err != nil || got != want {
+			t.Errorf("ParseDirection(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, bad := range []string{"sideways", ""} {
+		if _, err := ParseDirection(bad); err == nil {
+			t.Errorf("bad direction %q accepted", bad)
+		}
+	}
+}
+
 func TestFootprintBytes(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
