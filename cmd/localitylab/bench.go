@@ -41,9 +41,10 @@ func cmdBenchParallel(args []string) error {
 
 	// The grid covers the scheduler's main shapes: Table II (reorder
 	// stages, one at a time at any -parallel so their cost is measured
-	// alone), Table III (per-vertex simulations and miss-count folds),
-	// Table V (snapshotted simulations) and Fig. 1 (per-vertex simulations
-	// and miss-rate-by-degree series).
+	// alone), Table III (the cells' simulations and miss-count folds), and
+	// Table V and Fig. 1, whose cells reuse Table III's memoized
+	// simulations, so they time only the ECS reads and miss-rate-by-degree
+	// series.
 	runGrid := func(parallel int) (time.Duration, error) {
 		s := expt.NewSession()
 		s.Ctrl = runctl.New(context.Background(), runctl.Config{})

@@ -422,10 +422,10 @@ func cmdMetrics(args []string) error {
 		}
 	}
 	if *types {
-		p := core.ClassifyLocalityTypes(g, 64)
+		p := core.ClassifyLocalityTypes(g, 64, 1, 1024)
 		fmt.Printf("Locality types of %d random accesses: I=%d II=%d III=%d cold=%d\n",
 			p.Total, p.TypeI, p.TypeII, p.TypeIII, p.Cold)
-		pp := core.ClassifyLocalityTypesParallel(g, 64, 4, 1024)
+		pp := core.ClassifyLocalityTypes(g, 64, 4, 1024)
 		fmt.Printf("Parallel (4T): I=%d II=%d III=%d IV=%d V=%d\n",
 			pp.TypeI, pp.TypeII, pp.TypeIII, pp.TypeIV, pp.TypeV)
 	}

@@ -170,6 +170,30 @@ func TestCmdReplayRejectsHugeGeometry(t *testing.T) {
 	}
 }
 
+// TestTraceReplayUsageErrors: a missing -graph, -out or -trace, and a bad
+// -dir, are usage errors (exit 2); the -dir check runs before the graph is
+// read, so a nonexistent -graph does not mask it.
+func TestTraceReplayUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.seg")
+	out := filepath.Join(dir, "t.tr")
+	cases := []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"trace without -graph", cmdTrace, []string{"-out", out}},
+		{"trace without -out", cmdTrace, []string{"-graph", missing}},
+		{"trace with a bad -dir", cmdTrace, []string{"-graph", missing, "-out", out, "-dir", "sideways"}},
+		{"replay without -trace", cmdReplay, nil},
+	}
+	for _, c := range cases {
+		if err := c.run(c.args); exitCode(err) != exitUsage {
+			t.Errorf("%s = %v (exit %d), want exit %d", c.name, err, exitCode(err), exitUsage)
+		}
+	}
+}
+
 // TestExperimentEmptyID: an empty experiment id is the usual usage
 // error, not an index panic.
 func TestExperimentEmptyID(t *testing.T) {

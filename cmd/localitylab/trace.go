@@ -19,15 +19,15 @@ func cmdTrace(args []string) error {
 	dirName := fs.String("dir", "pull", "traversal direction: pull, push, pushread")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
-		return fmt.Errorf("-graph and -out are required")
-	}
-	g, err := loadGraph(*in)
-	if err != nil {
-		return err
+		return usagef("-graph and -out are required")
 	}
 	dir, err := trace.ParseDirection(*dirName)
 	if err != nil {
 		return usagef("%v", err)
+	}
+	g, err := loadGraph(*in)
+	if err != nil {
+		return err
 	}
 	logs := trace.CollectLogs(g, trace.NewLayout(g), dir, *threads)
 	// Atomic write: an interrupted record never leaves a torn trace file.
@@ -52,7 +52,7 @@ func cmdReplay(args []string) error {
 	prefetch := fs.Bool("prefetch", false, "enable next-line prefetcher")
 	fs.Parse(args)
 	if *in == "" {
-		return fmt.Errorf("-trace is required")
+		return usagef("-trace is required")
 	}
 	f, err := os.Open(*in)
 	if err != nil {

@@ -61,11 +61,11 @@ func study(name string, g *graph.Graph) {
 
 	// Locality types (§IV-D) — serial (I–III) and with the 4-thread
 	// interleaving that exposes the cross-thread types IV and V.
-	tp := core.ClassifyLocalityTypes(g, 64)
+	tp := core.ClassifyLocalityTypes(g, 64, 1, 1024)
 	fmt.Printf("locality types: I %.1f%%  II %.1f%%  III %.1f%%  (cold %.1f%%)\n",
 		pct(tp.TypeI, tp.Total), pct(tp.TypeII, tp.Total),
 		pct(tp.TypeIII, tp.Total), pct(tp.Cold, tp.Total))
-	pp := core.ClassifyLocalityTypesParallel(g, 64, 4, 1024)
+	pp := core.ClassifyLocalityTypes(g, 64, 4, 1024)
 	fmt.Printf("parallel (4T):  I %.1f%%  II %.1f%%  III %.1f%%  IV %.1f%%  V %.1f%%\n",
 		pct(pp.TypeI, pp.Total), pct(pp.TypeII, pp.Total),
 		pct(pp.TypeIII, pp.Total), pct(pp.TypeIV, pp.Total), pct(pp.TypeV, pp.Total))

@@ -33,7 +33,7 @@ func TestAdviseWebGraph(t *testing.T) {
 		t.Errorf("class = %v, want web (advice: %v)", a.Class, a)
 	}
 	if a.Direction != trace.PushRead {
-		t.Errorf("direction = %v, want push-read", a.Direction)
+		t.Errorf("direction = %v, want pushread", a.Direction)
 	}
 	if a.Reorder != "RO" {
 		t.Errorf("reorder = %q, want RO", a.Reorder)

@@ -22,8 +22,8 @@ import (
 //   - Type V: like III across threads (only in parallel profiles).
 //
 // Types IV and V depend on partitioning and scheduling rather than on the
-// reordering algorithm (§IV-D), which ClassifyLocalityTypesParallel makes
-// measurable.
+// reordering algorithm (§IV-D), which ClassifyLocalityTypes makes
+// measurable with more than one thread.
 type TypeProfile struct {
 	TypeI   uint64
 	TypeII  uint64
@@ -34,28 +34,19 @@ type TypeProfile struct {
 	Total   uint64 // all random vertex-data accesses
 }
 
-// ClassifyLocalityTypes runs a pull traversal and classifies every random
+// ClassifyLocalityTypes runs a pull traversal of threads interleaved
+// threads (interval accesses each per turn) and classifies every random
 // vertex-data read by the reuse relationship to the previous access of its
-// cache line. It is an analysis tool, not a cache simulation: every line
-// reuse is counted regardless of whether a finite cache would have
-// retained it.
-func ClassifyLocalityTypes(g *graph.Graph, lineSize int) TypeProfile {
-	layout := trace.NewLayout(g)
-	classifier := newTypeClassifier(g.NumVertices(), lineSize, nil)
-	trace.Run(g, layout, trace.Whole(g, trace.Pull), classifier.observe)
-	return classifier.profile
-}
-
-// ClassifyLocalityTypesParallel classifies reuses of the interleaved
-// parallel stream: accesses are attributed to emulated threads by the
-// edge-balanced partition of the destination vertex, and a reuse whose
-// previous line use came from another thread counts as type IV (same
-// data element) or type V (different element, same line).
-func ClassifyLocalityTypesParallel(g *graph.Graph, lineSize, threads, interval int) TypeProfile {
-	layout := trace.NewLayout(g)
-	ranges := g.PartitionEdgeBalancedIn(threads)
+// cache line. Accesses are attributed to threads by the edge-balanced
+// partition of the destination vertex, and a reuse whose previous line use
+// came from another thread counts as type IV (same data element) or type V
+// (different element, same line); one thread gives the serial profile,
+// with no type IV or V. It is an analysis tool, not a cache simulation:
+// every line reuse is counted regardless of whether a finite cache would
+// have retained it.
+func ClassifyLocalityTypes(g *graph.Graph, lineSize, threads, interval int) TypeProfile {
 	threadOf := make([]uint8, g.NumVertices())
-	for t, r := range ranges {
+	for t, r := range g.PartitionEdgeBalancedIn(threads) {
 		for v := r.Lo; v < r.Hi; v++ {
 			threadOf[v] = uint8(t)
 		}
@@ -63,18 +54,17 @@ func ClassifyLocalityTypesParallel(g *graph.Graph, lineSize, threads, interval i
 	classifier := newTypeClassifier(g.NumVertices(), lineSize, threadOf)
 	s := trace.Whole(g, trace.Pull)
 	s.Threads, s.Interval = threads, interval
-	trace.Run(g, layout, s, classifier.observe)
+	trace.Run(g, trace.NewLayout(g), s, classifier.observe)
 	return classifier.profile
 }
 
-// typeClassifier holds the shared classification logic of the serial and
-// parallel profiles.
+// typeClassifier holds the classification state of one profile.
 type typeClassifier struct {
 	profile    TypeProfile
 	lineSize   uint64
 	seenVertex []bool
 	last       map[uint64]lastUse
-	threadOf   []uint8 // nil for serial profiles
+	threadOf   []uint8
 }
 
 type lastUse struct {
@@ -98,14 +88,11 @@ func (c *typeClassifier) observe(a trace.Access) bool {
 		return true
 	}
 	curDest := a.Dest
-	var curThread uint8
-	if c.threadOf != nil {
-		curThread = c.threadOf[curDest]
-	}
+	curThread := c.threadOf[curDest]
 	c.profile.Total++
 	line := a.Addr / c.lineSize
 	lu, ok := c.last[line]
-	crossThread := c.threadOf != nil && ok && lu.thread != curThread
+	crossThread := ok && lu.thread != curThread
 	switch {
 	case !ok:
 		c.profile.Cold++

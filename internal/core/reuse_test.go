@@ -71,7 +71,7 @@ func TestClassifyLocalityTypes(t *testing.T) {
 		{Src: 8, Dst: 101}, // vertex 8 read again by 101: type II
 	}
 	g := graph.FromEdges(102, edges)
-	p := ClassifyLocalityTypes(g, 64)
+	p := ClassifyLocalityTypes(g, 64, 1, 1024)
 	if p.Total != 3 {
 		t.Fatalf("Total = %d, want 3", p.Total)
 	}
@@ -88,7 +88,7 @@ func TestClassifyLocalityTypes(t *testing.T) {
 
 func TestClassifyLocalityTypesConservation(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 3))
-	p := ClassifyLocalityTypes(g, 64)
+	p := ClassifyLocalityTypes(g, 64, 1, 1024)
 	if p.TypeI+p.TypeII+p.TypeIII+p.Cold != p.Total {
 		t.Errorf("type counts don't sum: %+v", p)
 	}
@@ -102,7 +102,7 @@ func TestClassifyLocalityTypesConservation(t *testing.T) {
 
 func TestClassifyLocalityTypesParallel(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(2048, 6, 3))
-	p := ClassifyLocalityTypesParallel(g, 64, 4, 64)
+	p := ClassifyLocalityTypes(g, 64, 4, 64)
 	if p.TypeI+p.TypeII+p.TypeIII+p.TypeIV+p.TypeV+p.Cold != p.Total {
 		t.Errorf("type counts don't sum: %+v", p)
 	}
@@ -112,10 +112,8 @@ func TestClassifyLocalityTypesParallel(t *testing.T) {
 	if p.TypeIV+p.TypeV == 0 {
 		t.Error("interleaved traversal showed no cross-thread reuse")
 	}
-	// Single-thread parallel profile degenerates to the serial one.
-	s1 := ClassifyLocalityTypesParallel(g, 64, 1, 64)
-	ser := ClassifyLocalityTypes(g, 64)
-	if s1 != ser {
-		t.Errorf("1-thread parallel profile %+v != serial %+v", s1, ser)
+	// One thread has no other thread to reuse a line from.
+	if s1 := ClassifyLocalityTypes(g, 64, 1, 64); s1.TypeIV != 0 || s1.TypeV != 0 {
+		t.Errorf("1-thread profile reports cross-thread types: %+v", s1)
 	}
 }

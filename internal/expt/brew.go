@@ -101,14 +101,7 @@ func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
 	return mapCells(s, len(cells), func(i int) BrewRow {
 		c := cells[i]
 		g := s.Relabeled(c.ds, c.alg)
-		every := int(trace.CountAccesses(s.Graph(c.ds)) / 200)
-		if every < 1 {
-			every = 1
-		}
-		sim := s.Simulate(c.ds, c.alg, core.SimOptions{
-			PerVertex:     true,
-			SnapshotEvery: every,
-		})
+		sim := s.Simulate(c.ds, c.alg, trace.Pull)
 		info, _ := reorder.Lookup(c.alg.Spec()) // default configurations: spec = name
 		row := BrewRow{
 			Dataset:      c.ds.Name,

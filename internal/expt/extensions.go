@@ -89,7 +89,7 @@ func HybridExperiment(s *Session, datasets []Dataset) []HybridRow {
 		rows := make([]HybridRow, 0, len(algs))
 		for _, alg := range algs {
 			res := s.Reorder(ds, alg)
-			sim := s.Simulate(ds, alg, core.SimOptions{})
+			sim := s.Simulate(ds, alg, trace.Pull)
 			rows = append(rows, HybridRow{
 				Dataset: ds.Name, Algorithm: alg.Name(),
 				Misses: sim.Cache.Misses, Preproc: res.Elapsed.Seconds(),
@@ -139,7 +139,7 @@ func UtilizationExperiment(s *Session, datasets []Dataset, algs []reorder.Algori
 			// CacheFor is a ScaledL3 geometry: 64-byte lines, no prefetch.
 			panic(err)
 		}
-		sim := s.Simulate(c.ds, c.alg, core.SimOptions{})
+		sim := s.Simulate(c.ds, c.alg, trace.Pull)
 		return UtilizationRow{
 			Dataset: c.ds.Name, Algorithm: c.alg.Name(),
 			MeanWords: u.MeanWords(), Misses: sim.Cache.Misses,

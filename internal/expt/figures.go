@@ -30,7 +30,7 @@ type Series struct {
 func Fig1(s *Session, ds Dataset, algs []reorder.Algorithm) []Series {
 	return mapCells(s, len(algs), func(i int) Series {
 		alg := algs[i]
-		sim := s.Simulate(ds, alg, core.SimOptions{PerVertex: true})
+		sim := s.Simulate(ds, alg, trace.Pull)
 		g := s.Relabeled(ds, alg)
 		dist := core.ProcessingMissRateByDegree(sim, g.InDegrees())
 		return seriesFromDegreeSeries(alg.Name(), dist)
@@ -317,8 +317,8 @@ func EDRExperiment(s *Session, datasets []Dataset) []EDRRow {
 			full: full, edr: edr,
 			rFull:   s.Reorder(ds, full),
 			rEDR:    s.Reorder(ds, edr),
-			simFull: s.Simulate(ds, full, core.SimOptions{}),
-			simEDR:  s.Simulate(ds, edr, core.SimOptions{}),
+			simFull: s.Simulate(ds, full, trace.Pull),
+			simEDR:  s.Simulate(ds, edr, trace.Pull),
 		}
 	})
 	rows := make([]EDRRow, len(datasets))

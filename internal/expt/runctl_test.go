@@ -8,10 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"graphlocality/internal/core"
 	"graphlocality/internal/graph"
+	"graphlocality/internal/obs"
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/runctl"
+	"graphlocality/internal/trace"
 )
 
 // TestDegradedStageStillProducesFullTable is the acceptance scenario: a
@@ -289,11 +290,61 @@ func TestSimulateCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.Ctrl = runctl.New(ctx, runctl.Config{})
 	cancel()
-	res := s.Simulate(ds[0], reorder.Identity{}, core.SimOptions{})
+	res := s.Simulate(ds[0], reorder.Identity{}, trace.Pull)
 	if !res.Canceled {
 		t.Error("simulation under a dead context not marked canceled")
 	}
 	if !s.Canceled() {
 		t.Error("session does not report cancellation")
+	}
+}
+
+// TestSimulateCanceledNotKept checks a canceled simulation is not
+// memoized: once the session has a live controller again, the same cell
+// simulates in full.
+func TestSimulateCanceledNotKept(t *testing.T) {
+	s, ds := tinySession()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Ctrl = runctl.New(ctx, runctl.Config{})
+	if res := s.Simulate(ds[0], reorder.Identity{}, trace.Pull); !res.Canceled {
+		t.Fatal("simulation under a dead context not marked canceled")
+	}
+	s.Ctrl = runctl.New(context.Background(), runctl.Config{})
+	res := s.Simulate(ds[0], reorder.Identity{}, trace.Pull)
+	if res.Canceled {
+		t.Fatal("canceled simulation was kept: the retry under a live controller is canceled too")
+	}
+	if want := trace.CountAccesses(s.Graph(ds[0])); res.Cache.Accesses != want {
+		t.Errorf("retry simulated %d accesses, want the whole stream of %d", res.Cache.Accesses, want)
+	}
+}
+
+// TestSimulateOncePerCell checks that the tables and figures reading one
+// (dataset, RA) cell share a single simulation: after Table III, Fig. 1,
+// Table IV, Table V and brew, every simulate stage ran exactly once.
+func TestSimulateOncePerCell(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ds := tinySession()
+	s.Obs = reg
+	s.Ctrl = runctl.New(context.Background(), runctl.Config{Metrics: reg})
+	algs := StandardAlgorithms()
+	TableIII(s, ds, algs)
+	Fig1(s, ds[0], algs)
+	TableIV(s, ds, algs)
+	TableV(s, ds, algs)
+	BrewExperiment(s, ds)
+	n := 0
+	for _, sp := range reg.Manifest(obs.Meta{}).Spans {
+		if !strings.HasPrefix(sp.Name, "simulate/") {
+			continue
+		}
+		n++
+		if sp.Calls != 1 {
+			t.Errorf("%s ran %d times, want 1", sp.Name, sp.Calls)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no simulate spans recorded")
 	}
 }

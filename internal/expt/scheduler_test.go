@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,33 @@ import (
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/runctl"
 )
+
+// TestMemoDoUnlessConcurrent checks memo.DoUnless under concurrent
+// callers of one key: a discarded value is never kept, and the first kept
+// value is computed once and shared from then on.
+func TestMemoDoUnlessConcurrent(t *testing.T) {
+	var m memo[int]
+	var calls atomic.Int32
+	compute := func() int { return int(calls.Add(1)) }
+	discardFirst := func(v int) bool { return v == 1 }
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.DoUnless("k", compute, discardFirst)
+		}()
+	}
+	wg.Wait()
+	kept := m.DoUnless("k", compute, discardFirst)
+	if kept == 1 {
+		t.Fatal("the discarded first value was kept")
+	}
+	n := calls.Load()
+	if again := m.DoUnless("k", compute, discardFirst); again != kept || calls.Load() != n {
+		t.Errorf("kept value %d recomputed: got %d after %d calls, now %d", kept, again, n, calls.Load())
+	}
+}
 
 func TestMapIndexedOrderAndCoverage(t *testing.T) {
 	for _, p := range []int{0, 1, 2, 8, 33} {

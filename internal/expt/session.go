@@ -52,8 +52,22 @@ func (c *memo[T]) entry(key string) *memoEntry[T] {
 // Do returns the value for key, computing it with fn exactly once even
 // under concurrent callers (latecomers block until it is ready).
 func (c *memo[T]) Do(key string, fn func() T) T {
+	return c.DoUnless(key, fn, func(T) bool { return false })
+}
+
+// DoUnless is Do, except that a value for which discard reports true is
+// returned to the callers that waited for it but not kept: the next call
+// for key computes it again.
+func (c *memo[T]) DoUnless(key string, fn func() T, discard func(T) bool) T {
 	e := c.entry(key)
 	e.once.Do(func() { e.val = fn() })
+	if discard(e.val) {
+		c.mu.Lock()
+		if c.m[key] == e {
+			delete(c.m, key)
+		}
+		c.mu.Unlock()
+	}
 	return e.val
 }
 
@@ -65,9 +79,10 @@ func (c *memo[T]) Set(key string, val T) {
 }
 
 // Session memoizes the expensive intermediate artifacts of an experiment
-// run: generated graphs, reordering results and relabeled graphs. All
-// tables and figures of one invocation share a Session so each reordering
-// is computed exactly once. The session is safe for concurrent use: the
+// run: generated graphs, reordering results, relabeled graphs and
+// simulations. All tables and figures of one invocation share a Session so
+// each reordering and each (dataset, spec, direction) simulation is
+// computed exactly once. The session is safe for concurrent use: the
 // parallel scheduler runs independent grid cells on worker goroutines, and
 // per-key once-semantics guarantee that two cells needing the same
 // reordering share one computation.
@@ -117,6 +132,7 @@ type Session struct {
 	graphs    memo[*graph.Graph]
 	reorders  memo[reorder.Result]
 	relabeled memo[*graph.Graph]
+	sims      memo[core.SimResult]
 
 	stateMu  sync.Mutex
 	degraded map[string]string // "ds/alg" -> reason the RA fell back to Initial
@@ -414,52 +430,54 @@ func (s *Session) CacheFor(ds Dataset) cachesim.Config {
 	return cachesim.ScaledL3(s.Graph(ds).NumVertices(), s.CacheFraction)
 }
 
-// TLBFor returns the scaled DTLB geometry for ds.
-func (s *Session) TLBFor(ds Dataset) cachesim.TLBConfig {
-	g := s.Graph(ds)
-	return cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), s.TLBFraction)
-}
-
-// Simulate runs the interleaved-parallel cache+TLB simulation of one pull
-// SpMV over the relabeled graph. The simulation runs as the run-control
-// stage "simulate/<ds>/<alg>": it polls the stage context, so SIGINT or a
-// stage deadline stops it early (Canceled set on the partial counters),
-// and a panic inside the simulator degrades to zeroed counters instead of
-// killing the run.
-func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, opts core.SimOptions) core.SimResult {
-	g := s.Relabeled(ds, alg)
-	if opts.Cache == (cachesim.Config{}) {
-		opts.Cache = s.CacheFor(ds)
-	}
-	if opts.Threads == 0 {
-		opts.Threads = s.Threads
-	}
-	stage := "simulate/" + ds.Name + "/" + alg.Name()
-	var res core.SimResult
-	err := s.controller().Run(stage, func(ctx context.Context) error {
-		if err := runctl.Fire(ctx, stage); err != nil {
-			return err
+// Simulate returns the memoized simulation of one SpMV traversal of the
+// relabeled graph in direction dir, with every observer the tables read:
+// the session's scaled L3 and DTLB, s.Threads interleaved threads,
+// per-vertex attribution and 200 ECS snapshots. The observers only read
+// the cache, so its counters are those of a simulation without them.
+//
+// The simulation runs as the run-control stage "simulate/<ds>/<alg>":
+// SIGINT or a stage deadline stops it early (Canceled set on the partial
+// counters), and a panic inside the simulator degrades to zeroed counters
+// instead of killing the run. A canceled result is not memoized.
+func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, dir trace.Direction) core.SimResult {
+	key := ds.Name + "/" + alg.Spec() + "/" + dir.String()
+	return s.sims.DoUnless(key, func() core.SimResult {
+		g := s.Relabeled(ds, alg)
+		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), s.TLBFraction)
+		opts := core.SimOptions{
+			Direction:     dir,
+			Threads:       s.Threads,
+			Cache:         s.CacheFor(ds),
+			TLB:           &tlb,
+			SnapshotEvery: max(int(trace.CountAccesses(g)/200), 1),
+			PerVertex:     true,
 		}
-		opts.Ctx = ctx
-		res = core.SimulateSpMV(g, opts)
-		if res.Canceled {
-			return runctl.ErrCanceled
+		stage := "simulate/" + ds.Name + "/" + alg.Name()
+		var res core.SimResult
+		err := s.controller().Run(stage, func(ctx context.Context) error {
+			if err := runctl.Fire(ctx, stage); err != nil {
+				return err
+			}
+			opts.Ctx = ctx
+			res = core.SimulateSpMV(g, opts)
+			if res.Canceled {
+				return runctl.ErrCanceled
+			}
+			return nil
+		})
+		if err != nil {
+			res.Canceled = true
+			return res
 		}
-		return nil
-	})
-	if err != nil {
-		res.Canceled = true
-	} else {
 		rec := s.rec()
 		sp := rec.Span(stage)
 		sp.AddEvents(res.Cache.Accesses)
 		sp.AddBytes(res.BytesTouched)
 		res.Cache.Record(rec, "sim.cache")
-		if opts.TLB != nil {
-			res.TLB.Record(rec, "sim.tlb")
-		}
-	}
-	return res
+		res.TLB.Record(rec, "sim.tlb")
+		return res
+	}, func(r core.SimResult) bool { return r.Canceled })
 }
 
 // TimeTraversal measures the wall-clock time and idle percentage of the

@@ -155,7 +155,7 @@ func TableIII(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableI
 	outs := mapCells(s, len(cells), func(i int) cellOut {
 		c := cells[i]
 		return cellOut{
-			sim:     s.Simulate(c.ds, c.alg, core.SimOptions{PerVertex: true}),
+			sim:     s.Simulate(c.ds, c.alg, trace.Pull),
 			degrees: s.Relabeled(c.ds, c.alg).OutDegrees(),
 		}
 	})
@@ -226,9 +226,7 @@ type TableIVRow struct {
 func TableIV(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableIVRow {
 	cells := grid(datasets, algs)
 	sims := mapCells(s, len(cells), func(i int) core.SimResult {
-		c := cells[i]
-		tlb := s.TLBFor(c.ds)
-		return s.Simulate(c.ds, c.alg, core.SimOptions{TLB: &tlb})
+		return s.Simulate(cells[i].ds, cells[i].alg, trace.Pull)
 	})
 	rows := make([]TableIVRow, len(cells))
 	for i, c := range cells {
@@ -286,11 +284,7 @@ func TableV(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableVRo
 	cells := grid(datasets, algs)
 	return mapCells(s, len(cells), func(i int) TableVRow {
 		c := cells[i]
-		every := int(trace.CountAccesses(s.Graph(c.ds)) / 200)
-		if every < 1 {
-			every = 1
-		}
-		sim := s.Simulate(c.ds, c.alg, core.SimOptions{SnapshotEvery: every})
+		sim := s.Simulate(c.ds, c.alg, trace.Pull)
 		return TableVRow{
 			Dataset: c.ds.Name, Algorithm: c.alg.Name(),
 			ECSPct: sim.ECS, L3Misses: sim.Cache.Misses,
@@ -333,8 +327,8 @@ func TableVI(s *Session, datasets []Dataset) []TableVIRow {
 	sims := mapCells(s, len(datasets), func(i int) dsSims {
 		ds := datasets[i]
 		return dsSims{
-			csc: s.Simulate(ds, id, core.SimOptions{Direction: trace.Pull}),
-			csr: s.Simulate(ds, id, core.SimOptions{Direction: trace.PushRead}),
+			csc: s.Simulate(ds, id, trace.Pull),
+			csr: s.Simulate(ds, id, trace.PushRead),
 		}
 	})
 	rows := make([]TableVIRow, len(datasets))
@@ -409,8 +403,8 @@ func TableVII(s *Session, datasets []Dataset) []TableVIIRow {
 		s.seedReorder(ds, sbpp, rPP)
 		return dsOut{
 			sb: sb, sbpp: sbpp, rSB: rSB, rPP: rPP, itSB: itSB, itPP: itPP,
-			simSB: s.Simulate(ds, sb, core.SimOptions{}),
-			simPP: s.Simulate(ds, sbpp, core.SimOptions{}),
+			simSB: s.Simulate(ds, sb, trace.Pull),
+			simPP: s.Simulate(ds, sbpp, trace.Pull),
 		}
 	})
 	rows := make([]TableVIIRow, len(datasets))

@@ -24,7 +24,7 @@ const (
 	PushRead
 )
 
-// String names the direction.
+// String names the direction by the name ParseDirection accepts.
 func (d Direction) String() string {
 	switch d {
 	case Pull:
@@ -32,7 +32,7 @@ func (d Direction) String() string {
 	case Push:
 		return "push"
 	case PushRead:
-		return "push-read"
+		return "pushread"
 	}
 	return "unknown"
 }

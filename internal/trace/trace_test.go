@@ -278,6 +278,16 @@ func TestParseDirection(t *testing.T) {
 	}
 }
 
+// TestDirectionRoundTrip checks String prints the name ParseDirection,
+// the CLI's -dir and the serve API accept.
+func TestDirectionRoundTrip(t *testing.T) {
+	for _, d := range []Direction{Pull, Push, PushRead} {
+		if got, err := ParseDirection(d.String()); err != nil || got != d {
+			t.Errorf("ParseDirection(%q) = %v, %v; want %v", d.String(), got, err, d)
+		}
+	}
+}
+
 func TestFootprintBytes(t *testing.T) {
 	g := chain()
 	l := NewLayout(g)
