@@ -89,8 +89,9 @@ func cmdBenchParallel(args []string) error {
 }
 
 // cmdBenchPipeline times the simulation stack itself: cachesim and trace
-// microbenchmarks, each suite graph's build, and batched-vs-scalar
-// SimulateSpMV macro runs over the experiment dataset suite, written as a
+// microbenchmarks, each suite graph's build, batched-vs-scalar
+// SimulateSpMV macro runs over the experiment dataset suite, and GOrder
+// (exact and hub-capped) over the suite shrunk 16-fold, written as a
 // perf.Report. The committed
 // BENCH_pipeline.json is the baseline `bench diff` gates CI against.
 func cmdBenchPipeline(args []string) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -317,6 +318,27 @@ func TestSimulateCanceledNotKept(t *testing.T) {
 	}
 	if want := trace.CountAccesses(s.Graph(ds[0])); res.Cache.Accesses != want {
 		t.Errorf("retry simulated %d accesses, want the whole stream of %d", res.Cache.Accesses, want)
+	}
+}
+
+// TestSimulateStagePerDirection checks Table VI's pull and push-read
+// simulations of one dataset run as separate stages, each once.
+func TestSimulateStagePerDirection(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ds := tinySession()
+	s.Obs = reg
+	s.Ctrl = runctl.New(context.Background(), runctl.Config{Metrics: reg})
+	TableVI(s, ds[:1])
+	calls := map[string]uint64{}
+	for _, sp := range reg.Manifest(obs.Meta{}).Spans {
+		if strings.HasPrefix(sp.Name, "simulate/") {
+			calls[sp.Name] = sp.Calls
+		}
+	}
+	pull := "simulate/" + ds[0].Name + "/Initial"
+	want := map[string]uint64{pull: 1, pull + "/pushread": 1}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("simulate spans %v, want %v", calls, want)
 	}
 }
 

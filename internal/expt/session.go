@@ -436,7 +436,9 @@ func (s *Session) CacheFor(ds Dataset) cachesim.Config {
 // per-vertex attribution and 200 ECS snapshots. The observers only read
 // the cache, so its counters are those of a simulation without them.
 //
-// The simulation runs as the run-control stage "simulate/<ds>/<alg>":
+// The simulation runs as the run-control stage "simulate/<ds>/<alg>",
+// suffixed "/<dir>" for the push directions, so each direction of a cell
+// has its own span, counters and failpoint:
 // SIGINT or a stage deadline stops it early (Canceled set on the partial
 // counters), and a panic inside the simulator degrades to zeroed counters
 // instead of killing the run. A canceled result is not memoized.
@@ -454,6 +456,9 @@ func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, dir trace.Directio
 			PerVertex:     true,
 		}
 		stage := "simulate/" + ds.Name + "/" + alg.Name()
+		if dir != trace.Pull {
+			stage += "/" + dir.String()
+		}
 		var res core.SimResult
 		err := s.controller().Run(stage, func(ctx context.Context) error {
 			if err := runctl.Fire(ctx, stage); err != nil {

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // OutDegrees returns a freshly allocated slice of all out-degrees.
 func (g *Graph) OutDegrees() []uint32 {
@@ -43,34 +46,51 @@ func DegreeHistogram(degrees []uint32) map[uint32]uint64 {
 // VerticesByDegreeDesc returns vertex IDs sorted by the given degree slice,
 // descending; ties broken by ascending vertex ID for determinism.
 func VerticesByDegreeDesc(degrees []uint32) []uint32 {
-	order := make([]uint32, len(degrees))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if degrees[a] != degrees[b] {
-			return degrees[a] > degrees[b]
-		}
-		return a < b
-	})
-	return order
+	return verticesByDegree(degrees, true)
 }
 
 // VerticesByDegreeAsc returns vertex IDs sorted by degree ascending; ties
 // broken by ascending vertex ID.
 func VerticesByDegreeAsc(degrees []uint32) []uint32 {
-	order := make([]uint32, len(degrees))
-	for i := range order {
-		order[i] = uint32(i)
+	return verticesByDegree(degrees, false)
+}
+
+// verticesByDegree is a stable counting sort of the vertex IDs by degree,
+// in O(n + max degree): IDs are scattered in ascending order, so they stay
+// ascending within a degree. Degrees far above n (which no simple graph
+// has) fall back to a comparison sort rather than a huge count array.
+func verticesByDegree(degrees []uint32, desc bool) []uint32 {
+	var maxDeg uint32
+	for _, d := range degrees {
+		maxDeg = max(maxDeg, d)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if degrees[a] != degrees[b] {
-			return degrees[a] < degrees[b]
+	key := func(d uint32) uint32 {
+		if desc {
+			return maxDeg - d
 		}
-		return a < b
-	})
+		return d
+	}
+	order := make([]uint32, len(degrees))
+	if uint64(maxDeg) > 4*uint64(len(degrees))+64 {
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(key(degrees[a]), key(degrees[b])) })
+		return order
+	}
+	// start[k] is where the IDs whose degree has key k begin.
+	start := make([]uint32, maxDeg+2)
+	for _, d := range degrees {
+		start[key(d)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	for v, d := range degrees {
+		k := key(d)
+		order[start[k]] = uint32(v)
+		start[k]++
+	}
 	return order
 }
 

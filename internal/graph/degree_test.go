@@ -1,6 +1,11 @@
 package graph
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"sort"
+	"testing"
+)
 
 func TestDegreeSlices(t *testing.T) {
 	g := diamond()
@@ -45,6 +50,64 @@ func TestVerticesByDegree(t *testing.T) {
 	for i := range wantAsc {
 		if asc[i] != wantAsc[i] {
 			t.Fatalf("asc = %v, want %v", asc, wantAsc)
+		}
+	}
+}
+
+// byComparator is the comparison sort VerticesByDegreeDesc and
+// VerticesByDegreeAsc replaced: degree in the given direction, then
+// ascending ID.
+func byComparator(degrees []uint32, desc bool) []uint32 {
+	order := make([]uint32, len(degrees))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if degrees[a] != degrees[b] {
+			return (degrees[a] > degrees[b]) == desc
+		}
+		return a < b
+	})
+	return order
+}
+
+// TestVerticesByDegreeMatchesComparator checks the counting sort gives
+// the comparison sort's total order, on corner cases, on seeded random
+// degree slices and on degrees far above n (the fallback path).
+func TestVerticesByDegreeMatchesComparator(t *testing.T) {
+	cases := [][]uint32{
+		nil,
+		{},
+		{0},
+		{7, 7, 7, 7, 7},
+		{0, 0, 0},
+		{3, 2, 1, 0},
+		{0, 1, 2, 3},
+		{math.MaxUint32, 0, math.MaxUint32, 5},
+		{1000, 1, 1000},
+	}
+	state := uint64(12345)
+	for i := 0; i < 50; i++ {
+		n := i * 13 % 300
+		span := uint64(1 + i%17*i)
+		d := make([]uint32, n)
+		for v := range d {
+			state = state*6364136223846793005 + 1442695040888963407
+			d[v] = uint32((state >> 33) % span)
+		}
+		cases = append(cases, d)
+	}
+	for _, d := range cases {
+		for _, desc := range []bool{true, false} {
+			want := byComparator(d, desc)
+			got := VerticesByDegreeAsc(d)
+			if desc {
+				got = VerticesByDegreeDesc(d)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("degrees %v desc=%v: got %v, want %v", d, desc, got, want)
+			}
 		}
 	}
 }

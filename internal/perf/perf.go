@@ -1,8 +1,9 @@
 // Package perf is the benchmark-regression harness: it times the
 // simulation stack's hot paths (micro: cachesim and trace; macro: full
-// SimulateSpMV runs over experiment-grid workloads), serializes the
-// measurements as a JSON report, and diffs two reports with a tolerance so
-// CI can fail on a performance regression. The macro pass times the batched
+// SimulateSpMV runs over experiment-grid workloads; GOrder over the
+// pipeline's heavy shapes), serializes the measurements as a JSON report,
+// and diffs two reports with a tolerance so CI can fail on a performance
+// regression. The macro pass times the batched
 // fast path against the scalar reference and records their speedups — the
 // diff guards those against erosion as well, because a "faster baseline"
 // regression (the batched path silently degrading to scalar performance)

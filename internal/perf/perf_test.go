@@ -161,3 +161,25 @@ func TestGenRows(t *testing.T) {
 		t.Error("a build that differs from the workload's graph passed")
 	}
 }
+
+// TestReorderRows checks the reorder rows: one per spec and shape, named
+// reorder/<spec>/<shape>, each over the requested repetitions (which must
+// all return one permutation).
+func TestReorderRows(t *testing.T) {
+	shapes := ReorderShapes()[:2] // TwtrS and FrndS
+	var r Report
+	if err := Reorder(&r, shapes, ReorderSpecs, Options{Repeats: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Benchmarks) != len(ReorderSpecs)*len(shapes) {
+		t.Errorf("%d rows, want %d", len(r.Benchmarks), len(ReorderSpecs)*len(shapes))
+	}
+	for _, spec := range ReorderSpecs {
+		for _, w := range shapes {
+			name := "reorder/" + spec + "/" + w.Name
+			if b, ok := r.Find(name); !ok || b.NsPerOp <= 0 || b.Iters != 2 {
+				t.Errorf("%s: %+v, found %v", name, b, ok)
+			}
+		}
+	}
+}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/core"
 	"graphlocality/internal/gen"
 	"graphlocality/internal/graph"
+	"graphlocality/internal/reorder"
 	"graphlocality/internal/trace"
 )
 
@@ -67,11 +69,13 @@ func timeIt(repeats int, f func()) time.Duration {
 
 // Pipeline runs the full benchmark suite — micro (cachesim, trace), the
 // cache alone over the first workload's SpMV stream, the workloads' graph
-// builds, and macro (batched vs scalar SimulateSpMV over the given
-// workloads) — and returns the report. The gen pass checks that every
-// build reproduces its workload's graph, and the macro pass that the
-// batched and scalar results are identical, so a bench run doubles as a
-// coarse differential test; a mismatch is returned as an error.
+// builds, macro (batched vs scalar SimulateSpMV over the given workloads)
+// and GOrder over the ReorderShapes — and returns the report. The gen
+// pass checks that every build reproduces its workload's graph, the macro
+// pass that the batched and scalar results are identical, and the reorder
+// pass that every repetition returns the same permutation, so a bench run
+// doubles as a coarse differential test; a mismatch is returned as an
+// error.
 func Pipeline(workloads []Workload, opts Options) (Report, error) {
 	r := Report{Schema: SchemaVersion, Suite: opts.Suite, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	Micro(&r, opts)
@@ -84,7 +88,63 @@ func Pipeline(workloads []Workload, opts Options) (Report, error) {
 	if err := Macro(&r, workloads, opts); err != nil {
 		return r, err
 	}
+	if err := Reorder(&r, ReorderShapes(), ReorderSpecs, opts); err != nil {
+		return r, err
+	}
 	return r, nil
+}
+
+// ReorderSpecs are the orderings Pipeline times over the ReorderShapes:
+// GOrder, the costliest reordering, exact and hub-capped.
+var ReorderSpecs = []string{"go", "go:hubcap=sqrt"}
+
+// ReorderShapes returns the Standard suite's generators shrunk 16-fold
+// (logV−4, and the ER edge count by the same factor), named as in the
+// suite: the shapes the pipeline benchmark reorders with the heavy
+// orderings.
+func ReorderShapes() []Workload {
+	const shift = 4
+	return []Workload{
+		{Name: "TwtrS", Graph: gen.SocialNetwork(15-shift, 16, 42)},
+		{Name: "FrndS", Graph: gen.SocialNetwork(16-shift, 12, 7)},
+		{Name: "SKS", Graph: gen.WebGraph(gen.DefaultWebGraph(1<<(15-shift), 16, 9))},
+		{Name: "WebS", Graph: gen.WebGraph(gen.DefaultWebGraph(1<<(16-shift), 10, 3))},
+		{Name: "UKS", Graph: gen.WebGraph(gen.DefaultWebGraph(1<<(17-shift), 8, 5))},
+		{Name: "UnifS", Graph: gen.ErdosRenyi(1<<(15-shift), 500000>>shift, 1)},
+	}
+}
+
+// Reorder appends, per spec and workload, the time of one reorder of the
+// workload's graph as reorder/<spec>/<name> in nanoseconds per run. It
+// errors if a repetition returns a permutation other than the first's.
+func Reorder(r *Report, workloads []Workload, specs []string, opts Options) error {
+	rep := opts.repeats()
+	for _, spec := range specs {
+		alg, err := reorder.New(spec)
+		if err != nil {
+			return err
+		}
+		for _, w := range workloads {
+			var first graph.Permutation
+			var differ bool
+			d := timeIt(rep, func() {
+				p := reorder.Perm(alg, w.Graph)
+				if first == nil {
+					first = p
+				} else if !slices.Equal(p, first) {
+					differ = true
+				}
+			})
+			if differ {
+				return fmt.Errorf("perf: %s on %s returned different permutations", spec, w.Name)
+			}
+			name := "reorder/" + spec + "/" + w.Name
+			ns := float64(d.Nanoseconds())
+			r.Add(name, rep, ns)
+			opts.progress(name, ns)
+		}
+	}
+	return nil
 }
 
 // Gen appends, per workload with a Build, the time to generate its graph

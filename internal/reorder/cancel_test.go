@@ -3,6 +3,7 @@ package reorder
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"graphlocality/internal/gen"
@@ -83,4 +84,62 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	checkPerm(t, res.Perm, g.NumVertices())
+}
+
+// doneCounter is a live context that counts the calls to its Done method:
+// one per poll of a runctl.Poller.
+type doneCounter struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls.Add(1)
+	return c.Context.Done()
+}
+
+// TestDefaultPollInterval checks that PollEvery 0 polls every
+// runctl.DefaultPollInterval steps, as the fields document, and not every
+// step: each run makes exactly steps/DefaultPollInterval polls, where
+// steps is the poll count of the same run at PollEvery 1.
+func TestDefaultPollInterval(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(13, 8, 3))
+	runs := map[string]func(ctx context.Context, every int) error{
+		"sb": func(ctx context.Context, every int) error {
+			_, err := (&SlashBurn{KFraction: 0.02, PollEvery: every}).Reorder(ctx, g)
+			return err
+		},
+		"ro": func(ctx context.Context, every int) error {
+			_, err := (&RabbitOrder{PollEvery: every}).Reorder(ctx, g)
+			return err
+		},
+		"louvain": func(ctx context.Context, every int) error {
+			_, err := DetectLouvain(ctx, g, 1, 1, every)
+			return err
+		},
+		"lp": func(ctx context.Context, every int) error {
+			_, err := DetectLabelProp(ctx, g, 1, every)
+			return err
+		},
+		"brew": func(ctx context.Context, every int) error {
+			_, err := (&Brew{Hub: "dbg", Dense: "dbg", Else: "dbg", PollEvery: every}).Reorder(ctx, g)
+			return err
+		},
+	}
+	for name, run := range runs {
+		polls := func(every int) int64 {
+			ctx := &doneCounter{Context: context.Background()}
+			if err := run(ctx, every); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return ctx.calls.Load()
+		}
+		steps, got := polls(1), polls(0)
+		if steps < runctl.DefaultPollInterval {
+			t.Fatalf("%s: only %d steps; the graph is too small to show the interval", name, steps)
+		}
+		if want := steps / runctl.DefaultPollInterval; got != want {
+			t.Errorf("%s: PollEvery 0 polled %d times over %d steps, want %d", name, got, steps, want)
+		}
+	}
 }

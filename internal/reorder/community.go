@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -264,9 +265,10 @@ func aggregate(w *wgraph, comm []uint32) (*wgraph, []uint32) {
 // all tie-breaks are by smallest community ID, so a fixed seed fixes the
 // output bit-for-bit.
 //
-// On cancellation the partition built so far is still compacted and
-// returned alongside ctx's error — every vertex is assigned exactly once
-// regardless.
+// ctx is polled every pollEvery vertex visits (0 =
+// runctl.DefaultPollInterval). On cancellation the partition built so far
+// is still compacted and returned alongside ctx's error — every vertex is
+// assigned exactly once regardless.
 func DetectLouvain(ctx context.Context, g *graph.Graph, resolution float64, seed uint64, pollEvery int) (Communities, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -275,7 +277,7 @@ func DetectLouvain(ctx context.Context, g *graph.Graph, resolution float64, seed
 	if resolution <= 0 {
 		resolution = 1
 	}
-	poll := runctl.NewPoller(ctx, pollEvery)
+	poll := runctl.NewPoller(ctx, cmp.Or(pollEvery, runctl.DefaultPollInterval))
 	rng := splitmix{s: seed}
 
 	w := levelGraph(g)
@@ -318,7 +320,7 @@ func DetectLabelProp(ctx context.Context, g *graph.Graph, seed uint64, pollEvery
 	if n == 0 {
 		return Communities{Membership: []uint32{}}, nil
 	}
-	poll := runctl.NewPoller(ctx, pollEvery)
+	poll := runctl.NewPoller(ctx, cmp.Or(pollEvery, runctl.DefaultPollInterval))
 	rng := splitmix{s: seed}
 	und := g.Undirected()
 

@@ -10,14 +10,9 @@ import (
 // batch changes the key of each of vs by d, as one batch.
 func batch(h *unitHeap, d int32, vs ...uint32) {
 	for _, v := range vs {
-		h.add(v, d)
+		h.change(v, d)
 	}
-	for _, v := range vs {
-		if !h.removed(v) {
-			h.replay(v)
-		}
-	}
-	h.settled()
+	h.apply()
 }
 
 func TestUnitHeapBasics(t *testing.T) {
@@ -69,12 +64,9 @@ func TestUnitHeapBatchTieOrder(t *testing.T) {
 		d int32
 	}{{3, 1}, {5, 1}, {4, -1}, {4, 1}, {3, -1}, {3, 1}, {1, 1}, {1, 1}}
 	for _, c := range changes {
-		h.add(c.v, c.d)
+		h.change(c.v, c.d)
 	}
-	for _, c := range changes {
-		h.replay(c.v)
-	}
-	h.settled()
+	h.apply()
 	// One change at a time: [4], [3 4], [5 3 4], [5 3], [4 5 3], [4 5],
 	// [3 4 5], and 1 alone in bucket 2.
 	for _, want := range []uint32{1, 3, 4, 5} {

@@ -18,6 +18,7 @@ var nonDefault = map[string]string{
 	reorder.OptWindow:     "3",
 	reorder.OptEDR:        "2-40",
 	reorder.OptCacheBytes: "4096",
+	reorder.OptHubCap:     "sqrt",
 	"detect":              "lp",
 	"hub":                 "dbg",
 	"dense":               "hubsort",
@@ -57,7 +58,7 @@ func identityConfigs(t *testing.T) []reorder.Algorithm {
 	}
 	return append(algs,
 		reorder.Identity{}, reorder.Random{}, reorder.Boba{Workers: -1},
-		&reorder.GOrder{}, &reorder.Hybrid{}, &reorder.RabbitOrder{MaxCommunitySize: 9},
+		&reorder.GOrder{}, &reorder.GOrder{HubCap: true}, &reorder.Hybrid{}, &reorder.RabbitOrder{MaxCommunitySize: 9},
 		&reorder.SlashBurn{KFraction: 0.02, CacheBytes: 100}, &reorder.Brew{Hub: "hs"})
 }
 
@@ -104,6 +105,8 @@ func TestSpecDropsDefaults(t *testing.T) {
 		"rabbitorder:edr=2-100,cachebytes=65536": "ro:cachebytes=65536,edr=2-100",
 		"gorder:window=5":                        "go",
 		"go:window=7":                            "go:window=7",
+		"gorder:window=5,hubcap=sqrt":            "go:hubcap=sqrt",
+		"go:window=8,hubcap=sqrt":                "go:hubcap=sqrt,window=8",
 		"slashburn++":                            "sb++",
 		"random:seed=1":                          "random",
 		"boba:seed=3,workers=4":                  "boba:workers=4",

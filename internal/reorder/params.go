@@ -13,6 +13,7 @@ const (
 	OptWindow     = "window"
 	OptEDR        = "edr"
 	OptCacheBytes = "cachebytes"
+	OptHubCap     = "hubcap"
 )
 
 // Params is what a Registration's factory receives: the spec's key=value
@@ -66,6 +67,19 @@ func (p Params) Window() (int, error) {
 		return 0, p.invalid(OptWindow, fmt.Sprintf("%d", w), "window must be >= 1")
 	}
 	return w, nil
+}
+
+// HubCap reports whether GOrder caps the in-neighbours that score at
+// out-degree ⌊√|V|⌋; "sqrt" is the one cap accepted.
+func (p Params) HubCap() (bool, error) {
+	s, ok := p.Get(OptHubCap)
+	if !ok {
+		return false, nil
+	}
+	if s != "sqrt" {
+		return false, p.invalid(OptHubCap, s, `want "sqrt"`)
+	}
+	return true, nil
 }
 
 // EDR returns the efficacy degree range [lo, hi] Rabbit-Order merges

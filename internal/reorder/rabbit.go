@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -112,7 +113,7 @@ func (r *RabbitOrder) Reorder(ctx context.Context, g *graph.Graph) (graph.Permut
 	if n == 0 {
 		return graph.Permutation{}, nil
 	}
-	poll := runctl.NewPoller(ctx, r.PollEvery)
+	poll := runctl.NewPoller(ctx, cmp.Or(r.PollEvery, runctl.DefaultPollInterval))
 	und := g.Undirected()
 
 	// EDR filtering: eligible vertices participate in community growth.

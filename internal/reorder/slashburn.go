@@ -130,7 +130,7 @@ func (s *SlashBurn) Reorder(ctx context.Context, g *graph.Graph) (graph.Permutat
 	if n == 0 {
 		return perm, nil
 	}
-	poll := runctl.NewPoller(ctx, s.PollEvery)
+	poll := runctl.NewPoller(ctx, cmp.Or(s.PollEvery, runctl.DefaultPollInterval))
 	k := int(s.KFraction * float64(n))
 	if k < 1 {
 		k = 1

@@ -141,6 +141,12 @@ func TestSpecNewErrors(t *testing.T) {
 	} else if !strings.Contains(oe.Error(), "window") {
 		t.Errorf("error %q does not name the option", oe.Error())
 	}
+	// The one hub cap is "sqrt".
+	for _, bad := range []string{"go:hubcap=0", "go:hubcap=12", "go:hubcap=half", "go:hubcap=SQRT"} {
+		if _, err := New(bad); !errors.As(err, &oe) {
+			t.Errorf("%s error = %v, want *OptionError", bad, err)
+		}
+	}
 	// Empty degree range.
 	if _, err := New("ro:edr=9-3"); !errors.As(err, &oe) {
 		t.Errorf("edr=9-3 error = %v, want *OptionError", err)
