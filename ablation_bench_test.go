@@ -15,9 +15,7 @@ import (
 	"graphlocality/internal/cachesim"
 	"graphlocality/internal/core"
 	"graphlocality/internal/expt"
-	"graphlocality/internal/ihtl"
 	"graphlocality/internal/reorder"
-	"graphlocality/internal/sfc"
 	"graphlocality/internal/trace"
 )
 
@@ -44,7 +42,7 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 // BenchmarkAblationGOrderWindow sweeps GOrder's sliding-window size.
 func BenchmarkAblationGOrderWindow(b *testing.B) {
 	s, ds := session()
-	sub := contrastSubset(ds)
+	sub, _ := expt.Contrast.Pick(ds) // Contrast never fails
 	g := s.Graph(sub[0])
 	cache := s.CacheFor(sub[0])
 	for _, w := range []int{1, 3, 5, 8, 16} {
@@ -65,7 +63,7 @@ func BenchmarkAblationGOrderWindow(b *testing.B) {
 // §VIII-C cache-aware variants and the RO+GO hybrid.
 func BenchmarkAblationCacheAwareRAs(b *testing.B) {
 	s, ds := session()
-	sub := contrastSubset(ds)
+	sub, _ := expt.Contrast.Pick(ds) // Contrast never fails
 	for _, d := range sub {
 		g := s.Graph(d)
 		cache := s.CacheFor(d)
@@ -91,32 +89,20 @@ func BenchmarkAblationCacheAwareRAs(b *testing.B) {
 	}
 }
 
-// BenchmarkIHTL compares iHTL flipped-block traversal misses against the
-// plain pull traversal and the best RA (§VIII-A): reorderings cannot fix
-// hub locality, flipped blocks can.
-func BenchmarkIHTL(b *testing.B) {
+// BenchmarkReorderAlgorithms measures raw preprocessing throughput of each
+// RA on the first social dataset (an ablation supplement to Table II).
+func BenchmarkReorderAlgorithms(b *testing.B) {
 	s, ds := session()
-	for _, d := range contrastSubset(ds) {
-		g := s.Graph(d)
-		cfg := s.CacheFor(d)
-		blocked := ihtl.Build(g, ihtl.Config{CacheBytes: uint64(cfg.SizeBytes() / 2)})
-		count := func(run func(trace.Sink)) uint64 {
-			c := cachesim.New(cfg)
-			run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
-			return c.Stats().Misses
-		}
-		b.Run(d.Name, func(b *testing.B) {
-			var plain, flipped uint64
+	g := s.Graph(ds[0])
+	for _, alg := range []reorder.Algorithm{
+		reorder.DegreeSort{}, reorder.HubSort{},
+		reorder.DBG{},
+		reorder.MustNew("sb++"), reorder.MustNew("ro"),
+	} {
+		b.Run(alg.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plain = count(func(sk trace.Sink) {
-					trace.Run(g, trace.NewLayout(g), trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
-				})
-				flipped = count(func(sk trace.Sink) { ihtl.Trace(blocked, ihtl.NewLayout(blocked), sk) })
+				reorder.Perm(alg, g)
 			}
-			b.ReportMetric(float64(plain)/1e3, "plainKmiss")
-			b.ReportMetric(float64(flipped)/1e3, "ihtlKmiss")
-			printOnce("ihtl-"+d.Name, fmt.Sprintf("iHTL (%s): plain pull %d misses, iHTL %d misses (%s)",
-				d.Name, plain, flipped, blocked))
 		})
 	}
 }
@@ -152,36 +138,6 @@ func BenchmarkAnalytics(b *testing.B) {
 			analytics.HITS(g, 5)
 		}
 	})
-}
-
-// BenchmarkHilbertCOO compares the space-filling-curve edge ordering of
-// §IX-A's related work against row-ordered COO and the CSC pull
-// traversal on one social dataset.
-func BenchmarkHilbertCOO(b *testing.B) {
-	s, ds := session()
-	g := s.Graph(ds[0])
-	cfg := s.CacheFor(ds[0])
-	l := trace.NewLayout(g)
-	hilbert := sfc.HilbertOrder(g)
-	row := sfc.RowOrder(g)
-	count := func(run func(trace.Sink)) uint64 {
-		c := cachesim.New(cfg)
-		run(func(a trace.Access) { c.Access(a.Addr, a.Write) })
-		return c.Stats().Misses
-	}
-	var hm, rm, pm uint64
-	for i := 0; i < b.N; i++ {
-		hm = count(func(sk trace.Sink) { sfc.Trace(hilbert, l, sk) })
-		rm = count(func(sk trace.Sink) { sfc.Trace(row, l, sk) })
-		pm = count(func(sk trace.Sink) {
-			trace.Run(g, l, trace.Whole(g, trace.Pull), func(a trace.Access) bool { sk(a); return true })
-		})
-	}
-	b.ReportMetric(float64(hm)/1e3, "hilbertKmiss")
-	b.ReportMetric(float64(rm)/1e3, "rowKmiss")
-	b.ReportMetric(float64(pm)/1e3, "pullKmiss")
-	printOnce("hilbert", fmt.Sprintf(
-		"Hilbert COO: %d misses, row COO: %d, CSC pull: %d", hm, rm, pm))
 }
 
 // BenchmarkAblationHierarchy probes the paper's L3-only simulation
@@ -271,7 +227,7 @@ func BenchmarkNUMA(b *testing.B) {
 // data fits, every ordering hits).
 func BenchmarkAblationCacheFraction(b *testing.B) {
 	s, ds := session()
-	sub := contrastSubset(ds)
+	sub, _ := expt.Contrast.Pick(ds) // Contrast never fails
 	var web expt.Dataset
 	for _, d := range sub {
 		if d.Kind == expt.WebGraph {

@@ -1,11 +1,10 @@
 package graphlocality_test
 
-// One benchmark per table and figure of the paper. Each bench runs the
-// corresponding experiment harness on the Standard dataset suite (or a
-// representative subset where a full sweep would dominate the run) and
-// prints the paper-shaped rows once, so `go test -bench=.` both measures
-// and regenerates the evaluation. See EXPERIMENTS.md for the recorded
-// outputs and the paper-vs-measured comparison.
+// One benchmark per experiment of the paper's evaluation: each entry of
+// expt.Experiments runs on its dataset selection of the Standard suite
+// and prints its report once, so `go test -bench=Experiments` both
+// measures and regenerates the evaluation. See EXPERIMENTS.md for the
+// recorded outputs and the paper-vs-measured comparison.
 
 import (
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"graphlocality/internal/expt"
-	"graphlocality/internal/reorder"
 )
 
 var (
@@ -33,7 +31,7 @@ func session() (*expt.Session, []expt.Dataset) {
 	return sess, suite
 }
 
-// printOnce prints a rendered table on the first benchmark iteration only.
+// printOnce prints a rendered report on the first benchmark iteration only.
 var printed sync.Map
 
 func printOnce(key, out string) {
@@ -42,212 +40,18 @@ func printOnce(key, out string) {
 	}
 }
 
-func BenchmarkTableI_Datasets(b *testing.B) {
-	s, ds := session()
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableI(s, ds)
-		printOnce("t1", expt.RenderTableI(rows))
-	}
-}
-
-func BenchmarkTableII_Preprocessing(b *testing.B) {
+func BenchmarkExperiments(b *testing.B) {
 	s, ds := session()
 	algs := expt.StandardAlgorithms()
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableII(s, ds, algs)
-		printOnce("t2", expt.RenderTableII(rows))
-	}
-}
-
-func BenchmarkTableIII_HubMisses(b *testing.B) {
-	s, ds := session()
-	algs := expt.StandardAlgorithms()
-	// The per-vertex attributed simulation across all algorithms is the
-	// most expensive sweep; run it on the social/web contrast subset.
-	sub := contrastSubset(ds)
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableIII(s, sub, algs)
-		printOnce("t3", expt.RenderTableIII(rows))
-	}
-}
-
-func BenchmarkTableIV_SpMV(b *testing.B) {
-	s, ds := session()
-	algs := expt.StandardAlgorithms()
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableIV(s, ds, algs)
-		printOnce("t4", expt.RenderTableIV(rows))
-	}
-}
-
-func BenchmarkTableV_ECS(b *testing.B) {
-	s, ds := session()
-	algs := expt.StandardAlgorithms()
-	sub := contrastSubset(ds)
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableV(s, sub, algs)
-		printOnce("t5", expt.RenderTableV(rows))
-	}
-}
-
-func BenchmarkTableVI_PushPull(b *testing.B) {
-	s, ds := session()
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableVI(s, ds)
-		printOnce("t6", expt.RenderTableVI(rows))
-	}
-}
-
-func BenchmarkTableVII_SlashBurnPP(b *testing.B) {
-	s, ds := session()
-	sub := socialSubset(ds)
-	for i := 0; i < b.N; i++ {
-		rows := expt.TableVII(s, sub)
-		printOnce("t7", expt.RenderTableVII(rows))
-	}
-}
-
-func BenchmarkFig1_MissRateDist(b *testing.B) {
-	s, ds := session()
-	algs := expt.StandardAlgorithms()
-	sub := contrastSubset(ds)
-	for i := 0; i < b.N; i++ {
-		for _, d := range sub {
-			series := expt.Fig1(s, d, algs)
-			printOnce("f1-"+d.Name, expt.RenderSeries(
-				fmt.Sprintf("Fig 1 (%s): miss rate (%%) by degree", d.Name), series))
-		}
-	}
-}
-
-func BenchmarkFig2_SBIterations(b *testing.B) {
-	s, ds := session()
-	sub := socialSubset(ds)
-	for i := 0; i < b.N; i++ {
-		for _, d := range sub {
-			snaps := expt.Fig2(s, d)
-			printOnce("f2-"+d.Name, fmt.Sprintf("Fig 2 (%s):\n%s", d.Name, expt.RenderFig2(snaps)))
-		}
-	}
-}
-
-func BenchmarkFig3_AID(b *testing.B) {
-	s, ds := session()
-	sub := contrastSubset(ds)
-	for i := 0; i < b.N; i++ {
-		for _, d := range sub {
-			series := expt.Fig3(s, d)
-			printOnce("f3-"+d.Name, expt.RenderSeries(
-				fmt.Sprintf("Fig 3 (%s): AID by in-degree", d.Name), series))
-		}
-	}
-}
-
-func BenchmarkFig4_Asymmetricity(b *testing.B) {
-	s, ds := session()
-	social, web := pair(b, ds)
-	for i := 0; i < b.N; i++ {
-		series := expt.Fig4(s, social, web)
-		printOnce("f4", expt.RenderSeries("Fig 4: asymmetricity (%) by in-degree", series))
-	}
-}
-
-func BenchmarkFig5_Decomposition(b *testing.B) {
-	s, ds := session()
-	social, web := pair(b, ds)
-	for i := 0; i < b.N; i++ {
-		res := expt.Fig5(s, []expt.Dataset{social, web})
-		printOnce("f5", expt.RenderFig5(res))
-	}
-}
-
-func BenchmarkFig6_HubCoverage(b *testing.B) {
-	s, ds := session()
-	for i := 0; i < b.N; i++ {
-		res := expt.Fig6(s, ds)
-		printOnce("f6", expt.RenderFig6(res))
-	}
-}
-
-func BenchmarkEDR_RabbitOrder(b *testing.B) {
-	s, ds := session()
-	sub := webSubset(ds)
-	for i := 0; i < b.N; i++ {
-		rows := expt.EDRExperiment(s, sub)
-		printOnce("edr", expt.RenderEDR(rows))
-	}
-}
-
-func BenchmarkFrameworkGap(b *testing.B) {
-	s, ds := session()
-	sub := contrastSubset(ds)
-	for i := 0; i < b.N; i++ {
-		rows := expt.FrameworkGap(s, sub)
-		printOnce("gap", expt.RenderGap(rows))
-	}
-}
-
-// BenchmarkReorderAlgorithms measures raw preprocessing throughput of each
-// RA on the first social dataset (an ablation supplement to Table II).
-func BenchmarkReorderAlgorithms(b *testing.B) {
-	s, ds := session()
-	g := s.Graph(ds[0])
-	for _, alg := range []reorder.Algorithm{
-		reorder.DegreeSort{}, reorder.HubSort{},
-		reorder.DBG{},
-		reorder.MustNew("sb++"), reorder.MustNew("ro"),
-	} {
-		b.Run(alg.Name(), func(b *testing.B) {
+	for _, e := range expt.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reorder.Perm(alg, g)
+				out, err := e.Run(s, ds, algs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				printOnce(e.ID, out.Text)
 			}
 		})
 	}
-}
-
-func contrastSubset(ds []expt.Dataset) []expt.Dataset {
-	var social, web *expt.Dataset
-	for i := range ds {
-		if ds[i].Kind == expt.SocialNetwork && social == nil {
-			social = &ds[i]
-		}
-		if ds[i].Kind == expt.WebGraph && web == nil {
-			web = &ds[i]
-		}
-	}
-	var out []expt.Dataset
-	if social != nil {
-		out = append(out, *social)
-	}
-	if web != nil {
-		out = append(out, *web)
-	}
-	return out
-}
-
-func socialSubset(ds []expt.Dataset) []expt.Dataset {
-	var out []expt.Dataset
-	for _, d := range ds {
-		if d.Kind == expt.SocialNetwork {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func webSubset(ds []expt.Dataset) []expt.Dataset {
-	for _, d := range ds {
-		if d.Kind == expt.WebGraph {
-			return []expt.Dataset{d}
-		}
-	}
-	return nil
-}
-
-func pair(b *testing.B, ds []expt.Dataset) (expt.Dataset, expt.Dataset) {
-	sub := contrastSubset(ds)
-	if len(sub) < 2 {
-		b.Fatal("suite lacks social/web pair")
-	}
-	return sub[0], sub[1]
 }

@@ -31,20 +31,14 @@ func cmdBenchParallel(args []string) error {
 	}
 	par := fs.Int("parallel", defPar, "worker count for the parallel pass")
 	fs.Parse(args)
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
+	size, err := expt.ParseSize(*sizeName)
+	if err != nil {
+		return usagef("-size: %v", err)
 	}
 	if *par < 2 {
 		return usagef("-parallel must be at least 2 to compare against the serial pass")
 	}
 
-	// The grid covers the scheduler's main shapes: Table II (reorder
-	// stages, one at a time at any -parallel so their cost is measured
-	// alone), Table III (the cells' simulations and miss-count folds), and
-	// Table V and Fig. 1, whose cells reuse Table III's memoized
-	// simulations, so they time only the ECS reads and miss-rate-by-degree
-	// series.
 	runGrid := func(parallel int) (time.Duration, error) {
 		s := expt.NewSession()
 		s.Ctrl = runctl.New(context.Background(), runctl.Config{})
@@ -52,10 +46,12 @@ func cmdBenchParallel(args []string) error {
 		ds := expt.Suite(size)
 		algs := expt.StandardAlgorithms()
 		start := time.Now()
-		expt.TableII(s, ds, algs)
-		expt.TableIII(s, ds, algs)
-		expt.TableV(s, ds, algs)
-		expt.Fig1(s, ds[0], algs)
+		for _, id := range expt.ParallelBenchGrid {
+			e, _ := expt.LookupExperiment(id)
+			if _, err := e.Run(s, ds, algs); err != nil {
+				return 0, err
+			}
+		}
 		elapsed := time.Since(start)
 		if len(s.DegradedStages()) != 0 {
 			return elapsed, fmt.Errorf("bench run degraded stages: %v", s.DegradedStages())
@@ -100,9 +96,9 @@ func cmdBenchPipeline(args []string) error {
 	out := fs.String("out", "BENCH_pipeline.json", "output JSON path")
 	repeats := fs.Int("repeats", 3, "timing repetitions per benchmark (minimum is reported)")
 	fs.Parse(args)
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
+	size, err := expt.ParseSize(*sizeName)
+	if err != nil {
+		return usagef("-size: %v", err)
 	}
 
 	var workloads []perf.Workload
@@ -143,9 +139,9 @@ func cmdBenchMulticore(args []string) error {
 	repeats := fs.Int("repeats", 3, "timing repetitions per benchmark (minimum is reported)")
 	workersFlag := fs.String("workers", "", "comma-separated worker counts (default: 1,2 then doubling to NumCPU)")
 	fs.Parse(args)
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
+	size, err := expt.ParseSize(*sizeName)
+	if err != nil {
+		return usagef("-size: %v", err)
 	}
 	counts := perf.DefaultWorkerCounts()
 	if *workersFlag != "" {

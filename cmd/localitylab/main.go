@@ -11,7 +11,7 @@
 //	localitylab metrics  -graph g.seg [-aid] [-asym] [-decomp] [-coverage] [-types]
 //	localitylab spmv     -graph g.seg [-threads N] [-iters K] [-dir pull|push|pushread]
 //	localitylab simulate -graph g.seg [-threads N] [-ecs]
-//	localitylab experiment table1|table2|...|table7|fig1|...|fig6|edr|gap|all [-size tiny|standard]
+//	localitylab experiment <id>|all [-size tiny|standard]
 //
 // Every graph file (-graph, -graphs, gen -out, reorder -out) is a
 // segmented compressed container (internal/graph/segcsr).
@@ -170,9 +170,8 @@ Commands:
   trace       record a traversal's memory-access trace to a file
   replay      replay a recorded trace against a cache configuration
   ihtl        build iHTL flipped blocks and compare misses vs plain pull
-  experiment  regenerate a paper table or figure (table1..table7,
-              fig1..fig6, edr, gap, ihtl, hybrid, brew, hilbert,
-              utilization, all)
+  experiment  regenerate a paper table, figure or study: experiment <id>
+              or experiment all (run it without an id to list the ids)
   compress    measure the segmented compressed-CSR footprint (bytes/edge)
               of a graph, per reordering with -algs; -out rewrites the
               graph with -segverts segments and reloads it to verify
@@ -561,15 +560,28 @@ func cmdExperiment(args []string) error {
 		args = args[1:]
 	}
 	fs.Parse(args)
+	var ids string
+	for _, e := range expt.Experiments {
+		ids += e.ID + ", "
+	}
+	ids += "all"
 	if id == "" {
-		return usagef("experiment id required (table1..table7, fig1..fig6, edr, gap, ihtl, hybrid, brew, hilbert, utilization, all)")
+		return usagef("experiment id required (%s)", ids)
+	}
+	runs := expt.Experiments
+	if id != "all" {
+		e, ok := expt.LookupExperiment(id)
+		if !ok {
+			return usagef("unknown experiment %q (%s)", id, ids)
+		}
+		runs = []expt.Experiment{e}
 	}
 	if *resume && *cacheDir == "" {
 		return usagef("-resume requires -cachedir")
 	}
-	size := expt.Standard
-	if *sizeName == "tiny" {
-		size = expt.Tiny
+	size, err := expt.ParseSize(*sizeName)
+	if err != nil {
+		return usagef("-size: %v", err)
 	}
 
 	// SIGINT cancels the root context: in-flight stages notice within one
@@ -641,180 +653,51 @@ func cmdExperiment(args []string) error {
 		}
 	}
 
-	writeCSV := func(name string, write func(w *os.File) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
+	for _, e := range runs {
+		out, err := e.Run(s, ds, algs)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		return write(f)
-	}
-
-	run := func(one string) error {
-		switch one {
-		case "table1":
-			fmt.Println("== Table I: datasets ==")
-			fmt.Print(expt.RenderTableI(expt.TableI(s, ds)))
-		case "table2":
-			fmt.Println("== Table II: preprocessing overheads ==")
-			fmt.Print(expt.RenderTableII(expt.TableII(s, ds, algs)))
-		case "table3":
-			fmt.Println("== Table III: misses accessing data of vertices with degree > MinDeg ==")
-			fmt.Print(expt.RenderTableIII(expt.TableIII(s, ds, algs)))
-		case "table4":
-			fmt.Println("== Table IV: SpMV execution results ==")
-			rows := expt.TableIV(s, ds, algs)
-			fmt.Print(expt.RenderTableIV(rows))
-			if err := writeCSV("table4.csv", func(w *os.File) error {
-				return expt.WriteTableIVCSV(w, rows)
-			}); err != nil {
-				return err
-			}
-		case "table5":
-			fmt.Println("== Table V: average effective cache size ==")
-			fmt.Print(expt.RenderTableV(expt.TableV(s, ds, algs)))
-		case "table6":
-			fmt.Println("== Table VI: CSC vs CSR read traversals ==")
-			fmt.Print(expt.RenderTableVI(expt.TableVI(s, ds)))
-		case "table7":
-			fmt.Println("== Table VII: SlashBurn vs SlashBurn++ ==")
-			fmt.Print(expt.RenderTableVII(expt.TableVII(s, socialOnly(ds))))
-		case "fig1":
-			for _, d := range ds {
-				series := expt.Fig1(s, d, algs)
-				fmt.Print(expt.RenderSeries(
-					fmt.Sprintf("== Fig 1 (%s): cache miss rate (%%) degree distribution ==", d.Name),
-					series))
-				if err := writeCSV("fig1-"+d.Name+".csv", func(w *os.File) error {
-					return expt.WriteSeriesCSV(w, series)
-				}); err != nil {
-					return err
-				}
-			}
-		case "fig2":
-			for _, d := range socialOnly(ds) {
-				fmt.Printf("== Fig 2 (%s): GCC degree distribution across SB iterations ==\n", d.Name)
-				snaps := expt.Fig2(s, d)
-				fmt.Print(expt.RenderFig2(snaps))
-				if err := writeCSV("fig2-"+d.Name+".csv", func(w *os.File) error {
-					return expt.WriteFig2CSV(w, snaps)
-				}); err != nil {
-					return err
-				}
-			}
-		case "fig3":
-			for _, d := range ds {
-				fmt.Print(expt.RenderSeries(
-					fmt.Sprintf("== Fig 3 (%s): AID degree distribution ==", d.Name),
-					expt.Fig3(s, d)))
-			}
-		case "fig4":
-			social, web, err := contrastPair(ds)
-			if err != nil {
-				return err
-			}
-			series := expt.Fig4(s, social, web)
-			fmt.Print(expt.RenderSeries("== Fig 4: asymmetricity (%) degree distribution ==", series))
-			if err := writeCSV("fig4.csv", func(w *os.File) error {
-				return expt.WriteSeriesCSV(w, series)
-			}); err != nil {
-				return err
-			}
-		case "fig5":
-			social, web, err := contrastPair(ds)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Fig 5: degree range decomposition ==")
-			res := expt.Fig5(s, []expt.Dataset{social, web})
-			fmt.Print(expt.RenderFig5(res))
-			if err := writeCSV("fig5.csv", func(w *os.File) error {
-				return expt.WriteDecompositionCSV(w, res)
-			}); err != nil {
-				return err
-			}
-		case "fig6":
-			fmt.Println("== Fig 6: edges covered by in-hubs (CSR) vs out-hubs (CSC) ==")
-			res := expt.Fig6(s, ds)
-			fmt.Print(expt.RenderFig6(res))
-			if err := writeCSV("fig6.csv", func(w *os.File) error {
-				return expt.WriteCoverageCSV(w, res)
-			}); err != nil {
-				return err
-			}
-		case "edr":
-			fmt.Println("== §VIII-B2: EDR-restricted Rabbit-Order ==")
-			fmt.Print(expt.RenderEDR(expt.EDRExperiment(s, ds)))
-		case "gap":
-			fmt.Println("== §III-B: optimized engine vs naive framework-style SpMV ==")
-			fmt.Print(expt.RenderGap(expt.FrameworkGap(s, ds)))
-		case "ihtl":
-			fmt.Println("== §VIII-A: iHTL flipped blocks vs plain pull vs Rabbit-Order ==")
-			fmt.Print(expt.RenderIHTL(expt.IHTLExperiment(s, ds)))
-		case "hybrid":
-			fmt.Println("== §VIII-C: cache-aware RA variants and the RO+GO hybrid ==")
-			fmt.Print(expt.RenderHybrid(expt.HybridExperiment(s, contrastOnly(ds))))
-		case "brew":
-			fmt.Println("== per-community hybrid (brew) vs every global RA ==")
-			fmt.Print(expt.RenderBrew(expt.BrewExperiment(s, contrastOnly(ds))))
-		case "hilbert":
-			fmt.Println("== §IX-A: Hilbert-curve edge ordering vs row COO vs CSC pull ==")
-			fmt.Print(expt.RenderHilbert(expt.HilbertExperiment(s, ds)))
-		case "utilization":
-			fmt.Println("== cache-line word utilization per RA (spatial-locality companion to Table V) ==")
-			fmt.Print(expt.RenderUtilization(expt.UtilizationExperiment(s, contrastOnly(ds), algs)))
-		default:
-			return usagef("unknown experiment %q", one)
-		}
-		return nil
-	}
-
-	finish := func() error {
-		for stage, reason := range s.DegradedStages() {
-			fmt.Fprintf(os.Stderr, "localitylab: stage %s degraded to Initial: %s\n", stage, reason)
-		}
-		if *manifestPath != "" {
-			m := reg.Manifest(obs.Meta{
-				Tool:       "localitylab",
-				Command:    "experiment " + id,
-				StartedAt:  started.UTC().Format(time.RFC3339),
-				Parallel:   *parallel,
-				GoMaxProcs: runtime.GOMAXPROCS(0),
-				WallMS:     float64(time.Since(started).Microseconds()) / 1000,
-			})
-			if err := obs.WriteManifestFile(*manifestPath, m); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "localitylab: wrote run manifest %s\n", *manifestPath)
-		}
-		// A dead root context (SIGINT or -timeout) trumps the partial output:
-		// report the interruption so main exits 130.
-		return ctx.Err()
-	}
-	if id == "all" {
-		for _, one := range []string{"table1", "table2", "table3", "table4", "table5",
-			"table6", "table7", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "edr", "gap",
-			"ihtl", "hybrid", "brew", "hilbert", "utilization"} {
-			if err := run(one); err != nil {
-				return err
-			}
-			fmt.Println()
-			if ctx.Err() != nil {
+		fmt.Print(out.Text)
+		for name, data := range out.CSV {
+			if *csvDir == "" {
 				break
 			}
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(*csvDir, name), data, 0o644); err != nil {
+				return err
+			}
 		}
-		return finish()
+		if id == "all" {
+			fmt.Println()
+		}
+		if ctx.Err() != nil {
+			break
+		}
 	}
-	if err := run(id); err != nil {
-		return err
+
+	for stage, reason := range s.DegradedStages() {
+		fmt.Fprintf(os.Stderr, "localitylab: stage %s degraded to Initial: %s\n", stage, reason)
 	}
-	return finish()
+	if *manifestPath != "" {
+		m := reg.Manifest(obs.Meta{
+			Tool:       "localitylab",
+			Command:    "experiment " + id,
+			StartedAt:  started.UTC().Format(time.RFC3339),
+			Parallel:   *parallel,
+			GoMaxProcs: runtime.GOMAXPROCS(0),
+			WallMS:     float64(time.Since(started).Microseconds()) / 1000,
+		})
+		if err := obs.WriteManifestFile(*manifestPath, m); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "localitylab: wrote run manifest %s\n", *manifestPath)
+	}
+	// A dead root context (SIGINT or -timeout) trumps the partial output:
+	// report the interruption so main exits 130.
+	return ctx.Err()
 }
 
 // cmdBench dispatches the benchmark modes: "parallel" (the default, and
@@ -839,26 +722,6 @@ func cmdBench(args []string) error {
 	return cmdBenchParallel(args)
 }
 
-// contrastOnly returns one social and one web dataset.
-func contrastOnly(ds []expt.Dataset) []expt.Dataset {
-	var out []expt.Dataset
-	var haveS, haveW bool
-	for _, d := range ds {
-		if d.Kind == expt.SocialNetwork && !haveS {
-			out = append(out, d)
-			haveS = true
-		}
-		if d.Kind == expt.WebGraph && !haveW {
-			out = append(out, d)
-			haveW = true
-		}
-	}
-	if len(out) == 0 {
-		out = ds[:1]
-	}
-	return out
-}
-
 // datasetFromFile wraps a segmented graph file as an experiment dataset,
 // classifying its structure with the advisor so contrast-based
 // experiments know which side it belongs to.
@@ -876,33 +739,4 @@ func datasetFromFile(path string) (expt.Dataset, error) {
 	}
 	name := filepath.Base(path)
 	return expt.NewDataset(name, kind, "(file: "+path+")", g), nil
-}
-
-func socialOnly(ds []expt.Dataset) []expt.Dataset {
-	var out []expt.Dataset
-	for _, d := range ds {
-		if d.Kind == expt.SocialNetwork {
-			out = append(out, d)
-		}
-	}
-	if len(out) == 0 {
-		out = ds[:1]
-	}
-	return out
-}
-
-func contrastPair(ds []expt.Dataset) (social, web expt.Dataset, err error) {
-	var haveS, haveW bool
-	for _, d := range ds {
-		if d.Kind == expt.SocialNetwork && !haveS {
-			social, haveS = d, true
-		}
-		if d.Kind == expt.WebGraph && !haveW {
-			web, haveW = d, true
-		}
-	}
-	if !haveS || !haveW {
-		return social, web, fmt.Errorf("suite lacks a social/web contrast pair")
-	}
-	return social, web, nil
 }

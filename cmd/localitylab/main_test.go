@@ -225,20 +225,22 @@ func TestDatasetFromFile(t *testing.T) {
 	}
 }
 
-func TestHelpersOnSuite(t *testing.T) {
-	ds := expt.Suite(expt.Tiny)
-	if len(socialOnly(ds)) == 0 {
-		t.Error("socialOnly empty")
+// TestExperimentRejectsUnknownSize: a -size other than tiny or standard
+// is a usage error, not a silent Standard run.
+func TestExperimentRejectsUnknownSize(t *testing.T) {
+	err := cmdExperiment([]string{"table1", "-size", "large"})
+	var ue *usageError
+	if !errors.As(err, &ue) || exitCode(err) != exitUsage {
+		t.Fatalf("experiment table1 -size large = %v, want a usage error (exit %d)", err, exitUsage)
 	}
-	if len(contrastOnly(ds)) < 2 {
-		t.Error("contrastOnly incomplete")
-	}
-	s, w, err := contrastPair(ds)
-	if err != nil || s.Kind != expt.SocialNetwork || w.Kind != expt.WebGraph {
-		t.Errorf("contrastPair = %v %v %v", s.Kind, w.Kind, err)
-	}
-	if _, _, err := contrastPair(nil); err == nil {
-		t.Error("empty suite should fail")
+}
+
+// TestExperimentRejectsUnknownID: the usage error for an unknown id lists
+// the registry's ids.
+func TestExperimentRejectsUnknownID(t *testing.T) {
+	err := cmdExperiment([]string{"tableX"})
+	if exitCode(err) != exitUsage || !strings.Contains(err.Error(), "utilization, all") {
+		t.Fatalf("experiment tableX = %v, want a usage error listing the ids", err)
 	}
 }
 

@@ -148,11 +148,11 @@ func (c *blockConsumer) result(res *SimResult) {
 	}
 }
 
-// attribution holds the per-vertex counters of the random vertex-data
-// accesses, by data owner (va/vm) and by processing vertex (da/dm).
+// attribution holds the per-vertex miss counters of the random
+// vertex-data accesses, by data owner (vm) and by processing vertex (dm).
 type attribution struct {
-	randKind       trace.Kind
-	va, vm, da, dm []uint32
+	randKind trace.Kind
+	vm, dm   []uint32
 }
 
 // newAttribution allocates zeroed counters for n vertices. The random
@@ -163,8 +163,8 @@ type attribution struct {
 func newAttribution(n uint32, dir trace.Direction) *attribution {
 	a := &attribution{
 		randKind: trace.KindVertexRead,
-		va:       make([]uint32, n), vm: make([]uint32, n),
-		da: make([]uint32, n), dm: make([]uint32, n),
+		vm:       make([]uint32, n),
+		dm:       make([]uint32, n),
 	}
 	if dir == trace.Push {
 		a.randKind = trace.KindVertexWrite
@@ -172,24 +172,19 @@ func newAttribution(n uint32, dir trace.Direction) *attribution {
 	return a
 }
 
-// add counts block b's random vertex-data accesses from its Kinds,
-// Vertices and Dests columns; hits are the block's cache outcomes.
+// add counts the misses of block b's random vertex-data accesses from
+// its Kinds, Vertices and Dests columns; hits are the block's cache
+// outcomes.
 func (a *attribution) add(b *trace.Block, hits []bool) {
 	for i, k := range b.Kinds {
-		if k == a.randKind {
-			u, d := b.Vertices[i], b.Dests[i]
-			a.va[u]++
-			a.da[d]++
-			if !hits[i] {
-				a.vm[u]++
-				a.dm[d]++
-			}
+		if k == a.randKind && !hits[i] {
+			a.vm[b.Vertices[i]]++
+			a.dm[b.Dests[i]]++
 		}
 	}
 }
 
 // result stores the counters in res.
 func (a *attribution) result(res *SimResult) {
-	res.VertexAccesses, res.VertexMisses = a.va, a.vm
-	res.DestAccesses, res.DestMisses = a.da, a.dm
+	res.VertexMisses, res.DestMisses = a.vm, a.dm
 }

@@ -47,20 +47,17 @@ type SimResult struct {
 	Cache cachesim.Stats
 	TLB   cachesim.Stats
 
-	// VertexAccesses/VertexMisses count the random vertex-data accesses
+	// VertexMisses counts the misses of the random vertex-data accesses,
 	// attributed to the vertex whose *data* was touched (only when
 	// SimOptions.PerVertex). This is the Table III view: reloads of hub
-	// data.
-	VertexAccesses []uint32
-	VertexMisses   []uint32
+	// data. The access counts are degrees (see MissRateByDegree).
+	VertexMisses []uint32
 
-	// DestAccesses/DestMisses attribute the same random accesses to the
-	// vertex being *processed* when the access was issued (only when
-	// SimOptions.PerVertex). This is the Fig. 1 view: the cost of
-	// processing each degree class — in-hubs read many neighbours and
-	// miss often (§VI-D).
-	DestAccesses []uint32
-	DestMisses   []uint32
+	// DestMisses attributes the same misses to the vertex being
+	// *processed* when the access was issued (only when PerVertex). This
+	// is the Fig. 1 view: the cost of processing each degree class —
+	// in-hubs read many neighbours and miss often (§VI-D).
+	DestMisses []uint32
 
 	// BytesTouched sums the element sizes of every simulated access — the
 	// deterministic bytes-processed figure the observability manifests
@@ -136,9 +133,7 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 
 	res := SimResult{}
 	if opts.PerVertex {
-		res.VertexAccesses = make([]uint32, g.NumVertices())
 		res.VertexMisses = make([]uint32, g.NumVertices())
-		res.DestAccesses = make([]uint32, g.NumVertices())
 		res.DestMisses = make([]uint32, g.NumVertices())
 	}
 
@@ -157,13 +152,9 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 		// in push. The sequential own-data access is not attributed.
 		random := (opts.Direction == trace.Push && a.Kind == trace.KindVertexWrite) ||
 			(opts.Direction != trace.Push && a.Kind == trace.KindVertexRead)
-		if opts.PerVertex && random {
-			res.VertexAccesses[a.Vertex]++
-			res.DestAccesses[a.Dest]++
-			if !hit {
-				res.VertexMisses[a.Vertex]++
-				res.DestMisses[a.Dest]++
-			}
+		if opts.PerVertex && random && !hit {
+			res.VertexMisses[a.Vertex]++
+			res.DestMisses[a.Dest]++
 		}
 		accesses++
 		bytesTouched += a.Bytes()
@@ -219,24 +210,28 @@ func LineUtilization(g graph.Topology, cfg cachesim.Config) (cachesim.Utilizatio
 }
 
 // MissRateByDegree folds the data-owner attribution into a miss-rate
-// degree distribution: vertices binned by the supplied degree (use
-// out-degree for pull — the number of times that vertex's data is
-// touched), per-bin miss rate in percent over all accesses in the bin.
+// degree distribution: vertices binned by the supplied degree, which is
+// also the number of times the vertex's data is touched (out-degree for
+// pull, in-degree for push and push-read), per-bin miss rate in percent
+// over all accesses in the bin. A canceled or unattributed result gives
+// an empty series: its misses cover only a prefix of the accesses.
 func MissRateByDegree(res SimResult, degrees []uint32) *DegreeSeries {
-	return missRateSeries(res.VertexAccesses, res.VertexMisses, degrees)
+	return missRateSeries(res, res.VertexMisses, degrees)
 }
 
 // ProcessingMissRateByDegree folds the processing-vertex attribution into
 // the cache miss rate degree distribution of Fig. 1: vertices binned by
-// the supplied degree (in-degree for pull — the number of random accesses
-// made while processing them), per-bin miss rate in percent. The paper's
-// §VI-D observation lives here: every RA shows elevated miss rates for
-// hub vertices, whose many neighbours cannot all be cached.
+// the supplied degree, which is also the number of random accesses made
+// while processing them (in-degree for pull, out-degree for push and
+// push-read), per-bin miss rate in percent. The paper's §VI-D observation
+// lives here: every RA shows elevated miss rates for hub vertices, whose
+// many neighbours cannot all be cached. Like MissRateByDegree, it gives
+// an empty series for a canceled or unattributed result.
 func ProcessingMissRateByDegree(res SimResult, degrees []uint32) *DegreeSeries {
-	return missRateSeries(res.DestAccesses, res.DestMisses, degrees)
+	return missRateSeries(res, res.DestMisses, degrees)
 }
 
-func missRateSeries(accesses, misses, degrees []uint32) *DegreeSeries {
+func missRateSeries(res SimResult, misses, degrees []uint32) *DegreeSeries {
 	var maxDeg uint32 = 1
 	for _, d := range degrees {
 		if d > maxDeg {
@@ -245,16 +240,20 @@ func missRateSeries(accesses, misses, degrees []uint32) *DegreeSeries {
 	}
 	bins := LogBins(maxDeg)
 	s := NewDegreeSeries(bins)
+	if res.Canceled || len(misses) != len(degrees) {
+		return s
+	}
 	// Aggregate accesses and misses per bin, storing the rate as a
 	// weighted mean: Sum accumulates misses (scaled to percent), Count
-	// accumulates accesses, so Mean() yields the per-bin miss rate.
-	for v, acc := range accesses {
-		if acc == 0 {
+	// accumulates accesses (the degrees), so Mean() yields the per-bin
+	// miss rate.
+	for v, deg := range degrees {
+		if deg == 0 {
 			continue
 		}
-		i := bins.Index(degrees[v])
+		i := bins.Index(deg)
 		s.Sum[i] += 100 * float64(misses[v])
-		s.Count[i] += uint64(acc)
+		s.Count[i] += uint64(deg)
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,47 +22,66 @@ func TestSimulateSpMVBasicCounts(t *testing.T) {
 	if res.Cache.Accesses != trace.CountAccesses(g) {
 		t.Errorf("cache accesses %d, want %d", res.Cache.Accesses, trace.CountAccesses(g))
 	}
-	// Every edge contributes one vertex-data read; every vertex one write.
+	// Every edge contributes one random vertex-data access, which can
+	// miss at most once.
 	var attributed uint64
-	for _, a := range res.VertexAccesses {
-		attributed += uint64(a)
-	}
-	if attributed != g.NumEdges() {
-		t.Errorf("attributed accesses %d, want |E| %d", attributed, g.NumEdges())
-	}
 	for v, m := range res.VertexMisses {
-		if m > res.VertexAccesses[v] {
-			t.Fatalf("vertex %d: misses %d > accesses %d", v, m, res.VertexAccesses[v])
+		attributed += uint64(m)
+		if m > g.OutDegree(uint32(v)) {
+			t.Fatalf("vertex %d: misses %d > accesses %d", v, m, g.OutDegree(uint32(v)))
 		}
+	}
+	if attributed > g.NumEdges() || attributed == 0 {
+		t.Errorf("attributed misses %d, want within (0, |E| = %d]", attributed, g.NumEdges())
 	}
 }
 
+// randomAccessCounts counts, straight from the access stream, the random
+// vertex-data accesses of a dir traversal of g by data owner and by
+// processing vertex: the counts SimResult leaves to the degree arrays.
+func randomAccessCounts(g *graph.Graph, dir trace.Direction) (owner, dest []uint32) {
+	owner = make([]uint32, g.NumVertices())
+	dest = make([]uint32, g.NumVertices())
+	randKind := trace.KindVertexRead
+	if dir == trace.Push {
+		randKind = trace.KindVertexWrite
+	}
+	trace.Run(g, trace.NewLayout(g), trace.Whole(g, dir), func(a trace.Access) bool {
+		if a.Kind == randKind {
+			owner[a.Vertex]++
+			dest[a.Dest]++
+		}
+		return true
+	})
+	return owner, dest
+}
+
+// TestSimulateSpMVPerVertexMatchesOutDegree pins the denominators the
+// miss-rate readers use: in pull, vertex v's data is touched out-degree(v)
+// times and processing v issues in-degree(v) random accesses.
 func TestSimulateSpMVPerVertexMatchesOutDegree(t *testing.T) {
 	g := gen.ErdosRenyi(500, 3000, 2)
+	owner, dest := randomAccessCounts(g, trace.Pull)
 	res := SimulateSpMV(g, SimOptions{Cache: smallCache(), PerVertex: true})
 	for v := uint32(0); v < g.NumVertices(); v++ {
-		if res.VertexAccesses[v] != g.OutDegree(v) {
-			t.Fatalf("vertex %d attributed %d accesses, want out-degree %d",
-				v, res.VertexAccesses[v], g.OutDegree(v))
+		if owner[v] != g.OutDegree(v) {
+			t.Fatalf("vertex %d data touched %d times, want out-degree %d", v, owner[v], g.OutDegree(v))
 		}
-		// Processing attribution: each vertex issues one random access per
-		// in-neighbour in a pull traversal.
-		if res.DestAccesses[v] != g.InDegree(v) {
-			t.Fatalf("vertex %d processing-attributed %d accesses, want in-degree %d",
-				v, res.DestAccesses[v], g.InDegree(v))
+		if dest[v] != g.InDegree(v) {
+			t.Fatalf("vertex %d processing issued %d accesses, want in-degree %d", v, dest[v], g.InDegree(v))
 		}
-		if res.DestMisses[v] > res.DestAccesses[v] {
-			t.Fatalf("vertex %d: dest misses exceed accesses", v)
+		if res.VertexMisses[v] > owner[v] || res.DestMisses[v] > dest[v] {
+			t.Fatalf("vertex %d: misses exceed accesses", v)
 		}
 	}
 	// Both attributions cover the same access population.
-	var owner, dest uint64
+	var ownerMisses, destMisses uint64
 	for v := range res.VertexMisses {
-		owner += uint64(res.VertexMisses[v])
-		dest += uint64(res.DestMisses[v])
+		ownerMisses += uint64(res.VertexMisses[v])
+		destMisses += uint64(res.DestMisses[v])
 	}
-	if owner != dest {
-		t.Fatalf("owner-attributed misses %d != dest-attributed %d", owner, dest)
+	if ownerMisses != destMisses {
+		t.Fatalf("owner-attributed misses %d != dest-attributed %d", ownerMisses, destMisses)
 	}
 }
 
@@ -224,11 +244,47 @@ func TestSimulatePushAttribution(t *testing.T) {
 	g := gen.ErdosRenyi(500, 3000, 8)
 	res := SimulateSpMV(g, SimOptions{Cache: smallCache(), PerVertex: true, Direction: trace.Push})
 	// In push, random accesses are writes to in-neighbour targets: each
-	// vertex's data written in-degree times.
+	// vertex's data written in-degree times, by a vertex processing its
+	// out-degree of them.
+	owner, dest := randomAccessCounts(g, trace.Push)
 	for v := uint32(0); v < g.NumVertices(); v++ {
-		if res.VertexAccesses[v] != g.InDegree(v) {
-			t.Fatalf("vertex %d attributed %d, want in-degree %d",
-				v, res.VertexAccesses[v], g.InDegree(v))
+		if owner[v] != g.InDegree(v) || dest[v] != g.OutDegree(v) {
+			t.Fatalf("vertex %d: owner %d, dest %d accesses, want in-degree %d, out-degree %d",
+				v, owner[v], dest[v], g.InDegree(v), g.OutDegree(v))
 		}
+		if res.VertexMisses[v] > owner[v] || res.DestMisses[v] > dest[v] {
+			t.Fatalf("vertex %d: misses exceed accesses", v)
+		}
+	}
+}
+
+// TestMissRateOfCanceledResultIsEmpty: a canceled simulation's misses
+// cover only a prefix of the stream while the degree denominators cover
+// all of it, so both miss-rate readers return an empty series rather
+// than understate the rates.
+func TestMissRateOfCanceledResultIsEmpty(t *testing.T) {
+	g := gen.ErdosRenyi(2000, 20000, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := SimulateSpMV(g, SimOptions{Ctx: ctx, Cache: smallCache(), PerVertex: true})
+	if !res.Canceled {
+		t.Fatal("simulation under a dead context not canceled")
+	}
+	var misses uint32
+	for _, m := range res.DestMisses {
+		misses += m
+	}
+	if misses == 0 {
+		t.Fatal("canceled run attributed no misses; the test cannot tell an empty series from a zero one")
+	}
+	if ne := MissRateByDegree(res, g.OutDegrees()).NonEmpty(); len(ne) != 0 {
+		t.Errorf("MissRateByDegree of a canceled result has %d bins, want none", len(ne))
+	}
+	if ne := ProcessingMissRateByDegree(res, g.InDegrees()).NonEmpty(); len(ne) != 0 {
+		t.Errorf("ProcessingMissRateByDegree of a canceled result has %d bins, want none", len(ne))
+	}
+	res.Canceled = false
+	if len(ProcessingMissRateByDegree(res, g.InDegrees()).NonEmpty()) == 0 {
+		t.Error("the same counters uncanceled give an empty series")
 	}
 }

@@ -121,16 +121,17 @@ func BrewExperiment(s *Session, datasets []Dataset) []BrewRow {
 // missRateByDegreeSplit folds the per-destination-vertex miss attribution
 // into two aggregate miss rates, split at brewDegreeSplit on in-degree.
 func missRateByDegreeSplit(sim core.SimResult, inDeg []uint32) (lowPct, highPct float64) {
-	if len(sim.DestAccesses) != len(inDeg) {
+	if sim.Canceled || len(sim.DestMisses) != len(inDeg) {
 		return 0, 0 // per-vertex attribution unavailable (degraded cell)
 	}
+	// Processing v in pull issues in-degree(v) random accesses.
 	var lowAcc, lowMiss, highAcc, highMiss uint64
-	for v, acc := range sim.DestAccesses {
-		if inDeg[v] < brewDegreeSplit {
-			lowAcc += uint64(acc)
+	for v, deg := range inDeg {
+		if deg < brewDegreeSplit {
+			lowAcc += uint64(deg)
 			lowMiss += uint64(sim.DestMisses[v])
 		} else {
-			highAcc += uint64(acc)
+			highAcc += uint64(deg)
 			highMiss += uint64(sim.DestMisses[v])
 		}
 	}

@@ -13,112 +13,77 @@ import (
 
 // WriteSeriesCSV emits long-format records: series,label,value.
 func WriteSeriesCSV(w io.Writer, series []Series) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "degree_bin", "value"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"series", "degree_bin", "value"}}
 	for _, s := range series {
 		for i, l := range s.Labels {
-			rec := []string{s.Name, l, strconv.FormatFloat(s.Values[i], 'f', 4, 64)}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			recs = append(recs, []string{s.Name, l, strconv.FormatFloat(s.Values[i], 'f', 4, 64)})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }
 
 // WriteTableIVCSV emits the SpMV execution results.
 func WriteTableIVCSV(w io.Writer, rows []TableIVRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "ra", "time_ms", "idle_pct", "l3_misses", "dtlb_misses"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"dataset", "ra", "time_ms", "idle_pct", "l3_misses", "dtlb_misses"}}
 	for _, r := range rows {
-		rec := []string{
+		recs = append(recs, []string{
 			r.Dataset, r.Algorithm,
 			strconv.FormatFloat(float64(r.Time.Microseconds())/1000, 'f', 3, 64),
 			strconv.FormatFloat(r.IdlePct, 'f', 2, 64),
 			strconv.FormatUint(r.L3Misses, 10),
 			strconv.FormatUint(r.TLBMisses, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }
 
 // WriteCoverageCSV emits Fig. 6 coverage curves.
 func WriteCoverageCSV(w io.Writer, res []Fig6Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "kind", "hubs", "in_hub_pct", "out_hub_pct"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"dataset", "kind", "hubs", "in_hub_pct", "out_hub_pct"}}
 	for _, r := range res {
 		for i, h := range r.Curve.H {
-			rec := []string{
+			recs = append(recs, []string{
 				r.Dataset, string(r.Kind), strconv.Itoa(h),
 				strconv.FormatFloat(r.Curve.InHubPct[i], 'f', 2, 64),
 				strconv.FormatFloat(r.Curve.OutHubPct[i], 'f', 2, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }
 
 // WriteDecompositionCSV emits Fig. 5 matrices in long format.
 func WriteDecompositionCSV(w io.Writer, res []Fig5Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "dst_class", "src_class", "pct", "dst_in_edges"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"dataset", "dst_class", "src_class", "pct", "dst_in_edges"}}
 	for _, r := range res {
 		for i, row := range r.Matrix.Pct {
 			if r.Matrix.EdgeCount[i] == 0 {
 				continue
 			}
 			for j, p := range row {
-				rec := []string{
+				recs = append(recs, []string{
 					r.Dataset, r.Matrix.Classes[i], r.Matrix.Classes[j],
 					strconv.FormatFloat(p, 'f', 2, 64),
 					strconv.FormatUint(r.Matrix.EdgeCount[i], 10),
-				}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
+				})
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }
 
 // WriteFig2CSV emits the SlashBurn iteration snapshots.
 func WriteFig2CSV(w io.Writer, snaps []Fig2Snapshot) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"iteration", "degree_bin", "norm_freq", "gcc_vertices", "max_degree"}); err != nil {
-		return err
-	}
+	recs := [][]string{{"iteration", "degree_bin", "norm_freq", "gcc_vertices", "max_degree"}}
 	for _, s := range snaps {
 		for i, l := range s.Labels {
-			rec := []string{
+			recs = append(recs, []string{
 				strconv.Itoa(s.Iteration), l,
 				strconv.FormatFloat(s.NormFreq[i], 'f', 4, 64),
 				strconv.Itoa(s.Vertices),
 				fmt.Sprint(s.MaxDegree),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }

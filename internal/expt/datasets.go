@@ -6,6 +6,8 @@
 package expt
 
 import (
+	"fmt"
+
 	"graphlocality/internal/gen"
 	"graphlocality/internal/graph"
 )
@@ -56,6 +58,14 @@ const (
 	Standard
 )
 
+// ParseSize maps a -size value, "tiny" or "standard", to its Size.
+func ParseSize(name string) (Size, error) {
+	if size, ok := map[string]Size{"tiny": Tiny, "standard": Standard}[name]; ok {
+		return size, nil
+	}
+	return 0, fmt.Errorf("unknown size %q (want tiny or standard)", name)
+}
+
 // Suite returns the dataset suite at the given size. The Standard suite
 // mirrors the paper's mix: two social networks, three web graphs, one
 // uniform control.
@@ -84,14 +94,4 @@ func Suite(size Size) []Dataset {
 		{Name: "UnifS", Kind: Uniform, Paper: "(control)",
 			gen: func() *graph.Graph { return gen.ErdosRenyi(1<<15, 500000, 1) }},
 	}
-}
-
-// FindDataset returns the named dataset from the suite of the given size.
-func FindDataset(size Size, name string) (Dataset, bool) {
-	for _, d := range Suite(size) {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Dataset{}, false
 }

@@ -39,12 +39,6 @@ func TestSuiteShapes(t *testing.T) {
 	if len(std) < 5 {
 		t.Error("standard suite too small")
 	}
-	if _, ok := FindDataset(Tiny, ds[0].Name); !ok {
-		t.Error("FindDataset failed")
-	}
-	if _, ok := FindDataset(Tiny, "nope"); ok {
-		t.Error("FindDataset found a ghost")
-	}
 }
 
 func TestSessionMemoization(t *testing.T) {
@@ -139,7 +133,7 @@ func TestTableIVShapes(t *testing.T) {
 		switch r.Algorithm {
 		case "Initial":
 			initial = r
-		case "Random":
+		case algs[1].Name():
 			random = r
 		}
 		if r.Time <= 0 {

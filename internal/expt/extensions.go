@@ -90,8 +90,11 @@ func HybridExperiment(s *Session, datasets []Dataset) []HybridRow {
 		for _, alg := range algs {
 			res := s.Reorder(ds, alg)
 			sim := s.Simulate(ds, alg, trace.Pull)
+			// The row names a variant without its dataset-dependent
+			// cachebytes ("SB-CA", not "SB-CA[cachebytes=...]").
+			variant, _, _ := strings.Cut(alg.Name(), "[")
 			rows = append(rows, HybridRow{
-				Dataset: ds.Name, Algorithm: alg.Name(),
+				Dataset: ds.Name, Algorithm: variant,
 				Misses: sim.Cache.Misses, Preproc: res.Elapsed.Seconds(),
 			})
 		}

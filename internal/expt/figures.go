@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -411,11 +410,4 @@ func RenderGap(rows []GapRow) string {
 	}
 	w.Flush()
 	return b.String()
-}
-
-// SortSeriesLabels is a helper for tests: returns sorted copies of labels.
-func SortSeriesLabels(s Series) []string {
-	l := append([]string(nil), s.Labels...)
-	sort.Strings(l)
-	return l
 }

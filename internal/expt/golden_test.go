@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,11 +38,13 @@ func tinyGoldenSession() *Session {
 	return goldenSess
 }
 
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".golden") }
+
 // checkGolden compares got against testdata/golden/<name>.golden,
 // rewriting the file under -update.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", "golden", name+".golden")
+	path := goldenPath(name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -59,10 +63,6 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// fixedTimingRows builds literal rows for the renderers whose output
-// embeds wall-clock measurements: rendering live timings would make the
-// goldens machine-dependent, so these snapshots pin the *format* (column
-// layout, units, footnotes) against fixed values instead.
 func renderCSV(t *testing.T, write func(w *bytes.Buffer) error) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -72,68 +72,79 @@ func renderCSV(t *testing.T, write func(w *bytes.Buffer) error) string {
 	return buf.String()
 }
 
-// TestGolden snapshots every table and figure renderer. Live subtests run
-// the real Tiny experiments on a serial session (deterministic outputs:
-// structure, simulated counters, degree-binned series); fixed subtests
-// render literal rows for the timing-bearing tables.
+// csvGoldenName is the golden file name of an experiment's CSV file:
+// fig1-TwtrT.csv is pinned by fig1-TwtrT-csv.golden.
+func csvGoldenName(file string) string { return strings.TrimSuffix(file, ".csv") + "-csv" }
+
+// TestGolden snapshots every experiment. Live subtests run each registry
+// entry without wall-clock cells on the Tiny suite, in a serial session
+// (deterministic outputs: structure, simulated counters, degree-binned
+// series), and pin its text and its CSV files; fixed subtests render
+// literal rows for the timing-bearing tables.
 func TestGolden(t *testing.T) {
 	s := tinyGoldenSession()
 	ds := Suite(Tiny)
 	algs := StandardAlgorithms()
-	social, web := ds[0], ds[1]
-
-	live := []struct {
-		name   string
-		render func() string
-	}{
-		{"table1", func() string { return RenderTableI(TableI(s, ds)) }},
-		{"table3", func() string { return RenderTableIII(TableIII(s, ds, algs)) }},
-		{"table5", func() string { return RenderTableV(TableV(s, ds, algs)) }},
-		{"fig1", func() string {
-			var out string
-			for _, d := range ds {
-				out += RenderSeries("Fig 1 ("+d.Name+")", Fig1(s, d, algs))
-			}
-			return out
-		}},
-		{"fig1-csv", func() string {
-			return renderCSV(t, func(w *bytes.Buffer) error {
-				return WriteSeriesCSV(w, Fig1(s, social, algs))
+	for _, e := range Experiments {
+		if e.WallClock {
+			continue
+		}
+		out, err := e.Run(s, ds, algs)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		t.Run("live/"+e.ID, func(t *testing.T) {
+			checkGolden(t, e.ID, out.Text)
+		})
+		if len(out.CSV) > 0 {
+			t.Run("live/"+e.ID+"-csv", func(t *testing.T) {
+				for _, name := range sortedKeys(out.CSV) {
+					checkGolden(t, csvGoldenName(name), string(out.CSV[name]))
+				}
 			})
-		}},
-		{"fig2", func() string { return RenderFig2(Fig2(s, social)) }},
-		{"fig3", func() string {
-			var out string
-			for _, d := range ds {
-				out += RenderSeries("Fig 3 ("+d.Name+")", Fig3(s, d))
-			}
-			return out
-		}},
-		{"fig4", func() string { return RenderSeries("Fig 4", Fig4(s, social, web)) }},
-		{"fig5", func() string { return RenderFig5(Fig5(s, []Dataset{social, web})) }},
-		{"fig6", func() string { return RenderFig6(Fig6(s, ds)) }},
-		{"fig6-csv", func() string {
-			return renderCSV(t, func(w *bytes.Buffer) error {
-				return WriteCoverageCSV(w, Fig6(s, ds))
-			})
-		}},
-		{"ihtl", func() string { return RenderIHTL(IHTLExperiment(s, ds)) }},
-		{"brew", func() string { return RenderBrew(BrewExperiment(s, []Dataset{social, web})) }},
-		{"hilbert", func() string { return RenderHilbert(HilbertExperiment(s, ds)) }},
-		{"utilization", func() string {
-			return RenderUtilization(UtilizationExperiment(s, []Dataset{social, web}, algs))
-		}},
+		}
 	}
-	for _, tc := range live {
-		t.Run("live/"+tc.name, func(t *testing.T) {
+	for _, tc := range fixedGoldens(t) {
+		t.Run("fixed/"+tc.name, func(t *testing.T) {
 			checkGolden(t, tc.name, tc.render())
 		})
 	}
+}
 
-	fixed := []struct {
-		name   string
-		render func() string
-	}{
+// TestGoldenCoversRegistry: every experiment is pinned, by a live golden
+// or, when its output has wall-clock cells, by a fixed one.
+func TestGoldenCoversRegistry(t *testing.T) {
+	fixed := make(map[string]bool)
+	for _, tc := range fixedGoldens(t) {
+		fixed[tc.name] = true
+	}
+	for _, e := range Experiments {
+		if e.WallClock && !fixed[e.ID] {
+			t.Errorf("%s has wall-clock cells but no fixed golden", e.ID)
+		}
+		if !e.WallClock && fixed[e.ID] {
+			t.Errorf("%s has a fixed golden but runs live", e.ID)
+		}
+		if _, err := os.Stat(goldenPath(e.ID)); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
+	}
+}
+
+// goldenCase is one fixed golden: literal rows rendered by a renderer
+// whose live output embeds wall-clock measurements. Rendering live
+// timings would make the goldens machine-dependent, so these snapshots
+// pin the *format* (column layout, units, footnotes) against fixed
+// values instead.
+type goldenCase struct {
+	name   string
+	render func() string
+}
+
+// fixedGoldens returns the fixed goldens, named by experiment id (or
+// <id>-csv for a CSV file).
+func fixedGoldens(t *testing.T) []goldenCase {
+	return []goldenCase{
 		{"table2", func() string {
 			return RenderTableII([]TableIIRow{
 				{Dataset: "TwtrS", Algorithm: "Initial", Preprocess: 0, AllocBytes: 0},
@@ -193,11 +204,6 @@ func TestGolden(t *testing.T) {
 			})
 		}},
 	}
-	for _, tc := range fixed {
-		t.Run("fixed/"+tc.name, func(t *testing.T) {
-			checkGolden(t, tc.name, tc.render())
-		})
-	}
 }
 
 // TestGoldenManifest snapshots a normalized run manifest: a fresh serial
@@ -218,4 +224,13 @@ func TestGoldenManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "manifest-table3", string(data))
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -9,10 +9,9 @@ import (
 	"graphlocality/internal/reorder"
 )
 
-// Distinct configurations of one algorithm share a display name (go and
-// go:window=1 are both "GO"); these tests pin that the session's memo
-// tables and checkpoints key on Spec() instead, so the two never share a
-// result.
+// The session's memo tables and checkpoints key on Spec(), not on the
+// display name; these tests pin that two configurations of one algorithm
+// (go and go:window=1) never share a result.
 
 // TestSessionKeysOnSpec runs go and go:window=1 in one session and
 // requires the permutations each gets when run alone.

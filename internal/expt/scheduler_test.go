@@ -2,6 +2,7 @@ package expt
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,9 +90,9 @@ func TestGridRowMajor(t *testing.T) {
 }
 
 // TestParallelSessionMatchesSerial is the acceptance stress test: a
-// Parallel=8 session must render byte-identical deterministic outputs to a
-// serial session. (Tables with wall-clock columns are excluded — Elapsed is
-// inherently non-reproducible — matching the CSV outputs the driver diffs.)
+// Parallel=8 session must produce byte-identical text and CSV files to a
+// serial session for every registry entry without wall-clock cells
+// (Elapsed is inherently non-reproducible).
 // Run it at several GOMAXPROCS values (go test -cpu 1,2,8): the parallel
 // session's worker count follows the runtime, and no output may.
 func TestParallelSessionMatchesSerial(t *testing.T) {
@@ -99,24 +100,20 @@ func TestParallelSessionMatchesSerial(t *testing.T) {
 	par, _ := tinySession()
 	par.Parallel = 8
 	algs := StandardAlgorithms()
-
-	type render struct {
-		name string
-		fn   func(s *Session) string
-	}
-	renders := []render{
-		{"table3", func(s *Session) string { return RenderTableIII(TableIII(s, ds, algs)) }},
-		{"table5", func(s *Session) string { return RenderTableV(TableV(s, ds, algs)) }},
-		{"fig1", func(s *Session) string { return RenderSeries("Fig1", Fig1(s, ds[0], algs)) }},
-		{"fig3", func(s *Session) string { return RenderSeries("Fig3", Fig3(s, ds[0])) }},
-		{"utilization", func(s *Session) string { return RenderUtilization(UtilizationExperiment(s, ds, algs)) }},
-		{"brew", func(s *Session) string { return RenderBrew(BrewExperiment(s, ds[:1])) }},
-	}
-	for _, r := range renders {
-		want := r.fn(serial)
-		got := r.fn(par)
-		if got != want {
-			t.Errorf("%s: parallel output diverges from serial\n--- serial ---\n%s\n--- parallel ---\n%s", r.name, want, got)
+	for _, e := range Experiments {
+		if e.WallClock {
+			continue
+		}
+		want, err := e.Run(serial, ds, algs)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		got, err := e.Run(par, ds, algs)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: parallel output diverges from serial\n--- serial ---\n%s\n--- parallel ---\n%s", e.ID, want.Text, got.Text)
 		}
 	}
 	if len(serial.DegradedStages()) != 0 || len(par.DegradedStages()) != 0 {

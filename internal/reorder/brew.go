@@ -174,20 +174,8 @@ func (b *Brew) params() []Param {
 }
 
 // Name implements Algorithm. The default configuration is just "Brew";
-// non-default parameters are appended in a fixed order (seed 0 displays
-// like the default seed).
-func (b *Brew) Name() string {
-	var parts []string
-	for _, p := range b.params() {
-		if p.Key != OptSeed || b.Seed != 0 {
-			parts = append(parts, p.Key+"="+p.Value)
-		}
-	}
-	if len(parts) == 0 {
-		return "Brew"
-	}
-	return "Brew[" + strings.Join(parts, ",") + "]"
-}
+// non-default parameters are appended in a fixed order.
+func (b *Brew) Name() string { return displayName("Brew", b.params()...) }
 
 // Spec implements Algorithm.
 func (b *Brew) Spec() string { return specOf("brew", b.params()...) }

@@ -35,6 +35,6 @@ func ExampleNew() {
 	fmt.Println(err != nil)
 	// Output:
 	// RO ro <nil>
-	// GO go:window=7 <nil>
+	// GO[window=7] go:window=7 <nil>
 	// true
 }

@@ -67,7 +67,7 @@ func TestSlashBurnCacheAwareStopsEarly(t *testing.T) {
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ca.Name() != "SB-CA" {
+	if ca.Name() != "SB-CA[cachebytes=512]" {
 		t.Errorf("Name = %q", ca.Name())
 	}
 	full := MustNew("sb").(*SlashBurn)
@@ -87,7 +87,7 @@ func TestRabbitOrderCommunityCap(t *testing.T) {
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if capped.Name() != "RO-CA" {
+	if capped.Name() != "RO-CA[cachebytes=256]" {
 		t.Errorf("Name = %q", capped.Name())
 	}
 }

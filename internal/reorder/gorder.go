@@ -76,30 +76,28 @@ func init() {
 // defaultWindow is the paper's GOrder window size, used when Window < 1.
 const defaultWindow = 5
 
-// windowSpec is the canonical spec of a windowed algorithm: name alone at
-// the default window (which Window < 1 also selects).
-func windowSpec(name string, w int) string {
+// windowParams returns the window parameter of a windowed algorithm,
+// none at the default window (which w < 1 also selects).
+func windowParams(w int) []Param {
 	if w < 1 || w == defaultWindow {
-		return name
+		return nil
 	}
-	return name + ":window=" + strconv.Itoa(w)
+	return []Param{{OptWindow, strconv.Itoa(w)}}
 }
 
-// Name implements Algorithm. The capped form gets a name of its own, so
-// its table columns and run stages never merge with plain GO's.
+// Name implements Algorithm. The capped form and every window get a name
+// of their own, so their table columns and run stages never merge.
 func (o *GOrder) Name() string {
+	base := "GO"
 	if o.HubCap {
-		return "GO-HC"
+		base = "GO-HC"
 	}
-	return "GO"
+	return displayName(base, windowParams(o.Window)...)
 }
 
 // Spec implements Algorithm.
 func (o *GOrder) Spec() string {
-	var params []Param
-	if o.Window >= 1 && o.Window != defaultWindow {
-		params = append(params, Param{OptWindow, strconv.Itoa(o.Window)})
-	}
+	params := windowParams(o.Window)
 	if o.HubCap {
 		params = append(params, Param{OptHubCap, "sqrt"})
 	}

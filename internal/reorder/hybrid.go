@@ -37,10 +37,10 @@ func init() {
 }
 
 // Name implements Algorithm.
-func (h *Hybrid) Name() string { return "RO+GO" }
+func (h *Hybrid) Name() string { return displayName("RO+GO", windowParams(h.Window)...) }
 
 // Spec implements Algorithm.
-func (h *Hybrid) Spec() string { return windowSpec("hybrid", h.Window) }
+func (h *Hybrid) Spec() string { return specOf("hybrid", windowParams(h.Window)...) }
 
 // Reorder implements Algorithm: both phases inherit ctx, and cancellation
 // in either still yields a valid (partially optimized) permutation

@@ -95,6 +95,40 @@ func TestRegistrySpecIdentity(t *testing.T) {
 	}
 }
 
+// TestDistinctSpecsHaveDistinctNames: display names label table rows and
+// run stages, so two configurations share one only when they share a
+// spec. boba is the one exception: its worker count is part of the spec
+// but not of the name, because the permutation is bit-exact across
+// worker counts.
+func TestDistinctSpecsHaveDistinctNames(t *testing.T) {
+	specByName := make(map[string]string)
+	for _, alg := range identityConfigs(t) {
+		name, spec := alg.Name(), alg.Spec()
+		if _, ok := alg.(reorder.Boba); ok {
+			if name != "BOBA" {
+				t.Errorf("%q: name %q, want BOBA at every worker count", spec, name)
+			}
+			continue
+		}
+		if prev, ok := specByName[name]; ok && prev != spec {
+			t.Errorf("specs %q and %q share the display name %q", prev, spec, name)
+		}
+		specByName[name] = spec
+	}
+	for spec, want := range map[string]string{
+		"go":                      "GO",
+		"go:window=1":             "GO[window=1]",
+		"go:hubcap=sqrt,window=3": "GO-HC[window=3]",
+		"hybrid:window=3":         "RO+GO[window=3]",
+		"random:seed=7":           "Random[seed=7]",
+		"random":                  "Random",
+	} {
+		if got := reorder.MustNew(spec).Name(); got != want {
+			t.Errorf("MustNew(%q).Name() = %q, want %q", spec, got, want)
+		}
+	}
+}
+
 // TestSpecDropsDefaults pins the canonical form on examples: aliases
 // resolve, default-valued keys vanish and the rest sort by key.
 func TestSpecDropsDefaults(t *testing.T) {

@@ -78,11 +78,11 @@ func TestOptionsReachFactories(t *testing.T) {
 		t.Errorf("Window = %d, want 8", gw.Window)
 	}
 	ro := MustNew("ro:edr=2-50").(*RabbitOrder)
-	if ro.MinDegree != 2 || ro.MaxDegree != 50 || ro.Name() != "RO-EDR" {
+	if ro.MinDegree != 2 || ro.MaxDegree != 50 || ro.Name() != "RO-EDR[edr=2-50]" {
 		t.Errorf("EDR options not applied: %+v (%s)", ro, ro.Name())
 	}
 	sb := MustNew("sb:cachebytes=512").(*SlashBurn)
-	if sb.CacheBytes != 512 || sb.Name() != "SB-CA" {
+	if sb.CacheBytes != 512 || sb.Name() != "SB-CA[cachebytes=512]" {
 		t.Errorf("cachebytes option not applied: %+v (%s)", sb, sb.Name())
 	}
 	roCA := MustNew("ro:cachebytes=256").(*RabbitOrder)

@@ -82,18 +82,22 @@ func (r *RabbitOrder) CommunitySizes() []uint32 {
 
 // Name implements Algorithm.
 func (r *RabbitOrder) Name() string {
+	base := "RO"
 	if r.MinDegree != 0 || r.MaxDegree != 0 {
-		return "RO-EDR"
+		base = "RO-EDR"
+	} else if r.MaxCommunitySize != 0 {
+		base = "RO-CA"
 	}
-	if r.MaxCommunitySize != 0 {
-		return "RO-CA"
-	}
-	return "RO"
+	return displayName(base, r.params()...)
 }
 
-// Spec implements Algorithm. The cache-aware cap is reported as the
-// cachebytes value that yields it (8 bytes of vertex data per vertex).
-func (r *RabbitOrder) Spec() string {
+// Spec implements Algorithm.
+func (r *RabbitOrder) Spec() string { return specOf("ro", r.params()...) }
+
+// params returns the non-default parameters. The cache-aware cap is
+// reported as the cachebytes value that yields it (8 bytes of vertex
+// data per vertex).
+func (r *RabbitOrder) params() []Param {
 	var params []Param
 	if r.MinDegree != 0 || r.MaxDegree != 0 {
 		params = append(params, Param{OptEDR, fmt.Sprintf("%d-%d", r.MinDegree, r.MaxDegree)})
@@ -101,7 +105,7 @@ func (r *RabbitOrder) Spec() string {
 	if r.MaxCommunitySize != 0 {
 		params = append(params, Param{OptCacheBytes, strconv.FormatUint(8*uint64(r.MaxCommunitySize), 10)})
 	}
-	return specOf("ro", params...)
+	return params
 }
 
 // Reorder implements Algorithm: the community-merge loop polls ctx every

@@ -75,7 +75,7 @@ func TestRabbitOrderEDRRestriction(t *testing.T) {
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if edr.Name() != "RO-EDR" {
+	if edr.Name() != "RO-EDR[edr=1-32]" {
 		t.Errorf("Name = %q", edr.Name())
 	}
 	// Out-of-range vertices keep relative order at the tail: collect them

@@ -170,14 +170,17 @@ type Random struct {
 }
 
 // Name implements Algorithm.
-func (Random) Name() string { return "Random" }
+func (r Random) Name() string { return displayName("Random", r.params()...) }
 
 // Spec implements Algorithm.
-func (r Random) Spec() string {
+func (r Random) Spec() string { return specOf("random", r.params()...) }
+
+// params returns the seed parameter, none at the default seed 1.
+func (r Random) params() []Param {
 	if r.Seed == 1 {
-		return "random"
+		return nil
 	}
-	return "random:seed=" + strconv.FormatUint(r.Seed, 10)
+	return []Param{{OptSeed, strconv.FormatUint(r.Seed, 10)}}
 }
 
 // Reorder implements Algorithm; it ignores ctx and cannot fail.

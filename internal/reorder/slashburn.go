@@ -76,13 +76,13 @@ func init() {
 
 // Name implements Algorithm.
 func (s *SlashBurn) Name() string {
+	base := "SB"
 	if s.StopAtSqrtDegree {
-		return "SB++"
+		base = "SB++"
+	} else if s.CacheBytes > 0 {
+		base = "SB-CA"
 	}
-	if s.CacheBytes > 0 {
-		return "SB-CA"
-	}
-	return "SB"
+	return displayName(base, s.params()...)
 }
 
 // Spec implements Algorithm. KFraction and MaxIterations have no spec
@@ -92,10 +92,15 @@ func (s *SlashBurn) Spec() string {
 	if s.StopAtSqrtDegree {
 		name = "sb++"
 	}
+	return specOf(name, s.params()...)
+}
+
+// params returns the non-default parameters.
+func (s *SlashBurn) params() []Param {
 	if s.CacheBytes == 0 {
-		return name
+		return nil
 	}
-	return name + ":cachebytes=" + strconv.FormatUint(s.CacheBytes, 10)
+	return []Param{{OptCacheBytes, strconv.FormatUint(s.CacheBytes, 10)}}
 }
 
 // Iterations returns the number of iterations the last completed Reorder

@@ -143,5 +143,20 @@ func specOf(name string, params ...Param) string {
 	return b.String()
 }
 
+// displayName is the display name of a configuration: base alone, or
+// base followed by the configuration's non-default params in brackets
+// ("GO[window=1]", "Brew[detect=lp]"), so that distinct specs label
+// distinct table rows and run stages.
+func displayName(base string, params ...Param) string {
+	if len(params) == 0 {
+		return base
+	}
+	parts := make([]string, len(params))
+	for i, p := range params {
+		parts[i] = p.Key + "=" + p.Value
+	}
+	return base + "[" + strings.Join(parts, ",") + "]"
+}
+
 // String implements fmt.Stringer as the canonical form.
 func (s Spec) String() string { return s.Canonical() }

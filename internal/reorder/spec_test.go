@@ -102,7 +102,7 @@ func TestSpecCanonical(t *testing.T) {
 
 func TestSpecNewGenericOptions(t *testing.T) {
 	alg, err := New("go:window=9")
-	if err != nil || alg.Name() != "GO" {
+	if err != nil || alg.Name() != "GO[window=9]" {
 		t.Fatalf("go:window=9 -> %v, %v", alg, err)
 	}
 	if g, ok := alg.(*GOrder); !ok || g.Window != 9 {
