@@ -14,21 +14,10 @@ import (
 	"graphlocality/internal/expt"
 )
 
-var (
-	sessOnce sync.Once
-	sess     *expt.Session
-	suite    []expt.Dataset
-)
-
-// session returns the shared memoizing session over the Standard suite so
-// expensive artifacts (graphs, reorderings) are computed once across all
-// benchmarks.
+// session returns a fresh memoizing session over the Standard suite for
+// the ablation benchmarks, which build their graphs before timing starts.
 func session() (*expt.Session, []expt.Dataset) {
-	sessOnce.Do(func() {
-		sess = expt.NewSession()
-		suite = expt.Suite(expt.Standard)
-	})
-	return sess, suite
+	return expt.NewSession(), expt.Suite(expt.Standard)
 }
 
 // printOnce prints a rendered report on the first benchmark iteration only.
@@ -40,13 +29,17 @@ func printOnce(key, out string) {
 	}
 }
 
+// BenchmarkExperiments times each experiment on its own: every
+// sub-benchmark runs on a fresh memoizing session, so its figure includes
+// the graph builds, reorderings and simulations the experiment needs
+// rather than lookups of cells an earlier entry computed.
 func BenchmarkExperiments(b *testing.B) {
-	s, ds := session()
+	ds := expt.Suite(expt.Standard)
 	algs := expt.StandardAlgorithms()
 	for _, e := range expt.Experiments {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := e.Run(s, ds, algs)
+				out, err := e.Run(expt.NewSession(), ds, algs)
 				if err != nil {
 					b.Fatal(err)
 				}

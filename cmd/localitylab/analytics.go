@@ -67,7 +67,7 @@ func cmdAnalytics(args []string) error {
 			r.Communities, r.Iterations)
 	case "pagerank":
 		e := spmv.New(g, 0)
-		pr := spmv.PageRank(e, *iters, 0.85)
+		pr := spmv.PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, *iters, 0.85)
 		top, best := 0, 0.0
 		for v, x := range pr {
 			if x > best {

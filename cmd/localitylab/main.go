@@ -201,7 +201,8 @@ Environment:
 }
 
 // loadGraph reads a segmented graph file. A file that fails verification
-// is quarantined to <path>.corrupt and reported as *store.IntegrityError.
+// is reported as *store.IntegrityError and, if it is a regular file,
+// quarantined to <path>.corrupt (store.Quarantine).
 func loadGraph(path string) (*graph.Graph, error) {
 	return graph.ReadSegmented(path)
 }

@@ -59,7 +59,11 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	defer f.Close()
-	logs, err := trace.ReadLogs(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	logs, err := trace.ReadLogs(io.NewSectionReader(f, 0, fi.Size()))
 	if err != nil {
 		return fmt.Errorf("reading trace %s: %w", *in, err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		lp.Communities, lp.Iterations)
 
 	e := spmv.New(g, 4)
-	pr := spmv.PageRank(e, 10, 0.85)
+	pr := spmv.PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, 10, 0.85)
 	best, bestRank := 0, 0.0
 	for v, r := range pr {
 		if r > bestRank {

@@ -72,9 +72,6 @@ func (e *Env) Restart() {
 	e.once.Do(e.disarm)
 }
 
-// Faults reports how many vfs operations faulted so far.
-func (e *Env) Faults() int { return e.fault.Fired() }
-
 // workloadFunc runs one workload under env and returns its violations.
 type workloadFunc func(e *Env) []Violation
 

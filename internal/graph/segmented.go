@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -72,7 +71,8 @@ func MeasureSegmented(g *Graph, opts SegmentedOptions) segcsr.WriteStats {
 // rows stream into FromCSR; the file's CSC rows are then checked against
 // the CSC FromCSR rebuilt, so every payload byte is CRC-verified and the
 // two directions must agree. A verification failure is a typed
-// *store.IntegrityError and quarantines the file, as in OpenSegmented.
+// *store.IntegrityError and quarantines the file by store.Quarantine, as
+// in OpenSegmented.
 func ReadSegmented(path string) (*Graph, error) {
 	// A one-pass load revisits no segment, so it caches none.
 	sg, err := OpenSegmented(path, SegmentedOptions{CacheBytes: 1})
@@ -82,7 +82,7 @@ func ReadSegmented(path string) (*Graph, error) {
 	g, err := sg.load()
 	sg.Close()
 	if err != nil {
-		return nil, quarantine(vfs.Of(nil), path, err)
+		return nil, store.Quarantine(nil, path, err)
 	}
 	return g, nil
 }
@@ -121,25 +121,6 @@ func (sg *SegGraph) load() (*Graph, error) {
 	return g, sg.Err()
 }
 
-// quarantine moves a file that failed verification to
-// path+store.CorruptSuffix (same discipline as the artifact store: a
-// corrupt graph must not be half-readable on the next run) and returns
-// the typed *store.IntegrityError with Quarantined set when the rename
-// succeeded. Other errors pass through unchanged.
-func quarantine(fsys vfs.FS, path string, err error) error {
-	var ie *store.IntegrityError
-	if !errors.As(err, &ie) {
-		return err
-	}
-	if ie.Path == "" {
-		ie.Path = path
-	}
-	if qerr := fsys.Rename(path, path+store.CorruptSuffix); qerr == nil {
-		ie.Quarantined = path + store.CorruptSuffix
-	}
-	return ie
-}
-
 // SegGraph is a segment-backed Topology: dimensions and indexes in
 // memory, adjacency on disk, decoded segments cached under a byte
 // budget. Safe for concurrent readers. It is *not* a *Graph — code that
@@ -152,14 +133,14 @@ type SegGraph struct {
 
 // OpenSegmented opens the segmented graph at path. The container
 // table, metadata and segment indexes are fully verified here; a
-// verification failure is a typed *store.IntegrityError and moves the
-// file to path+store.CorruptSuffix. Segment payloads are verified as
-// cursors decode them; those failures latch on Err.
+// verification failure is a typed *store.IntegrityError, and
+// store.Quarantine moves a regular file to path+store.CorruptSuffix.
+// Segment payloads are verified as cursors decode them; those failures
+// latch on Err.
 func OpenSegmented(path string, opts SegmentedOptions) (*SegGraph, error) {
-	fsys := vfs.Of(opts.FS)
-	f, err := segcsr.Open(fsys, path, opts.segOpts())
+	f, err := segcsr.Open(opts.FS, path, opts.segOpts())
 	if err != nil {
-		return nil, quarantine(fsys, path, err)
+		return nil, store.Quarantine(opts.FS, path, err)
 	}
 	return &SegGraph{f: f}, nil
 }

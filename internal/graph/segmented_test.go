@@ -17,6 +17,7 @@ import (
 
 	"graphlocality/internal/graph/segcsr"
 	"graphlocality/internal/store"
+	"graphlocality/internal/vfs"
 )
 
 func randGraph(rng *rand.Rand, n uint32, m int) *Graph {
@@ -158,6 +159,40 @@ func TestOpenSegmentedQuarantines(t *testing.T) {
 	}
 	if _, err := os.Stat(path + store.CorruptSuffix); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
+	}
+}
+
+// renameRecorder is the OS filesystem with Rename recorded instead of
+// performed, so a quarantine attempt is observable and harmless.
+type renameRecorder struct {
+	vfs.OS
+	renames []string
+}
+
+func (r *renameRecorder) Rename(oldpath, newpath string) error {
+	r.renames = append(r.renames, oldpath+" -> "+newpath)
+	return nil
+}
+
+// TestOpenSegmentedNeverQuarantinesNonRegularFile: a device node handed
+// in as a graph fails verification, but only regular files are ever
+// renamed to .corrupt.
+func TestOpenSegmentedNeverQuarantinesNonRegularFile(t *testing.T) {
+	const devNull = "/dev/null"
+	if fi, err := os.Stat(devNull); err != nil || fi.Mode().IsRegular() {
+		t.Skipf("%s is absent or a regular file", devNull)
+	}
+	fsys := &renameRecorder{}
+	_, err := OpenSegmented(devNull, SegmentedOptions{FS: fsys})
+	var ie *store.IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("open %s = %v, want *store.IntegrityError", devNull, err)
+	}
+	if ie.Quarantined != "" {
+		t.Errorf("Quarantined = %q, want none", ie.Quarantined)
+	}
+	if len(fsys.renames) != 0 {
+		t.Errorf("Rename called: %v", fsys.renames)
 	}
 }
 

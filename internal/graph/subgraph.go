@@ -73,11 +73,6 @@ func (s *Subgraph) Parent() *Graph { return s.parent }
 // Global translates a local vertex ID to the parent's ID space.
 func (s *Subgraph) Global(l uint32) uint32 { return s.verts[l] }
 
-// Globals returns the member vertices in ascending global-ID order (local
-// ID i maps to Globals()[i]). The slice aliases internal storage and must
-// not be modified.
-func (s *Subgraph) Globals() []uint32 { return s.verts }
-
 // Local translates a parent vertex ID to the view's local ID space. It
 // returns NoVertex for vertices outside the view.
 func (s *Subgraph) Local(g uint32) uint32 {

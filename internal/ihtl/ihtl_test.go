@@ -149,14 +149,16 @@ func TestIHTLBeatsPlainPullOnWebGraph(t *testing.T) {
 func TestPageRankMatchesEngine(t *testing.T) {
 	g := gen.WebGraph(gen.DefaultWebGraph(1<<11, 8, 6))
 	b := Build(g, Config{CacheBytes: 256 * 8})
-	got := PageRank(b, 8, 0.85)
-	want := spmv.PageRank(spmv.New(g, 2), 8, 0.85)
+	got := spmv.PageRank(g, b.SpMV, 8, 0.85)
+	e := spmv.New(g, 2)
+	want := spmv.PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, 8, 0.85)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-12*(1+math.Abs(want[v])) {
 			t.Fatalf("rank[%d] = %v, want %v", v, got[v], want[v])
 		}
 	}
-	if PageRank(Build(graph.FromEdges(0, nil), Config{CacheBytes: 64}), 3, 0.85) != nil {
+	empty := graph.FromEdges(0, nil)
+	if spmv.PageRank(empty, Build(empty, Config{CacheBytes: 64}).SpMV, 3, 0.85) != nil {
 		t.Error("empty graph PageRank should be nil")
 	}
 }

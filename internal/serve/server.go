@@ -217,9 +217,6 @@ func New(cfg Config) *Server {
 // tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth returns the number of queued (not yet running) jobs.
 func (s *Server) QueueDepth() int { return s.queue.Depth() }
 

@@ -58,6 +58,6 @@ func BenchmarkPageRank(b *testing.B) {
 	e := New(g, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PageRank(e, 5, 0.85)
+		PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, 5, 0.85)
 	}
 }

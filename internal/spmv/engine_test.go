@@ -157,7 +157,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 7))
 	g, _ = g.RemoveZeroDegree()
 	e := New(g, 4)
-	rank := PageRank(e, 10, 0.85)
+	rank := PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, 10, 0.85)
 	var sum float64
 	for _, r := range rank {
 		sum += r
@@ -171,7 +171,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 			t.Fatal("negative rank")
 		}
 	}
-	if PageRank(New(graph.FromEdges(0, nil), 1), 3, 0.85) != nil {
+	if PageRank(graph.FromEdges(0, nil), nil, 3, 0.85) != nil {
 		t.Error("empty graph PageRank should be nil")
 	}
 }
@@ -179,7 +179,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 func TestPageRankRanksHubHigher(t *testing.T) {
 	g := gen.Star(1000) // all leaves point at vertex 0
 	e := New(g, 2)
-	rank := PageRank(e, 20, 0.85)
+	rank := PageRank(g, func(src, dst []float64) { e.Pull(src, dst) }, 20, 0.85)
 	for v := 1; v < 1000; v++ {
 		if rank[0] <= rank[v] {
 			t.Fatalf("hub rank %v not above leaf %v", rank[0], rank[v])

@@ -26,11 +26,13 @@ func SequentialPushRead(g *graph.Graph, src, dst []float64) {
 	}
 }
 
-// PageRank runs the classic PageRank power iteration on the engine's pull
-// kernel, the paper's representative SpMV analytic (§III-B). It returns
-// the rank vector after iters iterations with damping d.
-func PageRank(e *Engine, iters int, d float64) []float64 {
-	g := e.g
+// PageRank runs the classic PageRank power iteration on g, the paper's
+// representative SpMV analytic (§III-B). pull is the iteration's SpMV
+// step, dst[v] = Σ src[u] over in-neighbours u of g: an Engine's Pull
+// wrapped in a closure, or ihtl's Blocked.SpMV, which reaches the same
+// ranks through a different traversal. It returns the rank vector after
+// iters iterations with damping d.
+func PageRank(g *graph.Graph, pull func(src, dst []float64), iters int, d float64) []float64 {
 	n := int(g.NumVertices())
 	if n == 0 {
 		return nil
@@ -49,7 +51,7 @@ func PageRank(e *Engine, iters int, d float64) []float64 {
 				contrib[v] = 0
 			}
 		}
-		e.Pull(contrib, next)
+		pull(contrib, next)
 		base := (1 - d) / float64(n)
 		for v := 0; v < n; v++ {
 			rank[v] = base + d*next[v]

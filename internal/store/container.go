@@ -151,98 +151,149 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadContainer deserializes and fully verifies a container: the header
-// checksum is validated before any table field is used, and every
-// section payload is validated against its CRC32C before being returned.
+// SizedReaderAt is a random-access byte source of known size, what the
+// container reader needs to check every table extent against the end of
+// the data before it allocates. *bytes.Reader, *strings.Reader and
+// *io.SectionReader satisfy it; wrap a file as io.NewSectionReader(f, 0,
+// size).
+type SizedReaderAt interface {
+	io.ReaderAt
+	Size() int64
+}
+
+// sectionExtent is one table entry plus its resolved payload location.
+type sectionExtent struct {
+	name   string
+	offset int64 // absolute payload start within the container
+	length uint64
+	crc    uint32
+}
+
+// readTable is the container's one header parser. It checks the magic,
+// the version and the section table against the header checksum before
+// any table field is trusted, resolves each payload's offset, and
+// requires every extent to lie within r and the last one to end exactly
+// at r.Size(), so no payload is allocated for bytes that are not there.
 // Verification failures are *IntegrityError (with Path unset).
-func ReadContainer(r io.Reader) ([]Section, error) {
-	br := bufio.NewReader(r)
+func readTable(r SizedReaderAt) ([]sectionExtent, error) {
+	size := r.Size()
+	br := bufio.NewReader(io.NewSectionReader(r, 0, size))
 	hr := &crcReader{r: br, h: crc32.New(Castagnoli)}
+	var consumed int64
+	readFull := func(p []byte) error {
+		n, err := io.ReadFull(hr, p)
+		consumed += int64(n)
+		return err
+	}
 
 	magic := make([]byte, len(containerMagic))
-	if _, err := io.ReadFull(hr, magic); err != nil {
+	if err := readFull(magic); err != nil {
 		return nil, integrityf("reading magic: %v", err)
 	}
 	if string(magic) != containerMagic {
 		return nil, integrityf("bad magic %q (want %q)", magic, containerMagic)
 	}
-	var version, nsect uint32
-	if err := binary.Read(hr, binary.LittleEndian, &version); err != nil {
+	var u32 [4]byte
+	if err := readFull(u32[:]); err != nil {
 		return nil, integrityf("reading version: %v", err)
 	}
-	if version != containerVersion {
-		return nil, integrityf("unsupported container version %d (want %d)", version, containerVersion)
+	if v := binary.LittleEndian.Uint32(u32[:]); v != containerVersion {
+		return nil, integrityf("unsupported container version %d (want %d)", v, containerVersion)
 	}
-	if err := binary.Read(hr, binary.LittleEndian, &nsect); err != nil {
+	if err := readFull(u32[:]); err != nil {
 		return nil, integrityf("reading section count: %v", err)
 	}
+	nsect := binary.LittleEndian.Uint32(u32[:])
 	if nsect > maxSections {
 		return nil, integrityf("header claims %d sections, over the limit %d", nsect, maxSections)
 	}
-	type tableEntry struct {
-		name   string
-		length uint64
-		crc    uint32
-	}
-	table := make([]tableEntry, 0, nsect)
+	extents := make([]sectionExtent, 0, nsect)
+	var u16 [2]byte
+	var u64 [8]byte
 	for i := uint32(0); i < nsect; i++ {
-		var nameLen uint16
-		if err := binary.Read(hr, binary.LittleEndian, &nameLen); err != nil {
+		if err := readFull(u16[:]); err != nil {
 			return nil, integrityf("section %d: reading name length: %v", i, err)
 		}
+		nameLen := binary.LittleEndian.Uint16(u16[:])
 		if nameLen == 0 || nameLen > maxSectionName {
 			return nil, integrityf("section %d: name length %d out of range", i, nameLen)
 		}
 		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(hr, name); err != nil {
+		if err := readFull(name); err != nil {
 			return nil, integrityf("section %d: reading name: %v", i, err)
 		}
-		var e tableEntry
+		var e sectionExtent
 		e.name = string(name)
-		if err := binary.Read(hr, binary.LittleEndian, &e.length); err != nil {
+		if err := readFull(u64[:]); err != nil {
 			return nil, integrityf("section %q: reading length: %v", e.name, err)
 		}
+		e.length = binary.LittleEndian.Uint64(u64[:])
 		if e.length > maxSectionBytes {
 			return nil, integrityf("section %q claims %d bytes, over the limit %d", e.name, e.length, uint64(maxSectionBytes))
 		}
-		if err := binary.Read(hr, binary.LittleEndian, &e.crc); err != nil {
+		if err := readFull(u32[:]); err != nil {
 			return nil, integrityf("section %q: reading checksum: %v", e.name, err)
 		}
-		table = append(table, e)
+		e.crc = binary.LittleEndian.Uint32(u32[:])
+		extents = append(extents, e)
 	}
 	wantHdr := hr.h.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(br, binary.LittleEndian, &gotHdr); err != nil {
+	if _, err := io.ReadFull(br, u32[:]); err != nil {
 		return nil, integrityf("reading header checksum: %v", err)
 	}
-	if gotHdr != wantHdr {
-		return nil, integrityf("header checksum mismatch (file %08x, computed %08x)", gotHdr, wantHdr)
+	consumed += 4
+	if got := binary.LittleEndian.Uint32(u32[:]); got != wantHdr {
+		return nil, integrityf("header checksum mismatch (file %08x, computed %08x)", got, wantHdr)
 	}
 
-	sections := make([]Section, 0, len(table))
-	for _, e := range table {
-		// Chunked reads keep a (header-verified but still size-capped)
-		// length from allocating everything before EOF is detected.
-		const chunk = 1 << 20
-		data := make([]byte, 0, min64(e.length, chunk))
-		for read := uint64(0); read < e.length; {
-			c := min64(e.length-read, chunk)
-			buf := make([]byte, c)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, integrityf("section %q: truncated payload (%d of %d bytes): %v", e.name, read, e.length, err)
-			}
-			data = append(data, buf...)
-			read += c
+	// The container must end exactly where the table says it does:
+	// trailing bytes mean the data is not what the header describes.
+	off := consumed
+	for i := range extents {
+		extents[i].offset = off
+		if extents[i].length > uint64(size) || off > size-int64(extents[i].length) {
+			return nil, integrityf("section %q extends past end of file (offset %d, length %d, file %d)",
+				extents[i].name, off, extents[i].length, size)
 		}
-		if got := crc32.Checksum(data, Castagnoli); got != e.crc {
-			return nil, integrityf("section %q checksum mismatch (table %08x, computed %08x)", e.name, e.crc, got)
-		}
-		sections = append(sections, Section{Name: e.name, Data: data})
+		off += int64(extents[i].length)
 	}
-	// The container must end exactly where the table said it would;
-	// trailing bytes mean the file is not what the header describes.
-	if n, err := br.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		return nil, integrityf("trailing bytes after the last section")
+	if off != size {
+		return nil, integrityf("trailing bytes after the last section (%d past table end)", size-off)
+	}
+	return extents, nil
+}
+
+// read reads e's payload from r and verifies it against the section
+// checksum.
+func (e *sectionExtent) read(r io.ReaderAt) ([]byte, error) {
+	data := make([]byte, e.length)
+	// A full read may report io.EOF at the end of r; a short one never
+	// returns nil.
+	if n, err := r.ReadAt(data, e.offset); n < len(data) {
+		return nil, integrityf("section %q: reading payload: %v", e.name, err)
+	}
+	if got := crc32.Checksum(data, Castagnoli); got != e.crc {
+		return nil, integrityf("section %q checksum mismatch (table %08x, computed %08x)", e.name, e.crc, got)
+	}
+	return data, nil
+}
+
+// ReadContainer deserializes and fully verifies a container: readTable
+// verifies the header and section table, then every section payload is
+// read and validated against its CRC32C before being returned.
+// Verification failures are *IntegrityError (with Path unset).
+func ReadContainer(r SizedReaderAt) ([]Section, error) {
+	extents, err := readTable(r)
+	if err != nil {
+		return nil, err
+	}
+	sections := make([]Section, len(extents))
+	for i := range extents {
+		data, err := extents[i].read(r)
+		if err != nil {
+			return nil, err
+		}
+		sections[i] = Section{Name: extents[i].name, Data: data}
 	}
 	return sections, nil
 }
@@ -252,11 +303,4 @@ func ReadContainer(r io.Reader) ([]Section, error) {
 // files.
 func IsContainer(data []byte) bool {
 	return len(data) >= len(containerMagic) && string(data[:len(containerMagic)]) == containerMagic
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,14 +17,17 @@
 //
 //   - Verified reads. Artifacts live in a versioned container format
 //     (magic, version, section table, per-section length + CRC32C) and
-//     every byte is checksum-verified before it escapes ReadArtifact. A
-//     failed verification yields a typed *IntegrityError.
+//     every byte is checksum-verified before it escapes ReadArtifact. One
+//     table parser checks the header for ReadContainer and OpenContainer
+//     alike, reading from an io.ReaderAt of known size (SizedReaderAt).
+//     A failed verification yields a typed *IntegrityError.
 //
-//   - Corruption handling. A verified-bad artifact is quarantined by
-//     renaming it to <name>.corrupt (preserving the evidence while
-//     unblocking regeneration), counted via the store's obs.Recorder, and
-//     reported as *IntegrityError so callers can regenerate instead of
-//     aborting.
+//   - Corruption handling. Quarantine is the one rule for a file that
+//     failed verification: a regular file is renamed to <name>.corrupt
+//     (preserving the evidence while unblocking regeneration), anything
+//     else is left in place. The store counts both outcomes via its
+//     obs.Recorder and reports *IntegrityError so callers can regenerate
+//     instead of aborting; the graph loaders apply the same rule.
 //
 //   - Shared-cache locking. Advisory flock-based single-writer /
 //     multi-reader locks (one <name>.lock file per artifact) let

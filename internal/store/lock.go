@@ -25,14 +25,10 @@ import "graphlocality/internal/vfs"
 type FileLock struct {
 	handle lockHandle
 	path   string
-	shared bool
 }
 
 // Path returns the lock file's path.
 func (l *FileLock) Path() string { return l.path }
-
-// Shared reports whether the lock is held in shared (reader) mode.
-func (l *FileLock) Shared() bool { return l.shared }
 
 // Unlock releases the lock. Safe to call on a nil lock.
 func (l *FileLock) Unlock() error {
@@ -51,7 +47,7 @@ func LockShared(fsys vfs.FS, path string) (*FileLock, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileLock{handle: h, path: path, shared: true}, nil
+	return &FileLock{handle: h, path: path}, nil
 }
 
 // LockExclusive acquires the advisory lock at path in exclusive (writer)
@@ -62,7 +58,7 @@ func LockExclusive(fsys vfs.FS, path string) (*FileLock, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileLock{handle: h, path: path, shared: false}, nil
+	return &FileLock{handle: h, path: path}, nil
 }
 
 // TryLockExclusive attempts the exclusive lock without blocking. ok is
@@ -75,7 +71,7 @@ func TryLockExclusive(path string) (l *FileLock, ok bool, err error) {
 	if h == nil {
 		return nil, false, nil
 	}
-	return &FileLock{handle: h, path: path, shared: false}, true, nil
+	return &FileLock{handle: h, path: path}, true, nil
 }
 
 // lockHandle is the platform half of a FileLock.

@@ -133,23 +133,53 @@ func (s *Store) readLocked(name string) ([]Section, error) {
 	if err != nil {
 		return nil, err
 	}
-	sections, err := ReadContainer(f)
-	f.Close()
-	var ie *IntegrityError
-	if errors.As(err, &ie) {
-		ie.Path = path
-		s.rec.Counter("store.integrity_errors").Inc()
-		if qerr := s.fs.Rename(path, path+CorruptSuffix); qerr == nil {
-			ie.Quarantined = path + CorruptSuffix
-			s.rec.Counter("store.quarantined").Inc()
-		}
-		return nil, ie
+	r, err := sized(f)
+	var sections []Section
+	if err == nil {
+		sections, err = ReadContainer(r)
 	}
+	f.Close()
 	if err != nil {
-		return nil, err
+		return nil, s.quarantine(path, err)
 	}
 	s.rec.Counter("store.verified_reads").Inc()
 	return sections, nil
+}
+
+// Quarantine is the one rule for a file that failed verification. For a
+// typed *IntegrityError it sets Path and, when fsys (nil = the OS
+// passthrough) reports a regular file at path, renames the file to
+// path+CorruptSuffix: the evidence is kept while the next run
+// regenerates instead of tripping over it. Quarantined is set only when
+// that rename succeeded, so a device node or a directory handed in as an
+// input is reported, never moved. Other errors pass through unchanged.
+func Quarantine(fsys vfs.FS, path string, err error) error {
+	var ie *IntegrityError
+	if !errors.As(err, &ie) {
+		return err
+	}
+	ie.Path = path
+	fsys = vfs.Of(fsys)
+	if fi, serr := fsys.Stat(path); serr == nil && fi.Mode().IsRegular() {
+		if fsys.Rename(path, path+CorruptSuffix) == nil {
+			ie.Quarantined = path + CorruptSuffix
+		}
+	}
+	return ie
+}
+
+// quarantine applies Quarantine to a failed read of path and counts the
+// outcome in store.integrity_errors and store.quarantined.
+func (s *Store) quarantine(path string, err error) error {
+	err = Quarantine(s.fs, path, err)
+	var ie *IntegrityError
+	if errors.As(err, &ie) {
+		s.rec.Counter("store.integrity_errors").Inc()
+		if ie.Quarantined != "" {
+			s.rec.Counter("store.quarantined").Inc()
+		}
+	}
+	return err
 }
 
 // GetResult is GetOrCompute's outcome.
@@ -291,10 +321,7 @@ func (s *Store) Scan(quarantine bool) ([]ArtifactInfo, error) {
 			if err != nil {
 				info.Err = err
 				if quarantine {
-					s.rec.Counter("store.integrity_errors").Inc()
-					if qerr := s.fs.Rename(s.Path(name), s.Path(name)+CorruptSuffix); qerr == nil {
-						s.rec.Counter("store.quarantined").Inc()
-					}
+					info.Err = s.quarantine(s.Path(name), err)
 				}
 			} else {
 				info.Sections = len(sections)

@@ -49,11 +49,13 @@ func WriteLogs(logs []ThreadLog, w io.Writer) error {
 	return store.WriteContainer(w, sections)
 }
 
-// ReadLogs deserializes thread logs written by WriteLogs. Every section
-// is CRC-verified by the container before its records are decoded; a
-// section that is not a well-formed thread log is a typed
-// *store.IntegrityError like any container failure.
-func ReadLogs(r io.Reader) ([]ThreadLog, error) {
+// ReadLogs deserializes thread logs written by WriteLogs from a byte
+// source of known size (a *bytes.Reader, or a file wrapped as
+// io.NewSectionReader(f, 0, size)). Every section is CRC-verified by the
+// container before its records are decoded; a section that is not a
+// well-formed thread log is a typed *store.IntegrityError like any
+// container failure.
+func ReadLogs(r store.SizedReaderAt) ([]ThreadLog, error) {
 	sections, err := store.ReadContainer(r)
 	if err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ func TestLogsRoundTrip(t *testing.T) {
 	if err := WriteLogs(logs, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadLogs(&buf)
+	got, err := ReadLogs(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReadLogsErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ie *store.IntegrityError
-		if _, err := ReadLogs(&buf); !errors.As(err, &ie) {
+		if _, err := ReadLogs(bytes.NewReader(buf.Bytes())); !errors.As(err, &ie) {
 			t.Errorf("%s: ReadLogs = %v, want *store.IntegrityError", name, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestLogsRoundTripReplayEquivalence(t *testing.T) {
 	if err := WriteLogs(logs, &buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadLogs(&buf)
+	loaded, err := ReadLogs(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
