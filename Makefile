@@ -39,13 +39,14 @@ bench-serve:
 	STATUS=$$?; kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
 	rm -rf /tmp/localitylab-bench-cache; exit $$STATUS
 
-# Sweeps the boba parallel ordering across worker counts (each row
-# cross-checked bit-exact against the serial permutation) and writes
+# Sweeps the boba parallel ordering across worker counts and SimulateSpMV
+# across GOMAXPROCS values (each row cross-checked bit-exact against the
+# serial permutation or the scalar reference simulation) and writes
 # BENCH_multicore.json, the committed scaling baseline.
 bench-multicore:
 	go run ./cmd/localitylab bench multicore -size standard -out BENCH_multicore.json
 
-# Scaling-erosion gate: re-runs the boba sweep into a scratch report and
+# Scaling-erosion gate: re-runs both sweeps into a scratch report and
 # compares against the committed baseline. Meaningful on multicore
 # machines; on one core the run still proves bit-exactness per row.
 bench-multicore-diff:

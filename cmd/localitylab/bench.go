@@ -128,8 +128,10 @@ func cmdBenchPipeline(args []string) error {
 
 // cmdBenchMulticore sweeps the boba parallel ordering across worker
 // counts, timing each under a matching GOMAXPROCS and cross-checking every
-// row against the serial permutation, so the report is simultaneously a
-// scaling measurement and a bit-exactness proof. The committed
+// row against the serial permutation, and SimulateSpMV across the same
+// GOMAXPROCS values, cross-checking every row against the scalar
+// reference, so the report is simultaneously a scaling measurement and a
+// bit-exactness proof. The committed
 // BENCH_multicore.json is the baseline `bench diff` gates scaling erosion
 // against on multicore runners.
 func cmdBenchMulticore(args []string) error {

@@ -180,8 +180,8 @@ Commands:
   bench       performance harness: bench parallel (experiment grid serial vs
               parallel -> BENCH_parallel.json), bench pipeline (batched vs
               scalar simulation stack -> BENCH_pipeline.json), bench multicore
-              (per-worker-count boba scaling, every row cross-checked
-              bit-exact -> BENCH_multicore.json), bench diff
+              (boba and simulate scaling per worker count, every row
+              cross-checked bit-exact -> BENCH_multicore.json), bench diff
               [-tolerance 1.5] <baseline> <current> (regression gate)
   serve       run localityd, the reorder/simulate daemon (admission control,
               deadlines, load shedding, graceful drain on SIGTERM)
@@ -202,7 +202,8 @@ Environment:
 
 // loadGraph reads a segmented graph file. A file that fails verification
 // is reported as *store.IntegrityError and, if it is a regular file,
-// quarantined to <path>.corrupt (store.Quarantine).
+// quarantined to <path>.corrupt (store.Quarantine). An I/O error, such as
+// EISDIR for a directory, is returned as it is, and nothing is moved.
 func loadGraph(path string) (*graph.Graph, error) {
 	return graph.ReadSegmented(path)
 }
@@ -705,7 +706,7 @@ func cmdExperiment(args []string) error {
 // assumed when the first argument is a flag, for compatibility) compares
 // the experiment scheduler's serial and parallel passes; "pipeline" times
 // the simulation stack itself (see bench.go); "multicore" sweeps the boba
-// parallel ordering across worker counts; "diff" gates a current report
+// parallel ordering and SimulateSpMV across worker counts; "diff" gates a current report
 // against a committed baseline.
 func cmdBench(args []string) error {
 	if len(args) > 0 {

@@ -22,9 +22,11 @@ type SimOptions struct {
 	Threads int
 	// Workers bounds the number of segment replays SimulateSpMVSegmented
 	// runs concurrently (0 = one goroutine per segment). It never changes
-	// the simulated access stream, and SimulateSpMV ignores it: the cache
-	// model is serial by nature (DRRIP's PSEL and BRRIP's bimodal counter
-	// are global and order-dependent).
+	// the simulated access stream, and SimulateSpMV ignores it: its one
+	// path always runs trace generation, and the TLB and per-vertex
+	// attribution, on helper goroutines beside a single cache stage, since
+	// the cache model is serial by nature (DRRIP's PSEL and BRRIP's
+	// bimodal counter are global and order-dependent).
 	Workers int
 	// Interval is the per-thread access-interleaving interval (default
 	// 1024 accesses).
@@ -87,7 +89,11 @@ type SimResult struct {
 //
 // It runs on the batched fast path (see simulateBatched), which is
 // bit-identical to — and several times faster than — the scalar reference
-// implementation SimulateSpMVReference.
+// implementation SimulateSpMVReference. That path is a pipeline: trace
+// generation, and the TLB and per-vertex attribution, run on two helper
+// goroutines beside the cache stage, which stays on the caller's. A panic
+// on a helper is re-raised on the caller's goroutine, and no goroutine
+// outlives the call.
 func SimulateSpMV(g graph.Topology, opts SimOptions) SimResult {
 	return simulateBatched(g, opts)
 }

@@ -224,7 +224,8 @@ func (f *File) Err() error {
 // Segment returns the decoded segment seg of the given direction,
 // serving from the cache when resident. The payload is CRC-verified
 // against the index before decoding; decode re-checks every structural
-// claim. Errors are typed *store.IntegrityError and latched on the File.
+// claim. Errors are typed *store.IntegrityError, but for an I/O error
+// (store.ReadFailed), and latched on the File.
 func (f *File) Segment(in bool, seg int) (*segment, error) {
 	d := dirIdx(in)
 	if seg < 0 || seg >= len(f.idx[d]) {
@@ -237,7 +238,7 @@ func (f *File) Segment(in bool, seg int) (*segment, error) {
 	e := f.idx[d][seg]
 	payload := make([]byte, e.payloadLen)
 	if _, err := f.data[d].ReadAt(payload, int64(e.payloadOff)); err != nil {
-		err = corruptf("segment %d: reading payload: %v", seg, err)
+		err = store.ReadFailed(err, "segcsr: segment %d: reading payload", seg)
 		f.record(err)
 		return nil, err
 	}

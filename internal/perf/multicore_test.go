@@ -9,10 +9,10 @@ import (
 	"graphlocality/internal/gen"
 )
 
-// TestMulticorePass runs the multicore sweep on a tiny workload and checks
-// the report shape: only boba rows, one timing row per (workload, worker
-// count), one speedup row per worker count above 1, and GOMAXPROCS
-// restored afterward.
+// TestMulticorePass runs the multicore sweeps on a tiny workload and
+// checks the report shape: boba, simulate and simulate-pv-tlb rows, one
+// timing row per (sweep, worker count), one speedup row per worker count
+// above 1, and GOMAXPROCS restored afterward.
 // The pass's built-in DeepEqual cross-checks make a passing run a
 // bit-exactness statement too; a divergence would surface as an error here.
 func TestMulticorePass(t *testing.T) {
@@ -26,28 +26,23 @@ func TestMulticorePass(t *testing.T) {
 	if got := runtime.GOMAXPROCS(0); got != before {
 		t.Errorf("GOMAXPROCS = %d after pass, want %d restored", got, before)
 	}
-	for _, wc := range counts {
-		name := fmt.Sprintf("multicore/boba/tiny/w=%d", wc)
-		if _, ok := r.Find(name); !ok {
-			t.Errorf("missing benchmark %s", name)
-		}
-		_, hasSpeedup := r.FindSpeedup(name)
-		if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
-			t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
+	sweeps := []string{"boba", "simulate", "simulate-pv-tlb"}
+	for _, sw := range sweeps {
+		for _, wc := range counts {
+			name := fmt.Sprintf("multicore/%s/tiny/w=%d", sw, wc)
+			if _, ok := r.Find(name); !ok {
+				t.Errorf("missing benchmark %s", name)
+			}
+			_, hasSpeedup := r.FindSpeedup(name)
+			if wantSpeedup := wc > 1; hasSpeedup != wantSpeedup {
+				t.Errorf("speedup entry for %s: present=%v, want %v", name, hasSpeedup, wantSpeedup)
+			}
 		}
 	}
-	if len(r.Benchmarks) != len(counts) {
-		t.Errorf("%d benchmark rows, want %d (boba only)", len(r.Benchmarks), len(counts))
-	}
-	for _, b := range r.Benchmarks {
-		if !strings.HasPrefix(b.Name, "multicore/boba/") {
-			t.Errorf("unexpected benchmark row %s, want multicore/boba/* only", b.Name)
-		}
+	if want := len(sweeps) * len(counts); len(r.Benchmarks) != want {
+		t.Errorf("%d benchmark rows, want %d", len(r.Benchmarks), want)
 	}
 	for _, s := range r.Speedups {
-		if !strings.HasPrefix(s.Name, "multicore/boba/") {
-			t.Errorf("unexpected speedup row %s, want multicore/boba/* only", s.Name)
-		}
 		if s.Speedup <= 0 {
 			t.Errorf("speedup %s = %v, want > 0", s.Name, s.Speedup)
 		}

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -86,6 +87,19 @@ func (e *IntegrityError) Error() string {
 
 func integrityf(format string, args ...any) error {
 	return &IntegrityError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// ReadFailed is the one rule for a failed read of verified data, which
+// format describes. Only a short read is an integrity error: the bytes the
+// header promises are not there. Any other error (EIO, EISDIR, ...) says
+// nothing about the content, so it is returned wrapped with %w, and
+// Quarantine passes it through.
+func ReadFailed(err error, format string, args ...any) error {
+	what := fmt.Sprintf(format, args...)
+	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return integrityf("%s: %v", what, err)
+	}
+	return fmt.Errorf("%s: %w", what, err)
 }
 
 // WriteContainer serializes sections to w in the container format.
@@ -174,7 +188,8 @@ type sectionExtent struct {
 // any table field is trusted, resolves each payload's offset, and
 // requires every extent to lie within r and the last one to end exactly
 // at r.Size(), so no payload is allocated for bytes that are not there.
-// Verification failures are *IntegrityError (with Path unset).
+// Verification failures, short reads included, are *IntegrityError (with
+// Path unset); any other read error is returned wrapped (see ReadFailed).
 func readTable(r SizedReaderAt) ([]sectionExtent, error) {
 	size := r.Size()
 	br := bufio.NewReader(io.NewSectionReader(r, 0, size))
@@ -188,20 +203,20 @@ func readTable(r SizedReaderAt) ([]sectionExtent, error) {
 
 	magic := make([]byte, len(containerMagic))
 	if err := readFull(magic); err != nil {
-		return nil, integrityf("reading magic: %v", err)
+		return nil, ReadFailed(err, "reading magic")
 	}
 	if string(magic) != containerMagic {
 		return nil, integrityf("bad magic %q (want %q)", magic, containerMagic)
 	}
 	var u32 [4]byte
 	if err := readFull(u32[:]); err != nil {
-		return nil, integrityf("reading version: %v", err)
+		return nil, ReadFailed(err, "reading version")
 	}
 	if v := binary.LittleEndian.Uint32(u32[:]); v != containerVersion {
 		return nil, integrityf("unsupported container version %d (want %d)", v, containerVersion)
 	}
 	if err := readFull(u32[:]); err != nil {
-		return nil, integrityf("reading section count: %v", err)
+		return nil, ReadFailed(err, "reading section count")
 	}
 	nsect := binary.LittleEndian.Uint32(u32[:])
 	if nsect > maxSections {
@@ -212,7 +227,7 @@ func readTable(r SizedReaderAt) ([]sectionExtent, error) {
 	var u64 [8]byte
 	for i := uint32(0); i < nsect; i++ {
 		if err := readFull(u16[:]); err != nil {
-			return nil, integrityf("section %d: reading name length: %v", i, err)
+			return nil, ReadFailed(err, "section %d: reading name length", i)
 		}
 		nameLen := binary.LittleEndian.Uint16(u16[:])
 		if nameLen == 0 || nameLen > maxSectionName {
@@ -220,26 +235,26 @@ func readTable(r SizedReaderAt) ([]sectionExtent, error) {
 		}
 		name := make([]byte, nameLen)
 		if err := readFull(name); err != nil {
-			return nil, integrityf("section %d: reading name: %v", i, err)
+			return nil, ReadFailed(err, "section %d: reading name", i)
 		}
 		var e sectionExtent
 		e.name = string(name)
 		if err := readFull(u64[:]); err != nil {
-			return nil, integrityf("section %q: reading length: %v", e.name, err)
+			return nil, ReadFailed(err, "section %q: reading length", e.name)
 		}
 		e.length = binary.LittleEndian.Uint64(u64[:])
 		if e.length > maxSectionBytes {
 			return nil, integrityf("section %q claims %d bytes, over the limit %d", e.name, e.length, uint64(maxSectionBytes))
 		}
 		if err := readFull(u32[:]); err != nil {
-			return nil, integrityf("section %q: reading checksum: %v", e.name, err)
+			return nil, ReadFailed(err, "section %q: reading checksum", e.name)
 		}
 		e.crc = binary.LittleEndian.Uint32(u32[:])
 		extents = append(extents, e)
 	}
 	wantHdr := hr.h.Sum32()
 	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, integrityf("reading header checksum: %v", err)
+		return nil, ReadFailed(err, "reading header checksum")
 	}
 	consumed += 4
 	if got := binary.LittleEndian.Uint32(u32[:]); got != wantHdr {
@@ -270,7 +285,7 @@ func (e *sectionExtent) read(r io.ReaderAt) ([]byte, error) {
 	// A full read may report io.EOF at the end of r; a short one never
 	// returns nil.
 	if n, err := r.ReadAt(data, e.offset); n < len(data) {
-		return nil, integrityf("section %q: reading payload: %v", e.name, err)
+		return nil, ReadFailed(err, "section %q: reading payload", e.name)
 	}
 	if got := crc32.Checksum(data, Castagnoli); got != e.crc {
 		return nil, integrityf("section %q checksum mismatch (table %08x, computed %08x)", e.name, e.crc, got)
@@ -281,7 +296,8 @@ func (e *sectionExtent) read(r io.ReaderAt) ([]byte, error) {
 // ReadContainer deserializes and fully verifies a container: readTable
 // verifies the header and section table, then every section payload is
 // read and validated against its CRC32C before being returned.
-// Verification failures are *IntegrityError (with Path unset).
+// Verification failures are *IntegrityError (with Path unset); an I/O
+// error is returned wrapped.
 func ReadContainer(r SizedReaderAt) ([]Section, error) {
 	extents, err := readTable(r)
 	if err != nil {

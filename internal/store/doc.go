@@ -20,7 +20,9 @@
 //     every byte is checksum-verified before it escapes ReadArtifact. One
 //     table parser checks the header for ReadContainer and OpenContainer
 //     alike, reading from an io.ReaderAt of known size (SizedReaderAt).
-//     A failed verification yields a typed *IntegrityError.
+//     A failed verification, a short read included, yields a typed
+//     *IntegrityError; any other read error (EIO, EISDIR) is returned
+//     wrapped, since it says nothing about the bytes (ReadFailed).
 //
 //   - Corruption handling. Quarantine is the one rule for a file that
 //     failed verification: a regular file is renamed to <name>.corrupt

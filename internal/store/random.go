@@ -41,7 +41,7 @@ type ContainerFile struct {
 // bytes. Verification failures — bad magic, bad version, a corrupt
 // table, a file shorter or longer than the table describes — are typed
 // *IntegrityError with Path set (no quarantine: the caller owns the
-// file's lifecycle).
+// file's lifecycle). An I/O error is returned wrapped.
 func OpenContainer(fsys vfs.FS, path string) (*ContainerFile, error) {
 	f, err := vfs.Of(fsys).Open(path)
 	if err != nil {

@@ -110,7 +110,8 @@ func (s *Store) writeLocked(name string, sections []Section) error {
 // ReadArtifact reads and fully verifies the named artifact under its
 // shared lock. A verification failure quarantines the file to
 // <name>.corrupt, bumps the store's integrity counters and returns a
-// typed *IntegrityError; os.IsNotExist(err) distinguishes a plain miss.
+// typed *IntegrityError; os.IsNotExist(err) distinguishes a plain miss,
+// and an I/O error comes back wrapped, with the file left in place.
 func (s *Store) ReadArtifact(name string) ([]Section, error) {
 	if err := validName(name); err != nil {
 		return nil, err

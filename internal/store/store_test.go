@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"graphlocality/internal/obs"
+	"graphlocality/internal/vfs"
 )
 
 func openTestStore(t *testing.T) (*Store, *obs.Registry) {
@@ -105,6 +107,101 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 	// The quarantined slot is a plain miss now: regeneration can proceed.
 	if _, err := s.ReadArtifact("a.perm"); !os.IsNotExist(err) {
 		t.Errorf("after quarantine, read error = %v, want IsNotExist", err)
+	}
+}
+
+// eioAfter serves data up to offset failFrom and fails every read past it
+// with EIO, the way a disk with a bad sector does.
+type eioAfter struct {
+	data     []byte
+	failFrom int64
+}
+
+func (r eioAfter) Size() int64 { return int64(len(r.data)) }
+
+func (r eioAfter) ReadAt(p []byte, off int64) (int, error) {
+	if off >= r.failFrom {
+		return 0, syscall.EIO
+	}
+	n := copy(p, r.data[off:r.failFrom])
+	if n < len(p) {
+		return n, syscall.EIO
+	}
+	return n, nil
+}
+
+// TestReadErrorIsNotIntegrityError: an I/O error while reading a sound
+// container, in the header or in a payload, is returned wrapped, not as an
+// *IntegrityError, so nobody quarantines the file over it.
+func TestReadErrorIsNotIntegrityError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, sampleSections()); err != nil {
+		t.Fatal(err)
+	}
+	extents, err := readTable(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, failFrom := range []int64{0, 9, extents[1].offset} {
+		_, err := ReadContainer(eioAfter{data: buf.Bytes(), failFrom: failFrom})
+		var ie *IntegrityError
+		if errors.As(err, &ie) || !errors.Is(err, syscall.EIO) {
+			t.Errorf("EIO from offset %d: error %T (%v), want a wrapped EIO", failFrom, err, err)
+		}
+	}
+	// A short read is still an integrity error: the bytes are not there.
+	_, err = ReadContainer(bytes.NewReader(buf.Bytes()[:extents[1].offset+3]))
+	var ie *IntegrityError
+	if !errors.As(err, &ie) {
+		t.Errorf("truncated container: error %T (%v), want *IntegrityError", err, err)
+	}
+}
+
+// TestReadEIONotQuarantined: an EIO while reading a committed artifact
+// leaves the sound file where it is and the integrity counters at zero;
+// once the fault heals the artifact reads back intact.
+func TestReadEIONotQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	plain, err := Open(nil, dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleSections()
+	if err := plain.WriteArtifact("a.perm", want); err != nil {
+		t.Fatal(err)
+	}
+	fault, err := vfs.NewFaultFS(vfs.OS{}, []vfs.Rule{{Op: vfs.OpRead, Kind: vfs.FaultEIO, Times: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(fault, dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.ReadArtifact("a.perm")
+	var ie *IntegrityError
+	if errors.As(err, &ie) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("read under EIO: error %T (%v), want a wrapped EIO", err, err)
+	}
+	if fault.Fired() != 1 {
+		t.Fatalf("fault fired %d times, want 1", fault.Fired())
+	}
+	path := s.Path("a.perm")
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("sound artifact moved: %v", err)
+	}
+	if _, err := os.Stat(path + CorruptSuffix); !os.IsNotExist(err) {
+		t.Errorf("sound artifact quarantined: %v", err)
+	}
+	for _, c := range []string{"store.integrity_errors", "store.quarantined"} {
+		if n := reg.Counter(c).Value(); n != 0 {
+			t.Errorf("%s = %d after an I/O error, want 0", c, n)
+		}
+	}
+	got, err := s.ReadArtifact("a.perm")
+	if err != nil || len(got) != len(want) || !bytes.Equal(got[1].Data, want[1].Data) {
+		t.Errorf("healed read: %d sections, error %v", len(got), err)
 	}
 }
 

@@ -44,9 +44,9 @@ func (b *Block) Access(i int) Access {
 	return Access{Addr: b.Addrs[i], Kind: b.Kinds[i], Write: b.Writes[i], Vertex: b.Vertices[i], Dest: b.Dests[i]}
 }
 
-// newBlock allocates a block with room for n accesses, with the record
+// NewBlock allocates a block with room for n accesses, with the record
 // columns when records is set.
-func newBlock(n int, records bool) *Block {
+func NewBlock(n int, records bool) *Block {
 	b := &Block{Addrs: make([]uint64, n), Writes: make([]bool, n)}
 	if records {
 		b.Kinds = make([]Kind, n)
@@ -54,6 +54,26 @@ func newBlock(n int, records bool) *Block {
 		b.Dests = make([]uint32, n)
 	}
 	return b
+}
+
+// reset readies b to be filled: every column back to its full capacity,
+// the write flags cleared (fill stores only the true ones) and the
+// edge-read count zeroed.
+func (b *Block) reset() {
+	b.Addrs, b.Writes = b.Addrs[:cap(b.Addrs)], b.Writes[:cap(b.Writes)]
+	clear(b.Writes)
+	b.EdgeReads = 0
+	if b.Kinds != nil {
+		b.Kinds, b.Vertices, b.Dests = b.Kinds[:cap(b.Kinds)], b.Vertices[:cap(b.Vertices)], b.Dests[:cap(b.Dests)]
+	}
+}
+
+// cut trims b's columns to its first n accesses.
+func (b *Block) cut(n int) {
+	b.Addrs, b.Writes = b.Addrs[:n], b.Writes[:n]
+	if b.Kinds != nil {
+		b.Kinds, b.Vertices, b.Dests = b.Kinds[:n], b.Vertices[:n], b.Dests[:n]
+	}
 }
 
 // setRecord stores the record columns of access i.
@@ -77,6 +97,20 @@ func Generate(g graph.Topology, l Layout, s Stream, blockSize int, records bool,
 	if blockSize < 1 {
 		blockSize = DefaultBatchSize
 	}
+	buf := NewBlock(blockSize, records)
+	return GenerateInto(g, l, s, func() *Block { return buf }, sink)
+}
+
+// GenerateInto is Generate over blocks the caller owns, so a consumer may
+// keep a block after its sink returns (a pipeline hands it to the next
+// stage). Before each block it calls next for a block with room for at
+// least one access, whatever it held, and fills it to its capacity (the
+// last block may hold fewer), with the record columns when the block has
+// them. sink receives the block cut to its accesses,
+// and GenerateInto never touches it again unless next returns it once
+// more. next returning nil stops the stream. It reports whether the
+// traversal ran to completion.
+func GenerateInto(g graph.Topology, l Layout, s Stream, next func() *Block, sink BlockSink) bool {
 	parts := s.partitions(g)
 	iters := make([]*bulkIter, len(parts))
 	for i, r := range parts {
@@ -87,23 +121,15 @@ func Generate(g graph.Topology, l Layout, s Stream, blockSize int, records bool,
 		quota = math.MaxInt // one source: nothing to interleave
 	}
 
-	buf := newBlock(blockSize, records)
-	var view Block
-	n := 0
+	var b *Block
+	n, end := 0, 0
 	flush := func() bool {
 		if n == 0 {
 			return true
 		}
-		view = Block{Addrs: buf.Addrs[:n], Writes: buf.Writes[:n], EdgeReads: buf.EdgeReads}
-		if records {
-			view.Kinds, view.Vertices, view.Dests = buf.Kinds[:n], buf.Vertices[:n], buf.Dests[:n]
-		}
-		ok := sink(&view)
-		// fill stores only the (rare) true write flags; one vectorized
-		// clear per block replaces a byte store per access.
-		clear(buf.Writes[:n])
-		buf.EdgeReads = 0
-		n = 0
+		b.cut(n)
+		ok := sink(b)
+		b, n, end = nil, 0, 0
 		return ok
 	}
 	// Block boundaries are independent of slice boundaries: a slice may
@@ -111,10 +137,19 @@ func Generate(g graph.Topology, l Layout, s Stream, blockSize int, records bool,
 	done := interleave(len(iters), quota, func(i, quota int) (bool, bool) {
 		it := iters[i]
 		for quota > 0 && !it.done {
-			if n == blockSize && !flush() {
-				return false, false
+			if n == end {
+				if !flush() {
+					return false, false
+				}
+				if b == nil {
+					if b = next(); b == nil {
+						return false, false
+					}
+					b.reset()
+					end = len(b.Addrs)
+				}
 			}
-			m := it.fill(buf, n, n+min(quota, blockSize-n), records)
+			m := it.fill(b, n, n+min(quota, end-n), b.Kinds != nil)
 			quota -= m - n
 			n = m
 		}

@@ -94,6 +94,67 @@ func checkStream(t *testing.T, name string, topo graph.Topology, s Stream, bs in
 	}
 }
 
+// TestStreamGenerateIntoOwnedBlocks feeds GenerateInto caller-owned
+// blocks of cycling sizes, some with records and some without, each
+// handed over dirty from an earlier use, and keeps every block it gets
+// back: the kept blocks, concatenated, must be the scalar stream, which
+// they can only be if GenerateInto never touched a block after handing
+// it over. A nil block from next stops the stream.
+func TestStreamGenerateIntoOwnedBlocks(t *testing.T) {
+	g := testGraph()
+	s := withThreads(Whole(g, Pull), 3, 37)
+	want := collectRun(g, s)
+	sizes := []int{1, 5, 64, 3, 100}
+	var kept []*Block
+	next := func() *Block {
+		i := len(kept)
+		b := NewBlock(sizes[i%len(sizes)], i%2 == 0)
+		for j := range b.Addrs {
+			b.Addrs[j], b.Writes[j] = ^uint64(0), true
+		}
+		b.EdgeReads = 99
+		return b
+	}
+	if !GenerateInto(g, NewLayout(g), s, next, func(b *Block) bool {
+		kept = append(kept, b)
+		return true
+	}) {
+		t.Fatal("GenerateInto reported an early stop")
+	}
+	pos := 0
+	for k, b := range kept {
+		edgeReads := 0
+		for i := range b.Addrs {
+			w := want[pos+i]
+			if b.Addrs[i] != w.Addr || b.Writes[i] != w.Write || (b.Kinds != nil && b.Access(i) != w) {
+				t.Fatalf("block %d access %d = {%#x %v}, want %+v", k, i, b.Addrs[i], b.Writes[i], w)
+			}
+			if w.Kind == KindEdges {
+				edgeReads++
+			}
+		}
+		if b.EdgeReads != edgeReads {
+			t.Fatalf("block %d: EdgeReads %d, want %d", k, b.EdgeReads, edgeReads)
+		}
+		pos += len(b.Addrs)
+	}
+	if pos != len(want) {
+		t.Fatalf("%d accesses, want %d", pos, len(want))
+	}
+
+	blocks := 0
+	stopAfter := func() *Block {
+		if blocks == 3 {
+			return nil
+		}
+		blocks++
+		return NewBlock(10, false)
+	}
+	if GenerateInto(g, NewLayout(g), s, stopAfter, func(*Block) bool { return true }) {
+		t.Error("GenerateInto ran to completion after next returned nil")
+	}
+}
+
 func TestStreamMatchesScalar(t *testing.T) {
 	g := testGraph()
 	for _, dir := range []Direction{Pull, Push, PushRead} {

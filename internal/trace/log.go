@@ -58,7 +58,7 @@ func Replay(logs []ThreadLog, interval int, sink func(thread int, b *Block)) {
 		lg := logs[i].Accesses
 		k := min(quota, len(lg)-pos[i])
 		if buf == nil || len(buf.Addrs) < k {
-			buf = newBlock(k, true)
+			buf = NewBlock(k, true)
 		}
 		view = Block{Addrs: buf.Addrs[:k], Writes: buf.Writes[:k], Kinds: buf.Kinds[:k], Vertices: buf.Vertices[:k], Dests: buf.Dests[:k]}
 		for j, a := range lg[pos[i] : pos[i]+k] {
