@@ -520,7 +520,7 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	cfg := cachesim.ScaledL3(g.NumVertices(), *fraction)
-	tlbCfg := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), 0.10)
+	tlbCfg := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
 	opts := core.SimOptions{Direction: dir, Threads: *threads, Cache: cfg, TLB: &tlbCfg}
 	if *ecs {
 		opts.SnapshotEvery = int(trace.CountAccesses(g) / 200)

@@ -128,11 +128,12 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Record folds the counters into rec under prefix (e.g. "sim.l3"). The
-// simulator's hot path keeps its plain per-instance counters; stages fold
-// the totals atomically once per simulation, which keeps manifest totals
-// deterministic under the parallel scheduler.
-func (s Stats) Record(rec obs.Recorder, prefix string) {
+// Record folds the counters into rec under prefix (e.g. "sim.l3"); a nil
+// rec records nothing. The simulator's hot path keeps its plain
+// per-instance counters; stages fold the totals atomically once per
+// simulation, which keeps manifest totals deterministic under the
+// parallel scheduler.
+func (s Stats) Record(rec *obs.Registry, prefix string) {
 	rec.Counter(prefix + ".accesses").Add(s.Accesses)
 	rec.Counter(prefix + ".hits").Add(s.Hits)
 	rec.Counter(prefix + ".misses").Add(s.Misses)

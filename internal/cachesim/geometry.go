@@ -52,6 +52,10 @@ func ScaledTLB(totalBytes uint64, fraction float64) TLBConfig {
 // range (see DESIGN.md §5).
 const DefaultVertexCacheFraction = 0.04
 
+// DefaultTLBFraction is the fraction of the memory footprint the scaled
+// DTLB translates (see ScaledTLB).
+const DefaultTLBFraction = 0.10
+
 // SkylakeL3 returns the paper machine's per-socket L3 geometry: 22 MiB,
 // 64-byte lines, 11-way (32768 sets), DRRIP replacement.
 func SkylakeL3() Config {

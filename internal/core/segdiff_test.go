@@ -24,7 +24,7 @@ import (
 // ECS snapshots split blocks at exact access counts).
 
 // openSeg writes g segmented and opens it back; the cleanup closes it.
-func openSeg(t *testing.T, g *graph.Graph, segVerts int, cacheBytes int64, rec obs.Recorder) *graph.SegGraph {
+func openSeg(t *testing.T, g *graph.Graph, segVerts int, cacheBytes int64, rec *obs.Registry) *graph.SegGraph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.segcsr")
 	if _, err := graph.WriteSegmented(g, path, graph.SegmentedOptions{SegmentVertices: segVerts}); err != nil {

@@ -76,10 +76,7 @@ func TestDegradedStageStillProducesFullTable(t *testing.T) {
 // falls back to Initial.
 func TestStageDeadlineDegrades(t *testing.T) {
 	s, ds := tinySession()
-	s.Ctrl = runctl.New(context.Background(), runctl.Config{
-		StageTimeout: time.Millisecond,
-		MaxAttempts:  1,
-	})
+	s.Ctrl = runctl.New(context.Background(), runctl.Config{StageTimeout: time.Millisecond})
 	victim := "reorder/" + ds[0].Name + "/hang"
 	remove := runctl.Inject(victim, runctl.Failpoint{Mode: runctl.FailHang})
 	defer remove()

@@ -75,7 +75,7 @@ func mapIndexed[T any](parallel, n int, fn func(int) T) []T {
 // a deterministic fact — the same grid is enumerated whatever the
 // parallelism, so serial and parallel manifests agree on it.
 func mapCells[T any](s *Session, n int, fn func(int) T) []T {
-	s.rec().Counter("expt.cells").Add(uint64(n))
+	s.Obs.Counter("expt.cells").Add(uint64(n))
 	return mapIndexed(s.parallelism(), n, fn)
 }
 

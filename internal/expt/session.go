@@ -94,12 +94,6 @@ func (c *memo[T]) Set(key string, val T) {
 // computed permutations are checkpointed to disk write-through; a Resume
 // session reloads them instead of recomputing after a crash or SIGINT.
 type Session struct {
-	// Threads used by the engine and the interleaved simulation.
-	Threads int
-	// CacheFraction is the vertex-data fraction the scaled L3 holds.
-	CacheFraction float64
-	// TLBFraction is the footprint fraction the scaled DTLB covers.
-	TLBFraction float64
 	// Repeats for wall-clock timing of traversals.
 	Repeats int
 	// Parallel is the number of grid cells the experiment scheduler runs
@@ -127,7 +121,7 @@ type Session struct {
 	// the same recorder as runctl.Config.Metrics so stage spans also carry
 	// wall-clock; the session only attaches events/bytes to those spans,
 	// never wall, so nothing is double-timed.
-	Obs obs.Recorder
+	Obs *obs.Registry
 
 	graphs    memo[*graph.Graph]
 	reorders  memo[reorder.Result]
@@ -143,17 +137,16 @@ type Session struct {
 	warnOnce  sync.Once    // checkpoint write failures are logged once per run
 }
 
+// sessionThreads is the thread count of the engine and of the
+// interleaved simulation. Every experiment scales its L3 to
+// cachesim.DefaultVertexCacheFraction of the vertex data and its DTLB to
+// cachesim.DefaultTLBFraction of the footprint.
+const sessionThreads = 4
+
 // NewSession returns a session with the repo's standard measurement
-// parameters (4 threads, 4% vertex-data cache, 10% footprint TLB, 3
-// timing repeats, serial scheduling).
+// parameters (3 timing repeats, serial scheduling).
 func NewSession() *Session {
-	return &Session{
-		Threads:       4,
-		CacheFraction: cachesim.DefaultVertexCacheFraction,
-		TLBFraction:   0.10,
-		Repeats:       3,
-		Parallel:      1,
-	}
+	return &Session{Repeats: 3, Parallel: 1}
 }
 
 // controller returns the run controller, creating a default one on first
@@ -231,19 +224,13 @@ func (s *Session) setRestored(key string) {
 }
 
 // EngineThreads returns the worker count for wall-clock traversals: the
-// session's thread setting capped at the machine's parallelism, so
+// session's four threads capped at the machine's parallelism, so
 // idle-time numbers are not dominated by core oversubscription. The
-// interleaved *simulation* keeps using s.Threads regardless — its results
+// interleaved *simulation* keeps four threads regardless — its results
 // are hardware-independent.
 func (s *Session) EngineThreads() int {
-	if p := runtime.GOMAXPROCS(0); s.Threads > p {
-		return p
-	}
-	return s.Threads
+	return min(sessionThreads, runtime.GOMAXPROCS(0))
 }
-
-// rec returns the session recorder, mapping nil to the no-op recorder.
-func (s *Session) rec() obs.Recorder { return obs.Of(s.Obs) }
 
 // cacheStore lazily opens the artifact store over CacheDir. It returns
 // nil when the session has no cache directory or the directory is
@@ -269,7 +256,7 @@ func (s *Session) Graph(ds Dataset) *graph.Graph {
 	return s.graphs.Do(ds.Name, func() *graph.Graph {
 		start := time.Now()
 		g := ds.Build()
-		sp := s.rec().Span("graph/" + ds.Name)
+		sp := s.Obs.Span("graph/" + ds.Name)
 		sp.AddEvents(g.NumEdges())
 		sp.Done(start)
 		return g
@@ -318,7 +305,7 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 			// Graceful degradation: the row falls back to the Initial ordering
 			// rather than killing the run and discarding sibling results.
 			s.setDegraded(key, degradeReason(err))
-			s.rec().Counter("expt.degraded_stages").Inc()
+			s.Obs.Counter("expt.degraded_stages").Inc()
 			return reorder.Result{Algorithm: alg.Name(), Perm: graph.Identity(g.NumVertices())}
 		}
 		record := func(res reorder.Result) {
@@ -326,10 +313,10 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 			// facts: vertices permuted, permutation bytes produced. Allocator
 			// traffic is nondeterministic, so it goes in a histogram where
 			// only the observation count survives manifest normalization.
-			sp := s.rec().Span(stage)
+			sp := s.Obs.Span(stage)
 			sp.AddEvents(uint64(len(res.Perm)))
 			sp.AddBytes(4 * uint64(len(res.Perm)))
-			s.rec().Histogram("reorder.alloc_bytes").Observe(float64(res.AllocBytes))
+			s.Obs.Histogram("reorder.alloc_bytes").Observe(float64(res.AllocBytes))
 		}
 
 		st := s.cacheStore()
@@ -365,14 +352,14 @@ func (s *Session) Reorder(ds Dataset, alg reorder.Algorithm) reorder.Result {
 		}
 		if got.Restored {
 			s.setRestored(key)
-			s.rec().Counter("expt.checkpoint_restores").Inc()
+			s.Obs.Counter("expt.checkpoint_restores").Inc()
 			return res
 		}
 		record(res)
 		if got.WriteErr != nil {
 			// The result is fine, only persistence failed: count it in the
 			// manifest and tell the user once instead of dropping it silently.
-			s.rec().Counter("expt.checkpoint_write_failures").Inc()
+			s.Obs.Counter("expt.checkpoint_write_failures").Inc()
 			s.warnOnce.Do(func() {
 				log.Printf("expt: checkpoint write failed, resume will recompute %s (further failures counted, not logged): %v", key, got.WriteErr)
 			})
@@ -418,7 +405,7 @@ func (s *Session) Relabeled(ds Dataset, alg reorder.Algorithm) *graph.Graph {
 	return s.relabeled.Do(key, func() *graph.Graph {
 		start := time.Now()
 		rg := s.Graph(ds).Relabel(r.Perm)
-		sp := s.rec().Span("relabel/" + ds.Name + "/" + alg.Name())
+		sp := s.Obs.Span("relabel/" + ds.Name + "/" + alg.Name())
 		sp.AddEvents(uint64(rg.NumVertices()))
 		sp.Done(start)
 		return rg
@@ -427,12 +414,12 @@ func (s *Session) Relabeled(ds Dataset, alg reorder.Algorithm) *graph.Graph {
 
 // CacheFor returns the scaled L3 geometry for ds.
 func (s *Session) CacheFor(ds Dataset) cachesim.Config {
-	return cachesim.ScaledL3(s.Graph(ds).NumVertices(), s.CacheFraction)
+	return cachesim.ScaledL3(s.Graph(ds).NumVertices(), cachesim.DefaultVertexCacheFraction)
 }
 
 // Simulate returns the memoized simulation of one SpMV traversal of the
 // relabeled graph in direction dir, with every observer the tables read:
-// the session's scaled L3 and DTLB, s.Threads interleaved threads,
+// the session's scaled L3 and DTLB, four interleaved threads,
 // per-vertex attribution and 200 ECS snapshots. The observers only read
 // the cache, so its counters are those of a simulation without them.
 //
@@ -446,10 +433,10 @@ func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, dir trace.Directio
 	key := ds.Name + "/" + alg.Spec() + "/" + dir.String()
 	return s.sims.DoUnless(key, func() core.SimResult {
 		g := s.Relabeled(ds, alg)
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), s.TLBFraction)
+		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
 		opts := core.SimOptions{
 			Direction:     dir,
-			Threads:       s.Threads,
+			Threads:       sessionThreads,
 			Cache:         s.CacheFor(ds),
 			TLB:           &tlb,
 			SnapshotEvery: max(int(trace.CountAccesses(g)/200), 1),
@@ -475,12 +462,11 @@ func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, dir trace.Directio
 			res.Canceled = true
 			return res
 		}
-		rec := s.rec()
-		sp := rec.Span(stage)
+		sp := s.Obs.Span(stage)
 		sp.AddEvents(res.Cache.Accesses)
 		sp.AddBytes(res.BytesTouched)
-		res.Cache.Record(rec, "sim.cache")
-		res.TLB.Record(rec, "sim.tlb")
+		res.Cache.Record(s.Obs, "sim.cache")
+		res.TLB.Record(s.Obs, "sim.tlb")
 		return res
 	}, func(r core.SimResult) bool { return r.Canceled })
 }

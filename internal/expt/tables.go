@@ -90,7 +90,7 @@ func TableII(s *Session, datasets []Dataset, algs []reorder.Algorithm) []TableII
 		work = append(work, alg)
 	}
 	cells := grid(datasets, work)
-	s.rec().Counter("expt.cells").Add(uint64(len(cells)))
+	s.Obs.Counter("expt.cells").Add(uint64(len(cells)))
 	rows := make([]TableIIRow, len(cells))
 	for i, c := range cells {
 		r := s.Reorder(c.ds, c.alg)

@@ -51,8 +51,7 @@ type cacheEntry struct {
 	seg *segment
 }
 
-func newSegCache(budget int64, rec obs.Recorder) *segCache {
-	rec = obs.Of(rec)
+func newSegCache(budget int64, rec *obs.Registry) *segCache {
 	return &segCache{
 		budget:    budget,
 		entries:   make(map[segKey]*list.Element),

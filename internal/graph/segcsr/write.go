@@ -23,7 +23,7 @@ type Options struct {
 	// exceed the budget.
 	CacheBytes int64
 	// Obs receives the cache/read instrumentation (nil = none).
-	Obs obs.Recorder
+	Obs *obs.Registry
 }
 
 func (o Options) segVerts() uint32 {

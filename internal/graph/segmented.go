@@ -28,7 +28,7 @@ type SegmentedOptions struct {
 	// exceed the budget.
 	CacheBytes int64
 	// Obs receives cache instrumentation (nil = none).
-	Obs obs.Recorder
+	Obs *obs.Registry
 	// FS is the filesystem seam (nil = the OS passthrough). Chaos tests
 	// inject faults here.
 	FS vfs.FS

@@ -5,11 +5,12 @@
 //
 // Design rules (see DESIGN.md §10):
 //
-//   - Every primitive is nil-safe: the zero Recorder is Nop{}, which hands
-//     out nil *Counter/*Gauge/*Histogram/*Span pointers whose methods are
-//     single-branch no-ops. Hot loops hoist the pointer once and pay one
-//     predictable branch per event when observability is off — no
-//     allocation, no interface call, no atomic.
+//   - Every primitive is nil-safe: a nil *Registry hands out nil
+//     *Counter/*Gauge/*Histogram/*Span pointers whose methods are
+//     single-branch no-ops. Every layer takes a *Registry and nil means
+//     "off". Hot loops hoist the pointer once and pay one predictable
+//     branch per event when observability is off — no allocation, no
+//     interface call, no atomic.
 //   - Counters and span events/bytes record *deterministic facts* (accesses
 //     simulated, permutation sizes, cells scheduled). Gauges, histograms
 //     (except their counts) and wall-clock fields record *measurements*.
@@ -120,52 +121,14 @@ func (h *Histogram) Snapshot() HistogramRecord {
 	return HistogramRecord{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 }
 
-// Recorder hands out named metric primitives. Implementations: *Registry
-// (real storage) and Nop (the default; returns nil primitives whose
-// methods do nothing). Call sites hoist primitives out of hot loops:
+// Registry hands out named metric primitives with atomic mutation, safe
+// for concurrent use, snapshotted into a Manifest at end of run. The nil
+// *Registry is the disabled recorder: it hands out nil primitives, whose
+// methods do nothing. Call sites hoist primitives out of hot loops:
 //
-//	c := rec.Counter("sim.accesses")
+//	c := reg.Counter("sim.accesses")
 //	for ... { ... }        // hot loop untouched
 //	c.Add(localCount)      // fold once at the end
-type Recorder interface {
-	// Counter returns the named counter, creating it on first use.
-	Counter(name string) *Counter
-	// Gauge returns the named gauge, creating it on first use.
-	Gauge(name string) *Gauge
-	// Histogram returns the named histogram, creating it on first use.
-	Histogram(name string) *Histogram
-	// Span returns the named span, creating it on first use. Spans with
-	// the same name merge: calls/events/bytes/wall accumulate.
-	Span(name string) *Span
-}
-
-// Nop is the no-op Recorder: it returns nil primitives, whose methods are
-// all nil-safe no-ops. The zero value is ready to use.
-type Nop struct{}
-
-// Counter implements Recorder.
-func (Nop) Counter(string) *Counter { return nil }
-
-// Gauge implements Recorder.
-func (Nop) Gauge(string) *Gauge { return nil }
-
-// Histogram implements Recorder.
-func (Nop) Histogram(string) *Histogram { return nil }
-
-// Span implements Recorder.
-func (Nop) Span(string) *Span { return nil }
-
-// Of returns rec, or Nop{} when rec is nil — the one-liner that lets
-// structs hold an optional Recorder field without nil checks at use sites.
-func Of(rec Recorder) Recorder {
-	if rec == nil {
-		return Nop{}
-	}
-	return rec
-}
-
-// Registry is the real Recorder: named primitives with atomic mutation,
-// safe for concurrent use, snapshotted into a Manifest at end of run.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
@@ -184,8 +147,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter implements Recorder.
+// Counter returns the named counter, creating it on first use (nil on a
+// nil receiver).
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counts[name]
@@ -196,8 +163,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge implements Recorder.
+// Gauge returns the named gauge, creating it on first use (nil on a
+// nil receiver).
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -208,8 +179,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram implements Recorder.
+// Histogram returns the named histogram, creating it on first use (nil on a
+// nil receiver).
 func (r *Registry) Histogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -220,8 +195,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Span implements Recorder.
+// Span returns the named span, creating it on first use (nil on a nil
+// receiver). Spans with the same name merge: calls/events/bytes/wall
+// accumulate.
 func (r *Registry) Span(name string) *Span {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.spans[name]

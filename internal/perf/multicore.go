@@ -84,7 +84,7 @@ func Multicore(r *Report, workloads []Workload, workerCounts []int, opts Options
 	}
 	for _, w := range workloads {
 		g := w.Graph
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), 0.10)
+		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
 		for _, set := range []struct {
 			what string
 			opts core.SimOptions

@@ -259,7 +259,7 @@ func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
 	passes := max(1, (spmvMinAccesses+len(addrs)-1)/max(len(addrs), 1))
 	accessRows(r, "cachesim/access/spmv", cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction), addrs, writes, passes, opts)
 
-	tlbCfg := cachesim.ScaledTLB(layout.FootprintBytes(), 0.10)
+	tlbCfg := cachesim.ScaledTLB(layout.FootprintBytes(), cachesim.DefaultTLBFraction)
 	timeRows(r, "cachesim/access/tlb", passes*len(addrs), func() {
 		for range passes {
 			t := cachesim.NewTLB(tlbCfg)

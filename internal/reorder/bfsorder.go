@@ -13,15 +13,6 @@ import (
 // Rabbit-Order computes properly.
 type BFSOrder struct{}
 
-func init() {
-	MustRegister(Registration{
-		Name:        "bfs",
-		Description: "breadth-first discovery order from the highest-degree vertex",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return BFSOrder{}, nil },
-	})
-}
-
 // Name implements Algorithm.
 func (BFSOrder) Name() string { return "BFS" }
 

@@ -30,22 +30,6 @@ type Boba struct {
 	Workers int
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "boba",
-		Description: "parallel sort-free degree bucketing (BOBA): DBG's classes via two counting passes, bit-equal at any worker count",
-		Class:       ClassLight,
-		Accepts:     []string{OptSeed, "workers"},
-		New: func(p Params) (Algorithm, error) {
-			if _, err := p.Seed(); err != nil {
-				return nil, err
-			}
-			w, err := p.Int("workers", 0, 0, "want a non-negative integer (0 = GOMAXPROCS)")
-			return Boba{Workers: w}, err
-		},
-	})
-}
-
 // bobaGroups bounds the degree-class index: DBG's class bits.Len32 of a
 // uint32 degree is 0 (degree 0) through 32.
 const bobaGroups = 33

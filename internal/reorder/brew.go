@@ -64,17 +64,6 @@ const (
 	brewDefaultElse   = "dbg"
 )
 
-func init() {
-	MustRegister(Registration{
-		Name:        "brew",
-		Aliases:     []string{"graphbrew"},
-		Description: "per-community hybrid: detect communities, classify each, reorder each with the best-suited RA",
-		Class:       ClassMeta,
-		Accepts:     []string{OptSeed, "detect", "hub", "dense", "else", "resolution", "minsize"},
-		New:         newBrew,
-	})
-}
-
 // brewDetectors enumerates the valid detect= values.
 var brewDetectors = map[string]bool{"louvain": true, "lp": true, "none": true}
 

@@ -55,24 +55,6 @@ type GOrder struct {
 	PollEvery int
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "go",
-		Aliases:     []string{"gorder"},
-		Description: "GOrder: sliding-window sibling/neighbour score maximization (SIGMOD'16)",
-		Class:       ClassHeavy,
-		Accepts:     []string{OptWindow, OptHubCap},
-		New: func(p Params) (Algorithm, error) {
-			w, err := p.Window()
-			if err != nil {
-				return nil, err
-			}
-			c, err := p.HubCap()
-			return &GOrder{Window: w, HubCap: c}, err
-		},
-	})
-}
-
 // defaultWindow is the paper's GOrder window size, used when Window < 1.
 const defaultWindow = 5
 

@@ -22,20 +22,6 @@ type Hybrid struct {
 	Window int
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "hybrid",
-		Aliases:     []string{"ro+go"},
-		Description: "RO over low-degree vertices, then GOrder over the hub block (paper §VIII-C)",
-		Class:       ClassMeta,
-		Accepts:     []string{OptWindow},
-		New: func(p Params) (Algorithm, error) {
-			w, err := p.Window()
-			return &Hybrid{Window: w}, err
-		},
-	})
-}
-
 // Name implements Algorithm.
 func (h *Hybrid) Name() string { return displayName("RO+GO", windowParams(h.Window)...) }
 

@@ -31,24 +31,38 @@ func TestNewRejectsUnknownOption(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicateErrors(t *testing.T) {
-	factory := func(Params) (Algorithm, error) { return Identity{}, nil }
-	if err := Register(Registration{Name: "identity", New: factory}); err == nil {
-		t.Error("duplicate canonical name accepted")
+// TestRegistryTable checks the fixed algorithm table: every canonical
+// name and alias is a distinct key, every alias resolves to its canonical
+// entry, and every entry builds from its bare name with that name as its
+// Spec.
+func TestRegistryTable(t *testing.T) {
+	owner := make(map[string]string)
+	for _, r := range registrations {
+		for _, k := range append([]string{r.Name}, r.Aliases...) {
+			if prev, dup := owner[k]; dup {
+				t.Errorf("key %q names both %q and %q", k, prev, r.Name)
+			}
+			owner[k] = r.Name
+		}
+		for _, a := range r.Aliases {
+			if info, ok := Lookup(a); !ok || info.Name != r.Name {
+				t.Errorf("Lookup(%q) = %q, %v; want %q", a, info.Name, ok, r.Name)
+			}
+		}
+		alg, err := New(r.Name)
+		if err != nil {
+			t.Errorf("New(%q): %v", r.Name, err)
+			continue
+		}
+		if got := alg.Spec(); got != r.Name {
+			t.Errorf("New(%q).Spec() = %q", r.Name, got)
+		}
 	}
-	// A fresh name whose alias collides with an existing key must also fail
-	// and must not leave a half-registered entry behind.
-	if err := Register(Registration{Name: "brandnew-x", Aliases: []string{"gorder"}, New: factory}); err == nil {
-		t.Error("alias collision accepted")
+	if len(byName) != len(owner) {
+		t.Errorf("index holds %d keys, table %d", len(byName), len(owner))
 	}
-	if _, err := New("brandnew-x"); err == nil {
-		t.Error("failed registration left the canonical name resolvable")
-	}
-	if err := Register(Registration{Name: "", New: factory}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register(Registration{Name: "brandnew-y"}); err == nil {
-		t.Error("nil factory accepted")
+	if len(List()) != len(registrations) {
+		t.Errorf("List() has %d names, table %d entries", len(List()), len(registrations))
 	}
 }
 

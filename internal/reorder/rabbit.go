@@ -48,28 +48,6 @@ type RabbitOrder struct {
 	lastCommunitySizes []uint32
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "ro",
-		Aliases:     []string{"rabbit", "rabbitorder"},
-		Description: "Rabbit-Order: modularity-greedy community growth + dendrogram DFS (IPDPS'16)",
-		Class:       ClassHeavy,
-		Accepts:     []string{OptEDR, OptCacheBytes},
-		New: func(p Params) (Algorithm, error) {
-			lo, hi, err := p.EDR()
-			if err != nil {
-				return nil, err
-			}
-			cacheBytes, err := p.CacheBytes()
-			return &RabbitOrder{
-				MinDegree:        lo,
-				MaxDegree:        hi,
-				MaxCommunitySize: uint32(cacheBytes / 8),
-			}, err
-		},
-	})
-}
-
 // CommunitySizes returns the vertex count of every top-level community
 // formed by the last completed Reorder call (eligible vertices only), in
 // root-ID order. Safe for concurrent use; with overlapping runs on one

@@ -16,15 +16,6 @@ import (
 // the resulting order.
 type RCM struct{}
 
-func init() {
-	MustRegister(Registration{
-		Name:        "rcm",
-		Description: "Reverse Cuthill-McKee bandwidth reduction (1969 baseline)",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return RCM{}, nil },
-	})
-}
-
 // Name implements Algorithm.
 func (RCM) Name() string { return "RCM" }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Class is the machine-readable cost class of a reordering algorithm, the
@@ -56,75 +55,193 @@ type Info struct {
 	Accepts     []string
 }
 
-var registry = struct {
-	sync.RWMutex
-	byName map[string]*Registration // canonical names and aliases
-	names  []string                 // canonical names, registration order
-}{byName: make(map[string]*Registration)}
-
-// Register adds an algorithm to the registry. Re-registering a name or
-// alias that is already taken is an error.
-func Register(r Registration) error {
-	if r.Name == "" {
-		return fmt.Errorf("reorder: Register with empty name")
-	}
-	if r.New == nil {
-		return fmt.Errorf("reorder: Register(%q) with nil factory", r.Name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	keys := append([]string{r.Name}, r.Aliases...)
-	for _, k := range keys {
-		if _, dup := registry.byName[k]; dup {
-			return fmt.Errorf("reorder: algorithm %q already registered", k)
-		}
-	}
-	reg := r
-	for _, k := range keys {
-		registry.byName[k] = &reg
-	}
-	registry.names = append(registry.names, r.Name)
-	return nil
+// registrations is the fixed set of algorithms New can build. Names and
+// aliases must be pairwise distinct (TestRegistryTable checks it).
+var registrations = []Registration{
+	{
+		Name:        "identity",
+		Aliases:     []string{"initial", "bl"},
+		Description: "baseline: keep the initial vertex order",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return Identity{}, nil },
+	},
+	{
+		Name:        "random",
+		Description: "uniform shuffle, the locality-destroying control",
+		Class:       ClassLight,
+		Accepts:     []string{OptSeed},
+		New: func(p Params) (Algorithm, error) {
+			seed, err := p.Seed()
+			return Random{Seed: seed}, err
+		},
+	},
+	{
+		Name:        "degsort",
+		Aliases:     []string{"degree"},
+		Description: "sort all vertices by descending total degree",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return DegreeSort{}, nil },
+	},
+	{
+		Name:        "hubsort",
+		Aliases:     []string{"hs"},
+		Description: "sort hub vertices by degree, keep the rest in place",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return HubSort{}, nil },
+	},
+	{
+		Name:        "hubcluster",
+		Aliases:     []string{"hc"},
+		Description: "pack hubs into low IDs without sorting (sort-free HubSort)",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return HubCluster{}, nil },
+	},
+	{
+		Name:        "dbg",
+		Description: "degree-based grouping into power-of-two degree classes",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return DBG{}, nil },
+	},
+	{
+		Name:        "bfs",
+		Description: "breadth-first discovery order from the highest-degree vertex",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return BFSOrder{}, nil },
+	},
+	{
+		Name:        "rcm",
+		Description: "Reverse Cuthill-McKee bandwidth reduction (1969 baseline)",
+		Class:       ClassLight,
+		New:         func(Params) (Algorithm, error) { return RCM{}, nil },
+	},
+	{
+		Name:        "boba",
+		Description: "parallel sort-free degree bucketing (BOBA): DBG's classes via two counting passes, bit-equal at any worker count",
+		Class:       ClassLight,
+		Accepts:     []string{OptSeed, "workers"},
+		New: func(p Params) (Algorithm, error) {
+			if _, err := p.Seed(); err != nil {
+				return nil, err
+			}
+			w, err := p.Int("workers", 0, 0, "want a non-negative integer (0 = GOMAXPROCS)")
+			return Boba{Workers: w}, err
+		},
+	},
+	{
+		Name:        "sb",
+		Aliases:     []string{"slashburn"},
+		Description: "SlashBurn: iterative hub removal + GCC ordering (paper §IV-A)",
+		Class:       ClassHeavy,
+		Accepts:     []string{OptCacheBytes},
+		New: func(p Params) (Algorithm, error) {
+			cacheBytes, err := p.CacheBytes()
+			return &SlashBurn{KFraction: 0.02, CacheBytes: cacheBytes}, err
+		},
+	},
+	{
+		Name:        "sb++",
+		Aliases:     []string{"slashburn++"},
+		Description: "SlashBurn++: SlashBurn with early stopping at max degree sqrt(|V|)",
+		Class:       ClassHeavy,
+		New: func(Params) (Algorithm, error) {
+			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}, nil
+		},
+	},
+	{
+		Name:        "ro",
+		Aliases:     []string{"rabbit", "rabbitorder"},
+		Description: "Rabbit-Order: modularity-greedy community growth + dendrogram DFS (IPDPS'16)",
+		Class:       ClassHeavy,
+		Accepts:     []string{OptEDR, OptCacheBytes},
+		New: func(p Params) (Algorithm, error) {
+			lo, hi, err := p.EDR()
+			if err != nil {
+				return nil, err
+			}
+			cacheBytes, err := p.CacheBytes()
+			return &RabbitOrder{
+				MinDegree:        lo,
+				MaxDegree:        hi,
+				MaxCommunitySize: uint32(cacheBytes / 8),
+			}, err
+		},
+	},
+	{
+		Name:        "go",
+		Aliases:     []string{"gorder"},
+		Description: "GOrder: sliding-window sibling/neighbour score maximization (SIGMOD'16)",
+		Class:       ClassHeavy,
+		Accepts:     []string{OptWindow, OptHubCap},
+		New: func(p Params) (Algorithm, error) {
+			w, err := p.Window()
+			if err != nil {
+				return nil, err
+			}
+			c, err := p.HubCap()
+			return &GOrder{Window: w, HubCap: c}, err
+		},
+	},
+	{
+		Name:        "hybrid",
+		Aliases:     []string{"ro+go"},
+		Description: "RO over low-degree vertices, then GOrder over the hub block (paper §VIII-C)",
+		Class:       ClassMeta,
+		Accepts:     []string{OptWindow},
+		New: func(p Params) (Algorithm, error) {
+			w, err := p.Window()
+			return &Hybrid{Window: w}, err
+		},
+	},
+	{
+		Name:        "brew",
+		Aliases:     []string{"graphbrew"},
+		Description: "per-community hybrid: detect communities, classify each, reorder each with the best-suited RA",
+		Class:       ClassMeta,
+		Accepts:     []string{OptSeed, "detect", "hub", "dense", "else", "resolution", "minsize"},
+		New:         newBrew,
+	},
 }
 
-// MustRegister is Register that panics on error; intended for package
-// init blocks.
-func MustRegister(r Registration) {
-	if err := Register(r); err != nil {
-		panic(err)
+// byName indexes registrations by canonical name and alias, and names
+// holds the canonical names sorted. They are filled in init, not by
+// initializers: brew's factory calls New, which reads byName, so an
+// initializer built from registrations would be an initialization cycle.
+var (
+	byName map[string]*Registration
+	names  []string
+)
+
+func init() {
+	byName = make(map[string]*Registration)
+	for i := range registrations {
+		r := &registrations[i]
+		byName[r.Name] = r
+		for _, a := range r.Aliases {
+			byName[a] = r
+		}
+		names = append(names, r.Name)
 	}
+	sort.Strings(names)
 }
 
 // List returns the canonical names of all registered algorithms, sorted.
-func List() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := append([]string(nil), registry.names...)
-	sort.Strings(names)
-	return names
-}
+func List() []string { return slices.Clone(names) }
 
 // Registrations returns the metadata of every registered algorithm,
 // sorted by canonical name. Consumers that used to hard-code per-name
 // traits (is it seeded? is it heavyweight?) should branch on this.
 func Registrations() []Info {
-	registry.RLock()
-	defer registry.RUnlock()
-	infos := make([]Info, 0, len(registry.names))
-	for _, name := range registry.names {
-		r := registry.byName[name]
-		infos = append(infos, r.info())
+	infos := make([]Info, len(names))
+	for i, name := range names {
+		infos[i] = byName[name].info()
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
 // Lookup returns the metadata of one algorithm (by canonical name or
 // alias).
 func Lookup(name string) (Info, bool) {
-	registry.RLock()
-	r := registry.byName[name]
-	registry.RUnlock()
+	r := byName[name]
 	if r == nil {
 		return Info{}, false
 	}
@@ -183,9 +300,7 @@ func New(spec string) (Algorithm, error) {
 	if err != nil {
 		return nil, err
 	}
-	registry.RLock()
-	reg := registry.byName[s.Name]
-	registry.RUnlock()
+	reg := byName[s.Name]
 	if reg == nil {
 		return nil, &UnknownAlgorithmError{Name: s.Name, Known: List()}
 	}

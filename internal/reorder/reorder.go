@@ -100,53 +100,6 @@ func RunContext(ctx context.Context, alg Algorithm, g *graph.Graph) (Result, err
 	}, err
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "identity",
-		Aliases:     []string{"initial", "bl"},
-		Description: "baseline: keep the initial vertex order",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return Identity{}, nil },
-	})
-	MustRegister(Registration{
-		Name:        "random",
-		Description: "uniform shuffle, the locality-destroying control",
-		Class:       ClassLight,
-		Accepts:     []string{OptSeed},
-		New: func(p Params) (Algorithm, error) {
-			seed, err := p.Seed()
-			return Random{Seed: seed}, err
-		},
-	})
-	MustRegister(Registration{
-		Name:        "degsort",
-		Aliases:     []string{"degree"},
-		Description: "sort all vertices by descending total degree",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return DegreeSort{}, nil },
-	})
-	MustRegister(Registration{
-		Name:        "hubsort",
-		Aliases:     []string{"hs"},
-		Description: "sort hub vertices by degree, keep the rest in place",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return HubSort{}, nil },
-	})
-	MustRegister(Registration{
-		Name:        "hubcluster",
-		Aliases:     []string{"hc"},
-		Description: "pack hubs into low IDs without sorting (sort-free HubSort)",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return HubCluster{}, nil },
-	})
-	MustRegister(Registration{
-		Name:        "dbg",
-		Description: "degree-based grouping into power-of-two degree classes",
-		Class:       ClassLight,
-		New:         func(Params) (Algorithm, error) { return DBG{}, nil },
-	})
-}
-
 // Identity leaves the graph in its initial order (the paper's baseline
 // "Bl" / "Initial"). Callers recognise it by type and skip relabeling
 // work.

@@ -51,29 +51,6 @@ type SlashBurn struct {
 	lastIterations int
 }
 
-func init() {
-	MustRegister(Registration{
-		Name:        "sb",
-		Aliases:     []string{"slashburn"},
-		Description: "SlashBurn: iterative hub removal + GCC ordering (paper §IV-A)",
-		Class:       ClassHeavy,
-		Accepts:     []string{OptCacheBytes},
-		New: func(p Params) (Algorithm, error) {
-			cacheBytes, err := p.CacheBytes()
-			return &SlashBurn{KFraction: 0.02, CacheBytes: cacheBytes}, err
-		},
-	})
-	MustRegister(Registration{
-		Name:        "sb++",
-		Aliases:     []string{"slashburn++"},
-		Description: "SlashBurn++: SlashBurn with early stopping at max degree sqrt(|V|)",
-		Class:       ClassHeavy,
-		New: func(Params) (Algorithm, error) {
-			return &SlashBurn{KFraction: 0.02, StopAtSqrtDegree: true}, nil
-		},
-	})
-}
-
 // Name implements Algorithm.
 func (s *SlashBurn) Name() string {
 	base := "SB"

@@ -18,6 +18,11 @@
 // The package depends only on the standard library and the (stdlib-only)
 // obs metrics layer, so every layer of the repo (reorder, core, spmv,
 // expt, cmd) can use it without cycles.
+//
+// Only the values that differ between callers are settings: the stage
+// deadline, the first retry sleep, the heartbeat period, the clock, the
+// event sink and the metrics registry. The attempt budget and the backoff
+// cap are constants.
 package runctl
 
 import (
@@ -25,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"graphlocality/internal/obs"
@@ -36,14 +40,6 @@ import (
 // observed context cancellation and stopped early. Partial results
 // accompanying it are valid as far as they go.
 var ErrCanceled = errors.New("runctl: canceled")
-
-// ErrStalled is returned (wrapped in a *StageError) when a stage's
-// watchdog fires: the attempt made no progress for Config.Watchdog and
-// the controller stopped waiting for it. The attempt's context is
-// cancelled so cooperative code unwinds, but a truly hung goroutine
-// cannot be killed — the controller abandons it and degrades instead of
-// hanging the whole run with it.
-var ErrStalled = errors.New("runctl: stage stalled")
 
 // StageError is the typed failure of one pipeline stage. It preserves the
 // stage identity, the attempt count, and — when the stage panicked — the
@@ -101,17 +97,13 @@ func IsTransient(err error) bool {
 type EventKind int
 
 const (
-	// EventStart fires when a stage attempt begins.
-	EventStart EventKind = iota
 	// EventHeartbeat fires periodically while a stage attempt runs.
-	EventHeartbeat
+	EventHeartbeat EventKind = iota
 	// EventRetry fires before a backoff sleep between attempts.
 	EventRetry
-	// EventDone fires when a stage finishes (Err carries the outcome).
-	EventDone
 )
 
-// Event is one lifecycle or progress notification.
+// Event is one progress or retry notification.
 type Event struct {
 	Kind    EventKind
 	Stage   string
@@ -120,82 +112,53 @@ type Event struct {
 	Elapsed time.Duration
 	// Backoff is the upcoming sleep (EventRetry only).
 	Backoff time.Duration
-	// Err is the attempt outcome (EventRetry, EventDone).
+	// Err is the failed attempt's error (EventRetry only).
 	Err error
 }
 
+const (
+	// maxAttempts is the attempt budget per stage: a transient failure
+	// is retried at most twice.
+	maxAttempts = 3
+	// maxBackoff caps the retry sleep.
+	maxBackoff = 2 * time.Second
+)
+
 // Config tunes a Controller. The zero value is usable: no stage deadline,
-// three attempts, 50ms base backoff capped at 2s, heartbeats disabled.
+// 50ms base backoff, heartbeats disabled.
 type Config struct {
 	// StageTimeout bounds each stage attempt (0 = no per-stage deadline).
 	StageTimeout time.Duration
-	// MaxAttempts is the attempt budget per stage (min 1; default 3).
-	MaxAttempts int
 	// BaseBackoff is the first retry sleep (default 50ms). Subsequent
-	// sleeps double, capped at MaxBackoff.
+	// sleeps double, capped at 2s.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the retry sleep (default 2s).
-	MaxBackoff time.Duration
 	// Heartbeat is the progress-event period while a stage runs
 	// (0 disables heartbeats).
 	Heartbeat time.Duration
-	// Watchdog bounds how long the controller waits for a stage attempt
-	// to return (0 disables it). Unlike StageTimeout — which only helps
-	// when the stage polls its context — the watchdog catches
-	// non-cooperative hangs: when it fires, the attempt's context is
-	// cancelled, the attempt goroutine is abandoned, and the stage fails
-	// with a *StageError wrapping ErrStalled.
-	Watchdog time.Duration
-	// Clock supplies wall-clock reads and timer waits (heartbeats,
-	// watchdog, default backoff sleep). Nil means the real clock; tests
-	// inject a vfs.FakeClock so heartbeat/watchdog behaviour is provable
-	// without real sleeps.
+	// Clock supplies wall-clock reads and timer waits (heartbeats and
+	// the backoff sleep). Nil means the real clock; tests inject a
+	// vfs.FakeClock so heartbeat and retry behaviour is provable without
+	// real sleeps.
 	Clock vfs.Clock
-	// OnEvent receives lifecycle and heartbeat events (may be nil). It is
+	// OnEvent receives heartbeat and retry events (may be nil). It is
 	// called from the controller's goroutines and must be fast.
 	OnEvent func(Event)
 	// Metrics receives the controller's counters (stage runs, retries,
 	// panics, failures) and per-stage wall-clock spans. Nil disables
 	// recording (the no-op path costs one nil check per stage, not per
 	// loop iteration).
-	Metrics obs.Recorder
-	// Sleep replaces the inter-attempt sleep (tests inject a recorder to
-	// make the backoff schedule deterministic). The default honours ctx.
-	Sleep func(ctx context.Context, d time.Duration) error
+	Metrics *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	c.Clock = vfs.ClockOf(c.Clock)
-	if c.Sleep == nil {
-		c.Sleep = c.Clock.Sleep
-	}
-	return c
-}
-
-// Backoff returns the capped exponential backoff schedule for the given
-// config: sleep before attempt 2, 3, ... (attempts-1 entries). Exposed so
-// tests can assert the schedule without running a controller.
-func Backoff(cfg Config, attempts int) []time.Duration {
-	cfg = cfg.withDefaults()
-	var out []time.Duration
-	d := cfg.BaseBackoff
-	for i := 1; i < attempts; i++ {
-		if d > cfg.MaxBackoff {
-			d = cfg.MaxBackoff
-		}
-		out = append(out, d)
+// backoff returns the sleep before the retry that follows the given
+// failed attempt (1-based): base doubled per earlier retry, capped at
+// maxBackoff.
+func backoff(base time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	return out
+	return min(d, maxBackoff)
 }
 
 // Controller executes pipeline stages under one root context with panic
@@ -203,14 +166,10 @@ func Backoff(cfg Config, attempts int) []time.Duration {
 type Controller struct {
 	ctx context.Context
 	cfg Config
-	rec obs.Recorder
 
 	// Counters are hoisted once here so the per-stage cost of disabled
 	// observability is a nil check, not a map lookup.
 	stageRuns, stageRetries, stagePanics, stageFailures *obs.Counter
-
-	mu     sync.Mutex
-	active map[string]time.Time // stage -> attempt start
 }
 
 // New returns a Controller rooted at ctx. A nil ctx means Background.
@@ -218,14 +177,16 @@ func New(ctx context.Context, cfg Config) *Controller {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rec := obs.Of(cfg.Metrics)
+	if cfg.BaseBackoff <= 0 {
+		cfg.BaseBackoff = 50 * time.Millisecond
+	}
+	cfg.Clock = vfs.ClockOf(cfg.Clock)
 	return &Controller{
-		ctx: ctx, cfg: cfg.withDefaults(), active: make(map[string]time.Time),
-		rec:           rec,
-		stageRuns:     rec.Counter("runctl.stage_runs"),
-		stageRetries:  rec.Counter("runctl.stage_retries"),
-		stagePanics:   rec.Counter("runctl.stage_panics"),
-		stageFailures: rec.Counter("runctl.stage_failures"),
+		ctx: ctx, cfg: cfg,
+		stageRuns:     cfg.Metrics.Counter("runctl.stage_runs"),
+		stageRetries:  cfg.Metrics.Counter("runctl.stage_retries"),
+		stagePanics:   cfg.Metrics.Counter("runctl.stage_panics"),
+		stageFailures: cfg.Metrics.Counter("runctl.stage_failures"),
 	}
 }
 
@@ -234,18 +195,6 @@ func (c *Controller) Context() context.Context { return c.ctx }
 
 // Err returns the root context's error (nil while the run is live).
 func (c *Controller) Err() error { return c.ctx.Err() }
-
-// Active returns the stages currently running and how long their current
-// attempt has been going — the outside view that makes hangs detectable.
-func (c *Controller) Active() map[string]time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]time.Duration, len(c.active))
-	for s, t0 := range c.active {
-		out[s] = c.cfg.Clock.Since(t0)
-	}
-	return out
-}
 
 func (c *Controller) emit(e Event) {
 	if c.cfg.OnEvent != nil {
@@ -265,12 +214,10 @@ func (c *Controller) Run(stage string, fn func(ctx context.Context) error) error
 		}
 		err := c.attempt(stage, attempt, fn)
 		if err == nil {
-			c.emit(Event{Kind: EventDone, Stage: stage, Attempt: attempt})
 			return nil
 		}
 		// Root cancellation propagates as-is: the run is over, not the stage.
 		if c.ctx.Err() != nil {
-			c.emit(Event{Kind: EventDone, Stage: stage, Attempt: attempt, Err: c.ctx.Err()})
 			return c.ctx.Err()
 		}
 		retryable := IsTransient(err)
@@ -280,11 +227,11 @@ func (c *Controller) Run(stage string, fn func(ctx context.Context) error) error
 				c.stagePanics.Inc()
 			}
 		}
-		if retryable && attempt < c.cfg.MaxAttempts {
-			backoff := Backoff(c.cfg, attempt+1)[attempt-1]
+		if retryable && attempt < maxAttempts {
+			sleep := backoff(c.cfg.BaseBackoff, attempt)
 			c.stageRetries.Inc()
-			c.emit(Event{Kind: EventRetry, Stage: stage, Attempt: attempt, Backoff: backoff, Err: err})
-			if serr := c.cfg.Sleep(c.ctx, backoff); serr != nil {
+			c.emit(Event{Kind: EventRetry, Stage: stage, Attempt: attempt, Backoff: sleep, Err: err})
+			if serr := c.cfg.Clock.Sleep(c.ctx, sleep); serr != nil {
 				return serr
 			}
 			continue
@@ -295,40 +242,26 @@ func (c *Controller) Run(stage string, fn func(ctx context.Context) error) error
 		}
 		se.Attempts = attempt
 		c.stageFailures.Inc()
-		c.emit(Event{Kind: EventDone, Stage: stage, Attempt: attempt, Err: se})
 		return se
 	}
 }
 
-// attempt runs fn once with deadline, panic isolation, heartbeats and —
-// when configured — the stall watchdog.
+// attempt runs fn once with deadline, panic isolation and heartbeats.
 func (c *Controller) attempt(stage string, attempt int, fn func(ctx context.Context) error) (err error) {
 	ctx := c.ctx
-	cancel := context.CancelFunc(func() {})
-	switch {
-	case c.cfg.StageTimeout > 0:
+	if c.cfg.StageTimeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.StageTimeout)
-	case c.cfg.Watchdog > 0:
-		// No deadline of its own, but the watchdog needs a handle to tell
-		// cooperative code to unwind when it stops waiting.
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
 
 	start := c.cfg.Clock.Now()
-	c.mu.Lock()
-	c.active[stage] = start
-	c.mu.Unlock()
 	defer func() {
-		c.mu.Lock()
-		delete(c.active, stage)
-		c.mu.Unlock()
 		if err == nil {
-			c.rec.Span(stage).Done(start)
+			c.cfg.Metrics.Span(stage).Done(start)
 			c.stageRuns.Inc()
 		}
 	}()
-	c.emit(Event{Kind: EventStart, Stage: stage, Attempt: attempt})
 
 	var hbStop chan struct{}
 	if c.cfg.Heartbeat > 0 && c.cfg.OnEvent != nil {
@@ -351,10 +284,8 @@ func (c *Controller) attempt(stage string, attempt int, fn func(ctx context.Cont
 		}
 	}()
 
-	// runBody executes fn with panic isolation. The recover lives here —
-	// not in a defer of attempt — because under the watchdog fn runs in
-	// its own goroutine, and a panic there would kill the process before
-	// any defer of attempt could see it.
+	// runBody executes fn with panic isolation, so a recovered panic
+	// still passes through the deadline check below.
 	runBody := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -368,23 +299,7 @@ func (c *Controller) attempt(stage string, attempt int, fn func(ctx context.Cont
 		return fn(ctx)
 	}
 
-	if c.cfg.Watchdog > 0 {
-		done := make(chan error, 1)
-		go func() { done <- runBody() }()
-		select {
-		case err = <-done:
-		case <-c.cfg.Clock.After(c.cfg.Watchdog):
-			// Stop waiting: cancel so cooperative code unwinds, abandon the
-			// goroutine (it parks on the buffered channel if it ever
-			// finishes), and degrade with a typed error.
-			cancel()
-			return fmt.Errorf("no completion after %v: %w", c.cfg.Watchdog, ErrStalled)
-		}
-	} else {
-		err = runBody()
-	}
-
-	if err != nil {
+	if err = runBody(); err != nil {
 		// A deadline overrun of this attempt surfaces as the stage's error;
 		// cooperative loops return ErrCanceled when the attempt ctx dies.
 		if c.cfg.StageTimeout > 0 && ctx.Err() != nil && c.ctx.Err() == nil {

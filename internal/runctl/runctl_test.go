@@ -11,14 +11,16 @@ import (
 	"graphlocality/internal/vfs"
 )
 
-// recordedSleep replaces the inter-attempt sleep with a recorder so retry
-// tests are deterministic and instant.
+// recordedSleep is a real clock whose Sleep records the requested
+// duration and returns at once, so retry tests are deterministic and
+// instant.
 type recordedSleep struct {
+	vfs.RealClock
 	mu    sync.Mutex
 	slept []time.Duration
 }
 
-func (r *recordedSleep) sleep(ctx context.Context, d time.Duration) error {
+func (r *recordedSleep) Sleep(ctx context.Context, d time.Duration) error {
 	r.mu.Lock()
 	r.slept = append(r.slept, d)
 	r.mu.Unlock()
@@ -32,37 +34,32 @@ func (r *recordedSleep) durations() []time.Duration {
 }
 
 func TestBackoffScheduleCappedAndDeterministic(t *testing.T) {
-	cfg := Config{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}
+	base := 50 * time.Millisecond
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
 		2 * time.Second, 2 * time.Second,
 	}
-	got := Backoff(cfg, len(want)+1)
-	if len(got) != len(want) {
-		t.Fatalf("schedule length %d, want %d", len(got), len(want))
-	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v", i, got[i], want[i])
+		if got := backoff(base, i+1); got != want[i] {
+			t.Errorf("sleep %d = %v, want %v", i, got, want[i])
 		}
 	}
-	// Deterministic: a second call yields the identical schedule.
-	again := Backoff(cfg, len(want)+1)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("schedule not deterministic at %d: %v vs %v", i, got[i], again[i])
+	// Deterministic, and the cap holds far past the doubling range.
+	for attempt := 1; attempt < 100; attempt++ {
+		if a, b := backoff(base, attempt), backoff(base, attempt); a != b || a > maxBackoff || a <= 0 {
+			t.Fatalf("attempt %d: sleeps %v and %v, want equal and within (0, %v]", attempt, a, b, maxBackoff)
 		}
 	}
 }
 
 func TestRunRetriesTransientWithBackoff(t *testing.T) {
 	rec := &recordedSleep{}
-	c := New(context.Background(), Config{MaxAttempts: 5, Sleep: rec.sleep})
+	c := New(context.Background(), Config{Clock: rec})
 	calls := 0
 	err := c.Run("stage-x", func(ctx context.Context) error {
 		calls++
-		if calls < 3 {
+		if calls < maxAttempts {
 			return Transient(errors.New("flaky"))
 		}
 		return nil
@@ -70,10 +67,10 @@ func TestRunRetriesTransientWithBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if calls != 3 {
-		t.Fatalf("fn ran %d times, want 3", calls)
+	if calls != maxAttempts {
+		t.Fatalf("fn ran %d times, want %d", calls, maxAttempts)
 	}
-	want := Backoff(c.cfg, 3)
+	want := []time.Duration{backoff(c.cfg.BaseBackoff, 1), backoff(c.cfg.BaseBackoff, 2)}
 	got := rec.durations()
 	if len(got) != len(want) {
 		t.Fatalf("slept %d times (%v), want %d", len(got), got, len(want))
@@ -87,7 +84,7 @@ func TestRunRetriesTransientWithBackoff(t *testing.T) {
 
 func TestRunTransientExhaustion(t *testing.T) {
 	rec := &recordedSleep{}
-	c := New(context.Background(), Config{MaxAttempts: 3, Sleep: rec.sleep})
+	c := New(context.Background(), Config{Clock: rec})
 	calls := 0
 	err := c.Run("stage-x", func(ctx context.Context) error {
 		calls++
@@ -109,7 +106,7 @@ func TestRunTransientExhaustion(t *testing.T) {
 }
 
 func TestRunNonTransientNotRetried(t *testing.T) {
-	c := New(context.Background(), Config{MaxAttempts: 5})
+	c := New(context.Background(), Config{})
 	calls := 0
 	boom := errors.New("hard failure")
 	err := c.Run("stage-x", func(ctx context.Context) error {
@@ -129,7 +126,7 @@ func TestRunNonTransientNotRetried(t *testing.T) {
 }
 
 func TestRunPanicPreservesStageIdentity(t *testing.T) {
-	c := New(context.Background(), Config{MaxAttempts: 5})
+	c := New(context.Background(), Config{})
 	calls := 0
 	err := c.Run("reorder/TwtrT/GO", func(ctx context.Context) error {
 		calls++
@@ -171,7 +168,7 @@ func TestRunRootCancellationPropagates(t *testing.T) {
 }
 
 func TestRunStageDeadline(t *testing.T) {
-	c := New(context.Background(), Config{StageTimeout: 10 * time.Millisecond, MaxAttempts: 1})
+	c := New(context.Background(), Config{StageTimeout: 10 * time.Millisecond})
 	err := c.Run("slow", func(ctx context.Context) error {
 		poll := NewPoller(ctx, 1)
 		for {
@@ -254,36 +251,11 @@ func TestHeartbeatEvents(t *testing.T) {
 	}
 }
 
-func TestActiveReportsRunningStage(t *testing.T) {
-	c := New(context.Background(), Config{})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error)
-	go func() {
-		done <- c.Run("long", func(ctx context.Context) error {
-			close(started)
-			<-release
-			return nil
-		})
-	}()
-	<-started
-	if _, ok := c.Active()["long"]; !ok {
-		t.Error("running stage missing from Active()")
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(c.Active()) != 0 {
-		t.Error("finished stage still listed as active")
-	}
-}
-
 func TestFailpointModes(t *testing.T) {
 	t.Run("error", func(t *testing.T) {
 		remove := Inject("fp/error", Failpoint{Mode: FailError})
 		defer remove()
-		c := New(context.Background(), Config{MaxAttempts: 3})
+		c := New(context.Background(), Config{})
 		err := c.Run("fp/error", func(ctx context.Context) error {
 			return Fire(ctx, "fp/error")
 		})
@@ -299,7 +271,7 @@ func TestFailpointModes(t *testing.T) {
 		remove := Inject("fp/flaky", Failpoint{Mode: FailTransient, Times: 2})
 		defer remove()
 		rec := &recordedSleep{}
-		c := New(context.Background(), Config{MaxAttempts: 5, Sleep: rec.sleep})
+		c := New(context.Background(), Config{Clock: rec})
 		err := c.Run("fp/flaky", func(ctx context.Context) error {
 			return Fire(ctx, "fp/flaky")
 		})
@@ -361,73 +333,6 @@ func TestTransientNilAndExample(t *testing.T) {
 	}
 	if IsTransient(errors.New("plain")) {
 		t.Error("plain error marked transient")
-	}
-}
-
-func TestWatchdogConvertsHangToTypedStageError(t *testing.T) {
-	clock := vfs.NewFakeClock(time.Unix(0, 0))
-	c := New(context.Background(), Config{Watchdog: time.Minute, MaxAttempts: 1, Clock: clock})
-	hung := make(chan struct{})
-	sawCancel := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- c.Run("stuck", func(ctx context.Context) error {
-			go func() {
-				<-ctx.Done()
-				close(sawCancel)
-			}()
-			<-hung // non-cooperative hang: never polls ctx
-			return nil
-		})
-	}()
-	// Wait (on the fake clock) until the watchdog timer is armed, then
-	// fire it. The heartbeat is off, so the only waiter is the watchdog.
-	waitForWaiters(t, clock, 1)
-	clock.Advance(time.Minute)
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run still blocked after the watchdog fired — the hang leaked through")
-	}
-	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("watchdog failure = %T %v, want *StageError", err, err)
-	}
-	if se.Stage != "stuck" || !errors.Is(err, ErrStalled) {
-		t.Fatalf("StageError = %+v, want stage stuck wrapping ErrStalled", se)
-	}
-	// The attempt context must have been cancelled so cooperative code
-	// unwinds even though this stage ignored it.
-	select {
-	case <-sawCancel:
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never cancelled the attempt context")
-	}
-	close(hung)
-}
-
-func TestWatchdogInnocentWhenStageFinishes(t *testing.T) {
-	clock := vfs.NewFakeClock(time.Unix(0, 0))
-	c := New(context.Background(), Config{Watchdog: time.Minute, Clock: clock})
-	if err := c.Run("quick", func(ctx context.Context) error { return nil }); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// A failing-but-returning stage is a stage failure, not a stall.
-	boom := errors.New("boom")
-	err := c.Run("failing", func(ctx context.Context) error { return boom })
-	if !errors.Is(err, boom) || errors.Is(err, ErrStalled) {
-		t.Fatalf("Run = %v, want boom and no stall", err)
-	}
-}
-
-func TestWatchdogPanicStillIsolated(t *testing.T) {
-	clock := vfs.NewFakeClock(time.Unix(0, 0))
-	c := New(context.Background(), Config{Watchdog: time.Minute, MaxAttempts: 1, Clock: clock})
-	err := c.Run("popper", func(ctx context.Context) error { panic("pop") })
-	var se *StageError
-	if !errors.As(err, &se) || !se.Panicked() {
-		t.Fatalf("panic under watchdog = %v, want panicking *StageError", err)
 	}
 }
 

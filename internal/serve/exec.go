@@ -89,7 +89,7 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 			return res, badRequestf("%v", err)
 		}
 		cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), 0.10)
+		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
 		sim := core.SimulateSpMV(g, core.SimOptions{
 			Ctx: ctx, Direction: dir, Threads: 4, Cache: cfg, TLB: &tlb,
 		})

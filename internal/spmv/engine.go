@@ -44,11 +44,11 @@ type Engine struct {
 	pullChunks []graph.Range
 	pushChunks []graph.Range
 
-	// Metrics, when set, receives per-traversal observability: a
+	// Metrics, when non-nil, receives per-traversal observability: a
 	// deterministic traversal counter plus wall-clock/idle/steal
 	// measurements as histogram observations. The hot worker loops are
 	// untouched — folding happens once per traversal.
-	Metrics obs.Recorder
+	Metrics *obs.Registry
 }
 
 // ChunksPerThread is the work-stealing granularity: each worker owns this
@@ -293,12 +293,10 @@ func (e *Engine) run(ctx context.Context, chunks []graph.Range, fn func(graph.Ra
 		Threads:  nw,
 		Canceled: firstErr != nil,
 	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("spmv.traversals").Inc()
-		e.Metrics.Histogram("spmv.traversal_ms").Observe(float64(wall.Microseconds()) / 1000)
-		e.Metrics.Histogram("spmv.idle_pct").Observe(st.IdlePct)
-		e.Metrics.Histogram("spmv.steals").Observe(float64(steals))
-	}
+	e.Metrics.Counter("spmv.traversals").Inc()
+	e.Metrics.Histogram("spmv.traversal_ms").Observe(float64(wall.Microseconds()) / 1000)
+	e.Metrics.Histogram("spmv.idle_pct").Observe(st.IdlePct)
+	e.Metrics.Histogram("spmv.steals").Observe(float64(steals))
 	return st, firstErr
 }
 

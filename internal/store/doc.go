@@ -27,8 +27,8 @@
 //   - Corruption handling. Quarantine is the one rule for a file that
 //     failed verification: a regular file is renamed to <name>.corrupt
 //     (preserving the evidence while unblocking regeneration), anything
-//     else is left in place. The store counts both outcomes via its
-//     obs.Recorder and reports *IntegrityError so callers can regenerate
+//     else is left in place. The store counts both outcomes in its
+//     *obs.Registry and reports *IntegrityError so callers can regenerate
 //     instead of aborting; the graph loaders apply the same rule.
 //
 //   - Shared-cache locking. Advisory flock-based single-writer /

@@ -27,10 +27,10 @@ const (
 // Store is a crash-safe artifact store rooted at one directory. All
 // methods are safe for concurrent use by multiple goroutines and — via
 // per-artifact advisory file locks — by multiple processes sharing the
-// directory. The zero Recorder (nil) disables counting.
+// directory. A nil registry disables counting.
 type Store struct {
 	dir string
-	rec obs.Recorder
+	rec *obs.Registry
 	fs  vfs.FS
 }
 
@@ -40,7 +40,7 @@ type Store struct {
 // bit-flipped writes and rename-drop hit the store's real code paths.
 // rec (may be nil) receives the store's counters: store.writes,
 // store.verified_reads, store.integrity_errors, store.quarantined.
-func Open(fsys vfs.FS, dir string, rec obs.Recorder) (*Store, error) {
+func Open(fsys vfs.FS, dir string, rec *obs.Registry) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
@@ -48,7 +48,7 @@ func Open(fsys vfs.FS, dir string, rec obs.Recorder) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, rec: obs.Of(rec), fs: fsys}, nil
+	return &Store{dir: dir, rec: rec, fs: fsys}, nil
 }
 
 // Dir returns the store's root directory.

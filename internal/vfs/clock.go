@@ -8,8 +8,8 @@ import (
 )
 
 // Clock abstracts wall-clock reads and timer waits so control loops
-// (heartbeats, watchdogs, retry backoff) can run against a
-// manually-advanced fake in tests instead of real sleeps.
+// (heartbeats, retry backoff) can run against a manually-advanced fake
+// in tests instead of real sleeps.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

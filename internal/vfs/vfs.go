@@ -10,9 +10,9 @@
 // one crash-safe commit protocol every file writer shares.
 //
 // The package also defines the Clock seam (Now/Since/After/Sleep) so
-// time-dependent control loops — runctl heartbeats, watchdogs, retry
-// backoff — can run against a manually-advanced fake clock in tests
-// instead of real sleeps.
+// time-dependent control loops — runctl heartbeats and retry backoff —
+// can run against a manually-advanced fake clock in tests instead of
+// real sleeps.
 //
 // vfs sits below every other internal package and depends only on the
 // standard library.
