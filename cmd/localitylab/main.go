@@ -443,8 +443,7 @@ func cmdMetrics(args []string) error {
 			float64(core.CompressedAdjacencyBytes(g))/1024, core.CompressionRatio(g))
 	}
 	if *util {
-		cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-		u, err := core.LineUtilization(g, cfg)
+		u, err := core.LineUtilization(g, cachesim.Config{})
 		if err != nil {
 			return err
 		}
@@ -519,19 +518,20 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := cachesim.ScaledL3(g.NumVertices(), *fraction)
-	tlbCfg := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
-	opts := core.SimOptions{Direction: dir, Threads: *threads, Cache: cfg, TLB: &tlbCfg}
+	opts := core.PaperOptions(g, dir)
+	opts.Threads = *threads
+	opts.Cache = cachesim.ScaledL3(g.NumVertices(), *fraction)
 	if *ecs {
-		opts.SnapshotEvery = int(trace.CountAccesses(g) / 200)
+		opts.SnapshotEvery = core.ECSInterval(g)
 	}
 	res := core.SimulateSpMV(g, opts)
+	cfg := opts.Cache
 	fmt.Printf("cache %s: %d sets x %d ways x %dB (%d KiB), policy %s\n",
 		cfg.Name, cfg.Sets, cfg.Ways, cfg.LineSize, cfg.SizeBytes()/1024, cfg.Policy)
 	fmt.Printf("accesses %d, misses %d (%.2f%%), writebacks %d\n",
 		res.Cache.Accesses, res.Cache.Misses, 100*res.Cache.MissRate(), res.Cache.Writebacks)
 	fmt.Printf("DTLB: %d entries, misses %d (%.3f%%)\n",
-		tlbCfg.Entries, res.TLB.Misses, 100*res.TLB.MissRate())
+		opts.TLB.Entries, res.TLB.Misses, 100*res.TLB.MissRate())
 	if *ecs {
 		fmt.Printf("effective cache size: %.1f%% over %d snapshots\n", res.ECS, res.Snapshots)
 	}

@@ -129,6 +129,33 @@ func TestCLIGraphFilePipeline(t *testing.T) {
 	}
 }
 
+// TestCmdSimulateECSOnSmallGraph: on a graph of fewer than 200 accesses,
+// simulate -ecs still takes snapshots, at the experiments' cadence.
+func TestCmdSimulateECSOnSmallGraph(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.seg")
+	captureStdout(t, func() error { return cmdGen([]string{"-kind", "social", "-scale", "3", "-out", path}) })
+	g, err := loadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := trace.CountAccesses(g); n >= 200 {
+		t.Fatalf("graph has %d accesses; the check needs fewer than 200", n)
+	}
+	out := captureStdout(t, func() error { return cmdSimulate([]string{"-graph", path, "-ecs"}) })
+	var ecs float64
+	var snaps int
+	i := strings.Index(out, "effective cache size:")
+	if i < 0 {
+		t.Fatalf("no ECS line in\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "effective cache size: %f%% over %d snapshots", &ecs, &snaps); err != nil {
+		t.Fatal(err)
+	}
+	if snaps < 1 {
+		t.Errorf("simulate -ecs took %d snapshots, want at least 1:\n%s", snaps, out)
+	}
+}
+
 // TestCmdGenRejectsBadInput: gen with a scale whose 2^scale wraps or an
 // edge factor below 1 is a usage error that writes no -out file.
 func TestCmdGenRejectsBadInput(t *testing.T) {

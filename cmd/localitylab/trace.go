@@ -88,7 +88,7 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	c := cachesim.New(cfg)
-	trace.Replay(logs, *interval, func(_ int, b *trace.Block) { c.AccessBatch(b.Addrs, b.Writes, nil) })
+	trace.Replay(logs, *interval, func(b *trace.Block) { c.AccessBatch(b.Addrs, b.Writes, nil) })
 	st := c.Stats()
 	fmt.Printf("%s %d sets x %d ways (%d KiB), prefetch=%v\n",
 		policy, cfg.Sets, cfg.Ways, cfg.SizeBytes()/1024, *prefetch)

@@ -110,7 +110,7 @@ func TestCCMatchesGraphComponents(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := uint32(seed%120 + 1)
 		g := gen.ErdosRenyi(n, int(seed%400), seed)
-		wantLabels, wantK := g.ConnectedComponents()
+		wantLabels, wantK := referenceComponents(g)
 		lp := ConnectedComponentsLP(g)
 		th := ThriftyCC(g)
 		if lp.Components != wantK || th.Components != wantK {
@@ -131,6 +131,37 @@ func TestCCMatchesGraphComponents(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// referenceComponents labels the components of g's undirected view by
+// union-find over the edge list, sharing no code with the traversals under
+// test. It returns the labels and the component count.
+func referenceComponents(g *graph.Graph) ([]uint32, uint32) {
+	parent := make([]uint32, g.NumVertices())
+	for v := range parent {
+		parent[v] = uint32(v)
+	}
+	var find func(v uint32) uint32
+	find = func(v uint32) uint32 {
+		if parent[v] != v {
+			parent[v] = find(parent[v])
+		}
+		return parent[v]
+	}
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		for _, u := range g.OutNeighbors(v) {
+			parent[find(u)] = find(v)
+		}
+	}
+	labels := make([]uint32, len(parent))
+	var k uint32
+	for v := range labels {
+		if r := find(uint32(v)); r == uint32(v) {
+			k++
+		}
+		labels[v] = find(uint32(v))
+	}
+	return labels, k
 }
 
 func TestCCLabelsAreCanonical(t *testing.T) {
@@ -157,7 +188,7 @@ func TestThriftyCCOnSkewedGraph(t *testing.T) {
 func TestSSSPUnitWeightsEqualsBFS(t *testing.T) {
 	g := gen.ErdosRenyi(300, 1500, 4)
 	bfs := BFS(g, 7)
-	sssp := SSSP(g, 7, UnitWeights)
+	sssp := SSSP(g, 7, unitWeights)
 	for v := range bfs.Depth {
 		bd, sd := bfs.Depth[v], sssp.Dist[v]
 		if bd == NotReached {
@@ -171,6 +202,9 @@ func TestSSSPUnitWeightsEqualsBFS(t *testing.T) {
 		}
 	}
 }
+
+// unitWeights weights every edge 1, making SSSP equivalent to BFS depth.
+func unitWeights(u, v uint32) uint32 { return 1 }
 
 func TestSSSPMatchesBellmanFordReference(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -6,9 +6,6 @@ import "graphlocality/internal/graph"
 // non-negative for the provided algorithms.
 type WeightFunc func(u, v uint32) uint32
 
-// UnitWeights weights every edge 1, making SSSP equivalent to BFS depth.
-func UnitWeights(u, v uint32) uint32 { return 1 }
-
 // HashWeights returns a deterministic pseudo-random weight in [1, max]
 // derived from the edge endpoints — the repo's stand-in for weighted
 // graph datasets.

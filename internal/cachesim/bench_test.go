@@ -20,7 +20,7 @@ func BenchmarkAccessSRRIP(b *testing.B) { benchAccess(b, SRRIP) }
 func BenchmarkAccessDRRIP(b *testing.B) { benchAccess(b, DRRIP) }
 
 func BenchmarkTLBAccess(b *testing.B) {
-	t := NewTLB(SkylakeSTLB())
+	t := NewTLB(TLBConfig{PageSize: 4096, Entries: 1536, Ways: 12})
 	rng := newTestRNG(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -476,13 +476,6 @@ func (c *Cache) touch(k int) {
 	}
 }
 
-// Contains reports whether addr's line is currently cached, without
-// updating any state. Used by tests and by the ECS scanner.
-func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.lineBits
-	return c.probe(line&c.setMask, line) >= 0
-}
-
 // Snapshot calls fn with the base address of every valid line. It performs
 // no state updates; the paper's ECS metric periodically scans cache
 // contents this way (§VI-F).
@@ -492,13 +485,4 @@ func (c *Cache) Snapshot(fn func(lineAddr uint64)) {
 			fn(c.recs[k>>3].tags[k&7] << c.lineBits)
 		}
 	}
-}
-
-// ValidLines returns the number of currently valid lines.
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := 0; i < len(c.recs); i += c.stride / 8 {
-		n += int(c.recs[i].occ)
-	}
-	return n
 }

@@ -415,3 +415,19 @@ func (r *testRNG) next() uint64 {
 	r.s ^= r.s << 17
 	return r.s
 }
+
+// ValidLines returns the number of currently valid lines.
+func (c *Cache) ValidLines() int {
+	n := 0
+	for i := 0; i < len(c.recs); i += c.stride / 8 {
+		n += int(c.recs[i].occ)
+	}
+	return n
+}
+
+// Contains reports whether addr's line is currently cached, without
+// updating any state. Used by tests and by the ECS scanner.
+func (c *Cache) Contains(addr uint64) bool {
+	line := addr >> c.lineBits
+	return c.probe(line&c.setMask, line) >= 0
+}

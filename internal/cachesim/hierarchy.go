@@ -23,23 +23,10 @@ func NewHierarchy(cfgs ...Config) *Hierarchy {
 	return h
 }
 
-// SkylakeHierarchy returns the paper machine's per-core path: 32 KiB
-// 8-way L1D, 1 MiB 16-way L2, 22 MiB 11-way DRRIP L3.
-func SkylakeHierarchy() *Hierarchy {
-	return NewHierarchy(
-		Config{Name: "L1D", LineSize: 64, Sets: 64, Ways: 8, Policy: LRU},
-		Config{Name: "L2", LineSize: 64, Sets: 1024, Ways: 16, Policy: LRU},
-		SkylakeL3(),
-	)
-}
-
-// Levels returns the number of cache levels.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // Access walks the hierarchy: a hit at level i fills all levels < i (and
 // promotes recency at i); a miss everywhere fills every level from
-// memory. It returns the 0-based level that hit, or Levels() for a memory
-// access.
+// memory. It returns the 0-based level that hit, or the number of levels
+// for a memory access.
 func (h *Hierarchy) Access(addr uint64, write bool) int {
 	for i, c := range h.levels {
 		if c.Access(addr, write) {
@@ -51,17 +38,3 @@ func (h *Hierarchy) Access(addr uint64, write bool) int {
 
 // LevelStats returns the statistics of level i (0 = innermost).
 func (h *Hierarchy) LevelStats(i int) Stats { return h.levels[i].Stats() }
-
-// MemoryAccesses returns the number of accesses that missed every level —
-// the traffic reaching main memory (the paper's "L3 misses" when the
-// outermost level is the L3).
-func (h *Hierarchy) MemoryAccesses() uint64 {
-	return h.levels[len(h.levels)-1].Stats().Misses
-}
-
-// Reset clears all levels.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.levels {
-		c.Reset()
-	}
-}

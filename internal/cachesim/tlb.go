@@ -20,12 +20,6 @@ type TLBConfig struct {
 	Ways     int
 }
 
-// SkylakeSTLB returns the 1536-entry, 12-way unified second-level TLB
-// geometry of the paper's Xeon Gold 6130 with 4 KiB pages.
-func SkylakeSTLB() TLBConfig {
-	return TLBConfig{PageSize: 4096, Entries: 1536, Ways: 12}
-}
-
 // Validate reports whether NewTLB can build the geometry: a positive
 // power-of-two PageSize, and Entries a positive multiple of Ways whose
 // quotient, the set count, is a power of two.

@@ -41,19 +41,8 @@ func TestTLBCapacity(t *testing.T) {
 	}
 }
 
-func TestSkylakeSTLBGeometry(t *testing.T) {
-	cfg := SkylakeSTLB()
-	if cfg.Entries != 1536 || cfg.Ways != 12 || cfg.PageSize != 4096 {
-		t.Errorf("SkylakeSTLB = %+v", cfg)
-	}
-	tlb := NewTLB(cfg)
-	if tlb.c.Config().Sets != 128 {
-		t.Errorf("sets = %d, want 128", tlb.c.Config().Sets)
-	}
-}
-
 func TestTLBConfigValidate(t *testing.T) {
-	for _, cfg := range []TLBConfig{SkylakeSTLB(), ScaledTLB(64<<20, 0.1), ScaledTLB(100, 0.1),
+	for _, cfg := range []TLBConfig{TLBConfig{PageSize: 4096, Entries: 1536, Ways: 12}, ScaledTLB(64<<20, 0.1), ScaledTLB(100, 0.1),
 		{PageSize: 2 << 20, Entries: 4, Ways: 4}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%+v: %v", cfg, err)

@@ -126,6 +126,3 @@ func (t *UtilizationTracker) Stats() UtilizationStats {
 	}
 	return out
 }
-
-// CacheStats exposes the shadow cache's hit/miss counters.
-func (t *UtilizationTracker) CacheStats() Stats { return t.c.Stats() }

@@ -119,3 +119,6 @@ func TestUtilizationEmpty(t *testing.T) {
 		t.Error("zero-value MeanFraction should be 0")
 	}
 }
+
+// CacheStats exposes the shadow cache's hit/miss counters.
+func (t *UtilizationTracker) CacheStats() Stats { return t.c.Stats() }

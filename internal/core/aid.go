@@ -24,11 +24,6 @@ func AID(g *graph.Graph, v uint32) float64 {
 	return sum / float64(len(nbrs))
 }
 
-// AIDOut is AID over out-neighbours, for push-direction analysis.
-func AIDOut(g *graph.Graph, v uint32) float64 {
-	return AID(g.Reverse(), v)
-}
-
 // AIDByDegree computes the AID degree distribution (Fig. 3): vertices are
 // binned by in-degree and the per-bin mean AID reported. It runs in
 // O(|E|) time and O(#bins) extra space.

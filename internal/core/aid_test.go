@@ -39,14 +39,6 @@ func TestAIDShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestAIDOut(t *testing.T) {
-	g := graph.FromEdges(10, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 5}, {Src: 0, Dst: 9}})
-	want := (4.0 + 4.0) / 3.0
-	if got := AIDOut(g, 0); math.Abs(got-want) > 1e-12 {
-		t.Errorf("AIDOut = %v, want %v", got, want)
-	}
-}
-
 func TestAIDByDegreeRabbitOrderReducesLDV(t *testing.T) {
 	// The paper's Fig. 3: Rabbit-Order reduces AID of low-degree vertices.
 	base := gen.WebGraph(gen.DefaultWebGraph(4096, 6, 2))

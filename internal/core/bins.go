@@ -66,9 +66,6 @@ func (b Bins) Index(d uint32) int {
 	return lo
 }
 
-// Lower returns the inclusive lower degree bound of bin i.
-func (b Bins) Lower(i int) uint32 { return b.lo[i] }
-
 // Label renders bin i as "lo-hi" (or "0" / "lo+" for edge bins).
 func (b Bins) Label(i int) string {
 	lo := b.lo[i]

@@ -82,3 +82,6 @@ func TestDegreeSeries(t *testing.T) {
 		t.Errorf("NonEmpty = %v", ne)
 	}
 }
+
+// Lower returns the inclusive lower degree bound of bin i.
+func (b Bins) Lower(i int) uint32 { return b.lo[i] }

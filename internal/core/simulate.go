@@ -114,6 +114,22 @@ func (opts SimOptions) normalize(g graph.Dims) SimOptions {
 	return opts
 }
 
+// PaperOptions returns the simulation cell the paper's tables read for g
+// in direction dir (§V-B): four interleaved threads, the scaled L3 at
+// cachesim.DefaultVertexCacheFraction of the vertex data and the scaled
+// DTLB at cachesim.DefaultTLBFraction of the footprint.
+func PaperOptions(g graph.Dims, dir trace.Direction) SimOptions {
+	tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
+	return SimOptions{Direction: dir, Threads: 4, TLB: &tlb}.normalize(g)
+}
+
+// ECSInterval returns the SnapshotEvery of the paper's effective cache
+// size measurement on g: 200 content scans over one traversal, at least
+// one access apart.
+func ECSInterval(g graph.Dims) int {
+	return max(int(trace.CountAccesses(g)/200), 1)
+}
+
 // stream returns the access stream the (normalized) options simulate.
 func (opts SimOptions) stream(g graph.Dims) trace.Stream {
 	s := trace.Whole(g, opts.Direction)
@@ -191,15 +207,14 @@ func SimulateSpMVReference(g *graph.Graph, opts SimOptions) SimResult {
 
 // LineUtilization measures how many 8-byte words of each fetched cache
 // line the random vertex-data accesses of a pull SpMV actually touch,
-// under the given cache geometry — a direct spatial-locality metric:
+// under the given cache geometry (the zero Config is SimOptions' default
+// L3) — a direct spatial-locality metric:
 // orderings with strong type-I/III locality use most of every line. The
 // reads feed a cold shadow cache in trace order. A geometry the tracker
 // cannot account (see cachesim.NewUtilizationTracker) is returned as its
 // *cachesim.UtilizationConfigError.
 func LineUtilization(g graph.Topology, cfg cachesim.Config) (cachesim.UtilizationStats, error) {
-	if cfg == (cachesim.Config{}) {
-		cfg = cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-	}
+	cfg = SimOptions{Cache: cfg}.normalize(g).Cache
 	tr, err := cachesim.NewUtilizationTracker(cfg)
 	if err != nil {
 		return cachesim.UtilizationStats{}, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -52,12 +51,6 @@ const (
 // the directory.
 func CheckpointName(dsName, spec string) string {
 	return sanitize(dsName) + "__" + sanitize(spec) + ".perm"
-}
-
-// CheckpointPath returns the checkpoint file for a dataset/algorithm-spec
-// pair.
-func CheckpointPath(dir, dsName, spec string) string {
-	return filepath.Join(dir, CheckpointName(dsName, spec))
 }
 
 func sanitize(s string) string {

@@ -176,6 +176,10 @@ var Experiments = []Experiment{
 	{ID: "hilbert", run: func(o *Output, s *Session, ds []Dataset, _ []reorder.Algorithm) {
 		o.section("== §IX-A: Hilbert-curve edge ordering vs row COO vs CSC pull ==", RenderHilbert(HilbertExperiment(s, ds)))
 	}},
+	{ID: "ablation", Datasets: Contrast, run: func(o *Output, s *Session, ds []Dataset, _ []reorder.Algorithm) {
+		o.section("== ablations of the simulation method: replacement policy, cache fraction, private levels ==",
+			ablation(s, ds))
+	}},
 	{ID: "utilization", Datasets: Contrast, run: func(o *Output, s *Session, ds []Dataset, algs []reorder.Algorithm) {
 		o.section("== cache-line word utilization per RA (spatial-locality companion to Table V) ==",
 			RenderUtilization(UtilizationExperiment(s, ds, algs)))

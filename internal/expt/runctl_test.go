@@ -149,7 +149,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Flip one payload byte: the checksum must catch it.
-	path := CheckpointPath(dir, "TwtrT", "GO")
+	path := filepath.Join(dir, CheckpointName("TwtrT", "GO"))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCheckpointRejectsNonPermutation(t *testing.T) {
 
 func TestCheckpointPathSanitized(t *testing.T) {
 	dir := t.TempDir()
-	p := CheckpointPath(dir, "../../etc", "RO+GO")
+	p := filepath.Join(dir, CheckpointName("../../etc", "RO+GO"))
 	if filepath.Dir(p) != filepath.Clean(dir) {
 		t.Fatalf("checkpoint path %q escapes %q", p, dir)
 	}

@@ -137,10 +137,8 @@ type Session struct {
 	warnOnce  sync.Once    // checkpoint write failures are logged once per run
 }
 
-// sessionThreads is the thread count of the engine and of the
-// interleaved simulation. Every experiment scales its L3 to
-// cachesim.DefaultVertexCacheFraction of the vertex data and its DTLB to
-// cachesim.DefaultTLBFraction of the footprint.
+// sessionThreads is the engine's thread count, the same four threads the
+// simulation cell core.PaperOptions interleaves.
 const sessionThreads = 4
 
 // NewSession returns a session with the repo's standard measurement
@@ -433,15 +431,9 @@ func (s *Session) Simulate(ds Dataset, alg reorder.Algorithm, dir trace.Directio
 	key := ds.Name + "/" + alg.Spec() + "/" + dir.String()
 	return s.sims.DoUnless(key, func() core.SimResult {
 		g := s.Relabeled(ds, alg)
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
-		opts := core.SimOptions{
-			Direction:     dir,
-			Threads:       sessionThreads,
-			Cache:         s.CacheFor(ds),
-			TLB:           &tlb,
-			SnapshotEvery: max(int(trace.CountAccesses(g)/200), 1),
-			PerVertex:     true,
-		}
+		opts := core.PaperOptions(g, dir)
+		opts.SnapshotEvery = core.ECSInterval(g)
+		opts.PerVertex = true
 		stage := "simulate/" + ds.Name + "/" + alg.Name()
 		if dir != trace.Pull {
 			stage += "/" + dir.String()

@@ -32,17 +32,6 @@ func (g *Graph) TotalDegrees() []uint32 {
 	return d
 }
 
-// DegreeHistogram returns a map degree→count over the supplied degree
-// slice. It is used for the paper's Figure 2 (degree distribution of the
-// GCC across SlashBurn iterations).
-func DegreeHistogram(degrees []uint32) map[uint32]uint64 {
-	h := make(map[uint32]uint64)
-	for _, d := range degrees {
-		h[d]++
-	}
-	return h
-}
-
 // VerticesByDegreeDesc returns vertex IDs sorted by the given degree slice,
 // descending; ties broken by ascending vertex ID for determinism.
 func VerticesByDegreeDesc(degrees []uint32) []uint32 {

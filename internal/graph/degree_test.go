@@ -25,16 +25,6 @@ func TestDegreeSlices(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	h := DegreeHistogram([]uint32{1, 2, 2, 3, 3, 3})
-	if h[1] != 1 || h[2] != 2 || h[3] != 3 {
-		t.Errorf("histogram = %v", h)
-	}
-	if len(DegreeHistogram(nil)) != 0 {
-		t.Error("empty histogram should be empty")
-	}
-}
-
 func TestVerticesByDegree(t *testing.T) {
 	deg := []uint32{5, 1, 5, 3}
 	desc := VerticesByDegreeDesc(deg)

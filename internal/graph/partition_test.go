@@ -84,7 +84,7 @@ func TestPartitionProperty(t *testing.T) {
 		p := rng.Intn(10) + 1
 		ranges := g.PartitionEdgeBalancedOut(p)
 		var covered uint32
-		maxDeg := uint64(g.MaxOutDegree())
+		maxDeg := uint64(g.Reverse().MaxInDegree())
 		bound := g.NumEdges()/uint64(p) + maxDeg + 1
 		for _, r := range ranges {
 			if r.Lo != covered {

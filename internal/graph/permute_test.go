@@ -160,3 +160,25 @@ func TestComposePanicsOnLengthMismatch(t *testing.T) {
 	}()
 	Identity(3).Compose(Identity(4))
 }
+
+// Inverse returns the inverse permutation: Inverse()[new] == old.
+func (p Permutation) Inverse() Permutation {
+	inv := make(Permutation, len(p))
+	for old, nw := range p {
+		inv[nw] = uint32(old)
+	}
+	return inv
+}
+
+// Compose returns the permutation that first applies p and then q:
+// result[v] = q[p[v]]. Both must have the same length.
+func (p Permutation) Compose(q Permutation) Permutation {
+	if len(p) != len(q) {
+		panic("graph: composing permutations of different sizes")
+	}
+	r := make(Permutation, len(p))
+	for v := range p {
+		r[v] = q[p[v]]
+	}
+	return r
+}

@@ -73,18 +73,6 @@ func (s *Subgraph) Parent() *Graph { return s.parent }
 // Global translates a local vertex ID to the parent's ID space.
 func (s *Subgraph) Global(l uint32) uint32 { return s.verts[l] }
 
-// Local translates a parent vertex ID to the view's local ID space. It
-// returns NoVertex for vertices outside the view.
-func (s *Subgraph) Local(g uint32) uint32 {
-	if s.membership[g] != s.id {
-		return NoVertex
-	}
-	return s.local[g]
-}
-
-// Contains reports whether parent vertex g is a member of the view.
-func (s *Subgraph) Contains(g uint32) bool { return s.membership[g] == s.id }
-
 // OutDegree returns the number of v's out-edges whose destination is also
 // inside the view (v is a local ID). O(deg) in the parent degree.
 func (s *Subgraph) OutDegree(v uint32) uint32 {
@@ -116,32 +104,6 @@ func (s *Subgraph) InternalDegrees() []uint32 {
 		}
 	}
 	return deg
-}
-
-// NumInternalEdges counts the directed edges with both endpoints inside
-// the view.
-func (s *Subgraph) NumInternalEdges() uint64 {
-	var m uint64
-	for _, gv := range s.verts {
-		for _, u := range s.parent.OutNeighbors(gv) {
-			if s.membership[u] == s.id {
-				m++
-			}
-		}
-	}
-	return m
-}
-
-// EachInternalOut calls fn(src, dst) with local IDs for every directed
-// edge internal to the view, in (src asc, dst asc) order.
-func (s *Subgraph) EachInternalOut(fn func(src, dst uint32)) {
-	for l, gv := range s.verts {
-		for _, u := range s.parent.OutNeighbors(gv) {
-			if s.membership[u] == s.id {
-				fn(uint32(l), s.local[u])
-			}
-		}
-	}
 }
 
 // Materialize builds the induced subgraph as a standalone *Graph in local

@@ -199,3 +199,41 @@ func TestInducedSubgraphProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Local translates a parent vertex ID to the view's local ID space. It
+// returns NoVertex for vertices outside the view.
+func (s *Subgraph) Local(g uint32) uint32 {
+	if s.membership[g] != s.id {
+		return NoVertex
+	}
+	return s.local[g]
+}
+
+// NumInternalEdges counts the directed edges with both endpoints inside
+// the view.
+func (s *Subgraph) NumInternalEdges() uint64 {
+	var m uint64
+	for _, gv := range s.verts {
+		for _, u := range s.parent.OutNeighbors(gv) {
+			if s.membership[u] == s.id {
+				m++
+			}
+		}
+	}
+	return m
+}
+
+// EachInternalOut calls fn(src, dst) with local IDs for every directed
+// edge internal to the view, in (src asc, dst asc) order.
+func (s *Subgraph) EachInternalOut(fn func(src, dst uint32)) {
+	for l, gv := range s.verts {
+		for _, u := range s.parent.OutNeighbors(gv) {
+			if s.membership[u] == s.id {
+				fn(uint32(l), s.local[u])
+			}
+		}
+	}
+}
+
+// Contains reports whether parent vertex g is a member of the view.
+func (s *Subgraph) Contains(g uint32) bool { return s.membership[g] == s.id }

@@ -10,7 +10,7 @@ import (
 // normalization is a stable fixed point: any accepted manifest, once
 // normalized and encoded, must decode to something that normalizes to the
 // same bytes. That idempotence is what makes golden manifests and
-// obs.Equal trustworthy.
+// equal trustworthy.
 func FuzzManifestDecode(f *testing.F) {
 	// A realistic manifest as the structured seed.
 	r := NewRegistry()
@@ -54,8 +54,8 @@ func FuzzManifestDecode(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("normalization not idempotent:\nfirst:  %s\nsecond: %s", enc, enc2)
 		}
-		if !Equal(n, again) {
-			t.Fatal("Equal() disagrees with byte-identical normalized encodings")
+		if !equal(n, again) {
+			t.Fatal("equal() disagrees with byte-identical normalized encodings")
 		}
 	})
 }

@@ -151,14 +151,6 @@ func (m Manifest) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Equal reports whether a and b describe the same work: their normalized
-// encodings are byte-identical.
-func Equal(a, b Manifest) bool {
-	ea, erra := a.Normalized().Encode()
-	eb, errb := b.Normalized().Encode()
-	return erra == nil && errb == nil && string(ea) == string(eb)
-}
-
 // DecodeManifest parses a manifest and validates its version.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest

@@ -31,7 +31,7 @@ func TestNormalizedStripsMeasurementsOnly(t *testing.T) {
 	// Simulate differing span wall clocks.
 	a.Spans[0].WallMS, b.Spans[0].WallMS = 3, 7
 
-	if Equal(a, b) != true {
+	if equal(a, b) != true {
 		t.Fatal("manifests with identical facts but different measurements are not Equal")
 	}
 	n := a.Normalized()
@@ -55,7 +55,7 @@ func TestEqualDetectsFactDrift(t *testing.T) {
 	r := sample(1)
 	r.Counter("sim.accesses").Add(1) // one extra access
 	b := r.Manifest(Meta{Tool: "t"})
-	if Equal(a, b) {
+	if equal(a, b) {
 		t.Fatal("fact drift not detected")
 	}
 }
@@ -116,7 +116,7 @@ func TestWriteManifestFileIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(got, second) {
+	if !equal(got, second) {
 		t.Error("path does not hold the new manifest")
 	}
 	entries, err := os.ReadDir(dir)
@@ -181,4 +181,12 @@ func TestDiff(t *testing.T) {
 	if !strings.Contains(clean.String(), "no event/count drift") {
 		t.Errorf("clean render wrong:\n%s", clean.String())
 	}
+}
+
+// equal reports whether a and b describe the same work: their normalized
+// encodings are byte-identical.
+func equal(a, b Manifest) bool {
+	ea, erra := a.Normalized().Encode()
+	eb, errb := b.Normalized().Encode()
+	return erra == nil && errb == nil && string(ea) == string(eb)
 }

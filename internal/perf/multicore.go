@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 
-	"graphlocality/internal/cachesim"
 	"graphlocality/internal/core"
 	"graphlocality/internal/reorder"
 	"graphlocality/internal/trace"
@@ -84,13 +83,14 @@ func Multicore(r *Report, workloads []Workload, workerCounts []int, opts Options
 	}
 	for _, w := range workloads {
 		g := w.Graph
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
+		pvTLB := core.PaperOptions(g, trace.Pull)
+		pvTLB.PerVertex = true
 		for _, set := range []struct {
 			what string
 			opts core.SimOptions
 		}{
 			{"simulate/" + w.Name, core.SimOptions{}},
-			{"simulate-pv-tlb/" + w.Name, core.SimOptions{PerVertex: true, Threads: 4, TLB: &tlb}},
+			{"simulate-pv-tlb/" + w.Name, pvTLB},
 		} {
 			ref := core.SimulateSpMVReference(g, set.opts)
 			err := sweep(set.what, func(int) any { return core.SimulateSpMV(g, set.opts) },

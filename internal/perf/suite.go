@@ -257,9 +257,10 @@ func SpMVAccess(r *Report, g *graph.Graph, opts Options) {
 		return true
 	})
 	passes := max(1, (spmvMinAccesses+len(addrs)-1)/max(len(addrs), 1))
-	accessRows(r, "cachesim/access/spmv", cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction), addrs, writes, passes, opts)
+	paper := core.PaperOptions(g, trace.Pull)
+	accessRows(r, "cachesim/access/spmv", paper.Cache, addrs, writes, passes, opts)
 
-	tlbCfg := cachesim.ScaledTLB(layout.FootprintBytes(), cachesim.DefaultTLBFraction)
+	tlbCfg := *paper.TLB
 	timeRows(r, "cachesim/access/tlb", passes*len(addrs), func() {
 		for range passes {
 			t := cachesim.NewTLB(tlbCfg)

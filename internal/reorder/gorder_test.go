@@ -149,7 +149,7 @@ func TestGOrderImprovesTemporalProximity(t *testing.T) {
 	// should share in-neighbours more often than under a random order.
 	g := gen.WebGraph(gen.DefaultWebGraph(1024, 6, 8))
 	score := func(perm graph.Permutation) int {
-		inv := perm.Inverse()
+		inv := inverse(perm)
 		total := 0
 		for i := 1; i < len(inv); i++ {
 			total += commonInNeighbors(g, inv[i-1], inv[i])

@@ -139,7 +139,7 @@ func TestSlashBurnGCCLosesPowerLaw(t *testing.T) {
 	// maximum degree collapses far below the original.
 	g := gen.RMAT(gen.DefaultRMAT(11, 8, 5))
 	und := g.Undirected()
-	origMax := und.MaxOutDegree()
+	origMax := und.MaxInDegree()
 	var lastMax uint32
 	sb := MustNew("sb").(*SlashBurn)
 	sb.OnIteration = func(iter int, gccDegrees []uint32) {

@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"graphlocality/internal/cachesim"
 	"graphlocality/internal/core"
 	"graphlocality/internal/gen"
 	"graphlocality/internal/graph"
@@ -88,11 +87,9 @@ func compute(ctx context.Context, req JobRequest) (JobResult, error) {
 		if err != nil {
 			return res, badRequestf("%v", err)
 		}
-		cfg := cachesim.ScaledL3(g.NumVertices(), cachesim.DefaultVertexCacheFraction)
-		tlb := cachesim.ScaledTLB(trace.NewLayout(g).FootprintBytes(), cachesim.DefaultTLBFraction)
-		sim := core.SimulateSpMV(g, core.SimOptions{
-			Ctx: ctx, Direction: dir, Threads: 4, Cache: cfg, TLB: &tlb,
-		})
+		opts := core.PaperOptions(g, dir)
+		opts.Ctx = ctx
+		sim := core.SimulateSpMV(g, opts)
 		if sim.Canceled {
 			return res, runctl.ErrCanceled
 		}

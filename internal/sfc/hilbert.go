@@ -44,28 +44,6 @@ func HilbertIndex(order uint, x, y uint32) uint64 {
 	return d
 }
 
-// HilbertPoint is the inverse of HilbertIndex: it maps curve position d
-// back to (x, y).
-func HilbertPoint(order uint, d uint64) (x, y uint32) {
-	t := d
-	for s := uint64(1); s < uint64(1)<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & uint32(t^uint64(rx))
-		// Rotate.
-		if ry == 0 {
-			if rx == 1 {
-				x = uint32(s) - 1 - x
-				y = uint32(s) - 1 - y
-			}
-			x, y = y, x
-		}
-		x += uint32(s) * rx
-		y += uint32(s) * ry
-		t /= 4
-	}
-	return x, y
-}
-
 // OrderFor returns the smallest curve order covering n vertices.
 func OrderFor(n uint32) uint {
 	if n <= 1 {
@@ -108,12 +86,4 @@ func HilbertOrder(g *graph.Graph) *COO {
 // equivalent to a push traversal.
 func RowOrder(g *graph.Graph) *COO {
 	return &COO{Edges: g.Edges(), n: g.NumVertices()}
-}
-
-// SpMV performs one edge-centric SpMV iteration over the COO: for every
-// edge (u,v), dst[v] += src[u]. dst must be zeroed by the caller.
-func (c *COO) SpMV(src, dst []float64) {
-	for _, e := range c.Edges {
-		dst[e.Dst] += src[e.Src]
-	}
 }

@@ -225,3 +225,15 @@ func TestPullLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// SequentialPushRead is the reference CSR read traversal:
+// dst[v] = Σ src[u] over out-neighbours u.
+func SequentialPushRead(g *graph.Graph, src, dst []float64) {
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		sum := 0.0
+		for _, u := range g.OutNeighbors(v) {
+			sum += src[u]
+		}
+		dst[v] = sum
+	}
+}

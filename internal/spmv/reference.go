@@ -14,18 +14,6 @@ func SequentialPull(g *graph.Graph, src, dst []float64) {
 	}
 }
 
-// SequentialPushRead is the reference CSR read traversal:
-// dst[v] = Σ src[u] over out-neighbours u.
-func SequentialPushRead(g *graph.Graph, src, dst []float64) {
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		sum := 0.0
-		for _, u := range g.OutNeighbors(v) {
-			sum += src[u]
-		}
-		dst[v] = sum
-	}
-}
-
 // PageRank runs the classic PageRank power iteration on g, the paper's
 // representative SpMV analytic (§III-B). pull is the iteration's SpMV
 // step, dst[v] = Σ src[u] over in-neighbours u of g: an Engine's Pull

@@ -245,35 +245,28 @@ func TestStreamThreadsInterval(t *testing.T) {
 }
 
 // TestReplayBatchedMatchesReplayWithThread checks that the block Replay,
-// flattened, is the thread-tagged access-by-access round-robin over the
-// logs: each live log gives interval accesses per turn, tagged with the
-// thread that logged them.
+// flattened, is the access-by-access round-robin over the logs: each live
+// log gives interval accesses per turn.
 func TestReplayBatchedMatchesReplayWithThread(t *testing.T) {
 	g := testGraph()
 	l := NewLayout(g)
 	logs := CollectLogs(g, l, Pull, 3)
-	type step struct {
-		thread int
-		a      Access
-	}
 	for _, interval := range []int{1, 100, 1 << 20} {
-		var want []step
+		var want []Access
 		pos := make([]int, len(logs))
 		for live := true; live; {
 			live = false
 			for i, lg := range logs {
 				end := min(pos[i]+interval, len(lg.Accesses))
-				for _, a := range lg.Accesses[pos[i]:end] {
-					want = append(want, step{lg.Thread, a})
-				}
+				want = append(want, lg.Accesses[pos[i]:end]...)
 				pos[i] = end
 				live = live || end < len(lg.Accesses)
 			}
 		}
-		var got []step
-		Replay(logs, interval, func(th int, b *Block) {
+		var got []Access
+		Replay(logs, interval, func(b *Block) {
 			for i := range b.Addrs {
-				got = append(got, step{th, b.Access(i)})
+				got = append(got, b.Access(i))
 			}
 		})
 		if len(want) != len(got) {

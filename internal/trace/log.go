@@ -11,8 +11,7 @@ import (
 // log; phase 2 divides execution into intervals and replays the logs
 // round-robin. Generate and Run produce the identical interleaving without
 // materializing the logs; the explicit form exists for tooling that needs
-// to store, inspect or re-replay traces, and for the per-socket NUMA
-// simulation, which needs each access's thread.
+// to store, inspect or re-replay traces.
 
 // ThreadLog is the materialized access log of one emulated thread.
 type ThreadLog struct {
@@ -47,10 +46,10 @@ func CollectLogs(g graph.Topology, l Layout, dir Direction, threads int) []Threa
 // Replay performs phase 2: execution duration is divided between threads;
 // for each interval every live thread contributes `interval` accesses in
 // round-robin order. Each slice reaches sink as one block, with the record
-// columns filled, tagged with the thread that logged it. Concatenating the
-// blocks gives the stream Generate and Run emit for the same threads and
-// interval. The block is reused once sink returns.
-func Replay(logs []ThreadLog, interval int, sink func(thread int, b *Block)) {
+// columns filled. Concatenating the blocks gives the stream Generate and
+// Run emit for the same threads and interval. The block is reused once
+// sink returns.
+func Replay(logs []ThreadLog, interval int, sink func(b *Block)) {
 	pos := make([]int, len(logs))
 	var buf *Block
 	var view Block
@@ -70,7 +69,7 @@ func Replay(logs []ThreadLog, interval int, sink func(thread int, b *Block)) {
 		}
 		pos[i] += k
 		if k > 0 {
-			sink(logs[i].Thread, &view)
+			sink(&view)
 		}
 		return pos[i] < len(lg), true
 	})

@@ -26,7 +26,7 @@ func TestCollectLogsCoverAllAccesses(t *testing.T) {
 // replayAll flattens Replay's blocks into records.
 func replayAll(logs []ThreadLog, interval int) []Access {
 	var out []Access
-	Replay(logs, interval, func(_ int, b *Block) {
+	Replay(logs, interval, func(b *Block) {
 		for i := range b.Addrs {
 			out = append(out, b.Access(i))
 		}
@@ -80,15 +80,16 @@ func TestReplayWithThread(t *testing.T) {
 		logs := CollectLogs(tc.g, l, Pull, 3)
 		for _, interval := range tc.intervals {
 			// Every block is one slice of one thread's log: at most
-			// interval accesses, tagged with the thread that logged them,
-			// and taken from that log in order. The blocks concatenate to
+			// interval accesses, taken in order from the log of the next
+			// live thread in round-robin turn. The blocks concatenate to
 			// the interleaved stream.
 			want := collectRun(tc.g, withThreads(Whole(tc.g, Pull), 3, interval))
 			var got []Access
 			pos := map[int]int{}
-			Replay(logs, interval, func(thread int, b *Block) {
-				if thread < 0 || thread >= len(logs) {
-					t.Fatalf("iv=%d: bad thread id %d", interval, thread)
+			thread := -1
+			Replay(logs, interval, func(b *Block) {
+				for thread = (thread + 1) % len(logs); pos[thread] == len(logs[thread].Accesses); {
+					thread = (thread + 1) % len(logs)
 				}
 				if n := len(b.Addrs); n == 0 || n > max(interval, 1) {
 					t.Fatalf("iv=%d: block of %d accesses", interval, n)
