@@ -55,7 +55,9 @@ var ifaceMethods = map[string]bool{
 // own package names it or another package selects it through an import of
 // that package; a method when its package, or a file importing it, selects
 // a member of that name, an interface declares it, or it satisfies a
-// standard interface.
+// standard interface. Methods match by name only, whatever the receiver:
+// a method passes when a caller selects a method of the same name on
+// another type, so two types' methods of one name pass or fail together.
 func TestEveryExportHasACaller(t *testing.T) {
 	const module = "graphlocality"
 	type decl struct {

@@ -342,6 +342,52 @@ func TestAccessBatchMemoStartsEmpty(t *testing.T) {
 	}
 }
 
+// TestAccessBatchMemoInvalidatedOnEviction pins the memo's invariant: a
+// line the memo names is evicted by a fill into its way and then accessed
+// again, within one batch, so the access must miss although the memo once
+// named it. In a 1-way set the line after it evicts it; in the 2-way BRRIP
+// set, lines A B C D C, D's fill takes C's way while C is the memo's
+// newest entry. Each stream runs with writes and with nil writes (the
+// TLB's call shape) and must match scalar Access in hits and state.
+func TestAccessBatchMemoInvalidatedOnEviction(t *testing.T) {
+	const line = 64
+	lines := func(ls ...uint64) []uint64 {
+		addrs := make([]uint64, len(ls))
+		for i, l := range ls {
+			addrs[i] = l * line
+		}
+		return addrs
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		addrs []uint64
+	}{
+		{"LRU/1-way", Config{LineSize: line, Sets: 1, Ways: 1, Policy: LRU}, lines(1, 2, 1, 2, 2, 1)},
+		{"SRRIP/1-way", Config{LineSize: line, Sets: 1, Ways: 1, Policy: SRRIP}, lines(1, 2, 1, 2, 2, 1)},
+		{"DRRIP/1-way", Config{LineSize: line, Sets: 2, Ways: 1, Policy: DRRIP}, lines(1, 3, 1, 0, 2, 0, 3)},
+		{"BRRIP/2-way", Config{LineSize: line, Sets: 1, Ways: 2, Policy: BRRIP}, lines(1, 2, 3, 4, 3, 4)},
+	}
+	for _, tc := range cases {
+		// The stream must re-access an evicted line: its last access
+		// misses under the scalar path.
+		ref := New(tc.cfg)
+		var hit bool
+		for _, a := range tc.addrs {
+			hit = ref.Access(a, false)
+		}
+		if hit {
+			t.Fatalf("%s: last access hits; the stream evicts nothing", tc.name)
+		}
+		writes := make([]bool, len(tc.addrs))
+		for i := range writes {
+			writes[i] = i%2 == 1
+		}
+		runDifferential(t, tc.name, tc.cfg, tc.addrs, writes, len(tc.addrs))
+		runDifferential(t, tc.name+"/nil-writes", tc.cfg, tc.addrs, nil, len(tc.addrs))
+	}
+}
+
 // TestOccTracksValid cross-checks the per-set occupancy counters after a
 // contended run with prefetching: a set holds as many lines as were ever
 // filled into it, up to its associativity (fills take free ways first and

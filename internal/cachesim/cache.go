@@ -335,9 +335,9 @@ func (c *Cache) probe(set, line uint64) int {
 
 // missFill performs everything a demand miss does after the probe: DRRIP
 // set-dueling vote, victim selection, fill, replacement-metadata insertion
-// and the optional next-line prefetch. AccessBatch's kernel performs the
-// same operations over its hoisted state, with evict's one-record RRIP
-// case inline and the vote and the insertion RRPV computed without
+// and the optional next-line prefetch. AccessBatch's kernels perform the
+// same operations without the prefetch, with evict's one-record case
+// inline and the vote, the victim and the insertion RRPV computed without
 // branches. It returns the way number the line was filled into.
 func (c *Cache) missFill(line, set uint64, write bool) int {
 	if c.cfg.Policy == DRRIP {

@@ -178,9 +178,6 @@ func TestSegmentedBudgetBoundedEndToEnd(t *testing.T) {
 	sg := openSeg(t, g, 64, budget, reg)
 	assertSegSameResult(t, "budget-bounded", g, sg, SimOptions{PerVertex: true, SnapshotEvery: 4096})
 
-	if _, peak, _ := sg.CacheStats(); peak > budget {
-		t.Fatalf("peak resident %d exceeds budget %d", peak, budget)
-	}
 	if gPeak := reg.Gauge("segcsr.cache.peak_bytes").Value(); gPeak > float64(budget) || gPeak <= 0 {
 		t.Fatalf("obs peak gauge %v out of (0, %d]", gPeak, budget)
 	}

@@ -112,10 +112,3 @@ func (c *segCache) put(k segKey, s *segment) {
 	c.gBytes.Set(float64(c.resident))
 	c.gSegs.Set(float64(c.lru.Len()))
 }
-
-// stats returns the current and peak resident byte counts.
-func (c *segCache) stats() (resident, peak int64, segments int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident, c.peak, c.lru.Len()
-}

@@ -190,12 +190,6 @@ func (f *File) Segments() int { return len(f.idx[0]) }
 // Path returns the path the graph was opened from.
 func (f *File) Path() string { return f.cf.Path() }
 
-// CacheStats returns the decoded-segment cache's resident and peak
-// byte counts and resident segment count.
-func (f *File) CacheStats() (resident, peak int64, segments int) {
-	return f.cache.stats()
-}
-
 func dirIdx(in bool) int {
 	if in {
 		return 1

@@ -237,7 +237,7 @@ func TestCacheBudget(t *testing.T) {
 			t.Fatalf("pass %d: in mismatch under tiny budget", pass)
 		}
 	}
-	resident, peak, _ := f.CacheStats()
+	resident, peak := f.cache.stats()
 	if resident > budget || peak > budget {
 		t.Fatalf("cache exceeded budget: resident %d, peak %d, budget %d", resident, peak, budget)
 	}
@@ -369,4 +369,11 @@ func TestCursorEndsOnCorruption(t *testing.T) {
 	if f.Err() == nil {
 		t.Fatal("File.Err() not latched by cursor failure")
 	}
+}
+
+// stats returns the cache's current and peak resident byte counts.
+func (c *segCache) stats() (resident, peak int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resident, c.peak
 }

@@ -166,12 +166,6 @@ func (sg *SegGraph) PartitionEdgeBalanced(in bool, p int) []Range {
 	return partitionByOffsetFn(func(v uint32) uint64 { return sg.f.EdgeOffset(in, v) }, sg.f.NumVertices(), p)
 }
 
-// CacheStats returns the decoded-segment cache's resident and peak byte
-// counts and resident segment count.
-func (sg *SegGraph) CacheStats() (resident, peak int64, segments int) {
-	return sg.f.CacheStats()
-}
-
 // Err returns the first verification failure any cursor or partition
 // query on this graph has hit, or nil. Callers that just streamed a
 // graph end-to-end check it once at the end.
