@@ -389,56 +389,78 @@ func TestAccessBatchMemoInvalidatedOnEviction(t *testing.T) {
 }
 
 // TestOccTracksValid cross-checks the per-set occupancy counters after a
-// contended run with prefetching: a set holds as many lines as were ever
-// filled into it, up to its associativity (fills take free ways first and
-// nothing frees one), and only its first record counts them; the valid
-// ways hold distinct lines of the set with their tags' low bytes as
-// partial tags; every free way and pad lane is zero.
+// contended run: a set holds as many lines as were ever filled into it,
+// up to its associativity (fills take free ways first and nothing frees
+// one), and only its first record counts them; the valid ways hold
+// distinct lines of the set with their tags' low bytes as partial tags;
+// every free way and pad lane is zero. Caches without prefetch fill
+// through the batchRRIP and batchLRU kernels, prefetching ones through
+// the scalar path; a short prefix of the stream leaves sets part-full.
 func TestOccTracksValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	addrs, writes := mixedStream(rng, 10000, 1<<16)
-	for _, ways := range []int{8, 11} {
-		c := New(Config{LineSize: 64, Sets: 16, Ways: ways, Policy: DRRIP, NextLinePrefetch: true})
-		hits := make([]bool, len(addrs))
-		c.AccessBatch(addrs, writes, hits)
-		// Every demand line is filled or resident; a miss also prefetches
-		// the next line.
-		filled := make([]map[uint64]bool, c.cfg.Sets)
-		for i := range filled {
-			filled[i] = map[uint64]bool{}
+	cfgs := []Config{
+		{Ways: 8, Policy: DRRIP, NextLinePrefetch: true},
+		{Ways: 11, Policy: DRRIP, NextLinePrefetch: true},
+		{Ways: 8, Policy: DRRIP},
+		{Ways: 4, Policy: SRRIP},
+		{Ways: 4, Policy: BRRIP},
+		{Ways: 4, Policy: LRU},
+		{Ways: 8, Policy: LRU},
+	}
+	for _, cfg := range cfgs {
+		cfg.LineSize, cfg.Sets = 64, 16
+		for _, n := range []int{40, len(addrs)} {
+			name := fmt.Sprintf("%s/ways=%d/prefetch=%v/n=%d", cfg.Policy, cfg.Ways, cfg.NextLinePrefetch, n)
+			checkOcc(t, name, cfg, addrs[:n], writes[:n])
 		}
-		for i, a := range addrs {
-			line := a >> 6
-			filled[line%16][line] = true
-			if !hits[i] {
-				filled[(line+1)%16][line+1] = true
-			}
+	}
+}
+
+// checkOcc runs one batch through a fresh cache of cfg (16 sets of
+// 64-byte lines) and checks every set against the occupancy oracle.
+func checkOcc(t *testing.T, name string, cfg Config, addrs []uint64, writes []bool) {
+	t.Helper()
+	c := New(cfg)
+	hits := make([]bool, len(addrs))
+	c.AccessBatch(addrs, writes, hits)
+	// Every demand line is filled or resident; a prefetching miss also
+	// fills the next line.
+	filled := make([]map[uint64]bool, c.cfg.Sets)
+	for i := range filled {
+		filled[i] = map[uint64]bool{}
+	}
+	for i, a := range addrs {
+		line := a >> 6
+		filled[line%16][line] = true
+		if cfg.NextLinePrefetch && !hits[i] {
+			filled[(line+1)%16][line+1] = true
 		}
-		for set := 0; set < c.cfg.Sets; set++ {
-			recs := c.setRecs(set * c.stride)
-			occ := int(recs[0].occ)
-			if want := min(len(filled[set]), ways); occ != want {
-				t.Fatalf("ways=%d set %d: occ=%d but %d lines filled", ways, set, occ, want)
+	}
+	for set := 0; set < c.cfg.Sets; set++ {
+		recs := c.setRecs(set * c.stride)
+		occ := int(recs[0].occ)
+		if want := min(len(filled[set]), cfg.Ways); occ != want {
+			t.Fatalf("%s set %d: occ=%d but %d lines filled", name, set, occ, want)
+		}
+		seen := map[uint64]bool{}
+		for w := 0; w < c.stride; w++ {
+			r, lane := &recs[w>>3], w&7
+			if w >= 8 && lane == 0 && r.occ != 0 {
+				t.Fatalf("%s set %d: record %d counts %d ways", name, set, w>>3, r.occ)
 			}
-			seen := map[uint64]bool{}
-			for w := 0; w < c.stride; w++ {
-				r, lane := &recs[w>>3], w&7
-				if w >= 8 && lane == 0 && r.occ != 0 {
-					t.Fatalf("ways=%d set %d: record %d counts %d ways", ways, set, w>>3, r.occ)
+			if w >= occ {
+				if r.tags[lane] != 0 || r.ptag[lane] != 0 || r.rrpv[lane] != 0 || r.stamp[lane] != 0 || r.dirty[lane] {
+					t.Fatalf("%s set %d: free way %d is not zero", name, set, w)
 				}
-				if w >= occ {
-					if r.tags[lane] != 0 || r.ptag[lane] != 0 || r.rrpv[lane] != 0 || r.stamp[lane] != 0 || r.dirty[lane] {
-						t.Fatalf("ways=%d set %d: free way %d is not zero", ways, set, w)
-					}
-					continue
-				}
-				line := r.tags[lane]
-				if seen[line] || !filled[set][line] || r.ptag[lane] != uint8(line>>4) || r.rrpv[lane] > rrpvMax {
-					t.Fatalf("ways=%d set %d: way %d holds tag %#x, partial tag %#x, RRPV %d",
-						ways, set, w, line, r.ptag[lane], r.rrpv[lane])
-				}
-				seen[line] = true
+				continue
 			}
+			line := r.tags[lane]
+			if seen[line] || !filled[set][line] || r.ptag[lane] != uint8(line>>4) || r.rrpv[lane] > rrpvMax {
+				t.Fatalf("%s set %d: way %d holds tag %#x, partial tag %#x, RRPV %d",
+					name, set, w, line, r.ptag[lane], r.rrpv[lane])
+			}
+			seen[line] = true
 		}
 	}
 }

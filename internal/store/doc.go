@@ -32,10 +32,13 @@
 //     instead of aborting; the graph loaders apply the same rule.
 //
 //   - Shared-cache locking. Advisory flock-based single-writer /
-//     multi-reader locks (one <name>.lock file per artifact) let
-//     concurrent processes share one cache directory: GetOrCompute
-//     guarantees at most one process computes a given artifact while the
-//     others block and then read the verified result.
+//     multi-reader locks let concurrent processes share one cache
+//     directory: GetOrCompute guarantees at most one process computes a
+//     given artifact while the others block and then read the verified
+//     result. The locks are 256 stripes (.stripe-XX.lock, XX the low
+//     byte of the name's CRC32C), each created on first use, rather than
+//     one file per artifact: a file create costs an inode, 40-560 µs of
+//     CPU on ext4, where opening an existing stripe costs ~5 µs.
 //
 // Every disk touch goes through the vfs.FS passed to Open, so a
 // vfs.FaultFS can crash, tear or corrupt a write at every protocol step

@@ -9,7 +9,8 @@ import (
 
 // Fallback locking for environments without flock(2) — non-unix
 // platforms, and filesystems whose files are not OS-backed: a
-// process-local reader/writer lock per lock-file path. In-process
+// process-local reader/writer lock per lock-file path, so at most one
+// per stripe, 256 per store directory. In-process
 // semantics (the ones the test suite exercises) are identical to the
 // unix implementation; cross-process exclusion is not provided, so
 // concurrent *processes* sharing a cache directory are only safe on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
@@ -16,17 +17,27 @@ import (
 
 // Name suffixes with reserved meaning inside a store directory.
 const (
-	// LockSuffix marks per-artifact advisory lock files.
+	// LockSuffix marks advisory lock files: the lock stripes, and the
+	// per-artifact <name>.lock files of older builds.
 	LockSuffix = ".lock"
 	// CorruptSuffix marks quarantined artifacts that failed verification.
 	CorruptSuffix = ".corrupt"
 	// tempPrefix marks in-flight atomic-write temp files.
 	tempPrefix = ".tmp-"
+	// stripePrefix starts a lock stripe's name; the leading '.' keeps it
+	// out of the artifact namespace (validName).
+	stripePrefix = ".stripe-"
 )
+
+// lockStripes is the number of lock files that guard one store
+// directory. Every process sharing the directory must map a name to the
+// same stripe, so the count and the hash (CRC32C, lockPath) are part of
+// the on-disk format, not settings.
+const lockStripes = 256
 
 // Store is a crash-safe artifact store rooted at one directory. All
 // methods are safe for concurrent use by multiple goroutines and — via
-// per-artifact advisory file locks — by multiple processes sharing the
+// striped advisory file locks — by multiple processes sharing the
 // directory. A nil registry disables counting.
 type Store struct {
 	dir string
@@ -77,7 +88,14 @@ func validName(name string) error {
 // Path returns the on-disk path of the named artifact.
 func (s *Store) Path(name string) string { return filepath.Join(s.dir, name) }
 
-func (s *Store) lockPath(name string) string { return s.Path(name) + LockSuffix }
+// lockPath returns the lock stripe that guards the named artifact:
+// .stripe-XX.lock, XX the low byte of the name's CRC32C in hex (lock.go
+// says why artifacts share stripes). Each stripe is created by its first
+// lock acquisition.
+func (s *Store) lockPath(name string) string {
+	stripe := byte(crc32.Checksum([]byte(name), Castagnoli) % lockStripes)
+	return filepath.Join(s.dir, fmt.Sprintf("%s%02x%s", stripePrefix, stripe, LockSuffix))
+}
 
 // WriteArtifact atomically writes sections as the named artifact under
 // the artifact's exclusive lock: readers block (or see the previous
@@ -203,7 +221,8 @@ type GetResult struct {
 //  1. With reuse set, an optimistic verified read (shared lock) returns
 //     an existing artifact immediately.
 //  2. Otherwise the artifact's exclusive lock is taken — serializing
-//     with any peer computing the same artifact — and, with reuse set,
+//     with any peer computing the same artifact, or another artifact of
+//     the same lock stripe — and, with reuse set,
 //     the artifact is re-checked: a peer that won the race has already
 //     written it, so it is read instead of recomputed.
 //  3. Only then is compute run and its output written through, still
@@ -216,6 +235,14 @@ type GetResult struct {
 // quarantine and count exactly as in ReadArtifact, then regenerate.
 // With reuse false, existing artifacts are ignored and overwritten —
 // the write-through-only mode of a non-resume run.
+//
+// compute runs under the stripe lock and must not call the store: an
+// artifact of the same stripe would wait on a lock its own caller holds.
+//
+// A process of an older build, which locks <name>.lock instead of the
+// stripe, shares no lock with this one. At worst the two compute an
+// artifact twice; each write is an atomic rename, so the artifact is
+// never torn.
 func (s *Store) GetOrCompute(name string, reuse bool, check func([]Section) error, compute func() ([]Section, error)) (GetResult, error) {
 	if err := validName(name); err != nil {
 		return GetResult{}, err
@@ -352,7 +379,9 @@ type GCOptions struct {
 // write temp files older than TempAge and, on request, quarantined
 // corrupt artifacts. Lock files are deliberately never removed —
 // unlinking a lock file a peer still holds would hand later acquirers a
-// fresh inode and break mutual exclusion. Returns the removed names —
+// fresh inode and break mutual exclusion. They stay bounded anyway: at
+// most lockStripes stripes per directory, plus the <name>.lock files an
+// older build left behind, which are kept like the stripes. Returns the removed names —
 // or, with DryRun set, the names that would have been removed.
 func (s *Store) GC(opts GCOptions) ([]string, error) {
 	if opts.TempAge == 0 {

@@ -355,9 +355,10 @@ func TestScanClassifiesAndGCCollects(t *testing.T) {
 			t.Errorf("good.bin: err=%v sections=%d", in.Err, in.Sections)
 		}
 	}
+	goodLock := filepath.Base(s.lockPath("good.bin"))
 	for name, want := range map[string]string{
 		"good.bin": "artifact", "bad.bin": "artifact", "legacy.txt": "foreign",
-		".tmp-orphan-123": "temp", "good.bin.lock": "lock",
+		".tmp-orphan-123": "temp", goodLock: "lock",
 	} {
 		if kinds[name] != want {
 			t.Errorf("Scan kind of %s = %q, want %q", name, kinds[name], want)
@@ -403,7 +404,7 @@ func TestScanClassifiesAndGCCollects(t *testing.T) {
 	if _, err := os.Stat(s.Path("good.bin")); err != nil {
 		t.Errorf("GC touched a healthy artifact: %v", err)
 	}
-	if _, err := os.Stat(s.Path("good.bin" + LockSuffix)); err != nil {
+	if _, err := os.Stat(s.Path(goodLock)); err != nil {
 		t.Errorf("GC removed a lock file: %v", err)
 	}
 	// Fresh temp files survive the default age gate.
